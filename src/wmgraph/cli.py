@@ -31,6 +31,10 @@ from .scaling import extinction_profile, psi_report
 from .stat_harness import edge_marginal_compare
 from .weights import LimitParams, WeightSeq
 
+# Markov runs stop at this many empty-queue epochs unless the horizon
+# comes first
+STOP_AT_EMPTY = 5
+
 
 def _load_weights(path: str) -> WeightSeq:
     return WeightSeq.from_json(Path(path).read_text())
@@ -61,6 +65,7 @@ def _cmd_simulate(args) -> int:
                                                         top_k=args.topk)
     elif args.mode == "markov":
         trace = simulate_markov(w, horizon=args.horizon,
+                                stop_at_empty=STOP_AT_EMPTY,
                                 rng_seed=np.random.SeedSequence([args.seed, 0]))
         trace = color_blue_red(trace)
         rows = ["time,event,client,Y,H"]
@@ -81,7 +86,8 @@ def _cmd_verify(args) -> int:
     reports = []
     all_ok = True
     for r in range(args.replicas):
-        trace = simulate_markov(w, horizon=args.horizon, stop_at_empty=5,
+        trace = simulate_markov(w, horizon=args.horizon,
+                                stop_at_empty=STOP_AT_EMPTY,
                                 rng_seed=np.random.SeedSequence([args.seed, r]))
         trace = color_blue_red(trace)
         rep = verify_embedding(trace)

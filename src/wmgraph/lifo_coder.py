@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .direct_graph import AssembledGraph
-from .paths import CadlagStepPath, StepFunction, height_of_path
+from .paths import CadlagStepPath, StepFunction, _replay_stack, height_of_path
 from .weights import WeightSeq
 
 
@@ -38,30 +38,64 @@ class LifoTrace:
     departure: np.ndarray
     pre_level: np.ndarray
     parent: np.ndarray           # parent client id, 0 for roots
-    service_intervals: tuple     # per client: tuple of (start, end)
     Y: CadlagStepPath
     H: StepFunction
-    busy_periods: tuple          # (start, work, member ids) per busy period
     arrival_order: np.ndarray    # client ids sorted by arrival time
+
+    @property
+    def busy_periods(self) -> tuple:
+        """(start, work, member ids) per busy period, in time order.
+
+        Arrival order is depth-first order, so a busy period holds its
+        root and every client arriving before the next root."""
+        ids = self.arrival_order.tolist()
+        times, sizes = self.Y.times.tolist(), self.Y.sizes.tolist()
+        starts = np.flatnonzero(self.parent[self.arrival_order] == 0).tolist()
+        return tuple((times[a], math.fsum(sizes[a:b]), tuple(ids[a:b]))
+                     for a, b in zip(starts, starts[1:] + [len(ids)]))
+
+    @property
+    def service_intervals(self) -> tuple:
+        """Per client: its (start, end) service intervals.
+
+        A client is served from its arrival until its first child arrives,
+        from each child's departure until the next child arrives, and from
+        its last child's departure until it departs."""
+        arrival, departure = self.arrival.tolist(), self.departure.tolist()
+        starts = [[t] for t in arrival]
+        ends = [[] for _ in arrival]
+        for c in self.arrival_order.tolist():
+            p = int(self.parent[c])
+            if p:
+                ends[p].append(arrival[c])
+                starts[p].append(departure[c])
+        return tuple(tuple(zip(starts[j], ends[j] + [departure[j]]))
+                     for j in range(1, len(arrival)))
 
     def infimum(self, t):
         return self.Y.running_inf(t)
 
     def served_at(self, t: float) -> int:
-        """Client in service at time t (cadlag), 0 if the server is idle."""
-        order = self.arrival_order
-        idx = np.searchsorted(self.arrival[order], t, side="right")
-        for j in order[:idx][::-1]:
-            if self.departure[j] > t:
-                # deepest not-yet-departed client with arrival <= t is on top
-                return int(j)
-        return 0
+        """Client in service at time t (cadlag), 0 if the server is idle.
+
+        Clients nest: a child arrives after its parent and departs before
+        it.  So the clients queued at t are the last arrival by t and its
+        ancestors, less those departed by t, and the deepest is served."""
+        i = int(np.searchsorted(self.Y.times, t, side="right")) - 1
+        j = int(self.arrival_order[i]) if i >= 0 else 0
+        while j and self.departure[j] <= t:
+            j = int(self.parent[j])
+        return j
 
     def stack_at(self, t: float) -> list:
-        """Clients in queue at time t, bottom (oldest) first."""
-        order = self.arrival_order
-        idx = np.searchsorted(self.arrival[order], t, side="right")
-        return [int(j) for j in order[:idx] if self.departure[j] > t]
+        """Clients in queue at time t, bottom (oldest) first: the client
+        in service and its ancestors."""
+        stack = []
+        j = self.served_at(t)
+        while j:
+            stack.append(j)
+            j = int(self.parent[j])
+        return stack[::-1]
 
     def write_csv(self, path):
         events = []
@@ -106,67 +140,6 @@ class PinchSetup:
                              int(self.v[i]), flag])
 
 
-def _replay(arrivals):
-    """Event-driven LIFO stack replay.
-
-    ``arrivals``: list of (time, client_id, weight), time-sorted.  Returns
-    (departure, pre_level, parent, service_intervals, H breakpoints,
-    busy_periods) keyed by client id.
-    """
-    departure, pre_level, parent = {}, {}, {}
-    service: dict = {cid: [] for _, cid, _ in arrivals}
-    h_times, h_values = [0.0], [0]
-    stack = []  # (client, pre-arrival level)
-    cur_t, cur_v = 0.0, 0.0
-    busy = []
-    cur_busy = None  # [start, work, members]
-    serving_since = None
-
-    def depart_until(limit):
-        nonlocal cur_t, cur_v, serving_since, cur_busy
-        while stack and cur_v - (limit - cur_t) <= stack[-1][1]:
-            cid, p = stack.pop()
-            dep = cur_t + (cur_v - p)
-            departure[cid] = dep
-            service[cid].append((serving_since, dep))
-            serving_since = dep
-            cur_t, cur_v = dep, p
-            h_times.append(dep)
-            h_values.append(len(stack))
-            if not stack:
-                serving_since = None
-                busy.append((cur_busy[0], math.fsum(cur_busy[1]),
-                             tuple(cur_busy[2])))
-                cur_busy = None
-
-    for t, cid, wt in arrivals:
-        depart_until(t)
-        pre = cur_v - (t - cur_t)
-        if stack:
-            parent[cid] = stack[-1][0]
-            service[stack[-1][0]].append((serving_since, t))
-            cur_busy[1].append(wt)
-            cur_busy[2].append(cid)
-        else:
-            parent[cid] = 0
-            cur_busy = [t, [wt], [cid]]
-        pre_level[cid] = pre
-        stack.append((cid, pre))
-        serving_since = t
-        cur_t, cur_v = t, pre + wt
-        h_times.append(t)
-        h_values.append(len(stack))
-    depart_until(math.inf)
-    return departure, pre_level, parent, service, (h_times, h_values), busy
-
-
-def _step_from_events(h_times, h_values) -> StepFunction:
-    times = np.asarray(h_times)
-    values = np.asarray(h_values, dtype=float)
-    keep = np.concatenate((np.diff(times) > 0, [True]))
-    return StepFunction(times[keep], values[keep])
-
-
 def simulate_lifo(w: WeightSeq, rng_seed=0,
                   forced_arrivals=None) -> LifoTrace:
     """Simulate the queue.  ``forced_arrivals`` (test hook) fixes the vector
@@ -181,27 +154,20 @@ def simulate_lifo(w: WeightSeq, rng_seed=0,
         if E.shape != (n,):
             raise ValueError("forced_arrivals must give one time per client")
     order = np.argsort(E, kind="stable") + 1
-    arrivals = [(float(E[j - 1]), int(j), float(w.w[j - 1])) for j in order]
-    departure, pre_level, parent, service, h_ev, busy = _replay(arrivals)
-
+    sizes = w.w[order - 1]
+    rep = _replay_stack(zip(E[order - 1].tolist(), sizes.tolist()))
     arr = np.zeros(n + 1)
     dep = np.zeros(n + 1)
     pre = np.zeros(n + 1)
     par = np.zeros(n + 1, dtype=np.int64)
     arr[1:] = E
-    for j in range(1, n + 1):
-        dep[j] = departure[j]
-        pre[j] = pre_level[j]
-        par[j] = parent[j]
-    jump_t = np.asarray([a[0] for a in arrivals])
-    jump_x = np.asarray([a[2] for a in arrivals])
-    horizon = max(dep.max(), float(E.max()))
-    Y = CadlagStepPath(jump_t, jump_x, horizon)
-    H = _step_from_events(*h_ev)
+    dep[order] = rep.departure[1:]
+    pre[order] = rep.pre_level[1:]
+    par[order] = np.concatenate(([0], order))[rep.parent[1:]]
     return LifoTrace(
         weights=w, arrival=arr, departure=dep, pre_level=pre, parent=par,
-        service_intervals=tuple(tuple(service[j]) for j in range(1, n + 1)),
-        Y=Y, H=H, busy_periods=tuple(busy), arrival_order=order)
+        Y=CadlagStepPath(rep.tau[1:], sizes, rep.end), H=rep.H,
+        arrival_order=order)
 
 
 def resolve_pinch(trace: LifoTrace, t_p: float, y_p: float):

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .paths import CadlagStepPath, StepFunction, height_of_path
+from .paths import (CadlagStepPath, StepFunction, _collapsed, _replay_stack,
+                    height_of_path)
 from .weights import WeightSeq
 
 
@@ -32,7 +33,6 @@ class MarkovTrace:
     departure: np.ndarray     # +inf if still queued at the horizon
     pre_level: np.ndarray
     parent: np.ndarray        # parent arrival index, 0 for tree roots
-    service_intervals: tuple
     X: CadlagStepPath
     H: StepFunction
     horizon: float
@@ -69,113 +69,37 @@ def simulate_markov(w: WeightSeq, horizon: float = math.inf, rng_seed=0,
     if not math.isfinite(horizon) and stop_at_empty is None \
             and forced_arrivals is None:
         raise ValueError("need a finite horizon or an empty-epoch target")
-    s1 = w.sigma(1.0)
-    nu = w.w / s1
-    rng = np.random.default_rng(rng_seed)
-
+    sizes = w.w.tolist()
     if forced_arrivals is not None:
         forced = [(float(t), int(j)) for t, j in forced_arrivals]
-        if horizon is math.inf:
+        if math.isinf(horizon):
             # every forced client departs by last arrival + total work
             horizon = (max(t for t, _ in forced)
-                       + math.fsum(float(w.w[j - 1]) for _, j in forced)
+                       + math.fsum(sizes[j - 1] for _, j in forced)
                        if forced else 1.0)
+        types = [j for _, j in forced]
+        arrivals = [(t, sizes[j - 1]) for t, j in forced]
+    else:
+        rng = np.random.default_rng(rng_seed)
+        nu = w.w / w.sigma(1.0)
+        types = []
 
-    tau_list, type_list = [], []
-    departure, pre_level, parent = {}, {}, {}
-    service: dict = {}
-    h_times, h_values = [0.0], [0]
-    stack = []
-    cur_t, cur_v = 0.0, 0.0
-    serving_since = None
-    empty_epochs = []
-    n_empty_target = stop_at_empty if stop_at_empty is not None else math.inf
-
-    def depart_until(limit):
-        nonlocal cur_t, cur_v, serving_since
-        while stack and cur_v - (limit - cur_t) <= stack[-1][1]:
-            cid, p = stack.pop()
-            dep = cur_t + (cur_v - p)
-            departure[cid] = dep
-            service[cid].append((serving_since, dep))
-            serving_since = dep if stack else None
-            cur_t, cur_v = dep, p
-            h_times.append(dep)
-            h_values.append(len(stack))
-            if not stack:
-                empty_epochs.append(dep)
-                if len(empty_epochs) >= n_empty_target:
-                    return True
-        return False
-
-    next_arrival = 0.0
-    k = 0
-    while True:
-        if forced_arrivals is not None:
-            if k >= len(forced):
-                break
-            t, j = forced[k]
-        else:
-            next_arrival += rng.exponential(1.0)
-            t, j = next_arrival, int(rng.choice(w.j_max, p=nu)) + 1
-        if t > horizon:
-            break
-        if depart_until(t):
-            break
-        k += 1
-        tau_list.append(t)
-        type_list.append(j)
-        pre = cur_v - (t - cur_t)
-        if stack:
-            parent[k] = stack[-1][0]
-            service[stack[-1][0]].append((serving_since, t))
-        else:
-            parent[k] = 0
-        pre_level[k] = pre
-        service[k] = []
-        stack.append((k, pre))
-        serving_since = t
-        cur_t, cur_v = t, pre + w.w[j - 1]
-        h_times.append(t)
-        h_values.append(len(stack))
-    if len(empty_epochs) < n_empty_target:
-        done = depart_until(horizon)
-        if not done and math.isfinite(horizon):
-            # truncate open services at the horizon
-            if stack:
-                service[stack[-1][0]].append((serving_since, horizon))
-            for cid, _ in stack:
-                departure[cid] = math.inf
-    end = empty_epochs[-1] if len(empty_epochs) >= n_empty_target else horizon
-    if not math.isfinite(end):
-        end = max([cur_t] + tau_list)
-
-    n = k
-    tau = np.zeros(n + 1)
-    types = np.zeros(n + 1, dtype=np.int64)
-    dep = np.zeros(n + 1)
-    pre = np.zeros(n + 1)
-    par = np.zeros(n + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        tau[i] = tau_list[i - 1]
-        types[i] = type_list[i - 1]
-        dep[i] = departure.get(i, math.inf)
-        pre[i] = pre_level[i]
-        par[i] = parent[i]
-    X = CadlagStepPath(tau[1:], w.w[types[1:] - 1], float(end))
-    keep = np.asarray(h_times) <= end
-    H = _collapse_steps(np.asarray(h_times)[keep],
-                        np.asarray(h_values, dtype=float)[keep])
+        def draws():
+            t = 0.0
+            while True:
+                t += rng.exponential(1.0)
+                types.append(int(rng.choice(w.j_max, p=nu)) + 1)
+                yield t, sizes[types[-1] - 1]
+        arrivals = draws()
+    rep = _replay_stack(arrivals, horizon,
+                        math.inf if stop_at_empty is None else stop_at_empty)
+    # the replay may have read one arrival past its stop
+    types = np.asarray([0] + types[:rep.tau.size - 1], dtype=np.int64)
     return MarkovTrace(
-        weights=w, tau=tau, types=types, departure=dep, pre_level=pre,
-        parent=par,
-        service_intervals=tuple(tuple(service[i]) for i in range(1, n + 1)),
-        X=X, H=H, horizon=float(end), empty_epochs=np.asarray(empty_epochs))
-
-
-def _collapse_steps(times, values) -> StepFunction:
-    keep = np.concatenate((np.diff(times) > 0, [True]))
-    return StepFunction(times[keep], values[keep])
+        weights=w, tau=rep.tau, types=types, departure=rep.departure,
+        pre_level=rep.pre_level, parent=rep.parent,
+        X=CadlagStepPath(rep.tau[1:], w.w[types[1:] - 1], rep.end), H=rep.H,
+        horizon=rep.end, empty_epochs=rep.empty_epochs)
 
 
 def mu_w_pmf(w: WeightSeq, k) -> float | np.ndarray:
@@ -373,7 +297,7 @@ def color_blue_red(trace: MarkovTrace) -> MarkovTrace:
     bts = bts[bts <= blue_total]
     real = theta(bts)
     keepf = np.isfinite(real)
-    H_emb = _collapse_steps(bts[keepf], trace.H(real[keepf]))
+    H_emb = _collapsed(bts[keepf], trace.H(real[keepf]))
     return replace(trace, color=color, blue_side=blue_side,
                    red_blocks=tuple(red_blocks),
                    blue_intervals=tuple(blue_intervals), A=A,
@@ -384,8 +308,7 @@ def _cum_steps(times, sizes) -> StepFunction:
     order = np.argsort(times)
     t = np.concatenate(([0.0], np.asarray(times, dtype=float)[order]))
     v = np.concatenate(([0.0], np.cumsum(np.asarray(sizes, dtype=float)[order])))
-    keep = np.concatenate((np.diff(t) > 0, [True]))
-    return StepFunction(t[keep], v[keep])
+    return _collapsed(t, v)
 
 
 def _clock(intervals):
@@ -453,22 +376,27 @@ TOL_IDENTITY = 1e-9
 def verify_embedding(trace: MarkovTrace) -> IdentityReport:
     """Pathwise identity checks on a coloured trace.
 
-    (a) the embedded load Y equals X read at the blue-clock inverse;
-    (b) the embedded height equals H read the same way, with Y's height
-        recomputed independently from the reconstructed path;
+    (a) the load reconstructed from the first blue arrival of each type,
+        read at the blue clock Lambda(t), equals X(t) for t in blue time;
+    (b) its height, recomputed independently, read the same way equals H;
     (c) X splits into blue and red parts composed with their clocks;
     (d) the H-jump counter M equals 2N - H at event times;
     (e) blue clients have pairwise distinct types.
-    Both sides of (a)-(c) are piecewise linear with slope -1 between event
-    times, so agreement at breakpoints implies agreement everywhere.
+    Blue intervals start and end at queue events, and between consecutive
+    events the loads of (a) and (c) are linear with slope -1 and the
+    heights of (b) constant.  So (a) and (b) are decided at the midpoint
+    of every gap between events that lies in blue time, and (c) at the
+    events.  (a) and (b) read forward through the clock: reading X at the
+    inverse clock instead can land one ulp before a jump.
     """
     if trace.color is None:
         trace = color_blue_red(trace)
     results = {}
-    theta = _clock_inverse(trace.blue_intervals, trace.horizon)
     lam_b = _clock(trace.blue_intervals)
     end = trace.horizon
     blue_total = lam_b(end)
+    ev = trace.events()
+    ev = ev[ev <= end]
 
     # (a) queue-without-repetition reconstruction: first blue arrival per type
     first = {}
@@ -482,38 +410,23 @@ def verify_embedding(trace: MarkovTrace) -> IdentityReport:
     sizes = [trace.weights.w[j - 1] for j, bt in
              sorted(first.items(), key=lambda kv: kv[1])]
     Y_rec = CadlagStepPath(np.asarray(times), np.asarray(sizes), blue_total)
-    pts = np.unique(np.concatenate((Y_rec.times, trace.Y_emb.times,
-                                    [0.0, blue_total])))
-    pts = pts[pts <= blue_total]
-    real = theta(pts)
-    ok = np.isfinite(real)
-    err_a = float(np.max(np.abs(Y_rec.value(pts[ok])
-                                - trace.X.value(real[ok])), initial=0.0))
+    mids = (ev[:-1] + ev[1:]) / 2.0
+    blue = np.asarray(trace.blue_intervals, dtype=float).reshape(-1, 2)
+    k = np.searchsorted(blue[:, 0], mids, side="right") - 1
+    tb = mids[(k >= 0) & (mids < blue[np.maximum(k, 0), 1])]
+    sb = lam_b(tb)
+    err_a = float(np.max(np.abs(Y_rec.value(sb) - trace.X.value(tb)),
+                         initial=0.0))
     results["Y_equals_X_at_theta"] = {
         "pass": bool(err_a < TOL_IDENTITY), "max_abs_err": err_a,
-        "n_points": int(ok.sum())}
+        "n_points": int(tb.size)}
 
     # (b) height of the reconstructed path vs H through the blue clock
-    # Both sides are step functions; breakpoints computed through the two
-    # routes can differ in the last float bit, so near-duplicate times are
-    # merged and the comparison runs at midpoints of the merged grid,
-    # where both sides are constant.
-    H_rec = height_of_path(Y_rec)
-    hpts = np.unique(np.concatenate((H_rec.times, trace.H_emb.times)))
-    hpts = hpts[hpts <= blue_total]
-    scale = max(blue_total, 1.0)
-    merged = hpts[np.concatenate(([True], np.diff(hpts) > TOL_IDENTITY * scale))]
-    if merged[-1] < blue_total:
-        merged = np.concatenate((merged, [blue_total]))
-    mids = (merged[:-1] + merged[1:]) / 2.0
-    realh = theta(mids)
-    okh = np.isfinite(realh)
-    err_b = float(np.max(np.abs(H_rec(mids[okh])
-                                - trace.H(np.minimum(realh[okh], end))),
+    err_b = float(np.max(np.abs(height_of_path(Y_rec)(sb) - trace.H(tb)),
                          initial=0.0))
     results["height_through_blue_clock"] = {
         "pass": bool(err_b < TOL_IDENTITY), "max_abs_err": err_b,
-        "n_points": int(okh.sum())}
+        "n_points": int(tb.size)}
 
     # (c) X = X^b o Lambda^b + X^r o Lambda^r at event times
     red_intervals = trace.red_blocks
@@ -530,8 +443,6 @@ def verify_embedding(trace: MarkovTrace) -> IdentityReport:
             xr_s.append(wt)
     Xb = _cum_steps(xb_t, xb_s)  # jumps only; drift handled via clocks
     Xr = _cum_steps(xr_t, xr_s)
-    ev = trace.events()
-    ev = ev[ev <= end]
     lhs = trace.X.value(ev)
     lb, lr = lam_b(ev), lam_r(ev)
     rhs = (Xb(lb) - lb) + (Xr(lr) - lr)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -181,35 +183,82 @@ def height_of_path(y: CadlagStepPath) -> StepFunction:
 
     At time t it counts the jump times s <= t whose pre-jump level still
     lies strictly below the infimum of the path over [s, t]; equivalently
-    the stack of unfinished jump records.  Computed by a stack replay:
-    a record with pre-jump level p is closed when the path drifts back
-    down to p.
+    the stack of unfinished jump records, closed when the path drifts back
+    down to their pre-jump level (``_replay_stack``).
     """
-    times = [0.0]
-    values = [0]
-    stack = []  # pre-jump levels
+    return _replay_stack(zip(y.times.tolist(), y.sizes.tolist())).H
+
+
+class _Replay(NamedTuple):
+    """Result of ``_replay_stack``; client k is the k-th arrival kept and
+    entry 0 of every array is unused (0)."""
+
+    tau: np.ndarray           # arrival times
+    parent: np.ndarray        # client on top of the stack at arrival, 0 if empty
+    pre_level: np.ndarray     # load just before the arrival
+    departure: np.ndarray     # +inf if still queued at the end
+    empty_epochs: np.ndarray  # times at which a departure emptied the stack
+    end: float
+    H: StepFunction           # stack depth on [0, end]
+
+
+def _replay_stack(arrivals, horizon=math.inf, stop_at_empty=math.inf) -> _Replay:
+    """Preemptive-LIFO stack replay of the load path -t + sum of sizes.
+
+    ``arrivals`` yields time-sorted (time, size) pairs and is read lazily,
+    one pair at a time.  A client departs when the load drifts back down
+    to its pre-arrival level.  The replay stops at the first arrival past
+    ``horizon`` (clients still queued there keep departure +inf) or at the
+    ``stop_at_empty``-th departure that empties the stack, whichever comes
+    first; with neither it drains the stack after the last arrival.  The
+    end time is that empty epoch, else the horizon, else the last event.
+    """
+    tau, parent, pre_level, departure = [0.0], [0], [0.0], [0.0]
+    h_times, h_values = [0.0], [0]
+    empty = []
+    stack = []  # (client, pre-arrival level)
     cur_t, cur_v = 0.0, 0.0
-    for t, x in zip(y.times, y.sizes):
-        # drift from cur_t to t: close records whose level is reached
-        while stack and cur_v - (t - cur_t) <= stack[-1]:
-            p = stack.pop()
-            dep = cur_t + (cur_v - p)
-            cur_t, cur_v = dep, p
-            times.append(dep)
-            values.append(len(stack))
+    # a final pseudo-arrival at the horizon drains what departs by then
+    for t, x in chain(arrivals, ((horizon, None),)):
+        if t > horizon:
+            t, x = horizon, None
+        while stack and cur_v - (t - cur_t) <= stack[-1][1]:
+            k, p = stack.pop()
+            cur_t = departure[k] = cur_t + (cur_v - p)
+            cur_v = p
+            h_times.append(cur_t)
+            h_values.append(len(stack))
+            if not stack:
+                empty.append(cur_t)
+        if x is None or len(empty) >= stop_at_empty:
+            break
+        k = len(tau)
         pre = cur_v - (t - cur_t)
-        stack.append(pre)
+        tau.append(t)
+        parent.append(stack[-1][0] if stack else 0)
+        pre_level.append(pre)
+        departure.append(math.inf)
+        stack.append((k, pre))
         cur_t, cur_v = t, pre + x
-        times.append(t)
-        values.append(len(stack))
-    while stack:
-        p = stack.pop()
-        dep = cur_t + (cur_v - p)
-        cur_t, cur_v = dep, p
-        times.append(dep)
-        values.append(len(stack))
-    # collapse repeated breakpoints (a departure coinciding with an arrival)
-    times = np.asarray(times)
-    values = np.asarray(values, dtype=float)
+        h_times.append(t)
+        h_values.append(len(stack))
+    if len(empty) >= stop_at_empty:
+        end = empty[-1]
+    elif math.isfinite(horizon):
+        end = float(horizon)
+    else:
+        end = max(cur_t, tau[-1])
+    h_times = np.asarray(h_times)
+    keep = h_times <= end
+    return _Replay(
+        tau=np.asarray(tau), parent=np.asarray(parent, dtype=np.int64),
+        pre_level=np.asarray(pre_level), departure=np.asarray(departure),
+        empty_epochs=np.asarray(empty), end=end,
+        H=_collapsed(h_times[keep], np.asarray(h_values, dtype=float)[keep]))
+
+
+def _collapsed(times, values) -> StepFunction:
+    """Step function through time-sorted breakpoints; of equal times the
+    last value holds."""
     keep = np.concatenate((np.diff(times) > 0, [True]))
     return StepFunction(times[keep], values[keep])

@@ -48,6 +48,18 @@ def test_simulate_markov_and_direct(tmp_path, weights_file):
     assert (out2 / "components.csv").exists()
 
 
+def test_simulate_markov_default_horizon(tmp_path):
+    # no --horizon: the run stops at its empty-queue epoch target
+    weights = tmp_path / "weights.json"
+    weights.write_text(WeightSeq([1.0, 0.5]).to_json())
+    out = tmp_path / "m"
+    rc = main(["simulate", "--mode", "markov", "--weights", str(weights),
+               "--out", str(out)])
+    assert rc == 0
+    assert (out / "trace.csv").read_text().splitlines()[0] \
+        == "time,event,client,Y,H"
+
+
 def test_simulate_deterministic(tmp_path, weights_file):
     outs = []
     for name in ("a", "b"):

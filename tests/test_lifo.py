@@ -132,3 +132,22 @@ def test_trace_csv_roundtrip(tmp_path, hand_trace):
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "time,event,client,Y,H"
     assert len(rows) == 5  # header + 2 arrivals + 2 departures
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=400),
+                          st.floats(min_value=0.1, max_value=3.0)),
+                min_size=1, max_size=12, unique_by=lambda a: a[0]),
+       st.lists(st.floats(min_value=0.0, max_value=20.0), max_size=8))
+@settings(max_examples=80, deadline=None)
+def test_stack_queries_match_definition(clients, extra_times):
+    times = [k / 37.0 for k, _ in clients]
+    tr = simulate_lifo(WeightSeq([x for _, x in clients]),
+                       forced_arrivals=times)
+    ids = tr.arrival_order.tolist()
+    # query at every arrival and departure, just around them, and at random
+    queries = [q for j in ids for t in (tr.arrival[j], tr.departure[j])
+               for q in (t, np.nextafter(t, -1.0), np.nextafter(t, 99.0))]
+    for t in queries + extra_times:
+        want = [j for j in ids if tr.arrival[j] <= t < tr.departure[j]]
+        assert tr.stack_at(t) == want
+        assert tr.served_at(t) == (want[-1] if want else 0)

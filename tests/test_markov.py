@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wmgraph import (
     WeightSeq,
@@ -11,6 +14,7 @@ from wmgraph import (
     gw_generation_sizes,
     mu_w_pmf,
     sample_offspring_counts,
+    simulate_lifo,
     simulate_markov,
     verify_embedding,
 )
@@ -152,3 +156,56 @@ def test_offspring_mean_matches_criticality():
     mean = st.offspring_counts.mean()
     se = st.offspring_counts.std() / math.sqrt(st.offspring_counts.size)
     assert abs(mean - 1.0) < 4 * max(se, 1e-3)
+
+
+@pytest.mark.parametrize("inf", [math.inf, float("inf")])
+def test_forced_arrivals_default_horizon(inf):
+    # last arrival 0.7 plus total work 2.0, however inf was spelled
+    tr = simulate_markov(WeightSeq([1.0]), horizon=inf,
+                         forced_arrivals=[(0.5, 1), (0.7, 1)])
+    assert tr.horizon == pytest.approx(2.7)
+
+
+@pytest.mark.parametrize("r", [29, 30])
+def test_identities_read_forward_through_blue_clock(r):
+    # at these seeds theta(Lambda(tau)) lands one ulp below an arrival tau,
+    # so reading X at the inverse clock misses a jump
+    tr = simulate_markov(WeightSeq(np.ones(1000)), horizon=1000.0,
+                         stop_at_empty=5,
+                         rng_seed=np.random.SeedSequence([0, r]))
+    rep = verify_embedding(color_blue_red(tr))
+    assert rep.passed, rep.results
+
+
+def test_identities_catch_a_dropped_jump():
+    tr = color_blue_red(simulate_markov(
+        WeightSeq(np.ones(1000)), horizon=1000.0, stop_at_empty=5,
+        rng_seed=np.random.SeedSequence([0, 29])))
+    color = tr.color.copy()
+    color[np.flatnonzero(color == "b")[-1]] = "r"  # its jump leaves Y_rec
+    res = verify_embedding(replace(tr, color=color)).results
+    assert not res["Y_equals_X_at_theta"]["pass"]
+    assert res["Y_equals_X_at_theta"]["max_abs_err"] == pytest.approx(1.0)
+    assert not res["height_through_blue_clock"]["pass"]
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=300),
+                          st.integers(min_value=1, max_value=128)),
+                min_size=1, max_size=15, unique_by=lambda a: a[0]))
+@settings(max_examples=60, deadline=None)
+def test_markov_replay_matches_lifo_on_distinct_types(clients):
+    # dyadic times and sizes keep every sum exact, so the horizon (last
+    # arrival + total work) lies past every departure
+    times = [k / 16.0 for k, _ in clients]
+    w = WeightSeq([x / 32.0 for _, x in clients])
+    lifo = simulate_lifo(w, forced_arrivals=times)
+    order = lifo.arrival_order
+    mk = simulate_markov(w, forced_arrivals=[(times[j - 1], int(j))
+                                             for j in order])
+    assert mk.types[1:].tolist() == order.tolist()
+    ids = np.concatenate(([0], order))
+    assert np.array_equal(ids[mk.parent[1:]], lifo.parent[order])
+    assert np.array_equal(mk.pre_level[1:], lifo.pre_level[order])
+    assert np.array_equal(mk.departure[1:], lifo.departure[order])
+    assert np.array_equal(mk.H.times, lifo.H.times)
+    assert np.array_equal(mk.H.values, lifo.H.values)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wmgraph import CadlagStepPath, StepFunction, height_of_path, modulus_of_continuity
+from wmgraph import (CadlagStepPath, StepFunction, WeightSeq, height_of_path,
+                     modulus_of_continuity, simulate_lifo)
 from wmgraph.paths import uniform_distance
 
 
@@ -110,3 +111,39 @@ def test_height_matches_direct_count(jumps):
         if np.min(np.abs(h.times - t)) < 1e-9:
             continue
         assert h(t) == _brute_height(y, float(t))
+
+
+def _reference_height(y: CadlagStepPath) -> StepFunction:
+    # the stack replay as a standalone loop over the path's numpy scalars
+    times, values, stack = [0.0], [0], []
+    cur_t, cur_v = 0.0, 0.0
+    for t, x in zip(y.times, y.sizes):
+        while stack and cur_v - (t - cur_t) <= stack[-1]:
+            p = stack.pop()
+            cur_t, cur_v = cur_t + (cur_v - p), p
+            times.append(cur_t)
+            values.append(len(stack))
+        pre = cur_v - (t - cur_t)
+        stack.append(pre)
+        cur_t, cur_v = t, pre + x
+        times.append(t)
+        values.append(len(stack))
+    while stack:
+        p = stack.pop()
+        cur_t, cur_v = cur_t + (cur_v - p), p
+        times.append(cur_t)
+        values.append(len(stack))
+    times = np.asarray(times)
+    keep = np.concatenate((np.diff(times) > 0, [True]))
+    return StepFunction(times[keep], np.asarray(values, dtype=float)[keep])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_height_matches_reference_replay(seed):
+    rng = np.random.default_rng(seed)
+    w = WeightSeq(1.0 + rng.pareto(2.5, size=3000))
+    tr = simulate_lifo(w, rng_seed=seed)
+    ref = _reference_height(tr.Y)
+    for h in (height_of_path(tr.Y), tr.H):
+        assert np.array_equal(h.times, ref.times)
+        assert np.array_equal(h.values, ref.values)
