@@ -32,8 +32,10 @@ from .stat_harness import edge_marginal_compare
 from .weights import LimitParams, WeightSeq
 
 # Markov runs stop at this many empty-queue epochs unless the horizon
-# comes first
+# comes first; on supercritical weights the epochs may never come, so
+# the default horizon is finite
 STOP_AT_EMPTY = 5
+DEFAULT_HORIZON = 1000.0
 
 
 def _load_weights(path: str) -> WeightSeq:
@@ -167,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, weights=True)
     sp.add_argument("--mode", choices=("lifo", "markov", "direct"),
                     default="lifo")
-    sp.add_argument("--horizon", type=float, default=float("inf"))
+    sp.add_argument("--horizon", type=float, default=DEFAULT_HORIZON,
+                    help="markov mode only")
     sp.add_argument("--topk", type=int, default=50)
     sp.set_defaults(func=_cmd_simulate)
 
@@ -176,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--identities", action="store_true",
                     help="accepted for compatibility; always implied")
     sp.add_argument("--replicas", type=int, default=100)
-    sp.add_argument("--horizon", type=float, default=1000.0)
+    sp.add_argument("--horizon", type=float, default=DEFAULT_HORIZON)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("scaling", help="drift-function diagnostics")

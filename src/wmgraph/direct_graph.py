@@ -9,33 +9,30 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .weights import WeightSeq
 
-# Above this vertex count the sampler switches from pair enumeration to
-# Poissonized proposals (O(n^2) coins dominate runtime otherwise).
-ENUMERATION_LIMIT = 3000
 
-# Proposal boosting for the rejection sampler: intensity multiplier c must
-# satisfy 1 - e^{-c x} >= h(x) on [0, X_STAR]; pairs with x >= X_STAR are
-# enumerated exactly (they require two large weights, so there are few).
-X_STAR = 0.9
-BOOST = -math.log(0.1) / X_STAR  # 1 - e^{-BOOST*X_STAR} = X_STAR exactly
+# h(x) of each edge function; each formula takes a float or an array
+_EDGE_FUNCTIONS = {
+    "exp": lambda x: -np.expm1(-x),
+    "cap": lambda x: np.minimum(1.0, x),
+    "ratio": lambda x: x / (1.0 + x),
+}
+
+
+def _edge_function(edge_fn: str):
+    if edge_fn not in _EDGE_FUNCTIONS:
+        raise ValueError(f"unknown edge function {edge_fn!r}")
+    return _EDGE_FUNCTIONS[edge_fn]
 
 
 def edge_probability(x, edge_fn: str):
-    x = np.asarray(x, dtype=float)
-    if edge_fn == "exp":
-        out = -np.expm1(-x)
-    elif edge_fn == "cap":
-        out = np.minimum(1.0, x)
-    elif edge_fn == "ratio":
-        out = x / (1.0 + x)
-    else:
-        raise ValueError(f"unknown edge function {edge_fn!r}")
+    """h(x) for the named edge function, elementwise."""
+    out = _edge_function(edge_fn)(np.asarray(x, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
@@ -85,65 +82,45 @@ class ComponentView:
             raise ValueError("root must be the first-explored (smallest) vertex")
 
 
-def sample_direct(w: WeightSeq, edge_fn: str = "exp", rng_seed=0,
-                  force_mode: str | None = None) -> AssembledGraph:
-    """Draw one graph.  ``force_mode`` in {"enumerate", "poisson"} overrides
-    the size-based choice (used to cross-validate the two samplers)."""
+def sample_direct(w: WeightSeq, edge_fn: str = "exp",
+                  rng_seed=0) -> AssembledGraph:
+    """Draw one graph in O(n + m) by geometric skipping (Miller and
+    Hagberg, WAW 2011; Batagelj and Brandes, Phys. Rev. E 2005).
+
+    The weights are nonincreasing and h is nondecreasing, so in row u the
+    edge probability p_v of the pair {u, v} is nonincreasing in v > u.
+    Each row skips ahead a geometric number of pairs with the probability
+    p of the last pair it landed on (no skip when p = 1), and keeps the
+    pair it lands on with probability p_v/p; every pair is then an edge
+    independently with probability exactly p_v.
+    """
+    h = _edge_function(edge_fn)
     rng = np.random.default_rng(rng_seed)
     n = w.j_max
     s1 = w.sigma(1.0)
-    mode = force_mode or ("enumerate" if n <= ENUMERATION_LIMIT else "poisson")
-    if mode == "enumerate":
-        iu, iv = np.triu_indices(n, k=1)
-        x = w.w[iu] * w.w[iv] / s1
-        keep = rng.random(iu.size) < edge_probability(x, edge_fn)
-        edges = frozenset(zip((iu[keep] + 1).tolist(), (iv[keep] + 1).tolist()))
-    elif mode == "poisson":
-        edges = _sample_poissonized(w, edge_fn, rng)
-    else:
-        raise ValueError(f"unknown mode {force_mode!r}")
-    return AssembledGraph(n=n, weights=w.w, edges=edges,
-                          provenance=f"direct-{'exact' if mode == 'enumerate' else 'poisson'}")
+    ws = w.w.tolist()
+    uniforms = _uniforms(rng, n)
+    edges = []
+    for u in range(n - 1):
+        v, p = u + 1, h(ws[u] * ws[u + 1] / s1)
+        while v < n and p > 0:
+            if p < 1:
+                skip = math.log1p(-next(uniforms)) / math.log1p(-p)
+                if skip >= n - v:
+                    break
+                v += int(skip)
+            q = h(ws[u] * ws[v] / s1)
+            if next(uniforms) * p < q:
+                edges.append((u + 1, v + 1))
+            v, p = v + 1, q
+    return AssembledGraph(n=n, weights=w.w, edges=frozenset(edges),
+                          provenance="direct")
 
 
-def _sample_poissonized(w: WeightSeq, edge_fn: str, rng) -> frozenset:
-    """Poisson proposal sampler.
-
-    Multiedge proposals form a Poisson field with per-pair mean
-    BOOST*w_i*w_k/sigma_1; a proposed pair with x = w_i*w_k/sigma_1 < X_STAR
-    is accepted with probability h(x)/(1 - e^{-BOOST*x}), which leaves the
-    pair present with probability exactly h(x).  Pairs with x >= X_STAR
-    (both weights large) are enumerated and given exact coins.
-    """
-    n = w.j_max
-    s1 = w.sigma(1.0)
-    # exact region: w_i*w_k >= X_STAR*s1 needs w_k >= X_STAR*s1/w_1
-    big = int(np.searchsorted(-w.w, -X_STAR * s1 / w.w[0], side="right"))
-    exact_pairs = set()
-    edges = set()
-    if big >= 2:
-        iu, iv = np.triu_indices(big, k=1)
-        x = w.w[iu] * w.w[iv] / s1
-        hot = x >= X_STAR
-        exact_pairs = set(zip((iu[hot] + 1).tolist(), (iv[hot] + 1).tolist()))
-        keep = hot & (rng.random(iu.size) < edge_probability(x, edge_fn))
-        edges.update(zip((iu[keep] + 1).tolist(), (iv[keep] + 1).tolist()))
-    total = rng.poisson(BOOST * s1 / 2.0)
-    p = w.w / s1
-    a = rng.choice(n, size=total, p=p) + 1
-    b = rng.choice(n, size=total, p=p) + 1
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    proposed = set(zip(lo[lo < hi].tolist(), hi[lo < hi].tolist()))
-    for u, v in proposed:
-        if (u, v) in exact_pairs:
-            continue
-        x = w.w[u - 1] * w.w[v - 1] / s1
-        accept = edge_probability(x, edge_fn) / -math.expm1(-BOOST * x)
-        if edge_fn == "exp" and BOOST == 1.0:
-            accept = 1.0
-        if rng.random() < accept:
-            edges.add((u, v))
-    return frozenset(edges)
+def _uniforms(rng, size: int):
+    """Endless U[0, 1) stream, drawn ``size`` at a time."""
+    while True:
+        yield from rng.random(size).tolist()
 
 
 class _UnionFind:

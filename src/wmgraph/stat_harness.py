@@ -159,18 +159,16 @@ def edge_marginal_compare(w: WeightSeq, replicas: int = 20000,
     probs = edge_probability(w.w[iu] * w.w[iv] / s1, "exp")
     npairs = iu.size
 
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    direct_ind = (rng.random((replicas, npairs)) < probs)
-
     pair_index = {(int(iu[k]) + 1, int(iv[k]) + 1): k for k in range(npairs)}
+    direct_ind = np.zeros((replicas, npairs), dtype=bool)
     lifo_ind = np.zeros((replicas, npairs), dtype=bool)
     for r in range(replicas):
-        ss = np.random.SeedSequence([seed, 1, r])
-        trace = simulate_lifo(w, rng_seed=ss)
+        gd = sample_direct(w, rng_seed=np.random.SeedSequence([seed, 0, r]))
+        trace = simulate_lifo(w, rng_seed=np.random.SeedSequence([seed, 1, r]))
         pinches = sample_pinches(trace, rng_seed=np.random.SeedSequence([seed, 2, r]))
-        g = assemble_graph(trace, pinches)
-        for u, v in g.edges:
-            lifo_ind[r, pair_index[(u, v)]] = True
+        for ind, g in ((direct_ind, gd), (lifo_ind, assemble_graph(trace, pinches))):
+            for u, v in g.edges:
+                ind[r, pair_index[(u, v)]] = True
 
     fd = direct_ind.mean(axis=0)
     fl = lifo_ind.mean(axis=0)

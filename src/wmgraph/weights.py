@@ -20,6 +20,19 @@ import numpy as np
 TOL_CRIT = 1e-12
 
 
+def _schema_fields(d, *keys) -> dict:
+    """``d`` if it is a schema-1 JSON object holding ``keys``, else
+    ValueError (a missing schema reads as 1)."""
+    if not isinstance(d, dict):
+        raise ValueError("expected a JSON object")
+    if d.get("schema", 1) != 1:
+        raise ValueError(f"unsupported schema {d['schema']!r}")
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise ValueError(f"missing key(s): {', '.join(missing)}")
+    return d
+
+
 @dataclass(frozen=True)
 class WeightSeq:
     """Nonincreasing positive weight vector with cached power sums."""
@@ -31,8 +44,8 @@ class WeightSeq:
         w = np.asarray(w, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-d vector")
-        if not np.all(w > 0):
-            raise ValueError("weights must be positive")
+        if not np.all((w > 0) & np.isfinite(w)):
+            raise ValueError("weights must be positive and finite")
         if np.any(np.diff(w) > 0):
             w = np.sort(w)[::-1]
         object.__setattr__(self, "w", w)
@@ -49,11 +62,13 @@ class WeightSeq:
         return self._cache[key]
 
     def to_json(self) -> str:
-        return json.dumps(list(self.w))
+        return json.dumps({"schema": 1, "w": list(self.w)})
 
     @classmethod
     def from_json(cls, text: str) -> "WeightSeq":
-        return cls(json.loads(text))
+        """Read ``{"schema": 1, "w": [...]}`` or the legacy bare list."""
+        d = json.loads(text)
+        return cls(d if isinstance(d, list) else _schema_fields(d, "w")["w"])
 
 
 @dataclass(frozen=True)
@@ -86,7 +101,11 @@ class LimitParams:
 
     @classmethod
     def from_json(cls, text: str) -> "LimitParams":
-        d = json.loads(text)
+        return cls._from_dict(json.loads(text))
+
+    @classmethod
+    def _from_dict(cls, d) -> "LimitParams":
+        d = _schema_fields(d, "alpha", "beta", "kappa")
         return cls(d["alpha"], d["beta"], d["kappa"], d.get("c", ()))
 
 
@@ -115,11 +134,10 @@ class ScalingTriple:
 
     @classmethod
     def from_json(cls, text: str) -> "ScalingTriple":
-        d = json.loads(text)
+        d = _schema_fields(json.loads(text), "n", "a", "b", "weights")
         lim = d.get("limit")
         return cls(d["n"], d["a"], d["b"], WeightSeq(d["weights"]),
-                   LimitParams(lim["alpha"], lim["beta"], lim["kappa"],
-                               lim.get("c", ())) if lim else None)
+                   LimitParams._from_dict(lim) if lim else None)
 
 
 def sigma_r(w: WeightSeq, r: float) -> float:

@@ -136,3 +136,44 @@ def test_usage_errors(tmp_path, weights_file):
     assert main(["nosuchcommand"]) == 2
     assert main(["simulate", "--mode", "lifo", "--weights",
                  str(tmp_path / "missing.json"), "--out", str(tmp_path)]) == 2
+
+
+def test_simulate_markov_default_horizon_supercritical(tmp_path, weights_file):
+    # sigma_2/sigma_1 = 1.5 on (2, 1, 1): the queue may never empty five
+    # times, so only the finite default horizon ends the run
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        rc = main(["simulate", "--mode", "markov", "--weights", weights_file,
+                   "--seed", seed, "--out", str(out)])
+        assert rc == 0
+        assert (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("text", ['{"schema": 1, "w": [2, 1, 1]}',
+                                  "[2, 1, 1]"])
+def test_weights_file_forms(tmp_path, text):
+    path = tmp_path / "w.json"
+    path.write_text(text)
+    out = tmp_path / "d"
+    assert main(["simulate", "--mode", "direct", "--weights", str(path),
+                 "--out", str(out)]) == 0
+    assert (out / "graph.csv").exists()
+
+
+@pytest.mark.parametrize("command,flag,text", [
+    ("simulate", "--weights", "[Infinity, 1]"),
+    ("simulate", "--weights", '{"schema": 1}'),
+    ("simulate", "--weights", '{"schema": 2, "w": [1]}'),
+    ("scaling", "--limit", '{"schema": 1, "beta": 1, "kappa": 1}'),
+    ("continuum", "--limit", "[1, 1, 1]"),
+])
+def test_malformed_input_exits_2(tmp_path, capsys, command, flag, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = [command, flag, str(path), "--out", str(tmp_path)]
+    if command == "simulate":
+        argv += ["--mode", "direct"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

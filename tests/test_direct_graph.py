@@ -10,7 +10,7 @@ from wmgraph import (
     graph_distances,
     sample_direct,
 )
-from wmgraph.direct_graph import ENUMERATION_LIMIT, AssembledGraph
+from wmgraph.direct_graph import AssembledGraph
 
 
 def test_edge_probability_functions():
@@ -32,24 +32,43 @@ def test_single_pair_frequency():
     assert abs(hits / R - p) < 4 * math.sqrt(p * (1 - p) / R)
 
 
-def test_poissonized_matches_exact_frequency():
-    # force the large-n sampler on a small instance and compare marginals
-    w = WeightSeq([2.0, 1.0])
+@pytest.mark.parametrize("edge_fn", ["exp", "cap", "ratio"])
+def test_pair_marginals_match_edge_probability(edge_fn):
+    # sigma_1 = 20: under cap the pairs {1, 2} and {1, 3} have x >= 1, so
+    # p = 1 and they must appear in every draw
+    w = WeightSeq([8.0, 6.0, 3.0, 1.0, 1.0, 1.0])
+    iu, iv = np.triu_indices(w.j_max, k=1)
+    probs = edge_probability(w.w[iu] * w.w[iv] / w.sigma(1.0), edge_fn)
+    assert (edge_fn == "cap") == bool(np.any(probs == 1.0))
+    index = {(int(a) + 1, int(b) + 1): k for k, (a, b) in enumerate(zip(iu, iv))}
     R = 4000
-    hits = 0
+    counts = np.zeros(iu.size)
     for r in range(R):
-        g = sample_direct(w, rng_seed=np.random.SeedSequence([43, r]),
-                          force_mode="poisson")
-        hits += (1, 2) in g.edges
-    p = 1 - math.exp(-2.0 / 3.0)
-    assert abs(hits / R - p) < 4 * math.sqrt(p * (1 - p) / R)
+        g = sample_direct(w, edge_fn, rng_seed=np.random.SeedSequence([47, r]))
+        for e in g.edges:
+            counts[index[e]] += 1
+    band = 4 * np.sqrt(probs * (1 - probs) / R)
+    assert np.all(np.abs(counts / R - probs) <= band)
 
 
-def test_mode_switches_at_limit():
-    small = sample_direct(WeightSeq(np.ones(10)), rng_seed=0)
-    assert small.provenance == "direct-exact"
-    big = sample_direct(WeightSeq(np.ones(ENUMERATION_LIMIT + 1)), rng_seed=0)
-    assert big.provenance == "direct-poisson"
+def test_single_vertex_has_no_edges():
+    for edge_fn in ("exp", "cap", "ratio"):
+        g = sample_direct(WeightSeq([5.0]), edge_fn, rng_seed=0)
+        assert g.n == 1 and g.edges == frozenset()
+
+
+@pytest.mark.parametrize("edge_fn", ["exp", "cap", "ratio"])
+def test_unit_weight_edge_count_is_binomial(edge_fn):
+    # unit weights: every pair has p = h(1/n), so the edge count is
+    # Binomial(C(n, 2), p)
+    n = 4000
+    pairs = n * (n - 1) // 2
+    p = edge_probability(1.0 / n, edge_fn)
+    for seed in range(3):
+        g = sample_direct(WeightSeq(np.ones(n)), edge_fn,
+                          rng_seed=np.random.SeedSequence([53, seed]))
+        assert g.provenance == "direct"
+        assert abs(len(g.edges) - pairs * p) < 4 * math.sqrt(pairs * p * (1 - p))
 
 
 def test_components_ordering_and_mass():

@@ -31,6 +31,8 @@ def test_weights_sorted_and_positive():
         WeightSeq([1.0, 0.0])
     with pytest.raises(ValueError):
         WeightSeq([])
+    with pytest.raises(ValueError):
+        WeightSeq([math.inf, 1.0])
 
 
 def test_sigma_hand_values():
@@ -78,6 +80,8 @@ def test_criticality_trichotomy():
 def test_json_roundtrips():
     w = WeightSeq([2.0, 1.0])
     assert WeightSeq.from_json(w.to_json()).w.tolist() == [2.0, 1.0]
+    assert json.loads(w.to_json()) == {"schema": 1, "w": [2.0, 1.0]}
+    assert WeightSeq.from_json("[1, 2]").w.tolist() == [2.0, 1.0]
     p = LimitParams(-1.0, 2.0, 3.0, c=(0.5, 0.25))
     p2 = LimitParams.from_json(p.to_json())
     assert (p2.alpha, p2.beta, p2.kappa) == (-1.0, 2.0, 3.0)
