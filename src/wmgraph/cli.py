@@ -215,7 +215,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
+        # RuntimeError: a root bisection found no bracket (scaling.py)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csgraph, csr_array
 
 from .weights import WeightSeq
 
@@ -52,19 +53,11 @@ class AssembledGraph:
             if not (1 <= u < v <= self.n):
                 raise ValueError(f"invalid edge ({u}, {v})")
 
-    def adjacency(self) -> list:
-        adj = [[] for _ in range(self.n + 1)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
     def write_edge_csv(self, path):
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["u", "v"])
-            for u, v in sorted(self.edges):
-                wr.writerow([u, v])
+            wr.writerows(sorted(self.edges))
 
 
 @dataclass(frozen=True)
@@ -123,51 +116,34 @@ def _uniforms(rng, size: int):
         yield from rng.random(size).tolist()
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n + 1))
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the smaller id as representative: exploration order
-            if ra > rb:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 def connected_components(g: AssembledGraph, order_by: str = "mass") -> list:
     """Components sorted nonincreasing by mass or count; ties broken by the
     smallest first-explored vertex id."""
     if order_by not in ("mass", "count"):
         raise ValueError("order_by must be 'mass' or 'count'")
-    uf = _UnionFind(g.n)
-    for u, v in g.edges:
-        uf.union(u, v)
-    members: dict = {}
-    for v in range(1, g.n + 1):
-        members.setdefault(uf.find(v), []).append(v)
-    local_edges: dict = {}
-    for u, v in sorted(g.edges):
-        local_edges.setdefault(uf.find(u), []).append((u, v))
+    e = np.asarray(list(g.edges), dtype=np.int64).reshape(-1, 2) - 1
+    adj = csr_array((np.ones(len(e), dtype=np.int8), (e[:, 0], e[:, 1])),
+                    shape=(g.n, g.n))
+    k, labels = csgraph.connected_components(adj, directed=False)
+    # a stable sort keeps ids ascending within a label, so each group
+    # starts at its root; edges are grouped the same way, (u, v) sorted
+    by_label = np.argsort(labels, kind="stable")
+    cuts = [0] + np.cumsum(np.bincount(labels, minlength=k)).tolist()
+    edge_label = labels[e[:, 0]]
+    edge_cuts = [0] + np.cumsum(np.bincount(edge_label, minlength=k)).tolist()
+    eu, ev = (e[np.lexsort((e[:, 1], e[:, 0], edge_label))] + 1).T.tolist()
+    verts = (by_label + 1).tolist()
+    ws = np.asarray(g.weights, dtype=float)[by_label].tolist()
+    masses = [math.fsum(ws[a:b]) for a, b in zip(cuts, cuts[1:])]
+    key = masses if order_by == "mass" else np.diff(cuts)
+    roots = by_label[cuts[:-1]] + 1
     views = []
-    for root, verts in members.items():
-        verts = sorted(verts)
-        mass = math.fsum(float(g.weights[v - 1]) for v in verts)
+    for i in np.lexsort((roots, -np.asarray(key))).tolist():
+        a, b, c, d = cuts[i], cuts[i + 1], edge_cuts[i], edge_cuts[i + 1]
         views.append(ComponentView(
-            vertices=tuple(verts), root=verts[0], mass=mass,
-            count=len(verts), edges=tuple(local_edges.get(root, ()))))
-    key = (lambda c: (-c.mass, c.root)) if order_by == "mass" \
-        else (lambda c: (-c.count, c.root))
-    return sorted(views, key=key)
+            vertices=tuple(verts[a:b]), root=verts[a], mass=masses[i],
+            count=b - a, edges=tuple(zip(eu[c:d], ev[c:d]))))
+    return views
 
 
 def graph_distances(c: ComponentView) -> np.ndarray:
@@ -199,5 +175,5 @@ def write_component_csv(views: list, path):
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["rank", "mass", "count", "root"])
-        for k, c in enumerate(views, start=1):
-            wr.writerow([k, repr(c.mass), c.count, c.root])
+        wr.writerows((k, c.mass, c.count, c.root)
+                     for k, c in enumerate(views, start=1))

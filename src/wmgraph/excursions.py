@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +27,7 @@ TOL_EXC = 1e-12
 class ExcursionDecomposition:
     intervals: tuple        # (l_k, r_k) in canonical order
     lengths: np.ndarray     # nonincreasing
-    local_paths: tuple      # per-excursion coding path (StepFunction) or None
+    local_paths: Sequence   # per-excursion coding path or None, built when read
     local_pinches: tuple    # filled by assign_pinches
     near_ties: tuple        # pairs of excursion indices with |len_i-len_j| < 10*TOL_EXC
 
@@ -38,23 +39,39 @@ class ExcursionDecomposition:
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["rank", "mass"])
-            for i, z in enumerate(self.lengths[:top_k], start=1):
-                wr.writerow([i, repr(float(z))])
+            wr.writerows(enumerate(self.lengths[:top_k].tolist(), start=1))
 
 
-def _canonical_order(intervals, lengths):
-    idx = sorted(range(len(intervals)),
-                 key=lambda k: (-lengths[k], intervals[k][0]))
-    return idx
+class _LazyPaths(Sequence):
+    """Read-only sequence whose item k is ``build(k)``, built when read."""
+
+    def __init__(self, count: int, build):
+        self._range, self._build = range(count), build
+
+    def __len__(self) -> int:
+        return len(self._range)
+
+    def __getitem__(self, k):
+        k = self._range[k]
+        return tuple(map(self._build, k)) if isinstance(k, range) else self._build(k)
 
 
-def _near_ties(lengths):
-    out = []
-    srt = sorted(range(len(lengths)), key=lambda k: lengths[k])
-    for a, b in zip(srt, srt[1:]):
-        if abs(lengths[a] - lengths[b]) < 10 * TOL_EXC and lengths[a] > 0:
-            out.append((min(a, b), max(a, b)))
-    return tuple(out)
+def _canonical(starts, ends, lengths, local) -> ExcursionDecomposition:
+    """Excursions [starts[i], ends[i]) given in time order, reordered by
+    nonincreasing length, ties by the smaller start; ``local(i)`` builds
+    excursion i's local path."""
+    order = np.lexsort((starts, -lengths))
+    lengths = lengths[order]
+    srt = np.argsort(lengths, kind="stable")
+    a, b = srt[:-1], srt[1:]
+    tie = (np.abs(lengths[a] - lengths[b]) < 10 * TOL_EXC) & (lengths[a] > 0)
+    return ExcursionDecomposition(
+        intervals=tuple(zip(starts[order].tolist(), ends[order].tolist())),
+        lengths=lengths,
+        local_paths=_LazyPaths(order.size, lambda k: local(order[k])),
+        local_pinches=((),) * order.size,
+        near_ties=tuple(zip(np.minimum(a, b)[tie].tolist(),
+                            np.maximum(a, b)[tie].tolist())))
 
 
 def excursions_above_zero(h, horizon: float | None = None,
@@ -78,29 +95,25 @@ def excursions_above_zero(h, horizon: float | None = None,
         end = float(times[-1] + step) if horizon is None else float(horizon)
     intervals = []
     open_at = None
-    for t, v in zip(times, values):
+    for t, v in zip(times.tolist(), values.tolist()):
         if v > thresh and open_at is None:
-            open_at = float(t)
+            open_at = t
         elif v <= thresh and open_at is not None:
-            intervals.append((open_at, float(t)))
+            intervals.append((open_at, t))
             open_at = None
     if open_at is not None:
         intervals.append((open_at, end))
-    lengths = [r - l for l, r in intervals]
-    order = _canonical_order(intervals, lengths)
-    intervals = [intervals[k] for k in order]
-    lengths = np.asarray([lengths[k] for k in order])
+    ls, rs = np.asarray(intervals, dtype=float).reshape(-1, 2).T
+
     # local coding paths carry a terminal zero breakpoint at the excursion
     # length, so their domain end (zeta) is the last breakpoint
-    def _local(l, r):
-        g = h.restricted(l, r).shifted(-l)
-        return StepFunction(np.concatenate((g.times, [r - l])),
+    def _local(i):
+        if not isinstance(h, StepFunction):
+            return None
+        g = h.restricted(ls[i], rs[i]).shifted(-ls[i])
+        return StepFunction(np.concatenate((g.times, [rs[i] - ls[i]])),
                             np.concatenate((g.values, [0.0])))
-    locals_ = tuple(_local(l, r) if isinstance(h, StepFunction) else None
-                    for l, r in intervals)
-    return ExcursionDecomposition(
-        intervals=tuple(intervals), lengths=lengths, local_paths=locals_,
-        local_pinches=tuple(() for _ in intervals), near_ties=_near_ties(lengths))
+    return _canonical(ls, rs, rs - ls, _local)
 
 
 def excursion_masses(y, top_k: int | None = None) -> np.ndarray:
@@ -112,70 +125,57 @@ def excursion_masses(y, top_k: int | None = None) -> np.ndarray:
     summation, free of endpoint cancellation.
     """
     if isinstance(y, CadlagStepPath):
-        lengths = [z for _, z, _ in _step_excursions(y)]
+        out = decompose_with_masses(y).lengths
     else:
-        times, values = y
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-        run = np.minimum.accumulate(values)
-        dec = excursions_above_zero((times, values - run))
-        lengths = list(dec.lengths)
-    lengths.sort(reverse=True)
-    out = np.asarray(lengths)
+        values = np.asarray(y[1], dtype=float)
+        out = excursions_above_zero(
+            (y[0], values - np.minimum.accumulate(values))).lengths
     return out[:top_k] if top_k is not None else out
 
 
-def _step_excursions(y: CadlagStepPath):
-    """(start, length, jump index list) per excursion of y above its
-    running infimum, in time order; length = fsum of member jump sizes."""
-    out = []
-    start, members, acc, run = None, [], [], 0.0
-    for i, (t, x) in enumerate(zip(y.times, y.sizes)):
-        if start is None or t >= start + run:
-            if start is not None:
-                out.append((start, math.fsum(acc), members))
-            start, members, acc, run = float(t), [], [], 0.0
-        members.append(i)
-        acc.append(float(x))
-        run += x
-    if start is not None:
-        out.append((start, math.fsum(acc), members))
-    return out
-
-
 def decompose_with_masses(y: CadlagStepPath) -> ExcursionDecomposition:
-    """Excursion decomposition of a load path above its running infimum,
-    with exact summed lengths."""
-    raw = _step_excursions(y)
-    intervals = [(s, s + z) for s, z, _ in raw]
-    lengths = [z for _, z, _ in raw]
-    locals_ = [
-        CadlagStepPath(y.times[members] - s, y.sizes[members], horizon=z)
-        for s, z, members in raw]
-    order = _canonical_order(intervals, lengths)
-    return ExcursionDecomposition(
-        intervals=tuple(intervals[k] for k in order),
-        lengths=np.asarray([lengths[k] for k in order]),
-        local_paths=tuple(locals_[k] for k in order),
-        local_pinches=tuple(() for _ in order),
-        near_ties=_near_ties([lengths[k] for k in order]))
+    """Excursion decomposition of a load path above its running infimum.
+    Each excursion holds a run of consecutive jumps; its length is their
+    exact fsum, and its local path, those jumps shifted to start at 0,
+    is built when read."""
+    times, sizes = y.times.tolist(), y.sizes.tolist()
+    starts, bounds = [], []
+    start, run = None, 0.0
+    for i, t in enumerate(times):
+        if start is None or t >= start + run:
+            start, run = t, 0.0
+            starts.append(t)
+            bounds.append(i)
+        run += sizes[i]
+    bounds.append(len(times))
+    lengths = np.asarray([math.fsum(sizes[a:b]) for a, b in zip(bounds, bounds[1:])])
+    starts = np.asarray(starts)
+
+    def _local(i):
+        a, b = bounds[i], bounds[i + 1]
+        return CadlagStepPath(y.times[a:b] - starts[i], y.sizes[a:b],
+                              horizon=lengths[i])
+    return _canonical(starts, starts + lengths, lengths, _local)
 
 
 def assign_pinches(dec: ExcursionDecomposition, pinches) -> ExcursionDecomposition:
     """Localize pinch points: (s_p - l_k, t_p - l_k) in the excursion whose
-    interval contains t_p, sorted by t within each excursion."""
+    interval contains t_p (the disjoint intervals' last to start by t_p),
+    sorted by t within each excursion."""
+    bounds = np.asarray(dec.intervals, dtype=float).reshape(-1, 2)
+    by_start = np.argsort(bounds[:, 0], kind="stable")
+    ls, rs = bounds[by_start].T.tolist()
+    slots = np.searchsorted(bounds[by_start, 0], pinches.t, side="right") - 1
+    by_start = by_start.tolist()
     local = [[] for _ in dec.intervals]
-    for i in range(pinches.size):
-        t_p, s_p, y_p = float(pinches.t[i]), float(pinches.s[i]), float(pinches.y[i])
-        for k, (l, r) in enumerate(dec.intervals):
-            if l <= t_p < r:
-                if not l <= s_p <= t_p:
-                    raise ValueError("pinch start escapes its excursion")
-                local[k].append((s_p - l, t_p - l, y_p))
-                break
-        else:
+    for i, t_p, s_p, y_p in zip(slots.tolist(), pinches.t.tolist(),
+                                pinches.s.tolist(), pinches.y.tolist()):
+        if i < 0 or not t_p < rs[i]:
             raise ValueError(f"pinch at t={t_p} lies outside every excursion")
+        l = ls[i]
+        if not l <= s_p <= t_p:
+            raise ValueError("pinch start escapes its excursion")
+        local[by_start[i]].append((s_p - l, t_p - l, y_p))
     for lst in local:
         lst.sort(key=lambda p: p[1])
-    from dataclasses import replace
     return replace(dec, local_pinches=tuple(tuple(lst) for lst in local))

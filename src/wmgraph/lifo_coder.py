@@ -72,9 +72,6 @@ class LifoTrace:
         return tuple(tuple(zip(starts[j], ends[j] + [departure[j]]))
                      for j in range(1, len(arrival)))
 
-    def infimum(self, t):
-        return self.Y.running_inf(t)
-
     def served_at(self, t: float) -> int:
         """Client in service at time t (cadlag), 0 if the server is idle.
 
@@ -98,17 +95,20 @@ class LifoTrace:
         return stack[::-1]
 
     def write_csv(self, path):
-        events = []
-        for j in self.arrival_order:
-            events.append((self.arrival[j], "arrival", int(j)))
-            events.append((self.departure[j], "departure", int(j)))
-        events.sort()
+        """Rows (time, event, client, Y, H) by time, arrivals before
+        departures, then by client id."""
+        ids = np.tile(self.arrival_order, 2)
+        kind = np.repeat([0, 1], self.arrival_order.size)
+        time = np.where(kind, self.departure[ids], self.arrival[ids])
+        order = np.lexsort((ids, kind, time))
+        ids, kind, time = ids[order], kind[order], time[order]
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["time", "event", "client", "Y", "H"])
-            for t, kind, j in events:
-                wr.writerow([repr(t), kind, j, repr(self.Y.value(t)),
-                             int(self.H(t))])
+            wr.writerows(zip(
+                time.tolist(), map(("arrival", "departure").__getitem__, kind.tolist()),
+                ids.tolist(), self.Y.value(time).tolist(),
+                self.H(time).astype(np.int64).tolist()))
 
 
 @dataclass(frozen=True)

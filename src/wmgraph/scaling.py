@@ -52,11 +52,13 @@ def largest_root(p: LimitParams) -> float:
         return 0.0
     hi = 1.0
     it = 0
-    while _psi(p, hi) <= 0:
-        hi *= 2.0
-        it += 1
-        if it > MAX_BISECT:
-            raise RuntimeError("could not bracket the root of psi")
+    # a hugely negative alpha takes psi to -inf, which never brackets
+    with np.errstate(over="ignore"):
+        while _psi(p, hi) <= 0:
+            hi *= 2.0
+            it += 1
+            if it > MAX_BISECT:
+                raise RuntimeError("could not bracket the root of psi")
     lo = 0.0
     for _ in range(MAX_BISECT):
         mid = 0.5 * (lo + hi)

@@ -33,6 +33,20 @@ def _schema_fields(d, *keys) -> dict:
     return d
 
 
+def _number(x, key: str, kind=(int, float)):
+    """``x`` if it is a JSON number (an integer for kind=int), else ValueError."""
+    if isinstance(x, bool) or not isinstance(x, kind):
+        raise ValueError(f"{key} must be a number, not {json.dumps(x)}")
+    return x
+
+
+def _numbers(xs, key: str) -> list:
+    """``xs`` if it is a JSON list of numbers, else ValueError."""
+    if not isinstance(xs, list):
+        raise ValueError(f"{key} must be a list of numbers")
+    return [_number(x, f"each entry of {key}") for x in xs]
+
+
 @dataclass(frozen=True)
 class WeightSeq:
     """Nonincreasing positive weight vector with cached power sums."""
@@ -68,7 +82,8 @@ class WeightSeq:
     def from_json(cls, text: str) -> "WeightSeq":
         """Read ``{"schema": 1, "w": [...]}`` or the legacy bare list."""
         d = json.loads(text)
-        return cls(d if isinstance(d, list) else _schema_fields(d, "w")["w"])
+        return cls(_numbers(d if isinstance(d, list)
+                            else _schema_fields(d, "w")["w"], "w"))
 
 
 @dataclass(frozen=True)
@@ -106,7 +121,8 @@ class LimitParams:
     @classmethod
     def _from_dict(cls, d) -> "LimitParams":
         d = _schema_fields(d, "alpha", "beta", "kappa")
-        return cls(d["alpha"], d["beta"], d["kappa"], d.get("c", ()))
+        return cls(*(_number(d[k], k) for k in ("alpha", "beta", "kappa")),
+                   _numbers(d.get("c", []), "c"))
 
 
 @dataclass(frozen=True)
@@ -136,7 +152,9 @@ class ScalingTriple:
     def from_json(cls, text: str) -> "ScalingTriple":
         d = _schema_fields(json.loads(text), "n", "a", "b", "weights")
         lim = d.get("limit")
-        return cls(d["n"], d["a"], d["b"], WeightSeq(d["weights"]),
+        return cls(_number(d["n"], "n", int), _number(d["a"], "a"),
+                   _number(d["b"], "b"),
+                   WeightSeq(_numbers(d["weights"], "weights")),
                    LimitParams._from_dict(lim) if lim else None)
 
 

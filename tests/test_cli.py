@@ -164,8 +164,19 @@ def test_weights_file_forms(tmp_path, text):
     ("simulate", "--weights", "[Infinity, 1]"),
     ("simulate", "--weights", '{"schema": 1}'),
     ("simulate", "--weights", '{"schema": 2, "w": [1]}'),
+    ("simulate", "--weights", '{"schema": 1, "w": [{"a": 1}]}'),
     ("scaling", "--limit", '{"schema": 1, "beta": 1, "kappa": 1}'),
+    ("scaling", "--limit", '{"schema": 1, "alpha": null, "beta": 1, "kappa": 1}'),
+    # psi(lambda) = alpha*lambda is negative at every lambda: no root
+    ("scaling", "--limit", '{"schema": 1, "alpha": -1e308, "beta": 0, "kappa": 1}'),
     ("continuum", "--limit", "[1, 1, 1]"),
+    ("continuum", "--limit", '{"schema": 1, "alpha": 0, "beta": 1, "kappa": "1"}'),
+    ("metric", "--weights", '{"schema": 1}'),
+    ("metric", "--weights", "[1, null]"),
+    ("verify", "--weights", "[-1, 1]"),
+    ("verify", "--weights", '{"schema": 1, "w": "1, 1"}'),
+    ("compare", "--weights", "not json"),
+    ("compare", "--weights", '{"schema": 1, "w": [{"a": 1}]}'),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, command, flag, text):
     path = tmp_path / "input.json"

@@ -5,12 +5,15 @@ import pytest
 
 from wmgraph import (
     WeightSeq,
+    assemble_graph,
     connected_components,
     edge_probability,
     graph_distances,
     sample_direct,
+    sample_pinches,
+    simulate_lifo,
 )
-from wmgraph.direct_graph import AssembledGraph
+from wmgraph.direct_graph import AssembledGraph, ComponentView
 
 
 def test_edge_probability_functions():
@@ -138,3 +141,64 @@ def test_determinism():
     g1 = sample_direct(w, rng_seed=np.random.SeedSequence([9, 9]))
     g2 = sample_direct(w, rng_seed=np.random.SeedSequence([9, 9]))
     assert g1.edges == g2.edges
+
+
+def _reference_components(g, order_by):
+    """The union-find components the csgraph labels replaced, kept as the
+    reference."""
+    parent = list(range(g.n + 1))
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for u, v in g.edges:
+        ru, rv = sorted((find(u), find(v)))
+        if ru != rv:
+            parent[rv] = ru
+    members, local_edges = {}, {}
+    for v in range(1, g.n + 1):
+        members.setdefault(find(v), []).append(v)
+    for u, v in sorted(g.edges):
+        local_edges.setdefault(find(u), []).append((u, v))
+    views = [ComponentView(
+        vertices=tuple(verts), root=verts[0],
+        mass=math.fsum(float(g.weights[v - 1]) for v in verts),
+        count=len(verts), edges=tuple(local_edges.get(root, ())))
+        for root, verts in members.items()]
+    key = (lambda c: (-c.mass, c.root)) if order_by == "mass" \
+        else (lambda c: (-c.count, c.root))
+    return sorted(views, key=key)
+
+
+def _component_fields(views):
+    return [(c.vertices, c.root, np.float64(c.mass).view(np.int64), c.count,
+             c.edges) for c in views]
+
+
+def _graphs_n3000():
+    unit = WeightSeq(np.ones(3000))
+    pareto = WeightSeq(np.random.default_rng(1).pareto(2.5, 3000) + 0.2)
+    # multiples of 1/8: many components of exactly equal mass
+    dyadic = WeightSeq(np.random.default_rng(2).integers(1, 9, 3000) / 8.0)
+    for w in (unit, pareto, dyadic):
+        for seed in range(2):
+            trace = simulate_lifo(w, rng_seed=np.random.SeedSequence([71, seed]))
+            pinches = sample_pinches(
+                trace, rng_seed=np.random.SeedSequence([72, seed]))
+            yield assemble_graph(trace, pinches)
+            yield sample_direct(w, rng_seed=np.random.SeedSequence([73, seed]))
+
+
+@pytest.mark.parametrize("order_by", ["mass", "count"])
+def test_components_match_union_find_reference(order_by):
+    for g in _graphs_n3000():
+        got = connected_components(g, order_by=order_by)
+        ref = _reference_components(g, order_by)
+        assert _component_fields(got) == _component_fields(ref)
+        assert all(type(v) is int for c in got for v in c.vertices + (c.root,))
+        assert all(type(c.mass) is float for c in got)

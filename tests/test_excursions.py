@@ -11,6 +11,7 @@ from wmgraph import (
     excursion_masses,
     excursions_above_zero,
 )
+from wmgraph.excursions import TOL_EXC
 from wmgraph.lifo_coder import PinchSetup
 
 
@@ -124,3 +125,135 @@ def test_assign_pinches_rejects_escapes():
         assign_pinches(dec, _pinch_setup([(4.0, 1.0, 0.1, 1, 2)]))
     with pytest.raises(ValueError, match="outside"):
         assign_pinches(dec, _pinch_setup([(2.5, 2.5, 0.1, 1, 2)]))
+
+
+def _reference_decompose(y):
+    """The eager decomposition the lazy one replaced, kept as the
+    reference: a jump-index list and a CadlagStepPath per excursion,
+    ordered by a Python sort.  Returns (intervals, lengths, local paths,
+    near ties)."""
+    raw = []
+    start, members, acc, run = None, [], [], 0.0
+    for i, (t, x) in enumerate(zip(y.times, y.sizes)):
+        if start is None or t >= start + run:
+            if start is not None:
+                raw.append((start, math.fsum(acc), members))
+            start, members, acc, run = float(t), [], [], 0.0
+        members.append(i)
+        acc.append(float(x))
+        run += x
+    if start is not None:
+        raw.append((start, math.fsum(acc), members))
+    intervals = [(s, s + z) for s, z, _ in raw]
+    lengths = [z for _, z, _ in raw]
+    paths = [CadlagStepPath(y.times[m] - s, y.sizes[m], horizon=z)
+             for s, z, m in raw]
+    order = sorted(range(len(raw)), key=lambda k: (-lengths[k], intervals[k][0]))
+    lengths = [lengths[k] for k in order]
+    srt = sorted(range(len(lengths)), key=lambda k: lengths[k])
+    ties = tuple((min(a, b), max(a, b)) for a, b in zip(srt, srt[1:])
+                 if abs(lengths[a] - lengths[b]) < 10 * TOL_EXC and lengths[a] > 0)
+    return (tuple(intervals[k] for k in order), np.asarray(lengths),
+            [paths[k] for k in order], ties)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
+def _critical_load_path(n, seed, weights=None):
+    w = np.ones(n) if weights is None else weights
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.exponential(w.sum() / w))
+    return CadlagStepPath(times, w, horizon=w.sum())
+
+
+def _dyadic_load_path():
+    """Dyadic sizes at dyadic times, mean work 3/4 of the gap: every sum
+    is exact and many excursion lengths are exactly equal."""
+    sizes = np.random.default_rng(7).integers(1, 12, 3000) / 32.0
+    return CadlagStepPath(np.arange(3000) / 4.0, sizes, horizon=750.0)
+
+
+@pytest.mark.parametrize("y", [
+    _critical_load_path(3000, 0),
+    _critical_load_path(3000, 1),
+    _critical_load_path(3000, 2, np.sort(np.random.default_rng(5).pareto(
+        1.5, 3000) + 1.0)[::-1]),
+    _dyadic_load_path(),
+], ids=["unit0", "unit1", "pareto", "dyadic"])
+def test_decompose_matches_reference(y):
+    intervals, lengths, paths, ties = _reference_decompose(y)
+    dec = decompose_with_masses(y)
+    assert [_bits(iv) for iv in dec.intervals] == [_bits(iv) for iv in intervals]
+    assert _bits(dec.lengths) == _bits(lengths)
+    assert dec.near_ties == ties
+    assert len(dec.local_paths) == len(paths) == dec.count
+    for g, ref in zip(dec.local_paths, paths):
+        assert _bits(g.times) == _bits(ref.times)
+        assert _bits(g.sizes) == _bits(ref.sizes)
+        assert _bits([g.horizon]) == _bits([ref.horizon])
+    assert excursion_masses(y).tolist() == sorted(lengths, reverse=True)
+
+
+def test_dyadic_decomposition_has_exact_ties():
+    dec = decompose_with_masses(_dyadic_load_path())
+    assert len(dec.near_ties) > 100
+    # tied lengths are ordered by their left endpoints
+    for (l1, r1), (l2, r2) in zip(dec.intervals, dec.intervals[1:]):
+        assert r1 - l1 > r2 - l2 or (r1 - l1 == r2 - l2 and l1 < l2)
+
+
+def test_local_paths_are_a_lazy_read_only_sequence():
+    y = CadlagStepPath([0.0, 0.5, 3.0], [1.0, 0.25, 0.5], horizon=4.0)
+    paths = decompose_with_masses(y).local_paths
+    assert len(paths) == 2
+    assert paths[-1].times.tolist() == [0.0]      # the (3, 3.5) excursion
+    assert paths[0].times.tolist() == [0.0, 0.5]
+    assert [p.horizon for p in paths] == [1.25, 0.5]
+    assert [p.horizon for p in paths[::-1]] == [0.5, 1.25]
+    with pytest.raises(IndexError):
+        paths[2]
+    with pytest.raises(TypeError):
+        paths[0] = None
+    h = StepFunction([0.0, 1.0, 2.0], [1.0, 0.0, 0.0])
+    assert list(excursions_above_zero((h.times, h.values)).local_paths) == [None]
+
+
+def _reference_assign(dec, pinches):
+    """The O(P*K) scan the binary search replaced."""
+    local = [[] for _ in dec.intervals]
+    for i in range(pinches.size):
+        t_p, s_p, y_p = float(pinches.t[i]), float(pinches.s[i]), float(pinches.y[i])
+        for k, (l, r) in enumerate(dec.intervals):
+            if l <= t_p < r:
+                local[k].append((s_p - l, t_p - l, y_p))
+                break
+    return tuple(tuple(sorted(lst, key=lambda p: p[1])) for lst in local)
+
+
+def test_assign_pinches_over_many_excursions():
+    y = _critical_load_path(3000, 4)
+    dec = decompose_with_masses(y)
+    assert dec.count > 500
+    rng = np.random.default_rng(9)
+    rows = []
+    for k in rng.integers(0, dec.count, size=400):
+        l, r = dec.intervals[k]
+        t = l + rng.random() * (r - l)
+        rows.append((t, l + rng.random() * (t - l), rng.random(), 1, 2))
+    rows.append((dec.intervals[0][0], dec.intervals[0][0], 0.5, 1, 1))
+    pin = _pinch_setup(sorted(rows))
+    out = assign_pinches(dec, pin)
+    assert out.local_pinches == _reference_assign(dec, pin)
+    assert sum(len(p) for p in out.local_pinches) == len(rows)
+    # outside: past the last excursion, before the first, and at a right
+    # end followed by an idle gap; escaping: a start before its excursion
+    by_time = sorted(dec.intervals)
+    r = next(r1 for (_, r1), (l2, _) in zip(by_time, by_time[1:]) if l2 > r1)
+    for t in (by_time[-1][1] + 1.0, -1.0, r):
+        with pytest.raises(ValueError, match="outside"):
+            assign_pinches(dec, _pinch_setup([(t, t, 0.1, 1, 2)]))
+    l, r = dec.intervals[0]
+    with pytest.raises(ValueError, match="escapes"):
+        assign_pinches(dec, _pinch_setup([((l + r) / 2, l - 1e-3, 0.1, 1, 2)]))

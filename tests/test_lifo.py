@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -132,6 +133,64 @@ def test_trace_csv_roundtrip(tmp_path, hand_trace):
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "time,event,client,Y,H"
     assert len(rows) == 5  # header + 2 arrivals + 2 departures
+
+
+def _reference_trace_rows(trace):
+    """The per-event writer the vectorised one replaced, kept as the
+    reference: rows by Python tuple sort, Y and H read one time at a
+    time."""
+    events = []
+    for j in trace.arrival_order:
+        events.append((trace.arrival[j], "arrival", int(j)))
+        events.append((trace.departure[j], "departure", int(j)))
+    events.sort()
+    return [[repr(t), kind, str(j), repr(trace.Y.value(t)),
+             str(int(trace.H(t)))] for t, kind, j in events]
+
+
+def _csv_rows(trace, path):
+    trace.write_csv(path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["time", "event", "client", "Y", "H"]
+    return rows[1:]
+
+
+def _traces_n3000():
+    yield simulate_lifo(WeightSeq(np.ones(3000)),
+                        rng_seed=np.random.SeedSequence([81, 0]))
+    yield simulate_lifo(WeightSeq(np.random.default_rng(3).pareto(2.5, 3000) + 0.2),
+                        rng_seed=np.random.SeedSequence([81, 1]))
+    # dyadic: each client departs exactly when the next one arrives, so
+    # arrivals and departures tie in time
+    yield simulate_lifo(WeightSeq(np.full(3000, 0.5)),
+                        forced_arrivals=np.arange(3000) / 2.0)
+
+
+def test_trace_csv_matches_reference_writer(tmp_path):
+    for trace in _traces_n3000():
+        rows = _csv_rows(trace, tmp_path / "trace.csv")
+        ref = _reference_trace_rows(trace)
+        assert [r[1:] for r in rows] == [r[1:] for r in ref]
+        # the reference wrote the repr of a numpy scalar; the time column
+        # is now the repr of the same float
+        assert [r[0] for r in rows] == [
+            repr(float(r[0].removeprefix("np.float64(").removesuffix(")")))
+            for r in ref]
+
+
+def test_trace_csv_columns_are_numeric(tmp_path):
+    for trace in _traces_n3000():
+        rows = _csv_rows(trace, tmp_path / "trace.csv")
+        assert len(rows) == 2 * trace.weights.j_max
+        seen = set()
+        for t, kind, j, y, h in rows:
+            t, j, y, h = float(t), int(j), float(y), int(h)
+            when = trace.arrival if kind == "arrival" else trace.departure
+            assert kind in ("arrival", "departure") and t == when[j]
+            assert y == trace.Y.value(t) and h == trace.H(t) >= 0
+            seen.add((kind, j))
+        assert len(seen) == len(rows)
 
 
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=400),

@@ -92,6 +92,28 @@ def test_json_roundtrips():
     assert tr2.n == 100 and tr2.a == tr.a and tr2.b == tr.b
 
 
+@pytest.mark.parametrize("loader,text", [
+    (WeightSeq.from_json, '{"schema": 1, "w": [{"a": 1}]}'),
+    (WeightSeq.from_json, '{"schema": 1, "w": "2, 1"}'),
+    (WeightSeq.from_json, '[1, null]'),
+    (WeightSeq.from_json, '["2", 1]'),
+    (LimitParams.from_json, '{"schema": 1, "alpha": null, "beta": 1, "kappa": 1}'),
+    (LimitParams.from_json, '{"schema": 1, "alpha": 0, "beta": true, "kappa": 1}'),
+    (LimitParams.from_json, '{"schema": 1, "alpha": 0, "beta": 1, "kappa": "1"}'),
+    (LimitParams.from_json,
+     '{"schema": 1, "alpha": 0, "beta": 1, "kappa": 1, "c": [[1]]}'),
+    (ScalingTriple.from_json,
+     '{"schema": 1, "n": 2.5, "a": 1, "b": 1, "weights": [1, 1]}'),
+    (ScalingTriple.from_json,
+     '{"schema": 1, "n": 2, "a": [1], "b": 1, "weights": [1, 1]}'),
+    (ScalingTriple.from_json,
+     '{"schema": 1, "n": 2, "a": 1, "b": 1, "weights": {"w": [1, 1]}}'),
+])
+def test_loaders_reject_wrong_value_types(loader, text):
+    with pytest.raises(ValueError, match="must be a"):
+        loader(text)
+
+
 def test_limit_params_validation():
     with pytest.raises(ValueError):
         LimitParams(0.0, -1.0, 1.0)
