@@ -36,8 +36,7 @@ class GridPath:
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["t", "Y"])
-            for t, v in zip(self.t, self.values):
-                wr.writerow([repr(float(t)), repr(float(v))])
+            wr.writerows(zip(self.t.tolist(), self.values.tolist()))
 
 
 def default_truncation(p: LimitParams, T: float) -> int:
@@ -79,7 +78,14 @@ def simulate_limit_Y(p: LimitParams, dt: float | None = None, T: float = 1.0,
                 raise ValueError("forced_E must give one time per kept c entry")
         else:
             E = rng.exponential(1.0 / (p.kappa * c))
-        y = y - np.outer(t, c * c * p.kappa).sum(axis=1)
+        # the compensator sum_j c_j^2*kappa*t, summed per row as one
+        # outer product would be, over row blocks of about 2 MB each
+        w = c * c * p.kappa
+        comp = np.empty_like(t)
+        rows = max(1, (1 << 18) // c.size)
+        for i in range(0, t.size, rows):
+            np.outer(t[i:i + rows], w).sum(axis=1, out=comp[i:i + rows])
+        y = y - comp
         for cj, ej in zip(c, E):
             if ej <= T:
                 k = int(math.ceil(ej / dt - 1e-12))

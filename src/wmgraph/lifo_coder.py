@@ -175,30 +175,62 @@ def resolve_pinch(trace: LifoTrace, t_p: float, y_p: float):
 
     The start time s_p = inf{s <= t_p : inf_{[s,t_p]}(Y-J) > y_p} is the
     arrival time of the deepest queued ancestor whose load band contains
-    y_p: scanning the stack at t_p bottom-up, the infimum of Y over
-    [arrival_k, t_p] equals the pre-arrival level of the next stack entry
-    (or Y(t_p) at the top).  Returns (s_p, u, v, self_loop, boundary_tie).
+    y_p: up the stack at t_p, the infimum of Y over [arrival_k, t_p]
+    equals the pre-arrival level of the next stack entry (or Y(t_p) at
+    the top).  Returns (s_p, u, v, self_loop, boundary_tie).
     """
-    stack = trace.stack_at(t_p)
-    if not stack:
+    s, u, v, loop, tie = _resolve_pinches(trace, np.asarray([float(t_p)]),
+                                          np.asarray([float(y_p)]))
+    return float(s[0]), int(u[0]), int(v[0]), bool(loop[0]), bool(tie[0])
+
+
+def _resolve_pinches(trace: LifoTrace, t: np.ndarray, y: np.ndarray):
+    """``resolve_pinch`` for arrays of points, by binary lifting.
+
+    v is the first client up the chain of the last arrival by t that
+    departs after t (0: idle), as ``served_at`` walks it; u is the first
+    client up from v whose band floor (pre-arrival level less the root's,
+    j_exc) is at most y.  Floors increase down a chain, since a newcomer's
+    pre-arrival level is the value the replay found above its parent's,
+    so u is the deepest band holding y.  Each climb takes the jumps of
+    2^k, k descending, whose passed clients all fail the stop test; the
+    test reads a maximum (minimum) over the jump, so the climb equals the
+    walk even if rounding broke the nesting of departures."""
+    order = trace.arrival_order
+    i = trace.Y.times.searchsorted(t, side="right") - 1
+    x = np.where(i >= 0, order[np.maximum(i, 0)], 0)
+    dep = trace.departure.copy()
+    dep[0] = math.inf
+    pre = trace.pre_level.copy()
+    pre[0] = -math.inf
+    # up[k][j]: the 2^k-th ancestor of j (0 past a root); latest[k][j] and
+    # lowest[k][j]: the latest departure and lowest pre-arrival level among
+    # the 2^k clients from j up, which a jump from j passes
+    up, latest, lowest = [trace.parent], [dep], [pre]
+    while up[-1][x].any():
+        a = up[-1]
+        latest.append(np.maximum(latest[-1], latest[-1][a]))
+        lowest.append(np.minimum(lowest[-1], lowest[-1][a]))
+        up.append(a[a])
+
+    def climb(j, key, passes):
+        for a, k in zip(up[::-1], key[::-1]):
+            j = np.where(passes(k[j]), a[j], j)
+        return j
+
+    v = climb(x, latest, lambda d: d <= t)
+    if (v == 0).any():
         raise ValueError("pinch time falls outside every busy period")
-    j_exc = trace.pre_level[stack[0]]  # excursion infimum level
-    rel = [trace.pre_level[j] - j_exc for j in stack]  # 0 = bottom band floor
-    if not 0.0 < y_p < trace.Y.value(t_p) - j_exc:
+    starts = (trace.parent[order] == 0).nonzero()[0]
+    root = order[starts[starts.searchsorted(i, side="right") - 1]]
+    j_exc = trace.pre_level[root]  # excursion infimum level
+    if not ((0.0 < y) & (y < trace.Y.value(t) - j_exc)).all():
         raise ValueError("pinch level outside the reflected load at t_p")
-    k = 0
-    tie = False
-    for i, r in enumerate(rel):
-        if r <= y_p:
-            k = i
-            if r == y_p and i > 0:
-                tie = True  # boundary hit: assigned to the deeper ancestor
-        else:
-            break
-    u = stack[k]
-    v = trace.served_at(t_p)
-    s_p = float(trace.arrival[u])
-    return s_p, int(u), int(v), bool(u == v), tie
+    u = climb(v, lowest, lambda low: low - j_exc > y)
+    # boundary hit, assigned to the deeper ancestor; the root's floor is
+    # 0 < y, so it never ties
+    tie = trace.pre_level[u] - j_exc == y
+    return trace.arrival[u], u, v, u == v, tie
 
 
 def sample_pinches(trace: LifoTrace, rng_seed=0,
@@ -212,58 +244,53 @@ def sample_pinches(trace: LifoTrace, rng_seed=0,
     w = trace.weights
     s1 = w.sigma(1.0)
     if forced_points is not None:
-        pts = [(float(t), float(y)) for t, y in forced_points]
+        pts = np.asarray([(float(t), float(y)) for t, y in forced_points],
+                         dtype=float).reshape(-1, 2)
+        t, y = pts[:, 0], pts[:, 1]
     else:
         rng = np.random.default_rng(rng_seed)
-        segs = _profile_segments(trace)
-        areas = np.asarray([a for *_, a in segs])
+        t0, r0, areas = _profile_segments(trace)
         total = float(areas.sum())
         count = rng.poisson(total / s1)
-        pts = []
-        if count:
-            which = rng.choice(len(segs), size=count, p=areas / total)
-            for i in which:
-                t0, r0, live, _ = segs[i]
-                # triangular slice: density of u on [0, live] prop. to r0-u
-                area_i = r0 * live - live * live / 2.0
-                uu = rng.random() * area_i
-                u = r0 - math.sqrt(r0 * r0 - 2.0 * uu)
-                y = rng.random() * (r0 - u)
-                pts.append((t0 + u, y))
-        pts.sort()
-    res = [resolve_pinch(trace, t, y) for t, y in pts]
-    return PinchSetup(
-        t=np.asarray([t for t, _ in pts]),
-        y=np.asarray([y for _, y in pts]),
-        s=np.asarray([r[0] for r in res]),
-        u=np.asarray([r[1] for r in res], dtype=np.int64),
-        v=np.asarray([r[2] for r in res], dtype=np.int64),
-        self_loop=np.asarray([r[3] for r in res], dtype=bool),
-        boundary_tie=np.asarray([r[4] for r in res], dtype=bool))
+        # segments by inverse CDF, the draw rng.choice(p=areas/total) makes,
+        # without its per-call argument checks (most of its cost on tiny
+        # traces)
+        cdf = (areas / total).cumsum()
+        cdf /= cdf[-1]
+        which = cdf.searchsorted(rng.random(count), side="right")
+        t0, r0, area = t0[which], r0[which], areas[which]
+        # per point, two uniforms in turn: a triangular slice (density of
+        # u on [0, live] prop. to r0-u), then a level under it
+        uni = rng.random((count, 2))
+        u = r0 - np.sqrt(r0 * r0 - 2.0 * (uni[:, 0] * area))
+        t, y = t0 + u, uni[:, 1] * (r0 - u)
+        by_time = np.lexsort((y, t))
+        t, y = t[by_time], y[by_time]
+    s, u, v, loop, tie = _resolve_pinches(trace, t, y)
+    return PinchSetup(t=t, y=y, s=s, u=u, v=v, self_loop=loop,
+                      boundary_tie=tie)
 
 
 def _profile_segments(trace: LifoTrace):
     """Linear segments of the reflected load R = Y - J.
 
     Between consecutive arrivals R decreases at unit rate from its
-    post-jump value until it hits 0 (end of a busy period).  Returns
-    (start_time, start_level, live_length, area) per segment with area
-    the integral of R over the segment.
+    post-jump value until it hits 0 (end of a busy period); every arrival
+    starts one.  Returns arrays (start_time, start_level, area) over
+    segments, with area the integral of R over the segment.
     """
-    Y = trace.Y
-    segs = []
+    times = trace.Y.times
+    levels = []
     r = 0.0
     prev_t = 0.0
-    for t, x in zip(Y.times, Y.sizes):
-        gap = t - prev_t
-        if r > 0:
-            live = min(r, gap)
-            segs.append((prev_t, r, live, r * live - live * live / 2.0))
-        r = max(r - gap, 0.0) + x
+    for t, x in zip(times.tolist(), trace.Y.sizes.tolist()):
+        r = max(r - (t - prev_t), 0.0) + x
+        levels.append(r)
         prev_t = t
-    if r > 0:
-        segs.append((prev_t, r, r, r * r / 2.0))
-    return segs
+    r = np.array(levels)
+    live = r.copy()  # the last segment lives until R hits 0
+    np.minimum(r[:-1], times[1:] - times[:-1], out=live[:-1])
+    return times, r, r * live - live * live / 2.0
 
 
 def assemble_graph(trace: LifoTrace, pinches: PinchSetup | None = None) -> AssembledGraph:

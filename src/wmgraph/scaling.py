@@ -124,52 +124,58 @@ def psi_report(p: LimitParams) -> PsiReport:
                      lambda_max=L)
 
 
-def _inv_psi_integral(p: LimitParams, v: float, report: PsiReport) -> float:
-    """int_v^infty d(lambda)/psi(lambda), v > rho."""
-    L = report.lambda_max
-    total = 0.0
-    if v < L:
-        # adaptive panels on a geometric ladder avoid a single huge interval
-        knots = [v]
-        while knots[-1] < L:
-            knots.append(min(knots[-1] * 4.0, L))
-        for a, b in zip(knots, knots[1:]):
-            piece, _ = quad(lambda u: 1.0 / _psi(p, u), a, b, limit=200)
-            total += piece
-        tail_from = L
-    else:
-        tail_from = v
-    # quadratic-envelope tail: psi(u) ~= psi(L)(u/L)^2 for u >= L
-    base = _psi(p, report.lambda_max)
-    total += report.lambda_max ** 2 / (base * tail_from)
-    return total
+def _inv_psi_integral(p: LimitParams, a: float, b: float) -> float:
+    """int_a^b d(lambda)/psi(lambda) for rho < a <= b, one adaptive panel
+    per step of a geometric ladder of ratio 4 (a single huge interval
+    would exhaust the subdivision limit)."""
+    knots = [a]
+    while knots[-1] < b:
+        knots.append(min(knots[-1] * 4.0, b))
+    return sum(quad(lambda u: 1.0 / _psi(p, u), lo, hi, limit=200)[0]
+               for lo, hi in zip(knots, knots[1:]))
 
 
 def extinction_profile(p: LimitParams, t: float) -> float:
-    """v(t) with int_{v(t)}^infty d(lambda)/psi = t; requires the grey case."""
+    """v(t) with int_{v(t)}^infty d(lambda)/psi = t; requires the grey case.
+
+    The tail beyond L = lambda_max follows the quadratic envelope
+    psi(u) ~= psi(L)*(u/L)^2, so F(v) = int_v^L d(lambda)/psi + L/psi(L)
+    below L, and v(t) = L^2/(psi(L)*t) once t <= L/psi(L).  Below L the
+    root of F(v) = t is found by Newton steps in log v with the exact
+    derivative F'(v) = -1/psi(v), kept inside the bisection bracket
+    (rho, L); F is convex and decreasing in log v, and close to linear
+    there when psi is linear near 0, which a step in v itself is not.
+    Each step advances F by the integral between the old and new point.
+    Stops when a step moves v by at most TOL_INV*v."""
     if t <= 0:
         raise ValueError("t must be positive")
     rep = psi_report(p)
     if not rep.is_grey:
         raise ValueError("tail integral of 1/psi diverges; no profile")
-    f = lambda v: _inv_psi_integral(p, v, rep)
-    lo = rep.root
-    hi = max(2.0 * rep.root, 1.0)
-    it = 0
-    while f(hi) > t:
-        hi *= 2.0
-        it += 1
-        if it > MAX_BISECT:
-            raise RuntimeError("could not bracket the extinction profile")
+    L = rep.lambda_max
+    psi_L = _psi(p, L)
+    if t <= L / psi_L:
+        return L * L / (psi_L * t)
+    lo, hi = rep.root, L
+    v = max(2.0 * rep.root, 1.0)
+    f = _inv_psi_integral(p, v, L) + L / psi_L
     for _ in range(MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > t:
-            lo = mid
+        if f > t:
+            lo = v
         else:
-            hi = mid
-        if hi - lo < TOL_INV * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+            hi = v
+        step = (f - t) * _psi(p, v) / v
+        new = v * math.exp(step) if step < 700.0 else math.inf
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - v) <= TOL_INV * v:
+            return new
+        if new < v:
+            f += _inv_psi_integral(p, new, v)
+        else:
+            f -= _inv_psi_integral(p, v, new)
+        v = new
+    raise RuntimeError("extinction profile did not converge")
 
 
 def psi_n_eval(tr: ScalingTriple, lam) -> float | np.ndarray:

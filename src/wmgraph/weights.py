@@ -97,6 +97,9 @@ class LimitParams:
 
     def __init__(self, alpha, beta, kappa, c=()):
         c = np.asarray(c, dtype=float)
+        if not (np.all(np.isfinite([alpha, beta, kappa]))
+                and np.all(np.isfinite(c))):
+            raise ValueError("alpha, beta, kappa and c must be finite")
         if beta < 0:
             raise ValueError("beta must be nonnegative")
         if kappa <= 0:

@@ -169,6 +169,13 @@ def test_weights_file_forms(tmp_path, text):
     ("scaling", "--limit", '{"schema": 1, "alpha": null, "beta": 1, "kappa": 1}'),
     # psi(lambda) = alpha*lambda is negative at every lambda: no root
     ("scaling", "--limit", '{"schema": 1, "alpha": -1e308, "beta": 0, "kappa": 1}'),
+    # json reads the NaN and Infinity literals; limits must be finite
+    ("scaling", "--limit", '{"schema": 1, "alpha": NaN, "beta": 1, "kappa": 1}'),
+    ("scaling", "--limit", '{"schema": 1, "alpha": 0, "beta": Infinity, "kappa": 1}'),
+    ("scaling", "--limit", '{"schema": 1, "alpha": -Infinity, "beta": 1, "kappa": 1}'),
+    ("continuum", "--limit", '{"schema": 1, "alpha": NaN, "beta": 1, "kappa": 1}'),
+    ("continuum", "--limit", '{"schema": 1, "alpha": 0, "beta": 1, "kappa": Infinity}'),
+    ("continuum", "--limit", '{"schema": 1, "alpha": 0, "beta": 1, "kappa": 1, "c": [-Infinity]}'),
     ("continuum", "--limit", "[1, 1, 1]"),
     ("continuum", "--limit", '{"schema": 1, "alpha": 0, "beta": 1, "kappa": "1"}'),
     ("metric", "--weights", '{"schema": 1}'),
@@ -188,3 +195,13 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, flag, text):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["scaling", "continuum"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_limit_named_in_error(tmp_path, capsys, command, value):
+    path = tmp_path / "limit.json"
+    path.write_text(f'{{"schema": 1, "alpha": {value}, "beta": 1, "kappa": 1}}')
+    assert main([command, "--limit", str(path), "--out", str(tmp_path)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "limit_path.csv").exists()

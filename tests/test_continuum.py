@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from wmgraph import (
     LimitParams,
     default_truncation,
+    gen_powerlaw_triple,
     limit_masses,
+    powerlaw_alpha0,
     simulate_limit_Y,
 )
 
@@ -83,3 +87,63 @@ def test_grid_csv_roundtrip(tmp_path):
     assert len(lines) == g.t.size + 1
     back = np.loadtxt(out, delimiter=",", skiprows=1)
     assert back[:, 1] == pytest.approx(g.values)
+
+
+def _reference_simulate_limit_Y(p, dt, T, J=None, rng_seed=0, forced_E=None):
+    """The grid simulation with the compensator of one (grid x J) outer
+    product, as before the row blocks."""
+    if J is None:
+        J = len(p.c) if forced_E is not None else default_truncation(p, T)
+    J = min(J, len(p.c))
+    rng = np.random.default_rng(rng_seed)
+    n = int(round(T / dt))
+    t = np.arange(n + 1) * dt
+    y = -p.alpha * t - 0.5 * p.kappa * p.beta * t * t
+    if p.beta > 0:
+        incr = rng.normal(0.0, math.sqrt(p.beta * dt), size=n)
+        y = y + np.concatenate(([0.0], np.cumsum(incr)))
+    c = p.c[:J]
+    if c.size:
+        if forced_E is not None:
+            E = np.asarray(forced_E, dtype=float)
+        else:
+            E = rng.exponential(1.0 / (p.kappa * c))
+        y = y - np.outer(t, c * c * p.kappa).sum(axis=1)
+        for cj, ej in zip(c, E):
+            if ej <= T:
+                k = int(math.ceil(ej / dt - 1e-12))
+                y[k:] += cj
+    return y
+
+
+POWERLAW_LIMIT = gen_powerlaw_triple(
+    10_000, rho=2.5, alpha=powerlaw_alpha0(2.5, 1.0, 1.0)).declared_limit
+
+
+@pytest.mark.parametrize("p,dt,T,seed,forced_E", [
+    (LimitParams(alpha=0.0, beta=1.0, kappa=1.0), 1e-3, 2.0, 5, None),
+    (LimitParams(alpha=-1.0, beta=1.0, kappa=1.0, c=(0.5,)), 1e-3, 1.0, 6,
+     None),
+    (LimitParams(alpha=0.5, beta=0.0, kappa=2.0, c=1.0 / np.arange(1, 3001)),
+     1e-3, 3.0, 7, None),
+    (PURE_JUMP, 1e-3, 1.0, 8, (0.25, 0.6)),
+    # a grid of 1001 rows over J near 1e4: many row blocks, a ragged last
+    (POWERLAW_LIMIT, 1e-3, 1.0, 9, None),
+])
+def test_compensator_matches_outer_product_reference(p, dt, T, seed,
+                                                     forced_E):
+    g = simulate_limit_Y(p, dt=dt, T=T, rng_seed=seed, forced_E=forced_E)
+    ref = _reference_simulate_limit_Y(p, dt, T, rng_seed=seed,
+                                      forced_E=forced_E)
+    assert np.array_equal(g.values, ref)
+
+
+def test_grid_csv_is_repr_of_each_value(tmp_path):
+    g = simulate_limit_Y(LimitParams(alpha=-1.0, beta=1.0, kappa=1.0,
+                                     c=(0.5, 0.25)),
+                         dt=1e-3, T=1.0, rng_seed=3)
+    out = tmp_path / "limit_path.csv"
+    g.write_csv(out)
+    want = ["t,Y"] + [f"{float(t)!r},{float(v)!r}"
+                      for t, v in zip(g.t, g.values)]
+    assert out.read_text().splitlines() == want

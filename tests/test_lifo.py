@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from wmgraph import (
     WeightSeq,
     assemble_graph,
+    gen_powerlaw_triple,
     height_of_path,
+    powerlaw_alpha0,
     resolve_pinch,
     sample_pinches,
     simulate_lifo,
@@ -191,6 +193,126 @@ def test_trace_csv_columns_are_numeric(tmp_path):
             assert y == trace.Y.value(t) and h == trace.H(t) >= 0
             seen.add((kind, j))
         assert len(seen) == len(rows)
+
+
+def _reference_resolve(trace, t_p, y_p):
+    """The per-pinch resolver the batch one replaced: a bottom-up scan of
+    the stack at t_p."""
+    stack = trace.stack_at(t_p)
+    j_exc = trace.pre_level[stack[0]]
+    rel = [trace.pre_level[j] - j_exc for j in stack]
+    assert 0.0 < y_p < trace.Y.value(t_p) - j_exc
+    k, tie = 0, False
+    for i, r in enumerate(rel):
+        if r <= y_p:
+            k = i
+            if r == y_p and i > 0:
+                tie = True
+        else:
+            break
+    u, v = stack[k], trace.served_at(t_p)
+    return float(trace.arrival[u]), int(u), int(v), bool(u == v), tie
+
+
+def _reference_sample_pinches(trace, rng_seed=0, forced_points=None):
+    """The per-point sampler and resolver, with its own segment scan:
+    columns t, y, s, u, v, self_loop, boundary_tie."""
+    if forced_points is not None:
+        pts = [(float(t), float(y)) for t, y in forced_points]
+    else:
+        segs, r, prev_t = [], 0.0, 0.0
+        for t, x in zip(trace.Y.times, trace.Y.sizes):
+            gap = t - prev_t
+            if r > 0:
+                live = min(r, gap)
+                segs.append((prev_t, r, live, r * live - live * live / 2.0))
+            r = max(r - gap, 0.0) + x
+            prev_t = t
+        if r > 0:
+            segs.append((prev_t, r, r, r * r / 2.0))
+        rng = np.random.default_rng(rng_seed)
+        areas = np.asarray([a for *_, a in segs])
+        total = float(areas.sum())
+        count = rng.poisson(total / trace.weights.sigma(1.0))
+        pts = []
+        if count:
+            for i in rng.choice(len(segs), size=count, p=areas / total):
+                t0, r0, live, _ = segs[i]
+                uu = rng.random() * (r0 * live - live * live / 2.0)
+                u = r0 - math.sqrt(r0 * r0 - 2.0 * uu)
+                pts.append((t0 + u, rng.random() * (r0 - u)))
+        pts.sort()
+    return [list(col) for col in zip(*[
+        (t, y) + _reference_resolve(trace, t, y) for t, y in pts])]
+
+
+def _pinch_columns(ps):
+    return [ps.t.tolist(), ps.y.tolist(), ps.s.tolist(), ps.u.tolist(),
+            ps.v.tolist(), ps.self_loop.tolist(), ps.boundary_tie.tolist()]
+
+
+@pytest.mark.parametrize("shift", [-0.9, 0.0, 0.9])
+def test_pinches_match_stack_scan_reference(shift):
+    alpha = powerlaw_alpha0(2.5, 1.0, 1.0) + shift
+    w = gen_powerlaw_triple(3000, rho=2.5, alpha=alpha).weights
+    for r in range(2):
+        trace = simulate_lifo(w, rng_seed=np.random.SeedSequence([91, r]))
+        seed = np.random.SeedSequence([92, r])
+        ps = sample_pinches(trace, rng_seed=seed)
+        assert ps.size > 50
+        assert _pinch_columns(ps) == _reference_sample_pinches(trace, seed)
+        assert ps.u.dtype == ps.v.dtype == np.int64
+
+
+def _band_floor_points(trace):
+    """At every arrival and departure time and between them, a level on
+    each band floor above the root and one inside each band."""
+    events = np.concatenate((trace.arrival[1:], trace.departure[1:]))
+    times = np.unique(np.concatenate((events, events[:-1] + 1.0 / 64)))
+    pts = []
+    for t in times.tolist():
+        stack = trace.stack_at(t)
+        if not stack:
+            continue
+        j_exc = trace.pre_level[stack[0]]
+        floors = [trace.pre_level[j] - j_exc for j in stack]
+        floors.append(trace.Y.value(t) - j_exc)
+        for lo, hi in zip(floors, floors[1:]):
+            if lo > 0:
+                pts.append((t, lo))
+            pts.append((t, (lo + hi) / 2.0))
+    return pts
+
+
+def test_pinches_on_band_floors_match_reference():
+    # dyadic weights and arrival times keep every level exact, so points
+    # placed on band floors hit them and flag ties
+    rng = np.random.default_rng(5)
+    ties = loops = 0
+    for r in range(6):
+        n = 40
+        w = WeightSeq(np.sort(rng.choice([0.25, 0.5, 1.0, 2.0], n))[::-1])
+        times = rng.choice(8 * n, n, replace=False) / 16.0
+        trace = simulate_lifo(w, forced_arrivals=times)
+        pts = _band_floor_points(trace)
+        ps = sample_pinches(trace, forced_points=pts)
+        assert _pinch_columns(ps) == _reference_sample_pinches(
+            trace, forced_points=pts)
+        ties += int(ps.boundary_tie.sum())
+        loops += int(ps.self_loop.sum())
+    assert ties > 100 and loops > 100
+
+
+def test_batch_resolution_rejects_any_bad_point(hand_trace):
+    good = (0.5, 0.3)
+    with pytest.raises(ValueError, match="busy period"):
+        sample_pinches(hand_trace, forced_points=[good, (0.1, 0.1)])
+    with pytest.raises(ValueError, match="reflected load"):
+        sample_pinches(hand_trace, forced_points=[good, (0.5, 5.0)])
+    with pytest.raises(ValueError, match="reflected load"):
+        sample_pinches(hand_trace, forced_points=[good, (0.5, 0.0)])
+    empty = sample_pinches(hand_trace, forced_points=[])
+    assert empty.size == 0 and empty.u.dtype == np.int64
 
 
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=400),

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
+import wmgraph.scaling
 from wmgraph import (
     LimitParams,
     ScalingTriple,
@@ -13,12 +15,15 @@ from wmgraph import (
     check_regime,
     extinction_profile,
     gen_er_triple,
+    gen_powerlaw_triple,
     largest_root,
     psi_eval,
     psi_inverse,
     psi_n_eval,
     psi_report,
+    powerlaw_alpha0,
 )
+from wmgraph.scaling import MAX_BISECT, TOL_INV
 
 BM = LimitParams(alpha=0.0, beta=1.0, kappa=1.0)          # psi = lam^2/2
 SUP = LimitParams(alpha=-1.0, beta=1.0, kappa=1.0)        # root at 2
@@ -93,6 +98,89 @@ def test_extinction_profile_stays_above_root():
     assert rep.is_grey
     with pytest.raises(ValueError):
         extinction_profile(SUP, 0.0)
+
+
+@pytest.mark.parametrize("alpha,beta,t", [
+    (5.0, 1.0, 4.0), (3.0, 2.0, 6.0),          # v(t) of order 1e-8
+    (0.0, 1.0, 0.5), (0.0, 1.0, 2.0), (0.0, 1.0, 1e-9),
+    (-1.0, 1.0, 1.0), (-1.0, 1.0, 3.0),
+])
+def test_extinction_profile_closed_forms(alpha, beta, t):
+    # psi = alpha*lam + beta*lam^2/2 gives v(t) = (2a/b)/expm1(a*t): 2/t at
+    # a = 0, and 2/(1 - e^{-t}) at a = -1, b = 1 (root 2)
+    if alpha == 0.0:
+        exact = 2.0 / t
+    else:
+        exact = (2.0 * alpha / beta) / math.expm1(alpha * t)
+    v = extinction_profile(LimitParams(alpha, beta, 1.0), t)
+    assert abs(v - exact) <= 1e-9 * exact
+
+
+def _reference_extinction_profile(p, t):
+    """The bisection solver the Newton solve replaced: every bracket step
+    integrates 1/psi over the whole geometric ladder up to lambda_max."""
+    rep = psi_report(p)
+    L = rep.lambda_max
+    base = psi_eval(p, L)[0]
+
+    def f(v):
+        total = 0.0
+        if v < L:
+            knots = [v]
+            while knots[-1] < L:
+                knots.append(min(knots[-1] * 4.0, L))
+            for a, b in zip(knots, knots[1:]):
+                total += quad(lambda u: 1.0 / psi_eval(p, u)[0], a, b,
+                              limit=200)[0]
+        return total + L ** 2 / (base * max(v, L))
+
+    lo = rep.root
+    hi = max(2.0 * rep.root, 1.0)
+    while f(hi) > t:
+        hi *= 2.0
+    for _ in range(MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > t:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < TOL_INV * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)
+
+
+POWERLAW_TIMES = (0.25, 0.5, 1.0, 2.0, 4.0)
+
+
+@pytest.mark.parametrize("shift", [-0.9, 0.0, 0.9])
+def test_extinction_profile_matches_bisection_reference(shift):
+    # the three power-law limits across the critical window; the reference
+    # stops on an absolute bracket width below v = 1
+    alpha = powerlaw_alpha0(2.5, 1.0, 1.0) + shift
+    p = gen_powerlaw_triple(1000, rho=2.5, alpha=alpha).declared_limit
+    for t in POWERLAW_TIMES:
+        v = extinction_profile(p, t)
+        ref = _reference_extinction_profile(p, t)
+        assert abs(v - ref) <= TOL_INV * max(1.0, v) + 1e-8 * v, (t, v, ref)
+
+
+def test_extinction_profile_psi_eval_budget(monkeypatch):
+    # counted as the benchmark counts them: scaling looks psi_eval up at
+    # call time; the bisection solver made 5,614-12,931 calls here
+    p = gen_powerlaw_triple(
+        10_000, rho=2.5, alpha=powerlaw_alpha0(2.5, 1.0, 1.0)).declared_limit
+    orig = wmgraph.scaling.psi_eval
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(wmgraph.scaling, "psi_eval", counted)
+    for t in POWERLAW_TIMES:
+        calls[0] = 0
+        extinction_profile(p, t)
+        assert 0 < calls[0] <= 2500, (t, calls[0])
 
 
 def test_grey_verdict_fails_without_curvature():
