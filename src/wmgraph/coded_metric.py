@@ -27,12 +27,16 @@ class CodedSpace:
     weights: np.ndarray       # mass per sample
 
     def __init__(self, h, pinches=(), eps=0.0, samples=(), weights=None):
-        if eps < 0:
-            raise ValueError("eps must be nonnegative")
+        if not eps >= 0:                # NaN fails too; +inf is allowed
+            raise ValueError(f"eps must be nonnegative, got {float(eps)!r}")
         samples = np.asarray(samples, dtype=float)
-        if weights is None:
-            weights = np.ones_like(samples)
+        weights = (np.ones_like(samples) if weights is None
+                   else np.asarray(weights, dtype=float))
+        if weights.shape != samples.shape:
+            raise ValueError("weights must have the shape of samples")
         zeta = float(h.times[-1])
+        if not np.all((samples >= 0) & (samples <= zeta)):
+            raise ValueError("sample outside the coding domain")
         for s, t in pinches:
             if not (0 <= s <= t <= zeta):
                 raise ValueError("pinch outside the coding domain")
@@ -41,11 +45,7 @@ class CodedSpace:
                                                   for s, t in pinches))
         object.__setattr__(self, "eps", float(eps))
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "weights", np.asarray(weights, dtype=float))
-
-    @property
-    def zeta(self) -> float:
-        return float(self.h.times[-1])
+        object.__setattr__(self, "weights", weights)
 
 
 def tree_distance(h: StepFunction, s: float, t: float) -> float:
@@ -53,38 +53,36 @@ def tree_distance(h: StepFunction, s: float, t: float) -> float:
     return float(h(s) + h(t) - 2.0 * h.min_on(s, t))
 
 
-def _pairwise_tree(h: StepFunction, pts: np.ndarray) -> np.ndarray:
-    n = pts.size
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = tree_distance(h, float(pts[i]), float(pts[j]))
-    return d
-
-
 def pinched_matrix(space: CodedSpace) -> np.ndarray:
-    """Pinched distances between sample points.
-
-    Shortest paths on the complete auxiliary graph over samples plus pinch
-    endpoints, with tree-distance weights and shortcut edges of length
-    min(eps, d_h(s_i, t_i)), computed by min-plus closure."""
-    m = space.samples.size
-    endpoints = [x for st in space.pinches for x in st]
-    pts = np.concatenate((space.samples, np.asarray(endpoints, dtype=float)))
-    d = _pairwise_tree(space.h, pts)
-    for i, (s, t) in enumerate(space.pinches):
-        a, b = m + 2 * i, m + 2 * i + 1
-        cut = min(space.eps, tree_distance(space.h, s, t))
-        d[a, b] = d[b, a] = min(d[a, b], cut)
-    if space.pinches:
-        # min-plus closure; a dense csgraph call would silently drop the
-        # legitimate zero-length edges (identified points, eps = 0 cuts)
-        full = d
-        for k in range(d.shape[0]):
-            full = np.minimum(full, full[:, k, None] + full[None, k, :])
-    else:
-        full = d
-    return full[:m, :m]
+    """Pinched distances between sample points: shortest paths over the N
+    samples and pinch endpoints, with tree-distance edges and shortcuts of
+    length min(eps, d_h(s_i, t_i)), in O(N^2 (p+1)) time, O(N^2) memory.
+    The tree matrix (one sweep over the points sorted by breakpoint index)
+    equals tree_distance bit for bit; as the tree metric obeys the triangle
+    inequality, the closure needs only the 2p pinch endpoints as waypoints."""
+    h, m = space.h, space.samples.size
+    pts = np.concatenate((space.samples, np.ravel(space.pinches)))
+    n = pts.size
+    # breakpoint index of each point, as StepFunction.__call__ and min_on
+    k = np.maximum(np.searchsorted(h.times, pts, side="right") - 1, 0)
+    order = np.argsort(k, kind="stable")
+    ks = k[order]
+    hv = h.values[ks]
+    # low[i, j], j > i: min of h from sorted point j-1 to j; the running
+    # minimum along the row from the diagonal makes it min_on(i, j)
+    gap = np.minimum.reduceat(h.values, ks)[:-1]
+    step = np.concatenate((hv[:1], np.minimum(gap, hv[1:])))
+    low = np.where(np.tri(n, k=-1, dtype=bool), np.inf, step)
+    np.fill_diagonal(low, hv)
+    np.minimum.accumulate(low, axis=1, out=low)
+    low = np.minimum(low, low.T)
+    d = np.empty((n, n))
+    d[np.ix_(order, order)] = hv[:, None] + hv[None, :] - 2.0 * low
+    a = np.arange(m, n, 2)
+    d[a, a + 1] = d[a + 1, a] = np.minimum(space.eps, d[a, a + 1])
+    for e in range(m, n):
+        np.minimum(d, d[:, e, None] + d[None, e, :], out=d)
+    return d[:m, :m]
 
 
 def ghp_upper_bound(h: StepFunction, h2: StepFunction, pinches, pinches2,

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .direct_graph import AssembledGraph
+from .markov_coder import _choice_cdf
 from .paths import CadlagStepPath, StepFunction, _replay_stack, height_of_path
 from .weights import WeightSeq
 
@@ -252,12 +253,9 @@ def sample_pinches(trace: LifoTrace, rng_seed=0,
         t0, r0, areas = _profile_segments(trace)
         total = float(areas.sum())
         count = rng.poisson(total / s1)
-        # segments by inverse CDF, the draw rng.choice(p=areas/total) makes,
-        # without its per-call argument checks (most of its cost on tiny
-        # traces)
-        cdf = (areas / total).cumsum()
-        cdf /= cdf[-1]
-        which = cdf.searchsorted(rng.random(count), side="right")
+        # segments as rng.choice(p=areas/total) draws them, without its checks
+        which = _choice_cdf(areas / total).searchsorted(rng.random(count),
+                                                        side="right")
         t0, r0, area = t0[which], r0[which], areas[which]
         # per point, two uniforms in turn: a triangular slice (density of
         # u on [0, live] prop. to r0-u), then a level under it

@@ -45,7 +45,6 @@ class MarkovTrace:
     A: StepFunction | None = None            # repeat-load A^w in the blue clock
     Y_emb: CadlagStepPath | None = None      # X read through the blue clock
     H_emb: StepFunction | None = None
-    t_star_surrogate: float | None = None
 
     @property
     def n_arrivals(self) -> int:
@@ -81,14 +80,14 @@ def simulate_markov(w: WeightSeq, horizon: float = math.inf, rng_seed=0,
         arrivals = [(t, sizes[j - 1]) for t, j in forced]
     else:
         rng = np.random.default_rng(rng_seed)
-        nu = w.w / w.sigma(1.0)
+        cdf = _choice_cdf(w.w / w.sigma(1.0))
         types = []
 
         def draws():
             t = 0.0
             while True:
                 t += rng.exponential(1.0)
-                types.append(int(rng.choice(w.j_max, p=nu)) + 1)
+                types.append(int(cdf.searchsorted(rng.random(), "right")) + 1)
                 yield t, sizes[types[-1] - 1]
         arrivals = draws()
     rep = _replay_stack(arrivals, horizon,
@@ -116,12 +115,21 @@ def mu_w_pmf(w: WeightSeq, k) -> float | np.ndarray:
     return float(out[0]) if k.ndim == 0 else out.reshape(k.shape)
 
 
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF Generator.choice(p=p) draws through: the indices
+    cdf.searchsorted(rng.random(size), side="right") are its draw, stream
+    included, without its per-call argument checks."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def sample_offspring_counts(w: WeightSeq, n: int, rng_seed=0) -> np.ndarray:
     """n i.i.d. offspring counts of the coupled forest, drawn by the
     two-stage recipe: type from nu_w, then Poisson(w_type) children."""
     rng = np.random.default_rng(rng_seed)
-    s1 = w.sigma(1.0)
-    types = rng.choice(w.j_max, size=n, p=w.w / s1)
+    types = _choice_cdf(w.w / w.sigma(1.0)).searchsorted(
+        rng.random(n), side="right")
     return rng.poisson(w.w[types])
 
 
@@ -133,17 +141,16 @@ def gw_generation_sizes(w: WeightSeq, z0: int, generations: int,
     children, so conditionally on the types the next generation is
     Poisson(sum of the drawn weights)."""
     rng = np.random.default_rng(rng_seed)
-    s1 = w.sigma(1.0)
-    nu = w.w / s1
+    nu = w.w / w.sigma(1.0)
+    cdf = _choice_cdf(nu)
     sizes = [int(z0)]
-    z = int(z0)
     for _ in range(generations):
-        if z == 0:
-            sizes.append(0)
-            continue
-        counts = rng.multinomial(z, nu)
-        z = int(rng.poisson(float(np.dot(counts, w.w))))
-        sizes.append(z)
+        z = sizes[-1]
+        if z > w.j_max:     # cell counts keep time and memory at O(j_max)
+            total = np.dot(rng.multinomial(z, nu), w.w)
+        else:
+            total = w.w[cdf.searchsorted(rng.random(z), side="right")].sum()
+        sizes.append(int(rng.poisson(float(total))))
     return np.asarray(sizes, dtype=np.int64)
 
 
@@ -240,7 +247,6 @@ def color_blue_red(trace: MarkovTrace) -> MarkovTrace:
     blue_types: set = set()
     red_blocks = []
     open_block_end = -math.inf  # real-time end of the current red block
-    t_star = None
     for i in range(1, n + 1):
         t = float(trace.tau[i])
         in_red = t < open_block_end
@@ -253,8 +259,6 @@ def color_blue_red(trace: MarkovTrace) -> MarkovTrace:
                 end = float(trace.departure[i])
                 red_blocks.append((t, end))
                 open_block_end = end
-                if not math.isfinite(end) and t_star is None:
-                    t_star = t
         else:
             color[i] = "b"
             blue_types.add(int(trace.types[i]))
@@ -301,7 +305,7 @@ def color_blue_red(trace: MarkovTrace) -> MarkovTrace:
     return replace(trace, color=color, blue_side=blue_side,
                    red_blocks=tuple(red_blocks),
                    blue_intervals=tuple(blue_intervals), A=A,
-                   Y_emb=Y_emb, H_emb=H_emb, t_star_surrogate=t_star)
+                   Y_emb=Y_emb, H_emb=H_emb)
 
 
 def _cum_steps(times, sizes) -> StepFunction:

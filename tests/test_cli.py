@@ -205,3 +205,14 @@ def test_non_finite_limit_named_in_error(tmp_path, capsys, command, value):
     assert main([command, "--limit", str(path), "--out", str(tmp_path)]) == 2
     assert "must be finite" in capsys.readouterr().err
     assert not (tmp_path / "limit_path.csv").exists()
+
+
+@pytest.mark.parametrize("eps", ["nan", "-1"])
+def test_metric_bad_eps_exits_2(tmp_path, capsys, weights_file, eps):
+    out = tmp_path / "mm"
+    assert main(["metric", "--weights", weights_file, "--eps", eps,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: eps must be nonnegative")
+    assert err.count("\n") == 1
+    assert not (out / "matrix.csv").exists()

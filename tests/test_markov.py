@@ -46,6 +46,39 @@ def test_offspring_sampler_matches_pmf():
     assert p > 1e-3
 
 
+@pytest.mark.parametrize("w", [WeightSeq([2.0, 1.0, 1.0]),
+                               WeightSeq([1.0, 0.75, 0.5, 0.25, 0.125]),
+                               WeightSeq(np.linspace(2.0, 0.01, 1000))])
+def test_type_draws_are_generator_choice(w):
+    # the inverse-CDF type draw is rng.choice(p=nu_w), stream included
+    nu = w.w / w.sigma(1.0)
+    ks = sample_offspring_counts(w, 5000, rng_seed=11)
+    rng = np.random.default_rng(11)
+    assert np.array_equal(
+        ks, rng.poisson(w.w[rng.choice(w.j_max, size=5000, p=nu)]))
+    # offspring means 1.5, 0.72 and 1.33: 12 generations stay small
+    # generations above j_max draw cell counts instead (the first weights)
+    zs = gw_generation_sizes(w, 7, 12, rng_seed=12)
+    rng = np.random.default_rng(12)
+    ref = [7]
+    for _ in range(12):
+        z = ref[-1]
+        if z > w.j_max:
+            total = np.dot(rng.multinomial(z, nu), w.w)
+        else:
+            total = w.w[rng.choice(w.j_max, size=z, p=nu)].sum()
+        ref.append(int(rng.poisson(float(total))))
+    assert np.array_equal(zs, ref)
+    tr = simulate_markov(w, horizon=50.0, rng_seed=13)
+    rng = np.random.default_rng(13)
+    t, tau, types = 0.0, [], []
+    while len(tau) < tr.n_arrivals:
+        t += rng.exponential(1.0)
+        tau.append(t)
+        types.append(int(rng.choice(w.j_max, p=nu)) + 1)
+    assert tr.tau[1:].tolist() == tau and tr.types[1:].tolist() == types
+
+
 def test_generation_sizes_absorb_at_zero():
     w = WeightSeq([0.5, 0.25])  # subcritical
     zs = gw_generation_sizes(w, 3, 40, rng_seed=5)
