@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .coded_metric import CodedSpace, pinched_matrix, write_matrix_csv
+from .coded_metric import (CodedSpace, check_eps, pinched_matrix,
+                           write_matrix_csv)
 from .continuum import limit_masses, simulate_limit_Y
 from .direct_graph import connected_components, sample_direct, write_component_csv
 from .excursions import decompose_with_masses
@@ -38,6 +39,20 @@ STOP_AT_EMPTY = 5
 DEFAULT_HORIZON = 1000.0
 
 
+def _positive_int(text: str) -> int:
+    if not (text.isdecimal() and int(text) > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one ``error:`` line, as run-time errors do."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _load_weights(path: str) -> WeightSeq:
     return WeightSeq.from_json(Path(path).read_text())
 
@@ -47,17 +62,18 @@ def _load_limit(path: str) -> LimitParams:
 
 
 def _outdir(args) -> Path:
+    """The output directory, made once the run has nothing left to reject."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _cmd_simulate(args) -> int:
-    out = _outdir(args)
     w = _load_weights(args.weights)
     if args.mode == "lifo":
         trace = simulate_lifo(w, rng_seed=np.random.SeedSequence([args.seed, 0]))
         pinches = sample_pinches(trace, rng_seed=np.random.SeedSequence([args.seed, 1]))
+        out = _outdir(args)
         trace.write_csv(out / "trace.csv")
         pinches.write_csv(out / "pinches.csv")
         g = assemble_graph(trace, pinches)
@@ -70,6 +86,7 @@ def _cmd_simulate(args) -> int:
                                 stop_at_empty=STOP_AT_EMPTY,
                                 rng_seed=np.random.SeedSequence([args.seed, 0]))
         trace = color_blue_red(trace)
+        out = _outdir(args)
         rows = ["time,event,client,Y,H"]
         for t in trace.events():
             rows.append(f"{t:.17g},event,-1,{trace.X.value(t):.17g},"
@@ -77,13 +94,13 @@ def _cmd_simulate(args) -> int:
         (out / "trace.csv").write_text("\n".join(rows) + "\n")
     else:  # direct
         g = sample_direct(w, rng_seed=np.random.SeedSequence([args.seed, 0]))
+        out = _outdir(args)
         g.write_edge_csv(out / "graph.csv")
         write_component_csv(connected_components(g), out / "components.csv")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    out = _outdir(args)
     w = _load_weights(args.weights)
     reports = []
     all_ok = True
@@ -95,7 +112,7 @@ def _cmd_verify(args) -> int:
         rep = verify_embedding(trace)
         reports.append(json.loads(rep.to_json()))
         all_ok = all_ok and rep.passed
-    (out / "identities.json").write_text(
+    (_outdir(args) / "identities.json").write_text(
         json.dumps({"schema": 1, "seed": args.seed,
                     "replicas": args.replicas, "passed": all_ok,
                     "reports": reports}, indent=2))
@@ -105,12 +122,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    out = _outdir(args)
     p = _load_limit(args.limit)
     rep = psi_report(p)
     prof = {f"{t:g}": extinction_profile(p, t)
             for t in (0.25, 0.5, 1.0, 2.0, 4.0)}
-    (out / "scaling.json").write_text(json.dumps(
+    (_outdir(args) / "scaling.json").write_text(json.dumps(
         {"schema": 1, "largest_root": rep.root, "is_grey": rep.is_grey,
          "grey_integral_tail": rep.grey_integral_tail,
          "extinction_profile": prof}, indent=2))
@@ -119,22 +135,23 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_metric(args) -> int:
-    out = _outdir(args)
+    check_eps(args.eps)
     w = _load_weights(args.weights)
     trace = simulate_lifo(w, rng_seed=np.random.SeedSequence([args.seed, 0]))
     pinches = sample_pinches(trace, rng_seed=np.random.SeedSequence([args.seed, 1]))
     pairs = list(zip(pinches.s, pinches.t))
     samples = trace.arrival[1:]
     space = CodedSpace(trace.H, pinches=pairs, eps=args.eps, samples=samples)
-    write_matrix_csv(space, pinched_matrix(space), out / "matrix.csv")
+    write_matrix_csv(space, pinched_matrix(space),
+                     _outdir(args) / "matrix.csv")
     return 0
 
 
 def _cmd_continuum(args) -> int:
-    out = _outdir(args)
     p = _load_limit(args.limit)
     g = simulate_limit_Y(p, dt=args.dt, T=args.horizon,
                          rng_seed=np.random.SeedSequence([args.seed, 0]))
+    out = _outdir(args)
     g.write_csv(out / "limit_path.csv")
     masses = limit_masses(g, top_k=args.topk)
     rows = ["rank,mass"] + [f"{k + 1},{m:.17g}" for k, m in enumerate(masses)]
@@ -143,16 +160,15 @@ def _cmd_continuum(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    out = _outdir(args)
     w = _load_weights(args.weights)
     rep = edge_marginal_compare(w, replicas=args.replicas, seed=args.seed)
-    (out / "compare.json").write_text(rep.to_json())
+    (_outdir(args) / "compare.json").write_text(rep.to_json())
     print(rep.summary())
     return 0 if rep.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="wmgraph")
+    p = _Parser(prog="wmgraph")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, weights=False, limit=False):
@@ -171,14 +187,14 @@ def build_parser() -> argparse.ArgumentParser:
                     default="lifo")
     sp.add_argument("--horizon", type=float, default=DEFAULT_HORIZON,
                     help="markov mode only")
-    sp.add_argument("--topk", type=int, default=50)
+    sp.add_argument("--topk", type=_positive_int, default=50)
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("verify", help="check pathwise clock identities")
     common(sp, weights=True)
     sp.add_argument("--identities", action="store_true",
                     help="accepted for compatibility; always implied")
-    sp.add_argument("--replicas", type=int, default=100)
+    sp.add_argument("--replicas", type=_positive_int, default=100)
     sp.add_argument("--horizon", type=float, default=DEFAULT_HORIZON)
     sp.set_defaults(func=_cmd_verify)
 
@@ -195,14 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, limit=True)
     sp.add_argument("--horizon", type=float, default=1.0)
     sp.add_argument("--dt", type=float, default=None)
-    sp.add_argument("--topk", type=int, default=50)
+    sp.add_argument("--topk", type=_positive_int, default=50)
     sp.set_defaults(func=_cmd_continuum)
 
     sp = sub.add_parser("compare", help="direct vs queue-assembled graphs")
     common(sp, weights=True)
     sp.add_argument("--edge-law", action="store_true",
                     help="accepted for compatibility; always implied")
-    sp.add_argument("--replicas", type=int, default=20000)
+    sp.add_argument("--replicas", type=_positive_int, default=20000)
     sp.set_defaults(func=_cmd_compare)
     return p
 

@@ -18,6 +18,13 @@ import numpy as np
 from .paths import StepFunction, modulus_of_continuity, uniform_distance
 
 
+def check_eps(eps) -> float:
+    """The shortcut cap as a float: NaN or negative raise, +inf is allowed."""
+    if not eps >= 0:
+        raise ValueError(f"eps must be nonnegative, got {float(eps)!r}")
+    return float(eps)
+
+
 @dataclass(frozen=True)
 class CodedSpace:
     h: StepFunction
@@ -27,8 +34,7 @@ class CodedSpace:
     weights: np.ndarray       # mass per sample
 
     def __init__(self, h, pinches=(), eps=0.0, samples=(), weights=None):
-        if not eps >= 0:                # NaN fails too; +inf is allowed
-            raise ValueError(f"eps must be nonnegative, got {float(eps)!r}")
+        eps = check_eps(eps)
         samples = np.asarray(samples, dtype=float)
         weights = (np.ones_like(samples) if weights is None
                    else np.asarray(weights, dtype=float))
@@ -43,7 +49,7 @@ class CodedSpace:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "pinches", tuple((float(s), float(t))
                                                   for s, t in pinches))
-        object.__setattr__(self, "eps", float(eps))
+        object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "weights", weights)
 

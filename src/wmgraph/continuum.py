@@ -60,6 +60,10 @@ def simulate_limit_Y(p: LimitParams, dt: float | None = None, T: float = 1.0,
     fixes the jump times of the first entries of c."""
     if dt is None:
         dt = 1e-4 * T
+    for name, value in (("T", T), ("dt", dt)):
+        if not 0 < value < math.inf:    # NaN fails too
+            raise ValueError(f"{name} must be finite and positive, "
+                             f"got {value!r}")
     if J is None:
         J = len(p.c) if forced_E is not None else default_truncation(p, T)
     J = min(J, len(p.c))

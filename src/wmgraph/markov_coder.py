@@ -44,7 +44,6 @@ class MarkovTrace:
     blue_intervals: tuple | None = None
     A: StepFunction | None = None            # repeat-load A^w in the blue clock
     Y_emb: CadlagStepPath | None = None      # X read through the blue clock
-    H_emb: StepFunction | None = None
 
     @property
     def n_arrivals(self) -> int:
@@ -65,6 +64,8 @@ def simulate_markov(w: WeightSeq, horizon: float = math.inf, rng_seed=0,
     ``forced_arrivals`` (test hook): list of (time, type) pairs replacing
     the Poisson/type draws.
     """
+    if not horizon > 0:     # NaN fails too; +inf is allowed
+        raise ValueError(f"horizon must be positive, got {horizon!r}")
     if not math.isfinite(horizon) and stop_at_empty is None \
             and forced_arrivals is None:
         raise ValueError("need a finite horizon or an empty-epoch target")
@@ -168,8 +169,7 @@ class GwForestStats:
 
 
 def completed_clients(trace: MarkovTrace) -> np.ndarray:
-    return np.asarray([i for i in range(1, trace.n_arrivals + 1)
-                       if math.isfinite(trace.departure[i])], dtype=np.int64)
+    return np.flatnonzero(np.isfinite(trace.departure[1:])) + 1
 
 
 def gw_forest_stats(trace: MarkovTrace) -> GwForestStats:
@@ -195,9 +195,7 @@ def gw_forest_stats(trace: MarkovTrace) -> GwForestStats:
     visits = []
     for r in roots:
         depth = {r: 0}
-        walk = [r]
         stack = [(r, iter(children[r]))]
-        size = 0
         cont = [0]
         cvis = [r]
         while stack:
@@ -214,13 +212,11 @@ def gw_forest_stats(trace: MarkovTrace) -> GwForestStats:
             cvis.append(nxt)
             stack.append((nxt, iter(children[nxt])))
         # depth-first (= arrival) order within the tree
-        dfs = sorted(depth, key=lambda i: i)
-        for node in dfs:
+        for node in sorted(depth):
             order.append(node)
             hts.append(depth[node])
             v.append(v[-1] + len(children[node]) - 1)
-            size += 1
-        tree_sizes.append(size)
+        tree_sizes.append(len(depth))
         contours.append(np.asarray(cont, dtype=np.int64))
         visits.append(np.asarray(cvis, dtype=np.int64))
     return GwForestStats(
@@ -241,27 +237,24 @@ def color_blue_red(trace: MarkovTrace) -> MarkovTrace:
     blue context (a red root) to that client's departure; the red root's
     load jump is charged to the blue side.  Blue time is everything else.
     """
-    n = trace.n_arrivals
-    color = np.empty(n + 1, dtype="U1")
-    blue_side = np.zeros(n + 1, dtype=bool)
+    color, blue_side = [""], [False]
     blue_types: set = set()
     red_blocks = []
     open_block_end = -math.inf  # real-time end of the current red block
-    for i in range(1, n + 1):
-        t = float(trace.tau[i])
+    for t, j, d in zip(trace.tau.tolist()[1:], trace.types.tolist()[1:],
+                       trace.departure.tolist()[1:]):
         in_red = t < open_block_end
-        if not in_red:
-            blue_side[i] = True
-        repeat = int(trace.types[i]) in blue_types
-        if in_red or repeat:
-            color[i] = "r"
+        blue_side.append(not in_red)
+        if in_red or j in blue_types:
+            color.append("r")
             if not in_red:  # red root: opens a block until its departure
-                end = float(trace.departure[i])
-                red_blocks.append((t, end))
-                open_block_end = end
+                red_blocks.append((t, d))
+                open_block_end = d
         else:
-            color[i] = "b"
-            blue_types.add(int(trace.types[i]))
+            color.append("b")
+            blue_types.add(j)
+    color = np.asarray(color, dtype="U1")
+    blue_side = np.asarray(blue_side)
 
     end = trace.horizon
     red_blocks = [(a, min(b, end)) for a, b in red_blocks if a < end]
@@ -274,44 +267,23 @@ def color_blue_red(trace: MarkovTrace) -> MarkovTrace:
     if cursor < end:
         blue_intervals.append((cursor, end))
 
+    # blue-side jumps in the blue clock: blue ones make Y, the blue-side
+    # repeats make A^w
     lam = _clock(blue_intervals)
-    # A^w in the blue clock: jumps at blue-side repeat arrivals
-    a_times, a_sizes = [], []
-    y_times, y_sizes = [], []
-    for i in range(1, n + 1):
-        if not blue_side[i]:
-            continue
-        bt = lam(float(trace.tau[i]))
-        wt = float(trace.weights.w[trace.types[i] - 1])
-        if color[i] == "b":
-            y_times.append(bt)
-            y_sizes.append(wt)
-        else:
-            a_times.append(bt)
-            a_sizes.append(wt)
-    blue_total = lam(end)
-    Y_emb = CadlagStepPath(np.asarray(y_times), np.asarray(y_sizes), blue_total)
-    A = _cum_steps(a_times, a_sizes)
-    theta = _clock_inverse(blue_intervals, end)
-    # H read through the blue clock; its breakpoints are the blue-clock
-    # images of all queue events (arrivals and finite departures)
-    dep = trace.departure[1:]
-    ev = np.concatenate(([0.0], trace.tau[1:], dep[np.isfinite(dep)], [end]))
-    bts = np.unique(lam(ev[ev <= end]))
-    bts = bts[bts <= blue_total]
-    real = theta(bts)
-    keepf = np.isfinite(real)
-    H_emb = _collapsed(bts[keepf], trace.H(real[keepf]))
+    bt = lam(trace.tau[blue_side])
+    sizes = trace.weights.w[trace.types[blue_side] - 1]
+    is_blue = color[blue_side] == "b"
     return replace(trace, color=color, blue_side=blue_side,
                    red_blocks=tuple(red_blocks),
-                   blue_intervals=tuple(blue_intervals), A=A,
-                   Y_emb=Y_emb, H_emb=H_emb)
+                   blue_intervals=tuple(blue_intervals),
+                   A=_cum_steps(bt[~is_blue], sizes[~is_blue]),
+                   Y_emb=CadlagStepPath(bt[is_blue], sizes[is_blue], lam(end)))
 
 
-def _cum_steps(times, sizes) -> StepFunction:
+def _cum_steps(times: np.ndarray, sizes: np.ndarray) -> StepFunction:
     order = np.argsort(times)
-    t = np.concatenate(([0.0], np.asarray(times, dtype=float)[order]))
-    v = np.concatenate(([0.0], np.cumsum(np.asarray(sizes, dtype=float)[order])))
+    t = np.concatenate(([0.0], times[order]))
+    v = np.concatenate(([0.0], np.cumsum(sizes[order])))
     return _collapsed(t, v)
 
 
@@ -332,34 +304,6 @@ def _clock(intervals):
         out = cum[j] + np.where(i > 0, inside, 0.0)
         return float(out) if out.ndim == 0 else out
     return lam
-
-
-def _clock_inverse(intervals, horizon=None):
-    """Right inverse theta(s) = inf{t : Lambda(t) > s} of the clock.
-
-    For s at or past the total accumulated time the infimum is empty,
-    hence +inf, unless the final interval reaches the horizon, in which
-    case theta(total) = horizon is the natural evaluation point."""
-    starts = np.asarray([a for a, _ in intervals])
-    ends = np.asarray([b for _, b in intervals])
-    lens = ends - starts
-    cum = np.concatenate(([0.0], np.cumsum(lens)))
-    closed = (horizon is not None and len(starts) > 0
-              and ends[-1] >= horizon)
-    top = ends[-1] if closed else math.inf
-
-    def theta(s):
-        s = np.asarray(s, dtype=float)
-        if len(lens) == 0:
-            out = np.full_like(s, math.inf)
-            return float(out) if out.ndim == 0 else out
-        i = np.clip(np.searchsorted(cum, s, side="right") - 1, 0,
-                    len(lens) - 1)
-        out = starts[i] + (s - cum[i])
-        out = np.where(s >= cum[-1], np.where(s > cum[-1], math.inf, top),
-                       out)
-        return float(out) if out.ndim == 0 else out
-    return theta
 
 
 @dataclass(frozen=True)
@@ -402,18 +346,14 @@ def verify_embedding(trace: MarkovTrace) -> IdentityReport:
     ev = trace.events()
     ev = ev[ev <= end]
 
-    # (a) queue-without-repetition reconstruction: first blue arrival per type
-    first = {}
-    for i in range(1, trace.n_arrivals + 1):
-        if trace.color[i] == "b":
-            j = int(trace.types[i])
-            bt = lam_b(float(trace.tau[i]))
-            if j not in first or bt < first[j]:
-                first[j] = bt
-    times = sorted(first.values())
-    sizes = [trace.weights.w[j - 1] for j, bt in
-             sorted(first.items(), key=lambda kv: kv[1])]
-    Y_rec = CadlagStepPath(np.asarray(times), np.asarray(sizes), blue_total)
+    # (a) queue-without-repetition reconstruction: first blue arrival per
+    # type; the clock is nondecreasing, so its image comes first too
+    w = trace.weights.w
+    is_blue = trace.color == "b"
+    blue_types = trace.types[is_blue]
+    first = np.sort(np.unique(blue_types, return_index=True)[1])
+    Y_rec = CadlagStepPath(lam_b(trace.tau[is_blue][first]),
+                           w[blue_types[first] - 1], blue_total)
     mids = (ev[:-1] + ev[1:]) / 2.0
     blue = np.asarray(trace.blue_intervals, dtype=float).reshape(-1, 2)
     k = np.searchsorted(blue[:, 0], mids, side="right") - 1
@@ -433,20 +373,12 @@ def verify_embedding(trace: MarkovTrace) -> IdentityReport:
         "n_points": int(tb.size)}
 
     # (c) X = X^b o Lambda^b + X^r o Lambda^r at event times
-    red_intervals = trace.red_blocks
-    lam_r = _clock(red_intervals)
-    xb_t, xb_s, xr_t, xr_s = [], [], [], []
-    for i in range(1, trace.n_arrivals + 1):
-        t = float(trace.tau[i])
-        wt = float(trace.weights.w[trace.types[i] - 1])
-        if trace.blue_side[i]:
-            xb_t.append(lam_b(t))
-            xb_s.append(wt)
-        else:
-            xr_t.append(lam_r(t))
-            xr_s.append(wt)
-    Xb = _cum_steps(xb_t, xb_s)  # jumps only; drift handled via clocks
-    Xr = _cum_steps(xr_t, xr_s)
+    lam_r = _clock(trace.red_blocks)
+    tau, side = trace.tau[1:], trace.blue_side[1:]
+    sizes = w[trace.types[1:] - 1]
+    # jumps only; the drift is handled through the clocks
+    Xb = _cum_steps(lam_b(tau[side]), sizes[side])
+    Xr = _cum_steps(lam_r(tau[~side]), sizes[~side])
     lhs = trace.X.value(ev)
     lb, lr = lam_b(ev), lam_r(ev)
     rhs = (Xb(lb) - lb) + (Xr(lr) - lr)
@@ -457,19 +389,16 @@ def verify_embedding(trace: MarkovTrace) -> IdentityReport:
 
     # (d) M = 2N - H: M counts jump times of H
     dep = trace.departure[1:]
-    dep = dep[np.isfinite(dep)]
-    M = (np.searchsorted(np.sort(trace.tau[1:]), ev, side="right")
-         + np.searchsorted(np.sort(dep), ev, side="right"))
-    N = np.searchsorted(np.sort(trace.tau[1:]), ev, side="right")
+    N = np.searchsorted(np.sort(tau), ev, side="right")
+    M = N + np.searchsorted(np.sort(dep[np.isfinite(dep)]), ev, side="right")
     err_d = float(np.max(np.abs(M - (2 * N - trace.H(ev))), initial=0.0))
     results["H_jump_counter"] = {
         "pass": bool(err_d < TOL_IDENTITY), "max_abs_err": err_d,
         "n_points": int(ev.size)}
 
-    blue_types = [int(trace.types[i]) for i in range(1, trace.n_arrivals + 1)
-                  if trace.color[i] == "b"]
-    distinct = len(blue_types) == len(set(blue_types))
+    # (e) distinct iff every blue client is the first of its type
+    distinct = first.size == blue_types.size
     results["blue_types_distinct"] = {
         "pass": bool(distinct), "max_abs_err": 0.0 if distinct else 1.0,
-        "n_points": len(blue_types)}
+        "n_points": int(blue_types.size)}
     return IdentityReport(results)

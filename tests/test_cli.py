@@ -215,4 +215,36 @@ def test_metric_bad_eps_exits_2(tmp_path, capsys, weights_file, eps):
     err = capsys.readouterr().err
     assert err.startswith("error: eps must be nonnegative")
     assert err.count("\n") == 1
-    assert not (out / "matrix.csv").exists()
+    assert not out.exists()   # rejected before the simulation runs
+
+
+_BAD_ARGUMENTS = [
+    (["simulate", "--mode", "markov", "--horizon", "0"], "horizon must be positive"),
+    (["simulate", "--mode", "markov", "--horizon", "-1"], "horizon must be positive"),
+    (["simulate", "--mode", "markov", "--horizon", "nan"], "horizon must be positive"),
+    (["verify", "--horizon", "0"], "horizon must be positive"),
+    (["verify", "--horizon", "-1"], "horizon must be positive"),
+    (["verify", "--horizon", "nan"], "horizon must be positive"),
+    (["continuum", "--horizon", "0"], "T must be finite and positive"),
+    (["continuum", "--horizon", "nan"], "T must be finite and positive"),
+    (["continuum", "--dt", "0"], "dt must be finite and positive"),
+    (["continuum", "--dt", "inf"], "dt must be finite and positive"),
+    (["continuum", "--topk", "0"], "argument --topk: must be a positive integer"),
+    (["verify", "--replicas", "-3"], "argument --replicas: must be a positive integer"),
+    (["verify", "--replicas", "two"], "argument --replicas: must be a positive integer"),
+    (["compare", "--replicas", "0"], "argument --replicas: must be a positive integer"),
+    (["simulate", "--topk", "-1"], "argument --topk: must be a positive integer"),
+]
+
+
+@pytest.mark.parametrize("argv,message", _BAD_ARGUMENTS,
+                         ids=[" ".join(argv) for argv, _ in _BAD_ARGUMENTS])
+def test_bad_argument_exits_2(tmp_path, capsys, weights_file, limit_file,
+                              argv, message):
+    out = tmp_path / "out"
+    inputs = (["--limit", limit_file] if argv[0] == "continuum"
+              else ["--weights", weights_file])
+    assert main(argv + inputs + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()

@@ -147,3 +147,12 @@ def test_grid_csv_is_repr_of_each_value(tmp_path):
     want = ["t,Y"] + [f"{float(t)!r},{float(v)!r}"
                       for t, v in zip(g.t, g.values)]
     assert out.read_text().splitlines() == want
+
+
+@pytest.mark.parametrize("dt,T,name", [
+    (None, 0.0, "T"), (None, -1.0, "T"), (None, math.nan, "T"),
+    (None, math.inf, "T"), (0.0, 1.0, "dt"), (-0.1, 1.0, "dt"),
+    (math.inf, 1.0, "dt"), (math.nan, 1.0, "dt")])
+def test_grid_step_and_horizon_must_be_finite_and_positive(dt, T, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+        simulate_limit_Y(PURE_JUMP, dt=dt, T=T)

@@ -18,7 +18,9 @@ from wmgraph import (
     simulate_markov,
     verify_embedding,
 )
-from wmgraph.markov_coder import _clock, _clock_inverse, completed_clients
+from wmgraph.markov_coder import (IdentityReport, TOL_IDENTITY, _clock,
+                                  _cum_steps, completed_clients)
+from wmgraph.paths import CadlagStepPath, height_of_path
 
 
 def test_mu_pmf_oracle():
@@ -136,17 +138,213 @@ def test_blue_types_distinct_and_repeat_jumps_counted():
 def test_clock_pair_inverse():
     intervals = ((0.0, 1.0), (2.0, 2.5), (4.0, 10.0))
     lam = _clock(intervals)
-    theta = _clock_inverse(intervals, horizon=10.0)
     assert lam(0.5) == 0.5
     assert lam(1.5) == 1.0
     assert lam(2.25) == 1.25
     assert lam(11.0) == 7.5
-    for s in np.linspace(0.0, 7.5, 31):
-        assert lam(theta(s)) == pytest.approx(s, abs=1e-12)
-    # open-ended case: accumulated total reached before the horizon
-    theta2 = _clock_inverse(((0.0, 1.0),), horizon=5.0)
-    assert math.isinf(theta2(1.0))
-    assert theta2(0.5) == 0.5
+    # one array call equals the scalar calls, element by element
+    ts = np.linspace(-1.0, 11.0, 97)
+    assert lam(ts).tolist() == [lam(float(t)) for t in ts]
+    assert _clock(())(3.0) == 0.0
+
+
+def _reference_color_blue_red(trace):
+    """Per-arrival colouring and clock images, one scalar clock call per
+    arrival: the colour fields, blue intervals, Y_emb and A."""
+    n = trace.n_arrivals
+    color = np.empty(n + 1, dtype="U1")
+    color[0] = ""
+    blue_side = np.zeros(n + 1, dtype=bool)
+    blue_types: set = set()
+    red_blocks = []
+    open_block_end = -math.inf
+    for i in range(1, n + 1):
+        t = float(trace.tau[i])
+        in_red = t < open_block_end
+        if not in_red:
+            blue_side[i] = True
+        repeat = int(trace.types[i]) in blue_types
+        if in_red or repeat:
+            color[i] = "r"
+            if not in_red:
+                end = float(trace.departure[i])
+                red_blocks.append((t, end))
+                open_block_end = end
+        else:
+            color[i] = "b"
+            blue_types.add(int(trace.types[i]))
+    end = trace.horizon
+    red_blocks = [(a, min(b, end)) for a, b in red_blocks if a < end]
+    blue_intervals = []
+    cursor = 0.0
+    for a, b in red_blocks:
+        if a > cursor:
+            blue_intervals.append((cursor, a))
+        cursor = max(cursor, b)
+    if cursor < end:
+        blue_intervals.append((cursor, end))
+    lam = _clock(blue_intervals)
+    a_times, a_sizes, y_times, y_sizes = [], [], [], []
+    for i in range(1, n + 1):
+        if not blue_side[i]:
+            continue
+        bt = lam(float(trace.tau[i]))
+        wt = float(trace.weights.w[trace.types[i] - 1])
+        if color[i] == "b":
+            y_times.append(bt)
+            y_sizes.append(wt)
+        else:
+            a_times.append(bt)
+            a_sizes.append(wt)
+    Y_emb = CadlagStepPath(np.asarray(y_times), np.asarray(y_sizes), lam(end))
+    A = _cum_steps(np.asarray(a_times, dtype=float),
+                   np.asarray(a_sizes, dtype=float))
+    return replace(trace, color=color, blue_side=blue_side,
+                   red_blocks=tuple(red_blocks),
+                   blue_intervals=tuple(blue_intervals), A=A, Y_emb=Y_emb)
+
+
+def _reference_verify_embedding(trace):
+    """verify_embedding with one scalar clock call per arrival in (a) and
+    (c) and a per-arrival type set in (e)."""
+    results = {}
+    lam_b = _clock(trace.blue_intervals)
+    end = trace.horizon
+    blue_total = lam_b(end)
+    ev = trace.events()
+    ev = ev[ev <= end]
+    first = {}
+    for i in range(1, trace.n_arrivals + 1):
+        if trace.color[i] == "b":
+            j = int(trace.types[i])
+            bt = lam_b(float(trace.tau[i]))
+            if j not in first or bt < first[j]:
+                first[j] = bt
+    times = sorted(first.values())
+    sizes = [trace.weights.w[j - 1] for j, bt in
+             sorted(first.items(), key=lambda kv: kv[1])]
+    Y_rec = CadlagStepPath(np.asarray(times), np.asarray(sizes), blue_total)
+    mids = (ev[:-1] + ev[1:]) / 2.0
+    blue = np.asarray(trace.blue_intervals, dtype=float).reshape(-1, 2)
+    k = np.searchsorted(blue[:, 0], mids, side="right") - 1
+    tb = mids[(k >= 0) & (mids < blue[np.maximum(k, 0), 1])]
+    sb = lam_b(tb)
+    err_a = float(np.max(np.abs(Y_rec.value(sb) - trace.X.value(tb)),
+                         initial=0.0))
+    results["Y_equals_X_at_theta"] = {
+        "pass": bool(err_a < TOL_IDENTITY), "max_abs_err": err_a,
+        "n_points": int(tb.size)}
+    err_b = float(np.max(np.abs(height_of_path(Y_rec)(sb) - trace.H(tb)),
+                         initial=0.0))
+    results["height_through_blue_clock"] = {
+        "pass": bool(err_b < TOL_IDENTITY), "max_abs_err": err_b,
+        "n_points": int(tb.size)}
+    lam_r = _clock(trace.red_blocks)
+    xb_t, xb_s, xr_t, xr_s = [], [], [], []
+    for i in range(1, trace.n_arrivals + 1):
+        t = float(trace.tau[i])
+        wt = float(trace.weights.w[trace.types[i] - 1])
+        if trace.blue_side[i]:
+            xb_t.append(lam_b(t))
+            xb_s.append(wt)
+        else:
+            xr_t.append(lam_r(t))
+            xr_s.append(wt)
+    Xb = _cum_steps(np.asarray(xb_t, dtype=float),
+                    np.asarray(xb_s, dtype=float))
+    Xr = _cum_steps(np.asarray(xr_t, dtype=float),
+                    np.asarray(xr_s, dtype=float))
+    lhs = trace.X.value(ev)
+    lb, lr = lam_b(ev), lam_r(ev)
+    rhs = (Xb(lb) - lb) + (Xr(lr) - lr)
+    err_c = float(np.max(np.abs(lhs - rhs), initial=0.0))
+    results["blue_red_decomposition"] = {
+        "pass": bool(err_c < TOL_IDENTITY), "max_abs_err": err_c,
+        "n_points": int(ev.size)}
+    dep = trace.departure[1:]
+    dep = dep[np.isfinite(dep)]
+    M = (np.searchsorted(np.sort(trace.tau[1:]), ev, side="right")
+         + np.searchsorted(np.sort(dep), ev, side="right"))
+    N = np.searchsorted(np.sort(trace.tau[1:]), ev, side="right")
+    err_d = float(np.max(np.abs(M - (2 * N - trace.H(ev))), initial=0.0))
+    results["H_jump_counter"] = {
+        "pass": bool(err_d < TOL_IDENTITY), "max_abs_err": err_d,
+        "n_points": int(ev.size)}
+    blue_types = [int(trace.types[i]) for i in range(1, trace.n_arrivals + 1)
+                  if trace.color[i] == "b"]
+    distinct = len(blue_types) == len(set(blue_types))
+    results["blue_types_distinct"] = {
+        "pass": bool(distinct), "max_abs_err": 0.0 if distinct else 1.0,
+        "n_points": len(blue_types)}
+    return IdentityReport(results)
+
+
+_DIFFERENTIAL_TRACES = (
+    # the three regimes of test_identities_across_regimes
+    [(WeightSeq([2.0, 1.0, 1.0, 1.0]), 40.0, 21, r) for r in range(10)]
+    + [(WeightSeq([1.0, 0.5]), 100.0, 21, r) for r in range(10)]
+    + [(WeightSeq([1.0, 1.0]), 50.0, 21, r) for r in range(10)]
+    # the seeds at which an inverse clock lands one ulp below an arrival
+    + [(WeightSeq(np.ones(1000)), 1000.0, 0, r) for r in (29, 30)])
+
+
+def _assert_same_colouring(got, ref):
+    assert np.array_equal(got.color, ref.color)
+    assert np.array_equal(got.blue_side, ref.blue_side)
+    assert got.red_blocks == ref.red_blocks
+    assert got.blue_intervals == ref.blue_intervals
+    assert np.array_equal(got.Y_emb.times, ref.Y_emb.times)
+    assert np.array_equal(got.Y_emb.sizes, ref.Y_emb.sizes)
+    assert got.Y_emb.horizon == ref.Y_emb.horizon
+    assert np.array_equal(got.A.times, ref.A.times)
+    assert np.array_equal(got.A.values, ref.A.values)
+
+
+def test_colouring_and_identities_equal_per_arrival_reference():
+    for w, horizon, seed, r in _DIFFERENTIAL_TRACES:
+        tr = simulate_markov(w, horizon=horizon, stop_at_empty=5,
+                             rng_seed=np.random.SeedSequence([seed, r]))
+        got, ref = color_blue_red(tr), _reference_color_blue_red(tr)
+        _assert_same_colouring(got, ref)
+        assert (verify_embedding(got).to_json()
+                == _reference_verify_embedding(ref).to_json()), (w.w, r)
+    # a repeat type in blue context: one red block, one A jump
+    tr = simulate_markov(WeightSeq([1.0]),
+                         forced_arrivals=[(0.5, 1), (0.7, 1)])
+    got, ref = color_blue_red(tr), _reference_color_blue_red(tr)
+    _assert_same_colouring(got, ref)
+    assert got.A.values.tolist() == [0.0, 1.0]
+    assert (verify_embedding(got).to_json()
+            == _reference_verify_embedding(ref).to_json())
+
+
+def test_identity_reference_agrees_on_a_dropped_jump():
+    # a failing report must fail the same way: one blue client recoloured
+    # red leaves the type set distinct but drops a jump from Y_rec
+    tr = color_blue_red(simulate_markov(
+        WeightSeq(np.ones(1000)), horizon=1000.0, stop_at_empty=5,
+        rng_seed=np.random.SeedSequence([0, 29])))
+    color = tr.color.copy()
+    color[np.flatnonzero(color == "b")[-1]] = "r"
+    bad = replace(tr, color=color)
+    got = verify_embedding(bad)
+    assert not got.passed
+    assert got.to_json() == _reference_verify_embedding(bad).to_json()
+    # and a repeated blue type fails (e) the same way
+    color = tr.color.copy()
+    color[np.flatnonzero(color == "r")[0]] = "b"
+    bad = replace(tr, color=color)
+    assert (verify_embedding(bad).to_json()
+            == _reference_verify_embedding(bad).to_json())
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, -math.inf])
+def test_markov_horizon_must_be_positive(horizon):
+    w = WeightSeq([1.0, 0.5])
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        simulate_markov(w, horizon=horizon, stop_at_empty=5)
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        simulate_markov(w, horizon=horizon, forced_arrivals=[(0.5, 1)])
 
 
 def test_gw_forest_stats_consistency():
