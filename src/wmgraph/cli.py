@@ -15,6 +15,7 @@ Replica r of master seed s uses the stream SeedSequence([s, r]).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -44,6 +45,14 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, got {text!r}")
     return int(text)
+
+
+def _positive_float(text: str) -> float:
+    with contextlib.suppress(ValueError):
+        if 0 < float(text) < np.inf:    # NaN fails too
+            return float(text)
+    raise argparse.ArgumentTypeError(
+        f"must be a finite positive number, got {text!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -185,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, weights=True)
     sp.add_argument("--mode", choices=("lifo", "markov", "direct"),
                     default="lifo")
-    sp.add_argument("--horizon", type=float, default=DEFAULT_HORIZON,
-                    help="markov mode only")
+    sp.add_argument("--horizon", type=_positive_float,
+                    default=DEFAULT_HORIZON, help="markov mode only")
     sp.add_argument("--topk", type=_positive_int, default=50)
     sp.set_defaults(func=_cmd_simulate)
 
@@ -195,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--identities", action="store_true",
                     help="accepted for compatibility; always implied")
     sp.add_argument("--replicas", type=_positive_int, default=100)
-    sp.add_argument("--horizon", type=float, default=DEFAULT_HORIZON)
+    sp.add_argument("--horizon", type=_positive_float, default=DEFAULT_HORIZON)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("scaling", help="drift-function diagnostics")
@@ -209,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("continuum", help="limit load path simulation")
     common(sp, limit=True)
-    sp.add_argument("--horizon", type=float, default=1.0)
-    sp.add_argument("--dt", type=float, default=None)
+    sp.add_argument("--horizon", type=_positive_float, default=1.0)
+    sp.add_argument("--dt", type=_positive_float, default=None)
     sp.add_argument("--topk", type=_positive_int, default=50)
     sp.set_defaults(func=_cmd_continuum)
 

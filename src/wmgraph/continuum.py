@@ -64,6 +64,8 @@ def simulate_limit_Y(p: LimitParams, dt: float | None = None, T: float = 1.0,
         if not 0 < value < math.inf:    # NaN fails too
             raise ValueError(f"{name} must be finite and positive, "
                              f"got {value!r}")
+    if not T / dt < np.iinfo(np.intp).max:    # T / dt may overflow to inf
+        raise ValueError(f"T / dt = {T / dt!r} grid cells cannot be indexed")
     if J is None:
         J = len(p.c) if forced_E is not None else default_truncation(p, T)
     J = min(J, len(p.c))

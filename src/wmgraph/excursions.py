@@ -74,6 +74,26 @@ def _canonical(starts, ends, lengths, local) -> ExcursionDecomposition:
                             np.maximum(a, b)[tie].tolist())))
 
 
+def _intervals_above(h, horizon=None, grid_tol=None):
+    """Left and right ends, in time order, of the intervals that
+    ``excursions_above_zero`` finds.  A NaN neither opens nor closes one."""
+    if isinstance(h, StepFunction):
+        times, values, thresh = h.times, h.values, 0.0
+        end = float(times[-1]) if horizon is None else float(horizon)
+    else:
+        times, values = (np.asarray(a, dtype=float) for a in h)
+        thresh = TOL_EXC if grid_tol is None else grid_tol
+        step = times[1] - times[0] if times.size > 1 else 0.0
+        end = float(times[-1] + step) if horizon is None else float(horizon)
+    above = values > thresh
+    known = above | (values <= thresh)
+    # intervals open and close in turn where ``above`` flips
+    edges = times[known][np.flatnonzero(np.diff(above[known], prepend=False))]
+    if edges.size % 2:
+        edges = np.append(edges, end)
+    return edges[0::2], edges[1::2]
+
+
 def excursions_above_zero(h, horizon: float | None = None,
                           grid_tol: float | None = None) -> ExcursionDecomposition:
     """Maximal intervals where h > 0, canonically ordered.
@@ -82,28 +102,7 @@ def excursions_above_zero(h, horizon: float | None = None,
     which case values are treated as constant per cell and compared
     against ``grid_tol`` (default TOL_EXC).
     """
-    if isinstance(h, StepFunction):
-        times, values = h.times, h.values
-        thresh = 0.0
-        end = float(times[-1]) if horizon is None else float(horizon)
-    else:
-        times, values = h
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-        thresh = TOL_EXC if grid_tol is None else grid_tol
-        step = times[1] - times[0] if times.size > 1 else 0.0
-        end = float(times[-1] + step) if horizon is None else float(horizon)
-    intervals = []
-    open_at = None
-    for t, v in zip(times.tolist(), values.tolist()):
-        if v > thresh and open_at is None:
-            open_at = t
-        elif v <= thresh and open_at is not None:
-            intervals.append((open_at, t))
-            open_at = None
-    if open_at is not None:
-        intervals.append((open_at, end))
-    ls, rs = np.asarray(intervals, dtype=float).reshape(-1, 2).T
+    ls, rs = _intervals_above(h, horizon, grid_tol)
 
     # local coding paths carry a terminal zero breakpoint at the excursion
     # length, so their domain end (zeta) is the last breakpoint
@@ -128,8 +127,8 @@ def excursion_masses(y, top_k: int | None = None) -> np.ndarray:
         out = decompose_with_masses(y).lengths
     else:
         values = np.asarray(y[1], dtype=float)
-        out = excursions_above_zero(
-            (y[0], values - np.minimum.accumulate(values))).lengths
+        ls, rs = _intervals_above((y[0], values - np.minimum.accumulate(values)))
+        out = -np.sort(ls - rs)     # the lengths in _canonical's order
     return out[:top_k] if top_k is not None else out
 
 

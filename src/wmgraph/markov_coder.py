@@ -85,11 +85,14 @@ def simulate_markov(w: WeightSeq, horizon: float = math.inf, rng_seed=0,
         types = []
 
         def draws():
-            t = 0.0
+            # chunks of 16, 32, ... gaps, then types; times add gaps in turn
+            t, m = [0.0], 16
             while True:
-                t += rng.exponential(1.0)
-                types.append(int(cdf.searchsorted(rng.random(), "right")) + 1)
-                yield t, sizes[types[-1] - 1]
+                t = np.cumsum(np.append(t[-1], rng.exponential(1.0, m))).tolist()
+                drawn = cdf.searchsorted(rng.random(m), "right")
+                types.extend((drawn + 1).tolist())
+                yield from zip(t[1:], w.w[drawn].tolist())
+                m *= 2
         arrivals = draws()
     rep = _replay_stack(arrivals, horizon,
                         math.inf if stop_at_empty is None else stop_at_empty)

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from .direct_graph import edge_probability, sample_direct
 from .lifo_coder import assemble_graph, sample_pinches, simulate_lifo
@@ -118,27 +118,28 @@ class EdgeCompareReport:
 
 def _hist_compare(x: np.ndarray, y: np.ndarray) -> float:
     """Two-sample contingency chi-square over pooled small cells."""
-    values = np.union1d(np.unique(x), np.unique(y))
-    cx = np.asarray([(x == v).sum() for v in values], dtype=float)
-    cy = np.asarray([(y == v).sum() for v in values], dtype=float)
+    values, cell = np.unique(np.concatenate((x, y)), return_inverse=True)
+    table = np.stack([np.bincount(c, minlength=values.size)
+                      for c in (cell[:x.size], cell[x.size:])]).astype(float)
     # pool cells until every expected count is at least 5
     while True:
-        tot = cx + cy
-        exp_min = tot.min() * min(cx.sum(), cy.sum()) / (cx.sum() + cy.sum())
+        tot = table.sum(axis=0)
+        exp_min = tot.min() * table.sum(axis=1).min() / tot.sum()
         if exp_min >= 5 or tot.size <= 2:
             break
         i = int(np.argmin(tot))
         j = i + 1 if i + 1 < tot.size else i - 1
-        cx[j] += cx[i]
-        cy[j] += cy[i]
-        cx = np.delete(cx, i)
-        cy = np.delete(cy, i)
-    table = np.vstack((cx, cy))
-    table = table[:, table.sum(axis=0) > 0]
-    if table.shape[1] < 2:
-        return 1.0
-    res = stats.chi2_contingency(table)
-    return float(res.pvalue)
+        table[:, j] += table[:, i]
+        table = np.delete(table, i, axis=1)
+    if tot.size < 2:
+        return 1.0      # no degree of freedom
+    # chi2_contingency(table).pvalue, computed as it computes it
+    expected = np.outer(table.sum(axis=1), tot) / table.sum()
+    if tot.size == 2:   # Yates' correction
+        diff = expected - table
+        table = table + np.minimum(0.5, np.abs(diff)) * np.sign(diff)
+    stat = ((table - expected) ** 2 / expected).sum()
+    return float(special.chdtrc(tot.size - 1, stat))
 
 
 def edge_marginal_compare(w: WeightSeq, replicas: int = 20000,

@@ -218,17 +218,28 @@ def test_metric_bad_eps_exits_2(tmp_path, capsys, weights_file, eps):
     assert not out.exists()   # rejected before the simulation runs
 
 
+# horizons and grid steps are finite and positive: an infinite Markov
+# horizon on supercritical weights need not end
+_NOT_POSITIVE = "argument --horizon: must be a finite positive number"
 _BAD_ARGUMENTS = [
-    (["simulate", "--mode", "markov", "--horizon", "0"], "horizon must be positive"),
-    (["simulate", "--mode", "markov", "--horizon", "-1"], "horizon must be positive"),
-    (["simulate", "--mode", "markov", "--horizon", "nan"], "horizon must be positive"),
-    (["verify", "--horizon", "0"], "horizon must be positive"),
-    (["verify", "--horizon", "-1"], "horizon must be positive"),
-    (["verify", "--horizon", "nan"], "horizon must be positive"),
-    (["continuum", "--horizon", "0"], "T must be finite and positive"),
-    (["continuum", "--horizon", "nan"], "T must be finite and positive"),
-    (["continuum", "--dt", "0"], "dt must be finite and positive"),
-    (["continuum", "--dt", "inf"], "dt must be finite and positive"),
+    (["simulate", "--mode", "markov", "--horizon", "0"], _NOT_POSITIVE),
+    (["simulate", "--mode", "markov", "--horizon", "-1"], _NOT_POSITIVE),
+    (["simulate", "--mode", "markov", "--horizon", "nan"], _NOT_POSITIVE),
+    (["simulate", "--mode", "markov", "--horizon", "inf"], _NOT_POSITIVE),
+    (["verify", "--horizon", "0"], _NOT_POSITIVE),
+    (["verify", "--horizon", "-1"], _NOT_POSITIVE),
+    (["verify", "--horizon", "nan"], _NOT_POSITIVE),
+    (["verify", "--horizon", "inf"], _NOT_POSITIVE),
+    (["continuum", "--horizon", "0"], _NOT_POSITIVE),
+    (["continuum", "--horizon", "nan"], _NOT_POSITIVE),
+    (["continuum", "--horizon", "inf"], _NOT_POSITIVE),
+    (["continuum", "--dt", "0"], "argument --dt: must be a finite positive number"),
+    (["continuum", "--dt", "inf"], "argument --dt: must be a finite positive number"),
+    (["continuum", "--dt=-inf"], "argument --dt: must be a finite positive number"),
+    (["continuum", "--dt", "tiny"], "argument --dt: must be a finite positive number"),
+    (["continuum", "--dt", "5e-324"], "T / dt = inf grid cells cannot be indexed"),
+    (["continuum", "--horizon", "1e300", "--dt", "1"],
+     "T / dt = 1e+300 grid cells cannot be indexed"),
     (["continuum", "--topk", "0"], "argument --topk: must be a positive integer"),
     (["verify", "--replicas", "-3"], "argument --replicas: must be a positive integer"),
     (["verify", "--replicas", "two"], "argument --replicas: must be a positive integer"),

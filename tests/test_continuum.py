@@ -156,3 +156,10 @@ def test_grid_csv_is_repr_of_each_value(tmp_path):
 def test_grid_step_and_horizon_must_be_finite_and_positive(dt, T, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
         simulate_limit_Y(PURE_JUMP, dt=dt, T=T)
+
+
+@pytest.mark.parametrize("dt", [5e-324, 1e-300])
+def test_grid_that_cannot_be_indexed_is_rejected(dt):
+    # T / dt overflows to inf, or is finite but past the index range
+    with pytest.raises(ValueError, match="grid cells cannot be indexed"):
+        simulate_limit_Y(PURE_JUMP, dt=dt, T=1.0)

@@ -11,7 +11,7 @@ from wmgraph import (
     excursion_masses,
     excursions_above_zero,
 )
-from wmgraph.excursions import TOL_EXC
+from wmgraph.excursions import TOL_EXC, _canonical
 from wmgraph.lifo_coder import PinchSetup
 
 
@@ -257,3 +257,103 @@ def test_assign_pinches_over_many_excursions():
     l, r = dec.intervals[0]
     with pytest.raises(ValueError, match="escapes"):
         assign_pinches(dec, _pinch_setup([((l + r) / 2, l - 1e-3, 0.1, 1, 2)]))
+
+
+def _reference_excursions_above_zero(h, horizon=None, grid_tol=None):
+    """The per-point loop the transition scan replaced, kept as the
+    reference."""
+    if isinstance(h, StepFunction):
+        times, values = h.times, h.values
+        thresh = 0.0
+        end = float(times[-1]) if horizon is None else float(horizon)
+    else:
+        times, values = h
+        times = np.asarray(times, dtype=float)
+        values = np.asarray(values, dtype=float)
+        thresh = TOL_EXC if grid_tol is None else grid_tol
+        step = times[1] - times[0] if times.size > 1 else 0.0
+        end = float(times[-1] + step) if horizon is None else float(horizon)
+    intervals = []
+    open_at = None
+    for t, v in zip(times.tolist(), values.tolist()):
+        if v > thresh and open_at is None:
+            open_at = t
+        elif v <= thresh and open_at is not None:
+            intervals.append((open_at, t))
+            open_at = None
+    if open_at is not None:
+        intervals.append((open_at, end))
+    ls, rs = np.asarray(intervals, dtype=float).reshape(-1, 2).T
+    return _canonical(ls, rs, rs - ls, lambda i: None)
+
+
+def _random_grid_values(rng, n):
+    """Values on n grid points: signs mixed with exact threshold hits
+    and NaN runs at the start, inside and at the end."""
+    v = rng.choice([-1.0, 0.0, TOL_EXC, 2 * TOL_EXC, 0.5, 1.0], size=n)
+    v *= rng.uniform(0.5, 2.0, size=n) ** (np.abs(v) > 1e-6)
+    for _ in range(rng.integers(0, 4)):
+        a = int(rng.integers(0, max(n, 1)))
+        v[a:a + int(rng.integers(1, 6))] = math.nan
+    if n and rng.random() < 0.3:
+        v[:int(rng.integers(1, 4))] = math.nan
+    if n and rng.random() < 0.3:
+        v[-int(rng.integers(1, 4)):] = math.nan
+    return v
+
+
+def _assert_same_decomposition(dec, ref):
+    assert np.array_equal(np.asarray(dec.intervals).reshape(-1, 2),
+                          np.asarray(ref.intervals).reshape(-1, 2))
+    assert _bits(dec.lengths) == _bits(ref.lengths)
+    assert dec.near_ties == ref.near_ties
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_grid_scan_equals_per_point_reference(seed):
+    rng = np.random.default_rng(seed)
+    for n in [0, 1, 2, 3] + rng.integers(4, 400, size=40).tolist():
+        dt = rng.choice([1e-3, 0.25, 1.0])
+        times = np.arange(n) * dt
+        values = _random_grid_values(rng, n)
+        horizons = [None, n * dt + 0.5, 0.5 * n * dt] if n else [3.0]
+        for horizon in horizons:
+            for grid_tol in (None, 0.0, 0.75):
+                h = (times, values)
+                ref = _reference_excursions_above_zero(h, horizon, grid_tol)
+                dec = excursions_above_zero(h, horizon, grid_tol)
+                _assert_same_decomposition(dec, ref)
+        if n:
+            # the running-infimum masses are the scan's lengths, sorted
+            y = (times, values)
+            drop = values - np.minimum.accumulate(values)
+            want = excursions_above_zero((times, drop)).lengths
+            assert _bits(excursion_masses(y)) == _bits(want)
+            assert _bits(excursion_masses(y, top_k=3)) == _bits(want[:3])
+
+
+def test_grid_scan_closes_an_excursion_open_at_the_end():
+    h = (np.arange(5.0), np.array([0.0, 1.0, math.nan, 1.0, math.nan]))
+    dec = excursions_above_zero(h)
+    assert dec.intervals == ((1.0, 5.0),)
+    assert excursions_above_zero(h, horizon=7.5).intervals == ((1.0, 7.5),)
+    # a value at the threshold closes; a NaN neither opens nor closes
+    h = (np.arange(4.0), np.array([math.nan, 1.0, TOL_EXC, math.nan]))
+    assert excursions_above_zero(h).intervals == ((1.0, 2.0),)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_step_function_scan_equals_per_point_reference(seed):
+    rng = np.random.default_rng(100 + seed)
+    for n in [1, 2] + rng.integers(3, 200, size=30).tolist():
+        times = np.cumsum(rng.uniform(0.1, 1.0, size=n))
+        values = _random_grid_values(rng, n) * 1e12     # 0 is the threshold
+        h = StepFunction(times, values)
+        for horizon in (None, float(times[-1]) + 2.0):
+            ref = _reference_excursions_above_zero(h, horizon)
+            dec = excursions_above_zero(h, horizon)
+            _assert_same_decomposition(dec, ref)
+            for k, (l, r) in enumerate(dec.intervals):
+                if r > l:   # an excursion open at the last breakpoint is empty
+                    g = dec.local_paths[k]
+                    assert g.times[0] == 0.0 and g.times[-1] == r - l

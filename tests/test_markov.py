@@ -71,14 +71,22 @@ def test_type_draws_are_generator_choice(w):
             total = w.w[rng.choice(w.j_max, size=z, p=nu)].sum()
         ref.append(int(rng.poisson(float(total))))
     assert np.array_equal(zs, ref)
+    # arrivals come in chunks of 16, 32, 64, ...: the chunk's unit
+    # exponential gaps, then its types by rng.choice(p=nu_w); the times
+    # are the gaps' running sum, one addition at a time
     tr = simulate_markov(w, horizon=50.0, rng_seed=13)
+    assert tr.n_arrivals > 16 + 32      # at least three chunks are read
     rng = np.random.default_rng(13)
-    t, tau, types = 0.0, [], []
-    while len(tau) < tr.n_arrivals:
-        t += rng.exponential(1.0)
-        tau.append(t)
-        types.append(int(rng.choice(w.j_max, p=nu)) + 1)
-    assert tr.tau[1:].tolist() == tau and tr.types[1:].tolist() == types
+    t, tau, types, m = 0.0, [], [], 16
+    while len(tau) < tr.n_arrivals + 1:     # the replay reads one past
+        for gap in rng.exponential(1.0, size=m).tolist():
+            t += gap
+            tau.append(t)
+        types += (rng.choice(w.j_max, size=m, p=nu) + 1).tolist()
+        m *= 2
+    n = tr.n_arrivals
+    assert tr.tau[1:].tolist() == tau[:n] and tr.types[1:].tolist() == types[:n]
+    assert tau[n] > 50.0
 
 
 def test_generation_sizes_absorb_at_zero():

@@ -10,6 +10,7 @@ from wmgraph import (
     edge_marginal_compare,
     ks_two_sample,
 )
+from wmgraph.stat_harness import _hist_compare
 
 
 def test_chi_square_matches_scipy_without_merging():
@@ -86,3 +87,56 @@ def test_edge_marginal_compare_deterministic():
     b = edge_marginal_compare(WeightSeq([1.0, 1.0]), replicas=500, seed=5)
     assert a.freq_direct.tolist() == b.freq_direct.tolist()
     assert a.freq_lifo.tolist() == b.freq_lifo.tolist()
+
+
+def _reference_hist_compare(x, y):
+    """The harness's contingency test before it computed the statistic
+    itself: one scan per cell value and ``stats.chi2_contingency``."""
+    values = np.union1d(np.unique(x), np.unique(y))
+    cx = np.asarray([(x == v).sum() for v in values], dtype=float)
+    cy = np.asarray([(y == v).sum() for v in values], dtype=float)
+    while True:
+        tot = cx + cy
+        exp_min = tot.min() * min(cx.sum(), cy.sum()) / (cx.sum() + cy.sum())
+        if exp_min >= 5 or tot.size <= 2:
+            break
+        i = int(np.argmin(tot))
+        j = i + 1 if i + 1 < tot.size else i - 1
+        cx[j] += cx[i]
+        cy[j] += cy[i]
+        cx = np.delete(cx, i)
+        cy = np.delete(cy, i)
+    table = np.vstack((cx, cy))
+    table = table[:, table.sum(axis=0) > 0]
+    if table.shape[1] < 2:
+        return 1.0
+    return float(stats.chi2_contingency(table).pvalue)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hist_compare_equals_chi2_contingency(seed):
+    rng = np.random.default_rng(seed)
+    dofs = set()
+    for _ in range(60):
+        support = int(rng.choice([1, 2, 3, 8, 40, 1 << 10]))
+        nx, ny = rng.integers(1, 400, size=2)
+        p = rng.dirichlet(np.ones(support))
+        x = rng.choice(support, size=nx, p=p)
+        y = rng.choice(support, size=ny, p=np.roll(p, int(rng.integers(0, 2))))
+        if support == 1 << 10:      # sparse codes, as in the joint test
+            x, y = x * 37 + 5, y * 37 + 5
+        assert _hist_compare(x, y) == _reference_hist_compare(x, y)
+        dofs.add(np.union1d(x, y).size)
+    # single-cell tables (p = 1) and two-cell tables (Yates) occur
+    assert 1 in dofs and 2 in dofs
+
+
+def test_hist_compare_pools_two_by_two_tables_with_yates():
+    x = np.array([0] * 30 + [1] * 2)
+    y = np.array([0] * 20 + [1] * 12)
+    want = stats.chi2_contingency([[30, 2], [20, 12]], correction=True).pvalue
+    assert _hist_compare(x, y) == want
+    # small samples pool down to two cells; a single value is one cell
+    assert _hist_compare(np.array([3, 3, 4]), np.array([5])) == \
+        _reference_hist_compare(np.array([3, 3, 4]), np.array([5]))
+    assert _hist_compare(np.array([7, 7]), np.array([7])) == 1.0
