@@ -28,7 +28,7 @@ from .continuum import limit_masses, simulate_limit_Y
 from .direct_graph import connected_components, sample_direct, write_component_csv
 from .excursions import decompose_with_masses
 from .lifo_coder import assemble_graph, sample_pinches, simulate_lifo
-from .markov_coder import color_blue_red, simulate_markov, verify_embedding
+from .markov_coder import simulate_markov, verify_embedding
 from .scaling import extinction_profile, psi_report
 from .stat_harness import edge_marginal_compare
 from .weights import LimitParams, WeightSeq
@@ -94,13 +94,7 @@ def _cmd_simulate(args) -> int:
         trace = simulate_markov(w, horizon=args.horizon,
                                 stop_at_empty=STOP_AT_EMPTY,
                                 rng_seed=np.random.SeedSequence([args.seed, 0]))
-        trace = color_blue_red(trace)
-        out = _outdir(args)
-        rows = ["time,event,client,Y,H"]
-        for t in trace.events():
-            rows.append(f"{t:.17g},event,-1,{trace.X.value(t):.17g},"
-                        f"{trace.H(t):.17g}")
-        (out / "trace.csv").write_text("\n".join(rows) + "\n")
+        trace.write_csv(_outdir(args) / "trace.csv")   # coloured there
     else:  # direct
         g = sample_direct(w, rng_seed=np.random.SeedSequence([args.seed, 0]))
         out = _outdir(args)
@@ -117,8 +111,7 @@ def _cmd_verify(args) -> int:
         trace = simulate_markov(w, horizon=args.horizon,
                                 stop_at_empty=STOP_AT_EMPTY,
                                 rng_seed=np.random.SeedSequence([args.seed, r]))
-        trace = color_blue_red(trace)
-        rep = verify_embedding(trace)
+        rep = verify_embedding(trace)   # coloured there
         reports.append(json.loads(rep.to_json()))
         all_ok = all_ok and rep.passed
     (_outdir(args) / "identities.json").write_text(

@@ -57,7 +57,8 @@ def simulate_limit_Y(p: LimitParams, dt: float | None = None, T: float = 1.0,
     Brownian increments are N(0, beta*dt); jump times are drawn exactly
     and snapped to the containing cell; the per-jump compensator
     -c_j^2*kappa*t is applied continuously.  ``forced_E`` (test hook)
-    fixes the jump times of the first entries of c."""
+    fixes the jump times of the first entries of c; an entry of +inf
+    never lands."""
     if dt is None:
         dt = 1e-4 * T
     for name, value in (("T", T), ("dt", dt)):
@@ -80,22 +81,20 @@ def simulate_limit_Y(p: LimitParams, dt: float | None = None, T: float = 1.0,
     if c.size:
         if forced_E is not None:
             E = np.asarray(forced_E, dtype=float)
-            if E.shape != c.shape:
-                raise ValueError("forced_E must give one time per kept c entry")
+            if E.shape != c.shape or not np.all(E >= 0):    # NaN fails
+                raise ValueError("forced_E must give one nonnegative time "
+                                 "per kept c entry")
         else:
             E = rng.exponential(1.0 / (p.kappa * c))
-        # the compensator sum_j c_j^2*kappa*t, summed per row as one
-        # outer product would be, over row blocks of about 2 MB each
-        w = c * c * p.kappa
-        comp = np.empty_like(t)
-        rows = max(1, (1 << 18) // c.size)
-        for i in range(0, t.size, rows):
-            np.outer(t[i:i + rows], w).sum(axis=1, out=comp[i:i + rows])
-        y = y - comp
-        for cj, ej in zip(c, E):
-            if ej <= T:
-                k = int(math.ceil(ej / dt - 1e-12))
-                y[k:] += cj
+        y = y - t * math.fsum((c * c * p.kappa).tolist())   # compensator
+        # jump sums by cell, cumulated from the first landed cell on (so
+        # y[0] keeps its sign); a cell past the last grid point drops it
+        k = np.ceil(E / dt - 1e-12)
+        keep = (E <= T) & (k <= n)
+        if keep.any():
+            k = k[keep].astype(np.intp)
+            y[k.min():] += np.cumsum(np.bincount(k - k.min(), weights=c[keep],
+                                                 minlength=n + 1 - k.min()))
     bound = 0.5 * p.kappa * T * T * float(np.sum(p.c[J:] ** 2))
     return GridPath(dt=dt, T=T, t=t, values=y, truncation_J=J,
                     truncation_bound=bound, params=p, seed=rng_seed)

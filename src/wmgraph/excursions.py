@@ -75,7 +75,7 @@ def _canonical(starts, ends, lengths, local) -> ExcursionDecomposition:
 
 
 def _intervals_above(h, horizon=None, grid_tol=None):
-    """Left and right ends, in time order, of the intervals that
+    """Left and right ends, in time order, of the nonempty intervals that
     ``excursions_above_zero`` finds.  A NaN neither opens nor closes one."""
     if isinstance(h, StepFunction):
         times, values, thresh = h.times, h.values, 0.0
@@ -91,12 +91,13 @@ def _intervals_above(h, horizon=None, grid_tol=None):
     edges = times[known][np.flatnonzero(np.diff(above[known], prepend=False))]
     if edges.size % 2:
         edges = np.append(edges, end)
-    return edges[0::2], edges[1::2]
+    ls, rs = edges[0::2], edges[1::2]
+    return ls[rs > ls], rs[rs > ls]
 
 
 def excursions_above_zero(h, horizon: float | None = None,
                           grid_tol: float | None = None) -> ExcursionDecomposition:
-    """Maximal intervals where h > 0, canonically ordered.
+    """Maximal nonempty intervals where h > 0, canonically ordered.
 
     ``h`` is a StepFunction (exact) or a (times, values) grid pair, in
     which case values are treated as constant per cell and compared

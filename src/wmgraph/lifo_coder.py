@@ -20,7 +20,8 @@ import numpy as np
 
 from .direct_graph import AssembledGraph
 from .markov_coder import _choice_cdf
-from .paths import CadlagStepPath, StepFunction, _replay_stack, height_of_path
+from .paths import (CadlagStepPath, StepFunction, _replay_stack,
+                    _write_trace_csv, height_of_path)
 from .weights import WeightSeq
 
 
@@ -96,20 +97,9 @@ class LifoTrace:
         return stack[::-1]
 
     def write_csv(self, path):
-        """Rows (time, event, client, Y, H) by time, arrivals before
-        departures, then by client id."""
-        ids = np.tile(self.arrival_order, 2)
-        kind = np.repeat([0, 1], self.arrival_order.size)
-        time = np.where(kind, self.departure[ids], self.arrival[ids])
-        order = np.lexsort((ids, kind, time))
-        ids, kind, time = ids[order], kind[order], time[order]
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["time", "event", "client", "Y", "H"])
-            wr.writerows(zip(
-                time.tolist(), map(("arrival", "departure").__getitem__, kind.tolist()),
-                ids.tolist(), self.Y.value(time).tolist(),
-                self.H(time).astype(np.int64).tolist()))
+        """Rows (time, event, client, Y, H); see ``_write_trace_csv``."""
+        _write_trace_csv(path, self.arrival_order, self.arrival,
+                         self.departure, self.Y, self.H)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .paths import (CadlagStepPath, StepFunction, _collapsed, _replay_stack,
-                    height_of_path)
+                    _write_trace_csv, height_of_path)
 from .weights import WeightSeq
 
 
@@ -48,6 +48,14 @@ class MarkovTrace:
     @property
     def n_arrivals(self) -> int:
         return int(self.tau.size - 1)
+
+    def write_csv(self, path):
+        """The LIFO trace columns, arrival index as client and X as Y,
+        plus type and colour; a departure past the horizon has no row."""
+        trace = self if self.color is not None else color_blue_red(self)
+        _write_trace_csv(path, np.arange(1, trace.tau.size), trace.tau,
+                         trace.departure, trace.X, trace.H,
+                         type=trace.types, color=trace.color)
 
     def events(self) -> np.ndarray:
         dep = self.departure[1:]

@@ -10,6 +10,7 @@ Two exact (breakpoint-based, no gridding) representations:
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 from itertools import chain
@@ -262,3 +263,24 @@ def _collapsed(times, values) -> StepFunction:
     last value holds."""
     keep = np.concatenate((np.diff(times) > 0, [True]))
     return StepFunction(times[keep], values[keep])
+
+
+def _write_trace_csv(path, clients, arrival, departure, load, height,
+                     **extra):
+    """Rows (time, event, client, Y, H, *extra), one per arrival and per
+    finite departure, by time, arrivals first, then by client; arrays are
+    indexed by client id, and Y and H read ``load`` and ``height``."""
+    ids = np.tile(clients, 2)
+    kind = np.repeat([0, 1], clients.size)
+    time = np.where(kind, departure[ids], arrival[ids])
+    order = np.lexsort((ids, kind, time))
+    order = order[np.isfinite(time[order])]
+    ids, kind, time = ids[order], kind[order], time[order]
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["time", "event", "client", "Y", "H", *extra])
+        wr.writerows(zip(
+            time.tolist(), map(("arrival", "departure").__getitem__, kind.tolist()),
+            ids.tolist(), load.value(time).tolist(),
+            height(time).astype(np.int64).tolist(),
+            *(column[ids].tolist() for column in extra.values())))

@@ -46,44 +46,18 @@ def _psi(p: LimitParams, lam):
     return psi_eval(p, lam)[0]
 
 
-def largest_root(p: LimitParams) -> float:
-    """Largest root rho of the convex function psi; 0 when alpha >= 0."""
-    if p.alpha >= 0:
-        return 0.0
-    hi = 1.0
+def _first_above(p: LimitParams, y: float, lo: float) -> float:
+    """inf{u > lo : psi(u) > y}: double from max(lo, 1), then bisect."""
+    hi = max(lo, 1.0)
     it = 0
     # a hugely negative alpha takes psi to -inf, which never brackets
     with np.errstate(over="ignore"):
-        while _psi(p, hi) <= 0:
+        while _psi(p, hi) <= y:    # a NaN psi(hi) ends the doubling
             hi *= 2.0
             it += 1
             if it > MAX_BISECT:
-                raise RuntimeError("could not bracket the root of psi")
-    lo = 0.0
-    for _ in range(MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if _psi(p, mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < TOL_INV:
-            break
-    return 0.5 * (lo + hi)
-
-
-def psi_inverse(p: LimitParams, y: float) -> float:
-    """psi^{-1}(y) = inf{u : psi(u) > y} by bracketed bisection."""
-    if y < 0:
-        raise ValueError("y must be nonnegative")
-    rho = largest_root(p)
-    hi = max(rho, 1.0)
-    it = 0
-    while _psi(p, hi) <= y:
-        hi *= 2.0
-        it += 1
-        if it > MAX_BISECT:
-            raise RuntimeError("could not bracket psi^{-1}(y)")
-    lo = rho
+                raise RuntimeError(f"could not bracket inf{{u > {lo!r} : "
+                                   f"psi(u) > {y!r}}}")
     for _ in range(MAX_BISECT):
         mid = 0.5 * (lo + hi)
         if _psi(p, mid) > y:
@@ -93,6 +67,18 @@ def psi_inverse(p: LimitParams, y: float) -> float:
         if hi - lo < TOL_INV:
             break
     return 0.5 * (lo + hi)
+
+
+def largest_root(p: LimitParams) -> float:
+    """Largest root rho of the convex function psi; 0 when alpha >= 0."""
+    return 0.0 if p.alpha >= 0 else _first_above(p, 0.0, 0.0)
+
+
+def psi_inverse(p: LimitParams, y: float) -> float:
+    """psi^{-1}(y) = inf{u : psi(u) > y} by bracketed bisection."""
+    if y < 0:
+        raise ValueError("y must be nonnegative")
+    return _first_above(p, y, largest_root(p))
 
 
 @dataclass(frozen=True)

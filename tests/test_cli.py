@@ -57,7 +57,7 @@ def test_simulate_markov_default_horizon(tmp_path):
                "--out", str(out)])
     assert rc == 0
     assert (out / "trace.csv").read_text().splitlines()[0] \
-        == "time,event,client,Y,H"
+        == "time,event,client,Y,H,type,color"
 
 
 def test_simulate_deterministic(tmp_path, weights_file):

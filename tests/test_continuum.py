@@ -135,7 +135,104 @@ def test_compensator_matches_outer_product_reference(p, dt, T, seed,
     g = simulate_limit_Y(p, dt=dt, T=T, rng_seed=seed, forced_E=forced_E)
     ref = _reference_simulate_limit_Y(p, dt, T, rng_seed=seed,
                                       forced_E=forced_E)
+    if len(p.c) <= 1:
+        # no jumps, or one: the same roundings in the same order
+        assert np.array_equal(g.values, ref)
+        return
+    # first-order bound on the moved low bits (derived in CHANGES.md):
+    # the reference's pairwise row sums against one correctly rounded
+    # fsum, and m_i sequential jump additions against a bincount+cumsum
+    J = g.truncation_J
+    cells, sizes = _landed_jumps(p, dt, T, J, seed, forced_E)
+    n = g.t.size
+    m = np.cumsum(np.bincount(cells, minlength=n))
+    landed = np.cumsum(np.bincount(cells, weights=sizes, minlength=n))
+    comp = g.t * math.fsum((p.c[:J] ** 2 * p.kappa).tolist())
+    bound = ((math.ceil(math.log2(J)) + 2 * m + 20) * 2.0 ** -53
+             * (np.abs(ref) + 2.0 * (comp + landed)))
+    assert np.all(np.abs(g.values - ref) <= bound)
+
+
+def _landed_jumps(p, dt, T, J, seed, forced_E):
+    """Grid cell and size of each jump that lands on the grid, with the
+    jump times drawn from the stream as ``simulate_limit_Y`` draws them."""
+    rng = np.random.default_rng(seed)
+    n = int(round(T / dt))
+    if p.beta > 0:
+        rng.normal(0.0, math.sqrt(p.beta * dt), size=n)
+    c = p.c[:J]
+    E = (np.asarray(forced_E, dtype=float) if forced_E is not None
+         else rng.exponential(1.0 / (p.kappa * c)))
+    k = np.ceil(E / dt - 1e-12)
+    keep = (E <= T) & (k <= n)
+    return k[keep].astype(np.intp), c[keep]
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("seed", range(20))
+def test_dyadic_limit_path_equals_reference(seed, forced):
+    # every partial sum is exact on dyadic alpha, kappa, c, dt and T with
+    # beta = 0, so any summation order gives the reference bit for bit
+    rng = np.random.default_rng(seed)
+    c = np.sort(rng.integers(1, 33, size=rng.integers(2, 40)) / 16.0)[::-1]
+    p = LimitParams(alpha=rng.integers(-16, 17) / 8.0, beta=0.0,
+                    kappa=2.0 ** rng.integers(-2, 3), c=c)
+    dt = 2.0 ** -rng.integers(3, 9)
+    T = float(rng.integers(1, 9)) / 4.0
+    forced_E = None
+    if forced:
+        # cell ends, times past T, +inf and 0 among them
+        forced_E = rng.choice([0.0, dt, 3 * dt, 0.3, 0.7 * T, T, T + dt,
+                               math.inf], size=c.size)
+    g = simulate_limit_Y(p, dt=dt, T=T, rng_seed=seed, forced_E=forced_E)
+    ref = _reference_simulate_limit_Y(p, dt, T, rng_seed=seed,
+                                      forced_E=forced_E)
     assert np.array_equal(g.values, ref)
+
+
+def test_jump_past_the_last_grid_point_is_dropped():
+    # E = 0.95 <= T lands in the cell ending at 1.2, past the grid's 0.9;
+    # E = 0.25 lands at 0.3
+    p = LimitParams(alpha=0.0, beta=0.0, kappa=1.0, c=(0.5, 0.25))
+    g = simulate_limit_Y(p, dt=0.3, T=1.0, forced_E=(0.95, 0.25))
+    assert g.t[-1] == pytest.approx(0.9)
+    assert g.values == pytest.approx(-0.3125 * g.t + 0.25 * (g.t > 0.2),
+                                     abs=1e-15)
+    assert np.array_equal(g.values, _reference_simulate_limit_Y(
+        p, 0.3, 1.0, forced_E=(0.95, 0.25)))
+
+
+def test_jump_after_the_horizon_never_lands():
+    # dt = 0.28 rounds to 4 cells, a grid out to 1.12 > T; E = 1.05 would
+    # snap to its last point, but only times up to T land
+    p = LimitParams(alpha=0.0, beta=0.0, kappa=1.0, c=(0.5,))
+    g = simulate_limit_Y(p, dt=0.28, T=1.0, forced_E=(1.05,))
+    assert g.t[-1] > 1.05
+    assert np.array_equal(g.values, -0.25 * g.t)
+
+
+def test_start_of_path_keeps_its_sign():
+    # with beta = 0 and alpha > 0, Y_0 = -alpha*0 = -0.0; no jump lands
+    # in cell 0, so nothing is added to it
+    g = simulate_limit_Y(PURE_JUMP, dt=0.1, T=1.0, forced_E=(0.25, 0.6))
+    assert math.copysign(1.0, g.values[0]) == -1.0
+    g = simulate_limit_Y(PURE_JUMP, dt=0.1, T=1.0, forced_E=(0.0, 0.6))
+    assert g.values[0] == 0.8
+
+
+@pytest.mark.parametrize("bad", [-0.25, -math.inf, math.nan])
+def test_forced_jump_time_must_be_nonnegative(bad):
+    # a negative time would index the grid from its end (y[-5:] at
+    # dt = 0.1), and a NaN would be dropped without a word
+    with pytest.raises(ValueError, match="forced_E must give one nonnegative time"):
+        simulate_limit_Y(PURE_JUMP, dt=0.1, T=1.0, forced_E=(bad, 2.0))
+
+
+def test_forced_jump_time_inf_never_lands():
+    g = simulate_limit_Y(PURE_JUMP, dt=0.1, T=1.0, forced_E=(math.inf, 0.25))
+    drift = 0.5 + 0.8 ** 2 + 0.4 ** 2
+    assert g.values == pytest.approx(-drift * g.t + 0.4 * (g.t >= 0.3),
+                                     abs=1e-12)
 
 
 def test_grid_csv_is_repr_of_each_value(tmp_path):

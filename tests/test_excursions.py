@@ -22,6 +22,20 @@ def _pinch_setup(rows):
                       boundary_tie=np.zeros(len(rows), dtype=bool))
 
 
+@pytest.mark.parametrize("horizon", [None, 1.0])
+def test_no_zero_length_excursion_at_the_domain_end(horizon):
+    # h turns positive at its last breakpoint: the interval (1.0, 1.0)
+    # has no length, and its local path would repeat the breakpoint 0
+    h = StepFunction([0.0, 1.0], [0.0, 1.0])
+    dec = excursions_above_zero(h, horizon=horizon)
+    assert dec.count == 0
+    assert dec.local_paths[:] == ()
+    h = StepFunction([0.0, 1.0, 2.0], [1.0, 0.0, 1.0])
+    dec = excursions_above_zero(h, horizon=None if horizon is None else 2.0)
+    assert dec.intervals == ((0.0, 1.0),)
+    assert dec.local_paths[0].times.tolist() == [0.0, 1.0]
+
+
 def test_excursions_above_zero_hand_example():
     h = StepFunction([0.0, 2.0, 3.0, 4.0, 6.0, 7.0],
                      [1.0, 0.0, 2.0, 0.0, 1.0, 0.0])
@@ -283,6 +297,8 @@ def _reference_excursions_above_zero(h, horizon=None, grid_tol=None):
             open_at = None
     if open_at is not None:
         intervals.append((open_at, end))
+    # an interval that opens at or after ``end`` holds no excursion
+    intervals = [(l, r) for l, r in intervals if r > l]
     ls, rs = np.asarray(intervals, dtype=float).reshape(-1, 2).T
     return _canonical(ls, rs, rs - ls, lambda i: None)
 
@@ -354,6 +370,5 @@ def test_step_function_scan_equals_per_point_reference(seed):
             dec = excursions_above_zero(h, horizon)
             _assert_same_decomposition(dec, ref)
             for k, (l, r) in enumerate(dec.intervals):
-                if r > l:   # an excursion open at the last breakpoint is empty
-                    g = dec.local_paths[k]
-                    assert g.times[0] == 0.0 and g.times[-1] == r - l
+                g = dec.local_paths[k]
+                assert g.times[0] == 0.0 and g.times[-1] == r - l

@@ -1,3 +1,4 @@
+import csv
 import math
 from dataclasses import replace
 
@@ -448,3 +449,30 @@ def test_markov_replay_matches_lifo_on_distinct_types(clients):
     assert np.array_equal(mk.departure[1:], lifo.departure[order])
     assert np.array_equal(mk.H.times, lifo.H.times)
     assert np.array_equal(mk.H.values, lifo.H.values)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_markov_trace_csv_rows_match_the_trace(tmp_path, seed):
+    # the LIFO columns with X as Y, plus type and colour; one row per
+    # arrival and per departure before the horizon
+    w = WeightSeq([2.0, 1.0, 1.0, 0.5])
+    trace = color_blue_red(simulate_markov(w, horizon=12.0, rng_seed=seed))
+    path = tmp_path / "trace.csv"
+    trace.write_csv(path)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["time", "event", "client", "Y", "H", "type",
+                             "color"]
+    dep = trace.departure[1:]
+    assert len(rows) == trace.n_arrivals + np.count_nonzero(np.isfinite(dep))
+    times = [float(r["time"]) for r in rows]
+    assert times == sorted(times)
+    for r in rows:
+        t, j = float(r["time"]), int(r["client"])
+        when = trace.tau if r["event"] == "arrival" else trace.departure
+        assert t == when[j]
+        assert float(r["Y"]) == trace.X.value(t)
+        assert int(r["H"]) == trace.H(t)
+        assert int(r["type"]) == trace.types[j]
+        assert r["color"] == trace.color[j]
+    assert {r["event"] for r in rows} == {"arrival", "departure"}

@@ -64,6 +64,86 @@ def test_largest_root():
     assert psi_eval(JUMPY, rho + 0.1)[0] > 0
 
 
+def _reference_largest_root(p):
+    """The root bisection before it shared one helper with psi_inverse."""
+    if p.alpha >= 0:
+        return 0.0
+    hi = 1.0
+    it = 0
+    with np.errstate(over="ignore"):
+        while psi_eval(p, hi)[0] <= 0:
+            hi *= 2.0
+            it += 1
+            if it > MAX_BISECT:
+                raise RuntimeError("could not bracket the root of psi")
+    lo = 0.0
+    for _ in range(MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        if psi_eval(p, mid)[0] > 0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo < TOL_INV:
+            break
+    return 0.5 * (lo + hi)
+
+
+def _reference_psi_inverse(p, y):
+    if y < 0:
+        raise ValueError("y must be nonnegative")
+    rho = _reference_largest_root(p)
+    hi = max(rho, 1.0)
+    it = 0
+    while psi_eval(p, hi)[0] <= y:
+        hi *= 2.0
+        it += 1
+        if it > MAX_BISECT:
+            raise RuntimeError("could not bracket psi^{-1}(y)")
+    lo = rho
+    for _ in range(MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        if psi_eval(p, mid)[0] > y:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo < TOL_INV:
+            break
+    return 0.5 * (lo + hi)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (RuntimeError, ValueError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_roots_equal_the_two_bisections_they_replace(seed):
+    # hugely negative alpha, or beta = 0 with a linear tail: brackets
+    # fail, and must fail alike.  Fixed edges: a bracket found on the
+    # last doubling allowed (root near 2^199.5), and psi(hi) = -inf + inf
+    # = NaN at hi = 2^178, which ends the doubling
+    rng = np.random.default_rng(seed)
+    edges = [LimitParams(-1.0, 2.0 ** -198.5, 1.0),
+             LimitParams(-1e300, 1e200, 1.0)]
+    for _ in range(12):
+        alpha = rng.choice([3.0 * rng.normal(), -1e3 * rng.exponential(),
+                            -1e300, 0.0])
+        c = np.sort(rng.exponential(size=rng.integers(0, 6))
+                    * rng.choice([1.0, 100.0]))[::-1]
+        p = LimitParams(alpha, rng.choice([0.0, rng.exponential(), 1e-300]),
+                        rng.exponential() + 0.01, c)
+        edges.append(p)
+    for p in edges:
+        with np.errstate(over="ignore", invalid="ignore"):   # the NaN edge
+            assert (_outcome(largest_root, p)
+                    == _outcome(_reference_largest_root, p))
+            for y in (0.0, 10.0 * rng.exponential(), 1e300, -1.0):
+                assert (_outcome(psi_inverse, p, y)
+                        == _outcome(_reference_psi_inverse, p, y))
+
+
 @given(st.floats(min_value=0.01, max_value=50.0))
 @settings(max_examples=40, deadline=None)
 def test_psi_inverse_is_right_inverse(y):
