@@ -22,6 +22,14 @@ from .weights import LimitParams, ScalingTriple
 
 TOL_INV = 1e-10
 MAX_BISECT = 200
+LADDER_STEP = math.log(4.0)    # extinction-profile panel width in log(u - rho)
+# the 8-point Gauss-Legendre rule on [-1, 1]: nodes -x and x, weights w
+_GL_X = np.array([0.1834346424956498, 0.525532409916329,
+                  0.7966664774136267, 0.9602898564975363])
+_GL_W = np.array([0.362683783378362, 0.31370664587788727,
+                  0.22238103445337448, 0.10122853629037626])
+_GL_X, _GL_W = np.r_[-_GL_X, _GL_X], np.r_[_GL_W, _GL_W]
+PSI_BLOCK = 1 << 15            # lambda x c products per block: <= 256 KB
 
 
 def psi_eval(p: LimitParams, lam, truncation: int | None = None):
@@ -34,8 +42,17 @@ def psi_eval(p: LimitParams, lam, truncation: int | None = None):
     c = p.c[:J]
     out = p.alpha * lam + 0.5 * p.beta * lam * lam
     if c.size:
-        x = np.multiply.outer(lam, c)
-        out = out + (p.kappa * c * (np.expm1(-x) + x)).sum(axis=-1)
+        flat, rows = lam.reshape(-1), max(1, PSI_BLOCK // c.size)
+        jumps, kc = np.empty(flat.size), p.kappa * c
+        # a row's pairwise sum is the same in any block: bit-identical
+        for i in range(0, flat.size, rows):
+            x = np.multiply.outer(flat[i:i + rows], c)
+            e = np.negative(x)
+            np.expm1(e, out=e)     # two block-sized temporaries, not three
+            e += x
+            e *= kc
+            jumps[i:i + rows] = e.sum(axis=-1)
+        out = out + jumps.reshape(lam.shape)
     tail = 0.5 * p.kappa * lam * lam * float(np.sum(p.c[J:] ** 3))
     if out.ndim == 0:
         return float(out), float(tail)
@@ -48,11 +65,10 @@ def _psi(p: LimitParams, lam):
 
 def _first_above(p: LimitParams, y: float, lo: float) -> float:
     """inf{u > lo : psi(u) > y}: double from max(lo, 1), then bisect."""
-    hi = max(lo, 1.0)
-    it = 0
-    # a hugely negative alpha takes psi to -inf, which never brackets
-    with np.errstate(over="ignore"):
-        while _psi(p, hi) <= y:    # a NaN psi(hi) ends the doubling
+    hi, it = max(lo, 1.0), 0
+    # -inf (hugely negative alpha) and NaN (-inf + inf) never bracket
+    with np.errstate(over="ignore", invalid="ignore"):
+        while not _psi(p, hi) > y:
             hi *= 2.0
             it += 1
             if it > MAX_BISECT:
@@ -89,10 +105,6 @@ class PsiReport:
     lambda_max: float
 
 
-def _lambda_max(rho: float) -> float:
-    return max(1e6, 1e3 * rho) if rho > 0 else 1e6
-
-
 def psi_report(p: LimitParams) -> PsiReport:
     """Root and a numerical verdict on the tail integral of 1/psi.
 
@@ -101,7 +113,7 @@ def psi_report(p: LimitParams) -> PsiReport:
     tail value is then estimated under the quadratic-envelope model
     psi(lambda) ~= psi(L)*(lambda/L)^2."""
     rho = largest_root(p)
-    L = _lambda_max(rho)
+    L = max(1e6, 1e3 * rho)
     v1, v2 = _psi(p, L), _psi(p, 10 * L)
     growth = math.log(v2 / v1) / math.log(10.0)
     grey = growth > 1.0 + 1e-6
@@ -110,15 +122,12 @@ def psi_report(p: LimitParams) -> PsiReport:
                      lambda_max=L)
 
 
-def _inv_psi_integral(p: LimitParams, a: float, b: float) -> float:
-    """int_a^b d(lambda)/psi(lambda) for rho < a <= b, one adaptive panel
-    per step of a geometric ladder of ratio 4 (a single huge interval
-    would exhaust the subdivision limit)."""
-    knots = [a]
-    while knots[-1] < b:
-        knots.append(min(knots[-1] * 4.0, b))
-    return sum(quad(lambda u: 1.0 / _psi(p, u), lo, hi, limit=200)[0]
-               for lo, hi in zip(knots, knots[1:]))
+def _ladder_integral(p: LimitParams, rho: float, a: float, b: float):
+    """(int_a^b g by the 8-point rule, g(a)), g(s) = e^s/psi(rho + e^s)."""
+    half = 0.5 * (b - a)
+    s = np.append(0.5 * (a + b) + half * _GL_X, a)
+    g = np.exp(s) / _psi(p, rho + np.exp(s))
+    return half * float(_GL_W @ g[:-1]), float(g[-1])
 
 
 def extinction_profile(p: LimitParams, t: float) -> float:
@@ -126,41 +135,41 @@ def extinction_profile(p: LimitParams, t: float) -> float:
 
     The tail beyond L = lambda_max follows the quadratic envelope
     psi(u) ~= psi(L)*(u/L)^2, so F(v) = int_v^L d(lambda)/psi + L/psi(L)
-    below L, and v(t) = L^2/(psi(L)*t) once t <= L/psi(L).  Below L the
-    root of F(v) = t is found by Newton steps in log v with the exact
-    derivative F'(v) = -1/psi(v), kept inside the bisection bracket
-    (rho, L); F is convex and decreasing in log v, and close to linear
-    there when psi is linear near 0, which a step in v itself is not.
-    Each step advances F by the integral between the old and new point.
-    Stops when a step moves v by at most TOL_INV*v."""
+    below L, and v(t) = L^2/(psi(L)*t) once t <= L/psi(L).  Below L, F is
+    integrated in s = log(u - rho), smooth at the root, on Gauss-Legendre
+    panels walked down from s = log(L - rho) until F > t (or until
+    rho + e^s == rho: rho is returned).  In that panel, bracketed Newton
+    steps with F'(s) = -e^s/psi(rho + e^s) stop on a step <= TOL_INV*v."""
     if t <= 0:
         raise ValueError("t must be positive")
     rep = psi_report(p)
     if not rep.is_grey:
         raise ValueError("tail integral of 1/psi diverges; no profile")
-    L = rep.lambda_max
-    psi_L = _psi(p, L)
+    L, psi_L = rep.lambda_max, _psi(p, rep.lambda_max)
     if t <= L / psi_L:
         return L * L / (psi_L * t)
-    lo, hi = rep.root, L
-    v = max(2.0 * rep.root, 1.0)
-    f = _inv_psi_integral(p, v, L) + L / psi_L
+    rho, f_hi = rep.root, L / psi_L     # F at the panel top hi
+    hi = math.log(L - rho)
+    while True:
+        lo = hi - LADDER_STEP
+        if rho + math.exp(lo) == rho:
+            return rho
+        part, g = _ladder_integral(p, rho, lo, hi)
+        if f_hi + part > t:
+            break
+        hi, f_hi = lo, f_hi + part
+    a, b, s = lo, hi, lo
     for _ in range(MAX_BISECT):
-        if f > t:
-            lo = v
-        else:
-            hi = v
-        step = (f - t) * _psi(p, v) / v
-        new = v * math.exp(step) if step < 700.0 else math.inf
-        if not lo < new < hi:
-            new = 0.5 * (lo + hi)
-        if abs(new - v) <= TOL_INV * v:
-            return new
-        if new < v:
-            f += _inv_psi_integral(p, new, v)
-        else:
-            f -= _inv_psi_integral(p, v, new)
-        v = new
+        f = f_hi + part
+        a, b = (s, b) if f > t else (a, s)
+        new = s + (f - t) / g if g > 0 else math.nan
+        if not a <= new <= b:    # new == s once the step is below ulp(s)
+            new = 0.5 * (a + b)
+        v, v_new = rho + math.exp(s), rho + math.exp(new)
+        if abs(v_new - v) <= TOL_INV * v:
+            return v_new
+        s = new
+        part, g = _ladder_integral(p, rho, s, hi)
     raise RuntimeError("extinction profile did not converge")
 
 
@@ -204,13 +213,10 @@ class RegimeReport:
             head += [f"C4_integral_y={y:g}" for y in self.y_grid]
             wr.writerow(head)
             for i, n in enumerate(self.ns):
-                row = [int(n), repr(float(self.a[i])),
-                       repr(float(self.a[i] * self.b_over_a[i])),
-                       repr(float(self.c1[i])), repr(float(self.c2[i])),
-                       repr(float(self.beta0_proxy[i])),
-                       repr(float(self.kappa_proxy[i]))]
-                row += [repr(float(v)) for v in self.c4_integrals[i]]
-                wr.writerow(row)
+                row = [self.a[i], self.a[i] * self.b_over_a[i], self.c1[i],
+                       self.c2[i], self.beta0_proxy[i], self.kappa_proxy[i],
+                       *self.c4_integrals[i]]
+                wr.writerow([int(n)] + [repr(float(v)) for v in row])
 
 
 # report window for the per-j weight limits; the full quantified family
@@ -233,9 +239,8 @@ def check_regime(family: list, p: LimitParams,
     ns = np.asarray([tr.n for tr in family])
     a = np.asarray([tr.a for tr in family])
     b = np.asarray([tr.b for tr in family])
-    s1 = np.asarray([tr.weights.sigma(1.0) for tr in family])
-    s2 = np.asarray([tr.weights.sigma(2.0) for tr in family])
-    s3 = np.asarray([tr.weights.sigma(3.0) for tr in family])
+    s1, s2, s3 = (np.asarray([tr.weights.sigma(q) for tr in family])
+                  for q in (1.0, 2.0, 3.0))
     c1 = (b / a) * (1.0 - s2 / s1)
     c2 = (b / a ** 2) * (s3 / s1)
     J = min(C3_WINDOW, min(tr.weights.j_max for tr in family))
@@ -244,17 +249,13 @@ def check_regime(family: list, p: LimitParams,
     c4 = np.zeros((len(family), y_grid.size))
     for i, tr in enumerate(family):
         for k, y in enumerate(y_grid):
-            if y >= tr.a:
-                c4[i, k] = 0.0
-                continue
-            val, _ = quad(lambda u: 1.0 / psi_n_eval(tr, u), y, tr.a,
-                          limit=200)
-            c4[i, k] = val
+            if y < tr.a:
+                c4[i, k] = quad(lambda u: 1.0 / psi_n_eval(tr, u), y, tr.a,
+                                limit=200)[0]
     beta0 = b / a ** 2
     kap = a * b / s1
     target_c2 = p.beta + p.kappa * float(np.sum(p.c ** 3))
-    cJ = np.zeros(J)
-    cJ[:min(J, len(p.c))] = p.c[:min(J, len(p.c))]
+    cJ = np.pad(p.c[:J], (0, J - len(p.c[:J])))
     verdicts = {
         "c1_to_alpha": _trendy(c1, p.alpha),
         "c2_to_beta_plus_kappa_sigma3": _trendy(c2, target_c2),
@@ -271,6 +272,5 @@ def check_regime(family: list, p: LimitParams,
 
 def _trendy(traj: np.ndarray, target: float) -> bool:
     """Last value closer to the target than the first, or already close."""
-    gap_last = abs(traj[-1] - target)
-    gap_first = abs(traj[0] - target)
-    return bool(gap_last <= max(gap_first, 0.05 * max(1.0, abs(target))))
+    return bool(abs(traj[-1] - target)
+                <= max(abs(traj[0] - target), 0.05 * max(1.0, abs(target))))

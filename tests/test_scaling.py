@@ -23,7 +23,7 @@ from wmgraph import (
     psi_report,
     powerlaw_alpha0,
 )
-from wmgraph.scaling import MAX_BISECT, TOL_INV
+from wmgraph.scaling import MAX_BISECT, PSI_BLOCK, TOL_INV
 
 BM = LimitParams(alpha=0.0, beta=1.0, kappa=1.0)          # psi = lam^2/2
 SUP = LimitParams(alpha=-1.0, beta=1.0, kappa=1.0)        # root at 2
@@ -54,6 +54,39 @@ def test_psi_truncation_tail_bound():
     part, bound = psi_eval(p, 1.5, truncation=1)
     assert bound == pytest.approx(0.5 * 2.0 * 1.5 ** 2 * (0.25 ** 3 + 0.125 ** 3))
     assert abs(full - part) <= bound + 1e-15
+
+
+def _reference_psi_eval(p, lam):
+    """psi_eval before it formed the lambda x J products in row blocks."""
+    lam = np.asarray(lam, dtype=float)
+    out = p.alpha * lam + 0.5 * p.beta * lam * lam
+    if p.c.size:
+        x = np.multiply.outer(lam, p.c)
+        out = out + (p.kappa * p.c * (np.expm1(-x) + x)).sum(axis=-1)
+    return out
+
+
+@pytest.mark.parametrize("J", [0, 3, 10_000])
+def test_psi_eval_blocks_are_bit_identical(J):
+    # one block holds at most PSI_BLOCK products: 3 rows at J = 1e4,
+    # 10,922 at J = 3
+    rng = np.random.default_rng(J)
+    p = LimitParams(-0.7, 1.3, 0.9, np.sort(rng.pareto(1.5, J))[::-1])
+    rows = PSI_BLOCK // max(J, 1)
+    lam = np.geomspace(1e-4, 1e7, min(2 * rows + 5, 25_000))
+    vals, _ = psi_eval(p, lam)
+    assert np.array_equal(vals, _reference_psi_eval(p, lam))
+    ones = [psi_eval(p, x) for x in lam]
+    assert all(type(v) is float and type(b) is float for v, b in ones)
+    assert np.array_equal([v for v, _ in ones], vals)
+    grid, _ = psi_eval(p, lam[:6].reshape(2, 3))
+    assert np.array_equal(grid, vals[:6].reshape(2, 3))
+    # the truncation bound is computed as before, from the dropped c_j
+    part, bound = psi_eval(p, lam, truncation=J // 2)
+    assert np.array_equal(bound, 0.5 * p.kappa * lam * lam
+                          * float(np.sum(p.c[J // 2:] ** 3)))
+    assert np.array_equal(part, _reference_psi_eval(
+        LimitParams(p.alpha, p.beta, p.kappa, p.c[:J // 2]), lam))
 
 
 def test_largest_root():
@@ -121,12 +154,10 @@ def _outcome(f, *args):
 @pytest.mark.parametrize("seed", range(10))
 def test_roots_equal_the_two_bisections_they_replace(seed):
     # hugely negative alpha, or beta = 0 with a linear tail: brackets
-    # fail, and must fail alike.  Fixed edges: a bracket found on the
-    # last doubling allowed (root near 2^199.5), and psi(hi) = -inf + inf
-    # = NaN at hi = 2^178, which ends the doubling
+    # fail, and must fail alike.  Fixed edge: a bracket found on the
+    # last doubling allowed (root near 2^199.5)
     rng = np.random.default_rng(seed)
-    edges = [LimitParams(-1.0, 2.0 ** -198.5, 1.0),
-             LimitParams(-1e300, 1e200, 1.0)]
+    edges = [LimitParams(-1.0, 2.0 ** -198.5, 1.0)]
     for _ in range(12):
         alpha = rng.choice([3.0 * rng.normal(), -1e3 * rng.exponential(),
                             -1e300, 0.0])
@@ -136,12 +167,20 @@ def test_roots_equal_the_two_bisections_they_replace(seed):
                         rng.exponential() + 0.01, c)
         edges.append(p)
     for p in edges:
-        with np.errstate(over="ignore", invalid="ignore"):   # the NaN edge
+        with np.errstate(over="ignore"):
             assert (_outcome(largest_root, p)
                     == _outcome(_reference_largest_root, p))
             for y in (0.0, 10.0 * rng.exponential(), 1e300, -1.0):
                 assert (_outcome(psi_inverse, p, y)
                         == _outcome(_reference_psi_inverse, p, y))
+    # psi(hi) = -inf + inf = NaN from hi = 2^178 on, before psi turns
+    # positive (true root 2e100): no bracket, where the old doubling
+    # stopped on the NaN and returned 3.06e54, a point where psi is NaN
+    nan_edge = LimitParams(-1e300, 1e200, 1.0)
+    with pytest.raises(RuntimeError, match="could not bracket"):
+        largest_root(nan_edge)
+    with pytest.raises(RuntimeError, match="could not bracket"):
+        psi_inverse(nan_edge, 1.0)
 
 
 @given(st.floats(min_value=0.01, max_value=50.0))
@@ -196,6 +235,42 @@ def test_extinction_profile_closed_forms(alpha, beta, t):
     assert abs(v - exact) <= 1e-9 * exact
 
 
+def test_gauss_legendre_table():
+    # the profile's 8-point rule: numpy's nodes and weights, and exact on
+    # every polynomial of degree <= 15
+    x, w = np.polynomial.legendre.leggauss(8)
+    order = np.argsort(wmgraph.scaling._GL_X)
+    assert np.allclose(wmgraph.scaling._GL_X[order], x, rtol=0, atol=1e-15)
+    assert np.allclose(wmgraph.scaling._GL_W[order], w, rtol=0, atol=1e-15)
+    for k in range(16):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        rule = wmgraph.scaling._GL_W @ wmgraph.scaling._GL_X ** k
+        assert rule == pytest.approx(exact, abs=1e-15)
+
+
+@pytest.mark.parametrize("t", [8.0, 20.0, 30.0])
+def test_extinction_profile_near_the_root(t):
+    # v(t) - 2 = 2/expm1(t) is 1.9e-13 at t = 30, below the 5e-11 to which
+    # the root bisection places rho = 2: the ladder walks down until
+    # rho + e^s == rho and returns rho, still within 1e-9 of v
+    exact = 2.0 / -math.expm1(-t)
+    v = extinction_profile(SUP, t)
+    assert abs(v - exact) <= 1e-9 * exact
+    assert v >= largest_root(SUP)
+
+
+def test_extinction_profile_closed_form_branch_is_exact():
+    # for t <= L/psi(L) the profile is the envelope value L^2/(psi(L)*t)
+    # itself, with no quadrature
+    p = gen_powerlaw_triple(1000, rho=2.5,
+                            alpha=powerlaw_alpha0(2.5, 1.0, 1.0)).declared_limit
+    for q, t in ((BM, 1e-9), (SUP, 1e-7), (p, 1e-7)):
+        L = psi_report(q).lambda_max
+        psi_L = psi_eval(q, L)[0]
+        assert t <= L / psi_L
+        assert extinction_profile(q, t) == L * L / (psi_L * t)
+
+
 def _reference_extinction_profile(p, t):
     """The bisection solver the Newton solve replaced: every bracket step
     integrates 1/psi over the whole geometric ladder up to lambda_max."""
@@ -244,23 +319,44 @@ def test_extinction_profile_matches_bisection_reference(shift):
         assert abs(v - ref) <= TOL_INV * max(1.0, v) + 1e-8 * v, (t, v, ref)
 
 
+def test_extinction_profile_matches_reference_above_a_positive_root():
+    # rho = 0.667 > 0 with jumps: the ladder in log(u - rho) starts at the
+    # root, where 1/psi has its pole
+    p = LimitParams(alpha=-0.5, beta=1.0, kappa=1.0, c=(0.8, 0.4, 0.2))
+    rho = largest_root(p)
+    assert rho > 0.5
+    prev = math.inf
+    for t in POWERLAW_TIMES + (8.0,):
+        v = extinction_profile(p, t)
+        ref = _reference_extinction_profile(p, t)
+        assert abs(v - ref) <= TOL_INV * max(1.0, v) + 1e-8 * v, (t, v, ref)
+        assert rho < v <= prev
+        prev = v
+
+
 def test_extinction_profile_psi_eval_budget(monkeypatch):
     # counted as the benchmark counts them: scaling looks psi_eval up at
-    # call time; the bisection solver made 5,614-12,931 calls here
-    p = gen_powerlaw_triple(
-        10_000, rho=2.5, alpha=powerlaw_alpha0(2.5, 1.0, 1.0)).declared_limit
+    # call time.  The bisection solver made 5,614-12,931 calls here, the
+    # adaptive quad ladder 302-1,033 calls of one lambda each
     orig = wmgraph.scaling.psi_eval
     calls = [0]
+    points = [0]
 
-    def counted(*args, **kwargs):
+    def counted(p, lam, *args, **kwargs):
         calls[0] += 1
-        return orig(*args, **kwargs)
+        points[0] += np.size(lam)
+        return orig(p, lam, *args, **kwargs)
 
     monkeypatch.setattr(wmgraph.scaling, "psi_eval", counted)
-    for t in POWERLAW_TIMES:
-        calls[0] = 0
-        extinction_profile(p, t)
-        assert 0 < calls[0] <= 2500, (t, calls[0])
+    for shift in (-0.9, 0.0, 0.9):
+        p = gen_powerlaw_triple(
+            10_000, rho=2.5,
+            alpha=powerlaw_alpha0(2.5, 1.0, 1.0) + shift).declared_limit
+        for t in POWERLAW_TIMES:
+            calls[0] = points[0] = 0
+            extinction_profile(p, t)
+            assert 0 < calls[0] <= 2500, (shift, t, calls[0])
+            assert points[0] <= 400, (shift, t, points[0])
 
 
 def test_grey_verdict_fails_without_curvature():
