@@ -233,8 +233,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:
-        # RuntimeError: a root bisection found no bracket (scaling.py)
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+        # RuntimeError: a root bisection found no bracket (scaling.py);
+        # MemoryError: a continuum grid larger than memory can hold
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

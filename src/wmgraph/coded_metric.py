@@ -10,12 +10,11 @@ distance between two such spaces by uniform distance and modulus terms.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import StepFunction, modulus_of_continuity, uniform_distance
+from .paths import StepFunction, _write_csv, modulus_of_continuity, uniform_distance
 
 
 def check_eps(eps) -> float:
@@ -112,8 +111,8 @@ def ghp_upper_bound(h: StepFunction, h2: StepFunction, pinches, pinches2,
 
 
 def write_matrix_csv(space: CodedSpace, matrix: np.ndarray, path):
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["t"] + [repr(float(s)) for s in space.samples])
-        for i, s in enumerate(space.samples):
-            wr.writerow([repr(float(s))] + [repr(float(x)) for x in matrix[i]])
+    """Row i is sample time i, then row i of ``matrix``; rows are formed
+    one at a time, so no list of the whole matrix is held."""
+    samples = space.samples.tolist()
+    _write_csv(path, ["t", *samples], ([s, *row.tolist()] for s, row in zip(
+        samples, np.asarray(matrix, dtype=float))))

@@ -9,13 +9,13 @@ analogues of the rescaled component masses of the discrete graphs.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .excursions import excursion_masses
+from .paths import _write_csv
 from .weights import LimitParams
 
 TRUNC_TARGET = 1e-3
@@ -33,10 +33,7 @@ class GridPath:
     seed: object
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["t", "Y"])
-            wr.writerows(zip(self.t.tolist(), self.values.tolist()))
+        _write_csv(path, ["t", "Y"], zip(self.t.tolist(), self.values.tolist()))
 
 
 def default_truncation(p: LimitParams, T: float) -> int:

@@ -7,13 +7,13 @@ one of exp: 1-e^{-x}, cap: 1 and x, ratio: x/(1+x).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csgraph, csr_array
 
+from .paths import _write_csv
 from .weights import WeightSeq
 
 
@@ -54,10 +54,7 @@ class AssembledGraph:
                 raise ValueError(f"invalid edge ({u}, {v})")
 
     def write_edge_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["u", "v"])
-            wr.writerows(sorted(self.edges))
+        _write_csv(path, ["u", "v"], sorted(self.edges))
 
 
 @dataclass(frozen=True)
@@ -172,8 +169,6 @@ def graph_distances(c: ComponentView) -> np.ndarray:
 
 
 def write_component_csv(views: list, path):
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["rank", "mass", "count", "root"])
-        wr.writerows((k, c.mass, c.count, c.root)
-                     for k, c in enumerate(views, start=1))
+    _write_csv(path, ["rank", "mass", "count", "root"],
+               ((k, c.mass, c.count, c.root)
+                for k, c in enumerate(views, start=1)))

@@ -9,14 +9,13 @@ the smaller left endpoint.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .paths import CadlagStepPath, StepFunction
+from .paths import CadlagStepPath, StepFunction, _write_csv
 
 # Strictness tolerance used only for gridded paths, where roundoff can
 # manufacture micro-excursions; exact breakpoint paths use exact compares.
@@ -36,10 +35,8 @@ class ExcursionDecomposition:
         return len(self.intervals)
 
     def write_masses_csv(self, path, top_k: int = 50):
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["rank", "mass"])
-            wr.writerows(enumerate(self.lengths[:top_k].tolist(), start=1))
+        _write_csv(path, ["rank", "mass"],
+                   enumerate(self.lengths[:top_k].tolist(), start=1))
 
 
 class _LazyPaths(Sequence):

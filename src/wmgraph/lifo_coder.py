@@ -12,7 +12,6 @@ edge-coin sampler.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .direct_graph import AssembledGraph
 from .markov_coder import _choice_cdf
-from .paths import (CadlagStepPath, StepFunction, _replay_stack,
+from .paths import (CadlagStepPath, StepFunction, _replay_stack, _write_csv,
                     _write_trace_csv, height_of_path)
 from .weights import WeightSeq
 
@@ -120,15 +119,11 @@ class PinchSetup:
         return int(self.t.size)
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["t_p", "y_p", "s_p", "u", "v", "flag"])
-            for i in range(self.size):
-                flag = "self_loop" if self.self_loop[i] else (
-                    "boundary_tie" if self.boundary_tie[i] else "")
-                wr.writerow([repr(float(self.t[i])), repr(float(self.y[i])),
-                             repr(float(self.s[i])), int(self.u[i]),
-                             int(self.v[i]), flag])
+        flag = np.where(self.self_loop, "self_loop",
+                        np.where(self.boundary_tie, "boundary_tie", ""))
+        _write_csv(path, ["t_p", "y_p", "s_p", "u", "v", "flag"], zip(
+            self.t.tolist(), self.y.tolist(), self.s.tolist(),
+            self.u.tolist(), self.v.tolist(), flag.tolist()))
 
 
 def simulate_lifo(w: WeightSeq, rng_seed=0,

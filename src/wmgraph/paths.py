@@ -265,6 +265,15 @@ def _collapsed(times, values) -> StepFunction:
     return StepFunction(times[keep], values[keep])
 
 
+def _write_csv(path, header, rows):
+    """The one writer of result files: a header row, then ``rows``, with
+    CRLF line ends; ``csv`` writes a float by ``repr``, so it round-trips."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(rows)
+
+
 def _write_trace_csv(path, clients, arrival, departure, load, height,
                      **extra):
     """Rows (time, event, client, Y, H, *extra), one per arrival and per
@@ -276,11 +285,9 @@ def _write_trace_csv(path, clients, arrival, departure, load, height,
     order = np.lexsort((ids, kind, time))
     order = order[np.isfinite(time[order])]
     ids, kind, time = ids[order], kind[order], time[order]
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["time", "event", "client", "Y", "H", *extra])
-        wr.writerows(zip(
-            time.tolist(), map(("arrival", "departure").__getitem__, kind.tolist()),
-            ids.tolist(), load.value(time).tolist(),
-            height(time).astype(np.int64).tolist(),
-            *(column[ids].tolist() for column in extra.values())))
+    _write_csv(path, ["time", "event", "client", "Y", "H", *extra], zip(
+        time.tolist(), map(("arrival", "departure").__getitem__, kind.tolist()),
+        ids.tolist(), load.value(time).tolist(),
+        height(time).astype(np.int64).tolist(),
+        *(column[ids].tolist() for column in extra.values())))
+

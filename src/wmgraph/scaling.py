@@ -11,13 +11,13 @@ exists when the tail integral converges (the "grey" case).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
+from .paths import _write_csv
 from .weights import LimitParams, ScalingTriple
 
 TOL_INV = 1e-10
@@ -64,7 +64,9 @@ def _psi(p: LimitParams, lam):
 
 
 def _first_above(p: LimitParams, y: float, lo: float) -> float:
-    """inf{u > lo : psi(u) > y}: double from max(lo, 1), then bisect."""
+    """inf{u > lo : psi(u) > y}: double from max(lo, 1), then bisect until
+    the bracket is narrower than TOL_INV or its midpoint rounds to an end
+    (no float lies between them: the bracket cannot change again)."""
     hi, it = max(lo, 1.0), 0
     # -inf (hugely negative alpha) and NaN (-inf + inf) never bracket
     with np.errstate(over="ignore", invalid="ignore"):
@@ -76,6 +78,8 @@ def _first_above(p: LimitParams, y: float, lo: float) -> float:
                                    f"psi(u) > {y!r}}}")
     for _ in range(MAX_BISECT):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if _psi(p, mid) > y:
             hi = mid
         else:
@@ -207,16 +211,13 @@ class RegimeReport:
     verdicts: dict
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            head = ["n", "a_n", "b_n", "C1", "C2", "beta0_proxy", "kappa_proxy"]
-            head += [f"C4_integral_y={y:g}" for y in self.y_grid]
-            wr.writerow(head)
-            for i, n in enumerate(self.ns):
-                row = [self.a[i], self.a[i] * self.b_over_a[i], self.c1[i],
-                       self.c2[i], self.beta0_proxy[i], self.kappa_proxy[i],
-                       *self.c4_integrals[i]]
-                wr.writerow([int(n)] + [repr(float(v)) for v in row])
+        head = ["n", "a_n", "b_n", "C1", "C2", "beta0_proxy", "kappa_proxy"]
+        head += [f"C4_integral_y={y:g}" for y in self.y_grid]
+        cols = np.column_stack((
+            self.a, self.a * self.b_over_a, self.c1, self.c2,
+            self.beta0_proxy, self.kappa_proxy, self.c4_integrals))
+        _write_csv(path, head, ([n, *row] for n, row in zip(
+            self.ns.astype(np.int64).tolist(), cols.tolist())))
 
 
 # report window for the per-j weight limits; the full quantified family
@@ -233,7 +234,8 @@ def check_regime(family: list, p: LimitParams,
     C3_j -> c_j, and the height-scale condition is reported as satisfied
     when beta0 > 0, otherwise through the finite-n integrals
     int_y^{a_n} d(lambda)/psi_n (their decay in y must be extrapolated;
-    no finite-n certificate exists)."""
+    no finite-n certificate exists).  An integral across a root of psi_n
+    diverges: it reads inf, and the decay verdict fails."""
     if not family:
         raise ValueError("family must be nonempty")
     ns = np.asarray([tr.n for tr in family])
@@ -248,10 +250,13 @@ def check_regime(family: list, p: LimitParams,
     y_grid = np.asarray(y_grid, dtype=float)
     c4 = np.zeros((len(family), y_grid.size))
     for i, tr in enumerate(family):
-        for k, y in enumerate(y_grid):
-            if y < tr.a:
-                c4[i, k] = quad(lambda u: 1.0 / psi_n_eval(tr, u), y, tr.a,
-                                limit=200)[0]
+        # psi_n is convex with psi_n(0) = 0: it has a root in [y, a_n],
+        # where 1/psi_n is not integrable, iff psi_n(y) <= 0 <= psi_n(a_n)
+        psi_y = psi_n_eval(tr, np.append(y_grid, tr.a))
+        for k in np.flatnonzero(y_grid < tr.a):
+            c4[i, k] = (math.inf if psi_y[k] <= 0 <= psi_y[-1] else
+                        quad(lambda u: 1.0 / psi_n_eval(tr, u), y_grid[k],
+                             tr.a, limit=200)[0])
     beta0 = b / a ** 2
     kap = a * b / s1
     target_c2 = p.beta + p.kappa * float(np.sum(p.c ** 3))
@@ -263,7 +268,7 @@ def check_regime(family: list, p: LimitParams,
                                <= np.maximum(0.05 * np.abs(cJ), 0.05))),
         "height_scale_via_beta0": bool(beta0[-1] > 1e-9),
         "c4_integrals_decreasing_in_y": bool(
-            np.all(np.diff(c4[-1]) <= 1e-12)),
+            np.all(np.isfinite(c4[-1])) and np.all(np.diff(c4[-1]) <= 1e-12)),
     }
     return RegimeReport(ns=ns, a=a, b_over_a=b / a, beta0_proxy=beta0,
                         kappa_proxy=kap, c1=c1, c2=c2, c3=c3, y_grid=y_grid,

@@ -240,6 +240,8 @@ _BAD_ARGUMENTS = [
     (["continuum", "--dt", "5e-324"], "T / dt = inf grid cells cannot be indexed"),
     (["continuum", "--horizon", "1e300", "--dt", "1"],
      "T / dt = 1e+300 grid cells cannot be indexed"),
+    # 1e15 cells: a request beyond any address space fails at once
+    (["continuum", "--dt", "1e-15"], "Unable to allocate"),
     (["continuum", "--topk", "0"], "argument --topk: must be a positive integer"),
     (["verify", "--replicas", "-3"], "argument --replicas: must be a positive integer"),
     (["verify", "--replicas", "two"], "argument --replicas: must be a positive integer"),

@@ -1,0 +1,158 @@
+"""Every result file, byte for byte, from small dyadic or hand-built
+inputs: a header row, CRLF line ends, floats by repr, integers in
+decimal."""
+
+import math
+
+import numpy as np
+import pytest
+
+from wmgraph import (
+    AssembledGraph,
+    CodedSpace,
+    LimitParams,
+    RegimeReport,
+    WeightSeq,
+    connected_components,
+    decompose_with_masses,
+    pinched_matrix,
+    sample_pinches,
+    simulate_limit_Y,
+    simulate_lifo,
+    simulate_markov,
+    write_matrix_csv,
+)
+from wmgraph.direct_graph import write_component_csv
+
+# clients 1, 2, 3 (w = 1, 1/2, 1/4) arrive at 1/4, 1/2, 3/4, each
+# preempting the last; 3 leaves at 1, 2 at 5/4, 1 at 2; client 4
+# (w = 1/8) is alone at 4.  At t = 7/8 the reflected load is 9/8, and
+# the bands of clients 2 and 3 start at 3/4 and 1: level 1/2 joins
+# clients 1 and 3, 3/4 is a band boundary (a tie joining 2 and 3),
+# 17/16 a self-loop
+W = WeightSeq([1.0, 0.5, 0.25, 0.125])
+POINTS = [(0.875, 0.5), (0.875, 0.75), (0.875, 1.0625), (4.0625, 0.03125)]
+
+
+def _lifo():
+    return simulate_lifo(W, forced_arrivals=[0.25, 0.5, 0.75, 4.0])
+
+
+def _graph():
+    return AssembledGraph(n=5, weights=np.array([1.0, 0.5, 0.25, 0.125, 0.1]),
+                          edges=frozenset({(1, 3), (3, 4), (1, 2)}),
+                          provenance="direct")
+
+
+def _matrix(path):
+    trace = _lifo()
+    pinches = sample_pinches(trace, forced_points=POINTS[:1])
+    space = CodedSpace(trace.H, pinches=list(zip(pinches.s, pinches.t)),
+                       eps=0.25, samples=[0.25, 0.5, 0.75, 1.5])
+    write_matrix_csv(space, pinched_matrix(space), path)
+
+
+def _regime(path):
+    RegimeReport(
+        ns=np.array([8, 64]), a=np.array([2.0, 4.0]),
+        b_over_a=np.array([0.5, 0.1]), beta0_proxy=np.array([0.125, 0.0]),
+        kappa_proxy=np.array([1.0, 0.75]), c1=np.array([-0.5, -1.25]),
+        c2=np.array([1.5, 3.0]), c3=np.zeros((2, 1)),
+        y_grid=np.array([1.0, 0.5]),
+        c4_integrals=np.array([[0.25, 0.375], [math.inf, 0.0]]),
+        verdicts={}).write_csv(path)
+
+
+WRITERS = {
+    "trace.csv": lambda path: _lifo().write_csv(path),
+    "markov_trace.csv": lambda path: simulate_markov(
+        W, forced_arrivals=[(0.25, 1), (0.5, 2), (0.75, 1), (4.0, 3)]
+    ).write_csv(path),
+    "pinches.csv": lambda path: sample_pinches(
+        _lifo(), forced_points=POINTS).write_csv(path),
+    "graph.csv": lambda path: _graph().write_edge_csv(path),
+    "components.csv": lambda path: write_component_csv(
+        connected_components(_graph()), path),
+    "masses.csv": lambda path: decompose_with_masses(
+        _lifo().Y).write_masses_csv(path),
+    "limit_path.csv": lambda path: simulate_limit_Y(
+        LimitParams(alpha=0.5, beta=0.0, kappa=1.0, c=(0.5, 0.25)),
+        dt=0.25, T=1.0, forced_E=[0.25, 0.5]).write_csv(path),
+    "matrix.csv": _matrix,
+    "regime.csv": _regime,
+}
+
+EXPECTED = {
+    "components.csv": (
+        "rank,mass,count,root\r\n"
+        "1,1.875,4,1\r\n"
+        "2,0.1,1,5\r\n"
+    ),
+    "graph.csv": (
+        "u,v\r\n"
+        "1,2\r\n"
+        "1,3\r\n"
+        "3,4\r\n"
+    ),
+    "limit_path.csv": (
+        "t,Y\r\n"
+        "0.0,-0.0\r\n"
+        "0.25,0.296875\r\n"
+        "0.5,0.34375\r\n"
+        "0.75,0.140625\r\n"
+        "1.0,-0.0625\r\n"
+    ),
+    "markov_trace.csv": (
+        "time,event,client,Y,H,type,color\r\n"
+        "0.25,arrival,1,0.75,1,1,b\r\n"
+        "0.5,arrival,2,1.0,2,2,b\r\n"
+        "0.75,arrival,3,1.75,3,1,r\r\n"
+        "1.75,departure,3,0.75,2,1,r\r\n"
+        "2.0,departure,2,0.5,1,2,b\r\n"
+        "2.75,departure,1,-0.25,0,1,b\r\n"
+        "4.0,arrival,4,-1.25,1,3,b\r\n"
+        "4.25,departure,4,-1.5,0,3,b\r\n"
+    ),
+    "masses.csv": (
+        "rank,mass\r\n"
+        "1,1.75\r\n"
+        "2,0.125\r\n"
+    ),
+    "matrix.csv": (
+        "t,0.25,0.5,0.75,1.5\r\n"
+        "0.25,0.0,1.0,0.25,0.0\r\n"
+        "0.5,1.0,0.0,1.0,1.0\r\n"
+        "0.75,0.25,1.0,0.0,0.25\r\n"
+        "1.5,0.0,1.0,0.25,0.0\r\n"
+    ),
+    "pinches.csv": (
+        "t_p,y_p,s_p,u,v,flag\r\n"
+        "0.875,0.5,0.25,1,3,\r\n"
+        "0.875,0.75,0.5,2,3,boundary_tie\r\n"
+        "0.875,1.0625,0.75,3,3,self_loop\r\n"
+        "4.0625,0.03125,4.0,4,4,self_loop\r\n"
+    ),
+    "regime.csv": (
+        "n,a_n,b_n,C1,C2,beta0_proxy,kappa_proxy,C4_integral_y=1,C4_integral_y=0.5\r\n"
+        "8,2.0,1.0,-0.5,1.5,0.125,1.0,0.25,0.375\r\n"
+        "64,4.0,0.4,-1.25,3.0,0.0,0.75,inf,0.0\r\n"
+    ),
+    "trace.csv": (
+        "time,event,client,Y,H\r\n"
+        "0.25,arrival,1,0.75,1\r\n"
+        "0.5,arrival,2,1.0,2\r\n"
+        "0.75,arrival,3,1.0,3\r\n"
+        "1.0,departure,3,0.75,2\r\n"
+        "1.25,departure,2,0.5,1\r\n"
+        "2.0,departure,1,-0.25,0\r\n"
+        "4.0,arrival,4,-2.125,1\r\n"
+        "4.125,departure,4,-2.25,0\r\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_result_file_bytes(tmp_path, name):
+    path = tmp_path / name
+    WRITERS[name](path)
+    assert path.read_bytes() == EXPECTED[name].encode()

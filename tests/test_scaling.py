@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,24 @@ def test_roots_equal_the_two_bisections_they_replace(seed):
         largest_root(nan_edge)
     with pytest.raises(RuntimeError, match="could not bracket"):
         psi_inverse(nan_edge, 1.0)
+
+
+def test_root_bisection_stops_when_the_bracket_cannot_shrink(monkeypatch):
+    # at rho = 1e6 an ulp (1.2e-10) exceeds TOL_INV, so the width test
+    # never fires; the bisection must stop once lo and hi are adjacent
+    p = LimitParams(alpha=-5e5, beta=1.0, kappa=1.0)    # root -2*alpha/beta
+    expect = _reference_largest_root(p)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return psi_eval(*args, **kwargs)
+
+    monkeypatch.setattr(wmgraph.scaling, "psi_eval", counted)
+    rho = largest_root(p)
+    assert rho == expect
+    assert len(calls) <= 80
+    assert rho == pytest.approx(-2.0 * p.alpha / p.beta, rel=1e-15)
 
 
 @given(st.floats(min_value=0.01, max_value=50.0))
@@ -412,3 +431,15 @@ def test_check_regime_er_family(tmp_path):
 def test_check_regime_rejects_empty():
     with pytest.raises(ValueError):
         check_regime([], BM)
+
+
+def test_check_regime_powerlaw_family():
+    # every psi_n here dips below 0 and turns positive before a_n: the
+    # integrals run across a root, and quad used to divide by zero
+    family = [gen_powerlaw_triple(n, 2.5) for n in (10 ** 4, 10 ** 5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_regime(family, family[-1].declared_limit)
+    assert np.all(np.isinf(rep.c4_integrals))
+    assert not rep.verdicts["c4_integrals_decreasing_in_y"]
+    assert np.all(rep.c1 < 0)    # C1 diverges from the declared alpha > 0
