@@ -279,17 +279,12 @@ def _profile_segments(trace: LifoTrace):
 def assemble_graph(trace: LifoTrace, pinches: PinchSetup | None = None) -> AssembledGraph:
     """Tree edges (parents, root edges dropped) unioned with pinch edges;
     self-loops and duplicates collapse with counts reported."""
-    edges = set()
     n = trace.weights.j_max
-    for j in range(1, n + 1):
-        p = int(trace.parent[j])
-        if p != 0:
-            edges.add((min(j, p), max(j, p)))
-    loops = 0
-    dups = 0
+    edges = {(min(j, p), max(j, p))
+             for j, p in enumerate(trace.parent.tolist()) if p}
+    loops = dups = 0
     if pinches is not None:
-        for i in range(pinches.size):
-            u, v = int(pinches.u[i]), int(pinches.v[i])
+        for u, v in zip(pinches.u.tolist(), pinches.v.tolist()):
             if u == v:
                 loops += 1
                 continue

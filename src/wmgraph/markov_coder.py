@@ -119,12 +119,10 @@ def mu_w_pmf(w: WeightSeq, k) -> float | np.ndarray:
     k = np.asarray(k)
     s1 = w.sigma(1.0)
     lw = np.log(w.w)
-    out = np.zeros(k.shape if k.ndim else (1,), dtype=float)
-    kk = np.atleast_1d(k)
-    for i, kv in enumerate(kk.ravel()):
-        terms = (kv + 1) * lw - w.w - math.lgamma(kv + 1)
-        out.ravel()[i] = math.fsum(np.exp(terms)) / s1
-    return float(out[0]) if k.ndim == 0 else out.reshape(k.shape)
+    terms = ((kv + 1) * lw - w.w - math.lgamma(kv + 1) for kv in k.ravel())
+    out = np.array([math.fsum(np.exp(t)) / s1 for t in terms],
+                   dtype=float).reshape(k.shape)
+    return float(out) if k.ndim == 0 else out
 
 
 def _choice_cdf(p: np.ndarray) -> np.ndarray:
@@ -186,57 +184,37 @@ def completed_clients(trace: MarkovTrace) -> np.ndarray:
 def gw_forest_stats(trace: MarkovTrace) -> GwForestStats:
     """Lukasiewicz/height/contour over the completed trees of the trace.
 
-    Arrival order is depth-first order, so V is built directly from the
-    offspring counts of the clients in completed trees (trees whose root
-    departed before the horizon)."""
-    n = trace.n_arrivals
-    children: dict = {i: [] for i in range(0, n + 1)}
-    for i in range(1, n + 1):
-        children[int(trace.parent[i])].append(i)
-    done = set(completed_clients(trace).tolist())
-    roots = [r for r in children[0] if r in done]
-    offspring_all = np.asarray(
-        [len(children[i]) for i in sorted(done)], dtype=np.int64)
-
-    v = [0]
-    hts = []
-    order = []
-    tree_sizes = []
-    contours = []
-    visits = []
-    for r in roots:
-        depth = {r: 0}
-        stack = [(r, iter(children[r]))]
-        cont = [0]
-        cvis = [r]
-        while stack:
-            node, it = stack[-1]
-            nxt = next(it, None)
-            if nxt is None:
+    Arrival order is depth-first order: a tree runs from a root (parent 0)
+    to the arrival before the next root, and it is complete when its root
+    departed before the horizon.  V adds children - 1 along that order;
+    heights and contours come from one walk per complete tree that keeps
+    the ancestors of the current client on a stack."""
+    parent = trace.parent.tolist()
+    kids = np.bincount(trace.parent[1:], minlength=trace.tau.size)
+    roots = np.flatnonzero(trace.parent[1:] == 0) + 1
+    ends = np.append(roots[1:], trace.tau.size)
+    done = np.isfinite(trace.departure[roots])
+    depth, order, walks = [0] * len(parent), [], []
+    for r, e in zip(roots[done].tolist(), ends[done].tolist()):
+        stack, walk = [r], [r]
+        for c in range(r + 1, e):
+            while stack[-1] != parent[c]:   # back up to c's parent
                 stack.pop()
-                if stack:
-                    cont.append(depth[stack[-1][0]])
-                    cvis.append(stack[-1][0])
-                continue
-            depth[nxt] = depth[node] + 1
-            cont.append(depth[nxt])
-            cvis.append(nxt)
-            stack.append((nxt, iter(children[nxt])))
-        # depth-first (= arrival) order within the tree
-        for node in sorted(depth):
-            order.append(node)
-            hts.append(depth[node])
-            v.append(v[-1] + len(children[node]) - 1)
-        tree_sizes.append(len(depth))
-        contours.append(np.asarray(cont, dtype=np.int64))
-        visits.append(np.asarray(cvis, dtype=np.int64))
+                walk.append(stack[-1])
+            depth[c] = len(stack)
+            stack.append(c)
+            walk.append(c)
+        walk.extend(reversed(stack[:-1]))   # and back up to the root
+        order.extend(range(r, e))
+        walks.append(np.asarray(walk, dtype=np.int64))
+    depth = np.asarray(depth, dtype=np.int64)
+    order = np.asarray(order, dtype=np.int64)
     return GwForestStats(
-        V=np.asarray(v, dtype=np.int64),
-        Hght=np.asarray(hts, dtype=np.int64),
-        contour=tuple(contours), contour_visits=tuple(visits),
-        offspring_counts=offspring_all,
-        tree_sizes=np.asarray(tree_sizes, dtype=np.int64),
-        vertex_order=np.asarray(order, dtype=np.int64))
+        V=np.concatenate(([0], np.cumsum(kids[order] - 1))),
+        Hght=depth[order], contour=tuple(depth[w] for w in walks),
+        contour_visits=tuple(walks),
+        offspring_counts=kids[completed_clients(trace)],
+        tree_sizes=(ends - roots)[done], vertex_order=order)
 
 
 def color_blue_red(trace: MarkovTrace) -> MarkovTrace:
@@ -269,14 +247,10 @@ def color_blue_red(trace: MarkovTrace) -> MarkovTrace:
 
     end = trace.horizon
     red_blocks = [(a, min(b, end)) for a, b in red_blocks if a < end]
-    blue_intervals = []
-    cursor = 0.0
-    for a, b in red_blocks:
-        if a > cursor:
-            blue_intervals.append((cursor, a))
-        cursor = max(cursor, b)
-    if cursor < end:
-        blue_intervals.append((cursor, end))
+    # a block opens only after the last one closed: blue time is the gaps
+    # of 0, a1, b1, a2, b2, ..., end
+    cuts = [0.0, *(x for block in red_blocks for x in block), end]
+    blue_intervals = [(a, b) for a, b in zip(cuts[::2], cuts[1::2]) if a < b]
 
     # blue-side jumps in the blue clock: blue ones make Y, the blue-side
     # repeats make A^w
@@ -332,6 +306,11 @@ class IdentityReport:
 TOL_IDENTITY = 1e-9
 
 
+def _verdict(err: float, points: int) -> dict:
+    return {"pass": bool(err < TOL_IDENTITY), "max_abs_err": err,
+            "n_points": int(points)}
+
+
 def verify_embedding(trace: MarkovTrace) -> IdentityReport:
     """Pathwise identity checks on a coloured trace.
 
@@ -350,7 +329,6 @@ def verify_embedding(trace: MarkovTrace) -> IdentityReport:
     """
     if trace.color is None:
         trace = color_blue_red(trace)
-    results = {}
     lam_b = _clock(trace.blue_intervals)
     end = trace.horizon
     blue_total = lam_b(end)
@@ -372,16 +350,10 @@ def verify_embedding(trace: MarkovTrace) -> IdentityReport:
     sb = lam_b(tb)
     err_a = float(np.max(np.abs(Y_rec.value(sb) - trace.X.value(tb)),
                          initial=0.0))
-    results["Y_equals_X_at_theta"] = {
-        "pass": bool(err_a < TOL_IDENTITY), "max_abs_err": err_a,
-        "n_points": int(tb.size)}
 
     # (b) height of the reconstructed path vs H through the blue clock
     err_b = float(np.max(np.abs(height_of_path(Y_rec)(sb) - trace.H(tb)),
                          initial=0.0))
-    results["height_through_blue_clock"] = {
-        "pass": bool(err_b < TOL_IDENTITY), "max_abs_err": err_b,
-        "n_points": int(tb.size)}
 
     # (c) X = X^b o Lambda^b + X^r o Lambda^r at event times
     lam_r = _clock(trace.red_blocks)
@@ -394,22 +366,18 @@ def verify_embedding(trace: MarkovTrace) -> IdentityReport:
     lb, lr = lam_b(ev), lam_r(ev)
     rhs = (Xb(lb) - lb) + (Xr(lr) - lr)
     err_c = float(np.max(np.abs(lhs - rhs), initial=0.0))
-    results["blue_red_decomposition"] = {
-        "pass": bool(err_c < TOL_IDENTITY), "max_abs_err": err_c,
-        "n_points": int(ev.size)}
 
     # (d) M = 2N - H: M counts jump times of H
     dep = trace.departure[1:]
-    N = np.searchsorted(np.sort(tau), ev, side="right")
+    N = np.searchsorted(tau, ev, side="right")     # tau is increasing
     M = N + np.searchsorted(np.sort(dep[np.isfinite(dep)]), ev, side="right")
     err_d = float(np.max(np.abs(M - (2 * N - trace.H(ev))), initial=0.0))
-    results["H_jump_counter"] = {
-        "pass": bool(err_d < TOL_IDENTITY), "max_abs_err": err_d,
-        "n_points": int(ev.size)}
 
     # (e) distinct iff every blue client is the first of its type
-    distinct = first.size == blue_types.size
-    results["blue_types_distinct"] = {
-        "pass": bool(distinct), "max_abs_err": 0.0 if distinct else 1.0,
-        "n_points": int(blue_types.size)}
-    return IdentityReport(results)
+    err_e = 0.0 if first.size == blue_types.size else 1.0
+    return IdentityReport({
+        "Y_equals_X_at_theta": _verdict(err_a, tb.size),
+        "height_through_blue_clock": _verdict(err_b, tb.size),
+        "blue_red_decomposition": _verdict(err_c, ev.size),
+        "H_jump_counter": _verdict(err_d, ev.size),
+        "blue_types_distinct": _verdict(err_e, blue_types.size)})

@@ -64,6 +64,13 @@ class WeightSeq:
             w = np.sort(w)[::-1]
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "_cache", {})
+        # loads stay below sigma_1 and pinch areas square them
+        try:
+            s1 = self.sigma(1.0)
+        except OverflowError:   # fsum past the largest float
+            s1 = math.inf
+        if not math.isfinite(s1 * s1):
+            raise ValueError("the square of the weight sum must be finite")
 
     @property
     def j_max(self) -> int:
@@ -107,6 +114,9 @@ class LimitParams:
         if c.size:
             if np.any(c < 0) or np.any(np.diff(c) > 0):
                 raise ValueError("c must be nonnegative and nonincreasing")
+            with np.errstate(over="ignore"):
+                if not np.isfinite(np.sum(c ** 3)):
+                    raise ValueError("sum of c_j^3 must be finite")
         object.__setattr__(self, "alpha", float(alpha))
         object.__setattr__(self, "beta", float(beta))
         object.__setattr__(self, "kappa", float(kappa))

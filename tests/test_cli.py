@@ -165,6 +165,9 @@ def test_weights_file_forms(tmp_path, text):
     ("simulate", "--weights", '{"schema": 1}'),
     ("simulate", "--weights", '{"schema": 2, "w": [1]}'),
     ("simulate", "--weights", '{"schema": 1, "w": [{"a": 1}]}'),
+    # the weight sum and its square must be finite
+    ("simulate", "--weights", '{"schema": 1, "w": [1e308, 1e308]}'),
+    ("simulate", "--weights", '{"schema": 1, "w": [1e200, 1]}'),
     ("scaling", "--limit", '{"schema": 1, "beta": 1, "kappa": 1}'),
     ("scaling", "--limit", '{"schema": 1, "alpha": null, "beta": 1, "kappa": 1}'),
     # psi(lambda) = alpha*lambda is negative at every lambda: no root
@@ -177,10 +180,14 @@ def test_weights_file_forms(tmp_path, text):
     ("continuum", "--limit", '{"schema": 1, "alpha": 0, "beta": 1, "kappa": Infinity}'),
     ("continuum", "--limit", '{"schema": 1, "alpha": 0, "beta": 1, "kappa": 1, "c": [-Infinity]}'),
     ("continuum", "--limit", "[1, 1, 1]"),
+    ("continuum", "--limit", '{"schema": 1, "alpha": 0, "beta": 1, "kappa": 1, "c": [1e200]}'),
     ("continuum", "--limit", '{"schema": 1, "alpha": 0, "beta": 1, "kappa": "1"}'),
     ("metric", "--weights", '{"schema": 1}'),
     ("metric", "--weights", "[1, null]"),
+    ("metric", "--weights", "[1e308, 1e308]"),
     ("verify", "--weights", "[-1, 1]"),
+    ("verify", "--weights", "[1e308, 1e308]"),
+    ("verify", "--weights", "[1e200, 1]"),
     ("verify", "--weights", '{"schema": 1, "w": "1, 1"}'),
     ("compare", "--weights", "not json"),
     ("compare", "--weights", '{"schema": 1, "w": [{"a": 1}]}'),
@@ -195,6 +202,7 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, flag, text):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["input.json"]
 
 
 @pytest.mark.parametrize("command", ["scaling", "continuum"])

@@ -1,6 +1,6 @@
 import csv
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,8 +19,8 @@ from wmgraph import (
     simulate_markov,
     verify_embedding,
 )
-from wmgraph.markov_coder import (IdentityReport, TOL_IDENTITY, _clock,
-                                  _cum_steps, completed_clients)
+from wmgraph.markov_coder import (GwForestStats, IdentityReport, TOL_IDENTITY,
+                                  _clock, _cum_steps, completed_clients)
 from wmgraph.paths import CadlagStepPath, height_of_path
 
 
@@ -358,7 +358,8 @@ def test_markov_horizon_must_be_positive(horizon):
 
 def test_gw_forest_stats_consistency():
     w = WeightSeq([1.0, 0.5])
-    tr = simulate_markov(w, stop_at_empty=30, horizon=math.inf, rng_seed=7)
+    tr = simulate_markov(w, stop_at_empty=30, horizon=1000.0, rng_seed=7)
+    assert tr.empty_epochs.size == 30        # the horizon is not reached
     st = gw_forest_stats(tr)
     done = completed_clients(tr)
     assert st.offspring_counts.size == done.size
@@ -372,14 +373,15 @@ def test_gw_forest_stats_consistency():
     n_visits = sum(len(c) for c in st.contour_visits)
     assert n_visits == int((2 * st.tree_sizes - 1).sum())
     # height of each vertex = depth of its stack at arrival
-    assert np.all(st.Hght >= 0)
+    assert np.array_equal(st.Hght, tr.H(tr.tau[st.vertex_order]) - 1)
 
 
 def test_luka_minimum_identity():
     # V_bar_l = min_{k <= l-1} V_k - 1 descends by exactly 1 at each
     # tree boundary of the forest
     w = WeightSeq([1.0, 1.0])
-    tr = simulate_markov(w, stop_at_empty=20, horizon=math.inf, rng_seed=9)
+    tr = simulate_markov(w, stop_at_empty=20, horizon=50000.0, rng_seed=9)
+    assert tr.empty_epochs.size == 20
     st = gw_forest_stats(tr)
     V = st.V
     vbar = np.minimum.accumulate(V)[:-1] - 1
@@ -387,6 +389,106 @@ def test_luka_minimum_identity():
     for b in boundaries:
         assert V[b] == vbar[b - 1] + 0  # forest path hits a new minimum
     assert np.all(np.diff(np.minimum.accumulate(V)) >= -1)
+
+
+def _reference_gw_forest_stats(trace):
+    """gw_forest_stats by an explicit depth-first search over children
+    lists, one depth dict per tree, vertices sorted into arrival order."""
+    n = trace.n_arrivals
+    children: dict = {i: [] for i in range(0, n + 1)}
+    for i in range(1, n + 1):
+        children[int(trace.parent[i])].append(i)
+    done = set(completed_clients(trace).tolist())
+    roots = [r for r in children[0] if r in done]
+    offspring_all = np.asarray(
+        [len(children[i]) for i in sorted(done)], dtype=np.int64)
+
+    v = [0]
+    hts = []
+    order = []
+    tree_sizes = []
+    contours = []
+    visits = []
+    for r in roots:
+        depth = {r: 0}
+        stack = [(r, iter(children[r]))]
+        cont = [0]
+        cvis = [r]
+        while stack:
+            node, it = stack[-1]
+            nxt = next(it, None)
+            if nxt is None:
+                stack.pop()
+                if stack:
+                    cont.append(depth[stack[-1][0]])
+                    cvis.append(stack[-1][0])
+                continue
+            depth[nxt] = depth[node] + 1
+            cont.append(depth[nxt])
+            cvis.append(nxt)
+            stack.append((nxt, iter(children[nxt])))
+        # depth-first (= arrival) order within the tree
+        for node in sorted(depth):
+            order.append(node)
+            hts.append(depth[node])
+            v.append(v[-1] + len(children[node]) - 1)
+        tree_sizes.append(len(depth))
+        contours.append(np.asarray(cont, dtype=np.int64))
+        visits.append(np.asarray(cvis, dtype=np.int64))
+    return GwForestStats(
+        V=np.asarray(v, dtype=np.int64),
+        Hght=np.asarray(hts, dtype=np.int64),
+        contour=tuple(contours), contour_visits=tuple(visits),
+        offspring_counts=offspring_all,
+        tree_sizes=np.asarray(tree_sizes, dtype=np.int64),
+        vertex_order=np.asarray(order, dtype=np.int64))
+
+
+def _assert_same_forest(got, ref):
+    for f in fields(GwForestStats):
+        a, b = getattr(got, f.name), getattr(ref, f.name)
+        if isinstance(b, tuple):
+            assert type(a) is tuple and len(a) == len(b), f.name
+            pairs = zip(a, b)
+        else:
+            pairs = [(a, b)]
+        for x, y in pairs:
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+
+
+def test_gw_forest_stats_equals_children_list_reference():
+    traces = [(w, horizon, 5, np.random.SeedSequence([seed, r]))
+              for w, horizon, seed, r in _DIFFERENTIAL_TRACES]
+    traces += [(WeightSeq([1.0, 0.5]), 1000.0, 30, 7),
+               (WeightSeq([1.0, 1.0]), 50000.0, 20, 9)]
+    for w, horizon, stop, seed in traces:
+        tr = simulate_markov(w, horizon=horizon, stop_at_empty=stop,
+                             rng_seed=seed)
+        _assert_same_forest(gw_forest_stats(tr),
+                            _reference_gw_forest_stats(tr))
+
+
+def test_gw_forest_stats_by_hand():
+    # tree 1: 1 -> {2 -> {3}, 4}; tree 2: 5; tree 3: 6 -> {7} is cut by
+    # the horizon at 13.5 after 7 departs at 13.375 (dyadic, so exact)
+    tr = simulate_markov(
+        WeightSeq([4.0, 2.0, 1.0, 0.25]), horizon=13.5,
+        forced_arrivals=[(1.0, 1), (2.0, 2), (2.5, 3), (6.0, 3),
+                         (10.0, 2), (13.0, 3), (13.125, 4)])
+    assert tr.parent[1:].tolist() == [0, 1, 2, 1, 0, 0, 6]
+    assert tr.departure[1:].tolist() == [9.0, 5.0, 3.5, 7.0, 12.0,
+                                         math.inf, 13.375]
+    st = gw_forest_stats(tr)
+    assert st.V.tolist() == [0, 1, 1, 0, -1, -2]
+    assert st.Hght.tolist() == [0, 1, 2, 1, 0]
+    assert [c.tolist() for c in st.contour] == [[0, 1, 2, 1, 0, 1, 0], [0]]
+    assert [c.tolist() for c in st.contour_visits] == [
+        [1, 2, 3, 2, 1, 4, 1], [5]]
+    assert st.vertex_order.tolist() == [1, 2, 3, 4, 5]
+    assert st.tree_sizes.tolist() == [4, 1]
+    # every departed client, the cut tree's 7 included
+    assert st.offspring_counts.tolist() == [2, 1, 0, 0, 0, 0]
+    _assert_same_forest(st, _reference_gw_forest_stats(tr))
 
 
 def test_offspring_mean_matches_criticality():

@@ -33,6 +33,13 @@ def test_weights_sorted_and_positive():
         WeightSeq([])
     with pytest.raises(ValueError):
         WeightSeq([math.inf, 1.0])
+    # sigma_1 overflows, or its square does (sigma_2 <= sigma_1^2 then
+    # stays finite, so classify_criticality cannot overflow)
+    with pytest.raises(ValueError, match="square of the weight sum"):
+        WeightSeq([1e308, 1e308])
+    with pytest.raises(ValueError, match="square of the weight sum"):
+        WeightSeq([1e200, 1.0])
+    assert classify_criticality(WeightSeq([1e154, 1.0])) == "supercritical"
 
 
 def test_sigma_hand_values():
@@ -121,6 +128,10 @@ def test_limit_params_validation():
         LimitParams(0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         LimitParams(0.0, 1.0, 1.0, c=(0.25, 0.5))
+    with pytest.raises(ValueError, match="c_j\\^3 must be finite"):
+        LimitParams(0.0, 1.0, 1.0, c=(1e200,))
+    with pytest.raises(ValueError, match="c_j\\^3 must be finite"):
+        LimitParams(0.0, 1.0, 1.0, c=(5e102, 5e102))
 
 
 def test_er_triple_normalization():
