@@ -59,17 +59,20 @@ class AssembledGraph:
 
 @dataclass(frozen=True)
 class ComponentView:
-    """One connected component; root is the first-explored vertex."""
+    """One connected component; vertices ascend, so the first is the root,
+    the first-explored (smallest) vertex."""
 
     vertices: tuple
-    root: int
     mass: float
-    count: int
     edges: tuple
 
-    def __post_init__(self):
-        if self.root != min(self.vertices):
-            raise ValueError("root must be the first-explored (smallest) vertex")
+    @property
+    def root(self) -> int:
+        return self.vertices[0]
+
+    @property
+    def count(self) -> int:
+        return len(self.vertices)
 
 
 def sample_direct(w: WeightSeq, edge_fn: str = "exp",
@@ -113,34 +116,29 @@ def _uniforms(rng, size: int):
         yield from rng.random(size).tolist()
 
 
-def connected_components(g: AssembledGraph, order_by: str = "mass") -> list:
-    """Components sorted nonincreasing by mass or count; ties broken by the
-    smallest first-explored vertex id."""
-    if order_by not in ("mass", "count"):
-        raise ValueError("order_by must be 'mass' or 'count'")
-    e = np.asarray(list(g.edges), dtype=np.int64).reshape(-1, 2) - 1
+def connected_components(g: AssembledGraph) -> list:
+    """Components sorted nonincreasing by mass; ties broken by the smallest
+    first-explored vertex id."""
+    edges = sorted(g.edges)
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2) - 1
     adj = csr_array((np.ones(len(e), dtype=np.int8), (e[:, 0], e[:, 1])),
                     shape=(g.n, g.n))
     k, labels = csgraph.connected_components(adj, directed=False)
     # a stable sort keeps ids ascending within a label, so each group
-    # starts at its root; edges are grouped the same way, (u, v) sorted
+    # starts at its root; the sorted edges are grouped the same way
     by_label = np.argsort(labels, kind="stable")
     cuts = [0] + np.cumsum(np.bincount(labels, minlength=k)).tolist()
     edge_label = labels[e[:, 0]]
     edge_cuts = [0] + np.cumsum(np.bincount(edge_label, minlength=k)).tolist()
-    eu, ev = (e[np.lexsort((e[:, 1], e[:, 0], edge_label))] + 1).T.tolist()
+    edges = [edges[i] for i in np.argsort(edge_label, kind="stable").tolist()]
     verts = (by_label + 1).tolist()
     ws = np.asarray(g.weights, dtype=float)[by_label].tolist()
     masses = [math.fsum(ws[a:b]) for a, b in zip(cuts, cuts[1:])]
-    key = masses if order_by == "mass" else np.diff(cuts)
-    roots = by_label[cuts[:-1]] + 1
-    views = []
-    for i in np.lexsort((roots, -np.asarray(key))).tolist():
-        a, b, c, d = cuts[i], cuts[i + 1], edge_cuts[i], edge_cuts[i + 1]
-        views.append(ComponentView(
-            vertices=tuple(verts[a:b]), root=verts[a], mass=masses[i],
-            count=b - a, edges=tuple(zip(eu[c:d], ev[c:d]))))
-    return views
+    order = np.lexsort((by_label[cuts[:-1]], -np.asarray(masses))).tolist()
+    return [ComponentView(vertices=tuple(verts[cuts[i]:cuts[i + 1]]),
+                          mass=masses[i],
+                          edges=tuple(edges[edge_cuts[i]:edge_cuts[i + 1]]))
+            for i in order]
 
 
 def graph_distances(c: ComponentView) -> np.ndarray:
@@ -151,21 +149,20 @@ def graph_distances(c: ComponentView) -> np.ndarray:
     for u, v in c.edges:
         adj[index[u]].append(index[v])
         adj[index[v]].append(index[u])
-    dist = np.full((n, n), -1, dtype=np.int64)
+    rows = []
     for s in range(n):
-        dist[s, s] = 0
+        row = [-1] * n
+        row[s] = 0
         queue = [s]
-        while queue:
-            nxt = []
-            for x in queue:
-                for y in adj[x]:
-                    if dist[s, y] < 0:
-                        dist[s, y] = dist[s, x] + 1
-                        nxt.append(y)
-            queue = nxt
-    if np.any(dist < 0):
-        raise ValueError("component is not connected")
-    return dist
+        for x in queue:     # the queue grows while it is scanned
+            for y in adj[x]:
+                if row[y] < 0:
+                    row[y] = row[x] + 1
+                    queue.append(y)
+        if len(queue) < n:
+            raise ValueError("component is not connected")
+        rows.append(row)
+    return np.asarray(rows, dtype=np.int64)
 
 
 def write_component_csv(views: list, path):

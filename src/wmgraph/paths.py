@@ -106,26 +106,22 @@ class StepFunction:
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         idx = np.searchsorted(self.times, t, side="right") - 1
-        out = self.values[np.clip(idx, 0, None)]
-        out = np.where(idx < 0, self.values[0], out)  # constant extension left
+        out = self.values[np.clip(idx, 0, None)]  # constant extension left
         return float(out) if out.ndim == 0 else out
+
+    def _window(self, a: float, b: float) -> np.ndarray:
+        """Values in force on [a, b], either way round."""
+        if b < a:
+            a, b = b, a
+        lo, hi = np.searchsorted(self.times, (a, b), side="right") - 1
+        return self.values[max(lo, 0):hi + 1]
 
     def min_on(self, a: float, b: float) -> float:
         """Minimum over [a, b] (the function is constant between breakpoints)."""
-        if b < a:
-            a, b = b, a
-        lo = np.searchsorted(self.times, a, side="right") - 1
-        hi = np.searchsorted(self.times, b, side="right") - 1
-        lo = max(lo, 0)
-        return float(self.values[lo:hi + 1].min())
+        return float(self._window(a, b).min())
 
     def max_on(self, a: float, b: float) -> float:
-        if b < a:
-            a, b = b, a
-        lo = np.searchsorted(self.times, a, side="right") - 1
-        hi = np.searchsorted(self.times, b, side="right") - 1
-        lo = max(lo, 0)
-        return float(self.values[lo:hi + 1].max())
+        return float(self._window(a, b).max())
 
     def shifted(self, dt: float) -> "StepFunction":
         return StepFunction(self.times + dt, self.values)
@@ -158,7 +154,7 @@ def modulus_of_continuity(f: StepFunction, delta: float) -> float:
     so it suffices to scan windows ending at each breakpoint and at each
     breakpoint + delta.
     """
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("delta must be nonnegative")
     t, v = f.times, f.values
     best = 0.0

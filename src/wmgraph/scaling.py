@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .paths import _write_csv
 from .weights import LimitParams, ScalingTriple
@@ -96,7 +95,7 @@ def largest_root(p: LimitParams) -> float:
 
 def psi_inverse(p: LimitParams, y: float) -> float:
     """psi^{-1}(y) = inf{u : psi(u) > y} by bracketed bisection."""
-    if y < 0:
+    if not y >= 0:
         raise ValueError("y must be nonnegative")
     return _first_above(p, y, largest_root(p))
 
@@ -144,7 +143,7 @@ def extinction_profile(p: LimitParams, t: float) -> float:
     panels walked down from s = log(L - rho) until F > t (or until
     rho + e^s == rho: rho is returned).  In that panel, bracketed Newton
     steps with F'(s) = -e^s/psi(rho + e^s) stop on a step <= TOL_INV*v."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     rep = psi_report(p)
     if not rep.is_grey:
@@ -236,6 +235,10 @@ def check_regime(family: list, p: LimitParams,
     int_y^{a_n} d(lambda)/psi_n (their decay in y must be extrapolated;
     no finite-n certificate exists).  An integral across a root of psi_n
     diverges: it reads inf, and the decay verdict fails."""
+    # imported here, the one use of scipy.integrate: importing it costs
+    # about 0.4 s
+    from scipy.integrate import quad
+
     if not family:
         raise ValueError("family must be nonempty")
     ns = np.asarray([tr.n for tr in family])

@@ -1,4 +1,5 @@
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -82,8 +83,6 @@ def test_components_ordering_and_mass():
     # masses: {2,3} -> 4, {1} -> 3, {4,5} -> 2, {6} -> 1
     assert [c.mass for c in comps] == [4.0, 3.0, 2.0, 1.0]
     assert comps[0].root == 2 and comps[1].root == 1
-    comps_by_count = connected_components(g, order_by="count")
-    assert [len(c.vertices) for c in comps_by_count][:2] == [2, 2]
 
 
 def test_component_mass_is_exact_sum():
@@ -115,7 +114,7 @@ def _bfs_oracle(n, edges, src):
     return dist
 
 
-def test_graph_distances_vs_bfs_oracle():
+def _oracle_graphs():
     rng = np.random.default_rng(7)
     for _ in range(20):
         n = int(rng.integers(2, 12))
@@ -124,16 +123,33 @@ def test_graph_distances_vs_bfs_oracle():
             for v in range(u + 1, n + 1):
                 if rng.random() < 0.4:
                     edges.add((u, v))
-        g = AssembledGraph(n=n, weights=np.ones(n), edges=frozenset(edges),
-                           provenance="test", n_self_loops_dropped=0,
-                           n_duplicates_dropped=0)
+        yield AssembledGraph(n=n, weights=np.ones(n), edges=frozenset(edges),
+                             provenance="test", n_self_loops_dropped=0,
+                             n_duplicates_dropped=0)
+
+
+def test_graph_distances_vs_bfs_oracle():
+    for g in _oracle_graphs():
         for comp in connected_components(g):
             d = graph_distances(comp)
             verts = list(comp.vertices)
             for i, u in enumerate(verts):
-                oracle = _bfs_oracle(n, edges, u)
+                oracle = _bfs_oracle(g.n, g.edges, u)
                 for j, v in enumerate(verts):
                     assert d[i, j] == oracle[v]
+
+
+def test_graph_distances_rejects_a_disconnected_view():
+    view = ComponentView(vertices=(1, 2, 3), mass=3.0, edges=((1, 2),))
+    with pytest.raises(ValueError, match="not connected"):
+        graph_distances(view)
+
+
+def test_assembled_graph_rejects_invalid_edges():
+    for edge in ((2, 1), (1, 1), (0, 1), (1, 4)):
+        with pytest.raises(ValueError, match="invalid edge"):
+            AssembledGraph(n=3, weights=np.ones(3), edges=frozenset({edge}),
+                           provenance="test")
 
 
 def test_determinism():
@@ -143,7 +159,7 @@ def test_determinism():
     assert g1.edges == g2.edges
 
 
-def _reference_components(g, order_by):
+def _reference_components(g):
     """The union-find components the csgraph labels replaced, kept as the
     reference."""
     parent = list(range(g.n + 1))
@@ -166,13 +182,37 @@ def _reference_components(g, order_by):
     for u, v in sorted(g.edges):
         local_edges.setdefault(find(u), []).append((u, v))
     views = [ComponentView(
-        vertices=tuple(verts), root=verts[0],
+        vertices=tuple(verts),
         mass=math.fsum(float(g.weights[v - 1]) for v in verts),
-        count=len(verts), edges=tuple(local_edges.get(root, ())))
+        edges=tuple(local_edges.get(root, ())))
         for root, verts in members.items()]
-    key = (lambda c: (-c.mass, c.root)) if order_by == "mass" \
-        else (lambda c: (-c.count, c.root))
-    return sorted(views, key=key)
+    return sorted(views, key=lambda c: (-c.mass, c.root))
+
+
+def _reference_graph_distances(c):
+    """The per-source BFS over a numpy matrix that the list BFS replaced,
+    kept as the reference."""
+    index = {v: i for i, v in enumerate(c.vertices)}
+    n = len(c.vertices)
+    adj = [[] for _ in range(n)]
+    for u, v in c.edges:
+        adj[index[u]].append(index[v])
+        adj[index[v]].append(index[u])
+    dist = np.full((n, n), -1, dtype=np.int64)
+    for s in range(n):
+        dist[s, s] = 0
+        queue = [s]
+        while queue:
+            nxt = []
+            for x in queue:
+                for y in adj[x]:
+                    if dist[s, y] < 0:
+                        dist[s, y] = dist[s, x] + 1
+                        nxt.append(y)
+            queue = nxt
+    if np.any(dist < 0):
+        raise ValueError("component is not connected")
+    return dist
 
 
 def _component_fields(views):
@@ -194,11 +234,31 @@ def _graphs_n3000():
             yield sample_direct(w, rng_seed=np.random.SeedSequence([73, seed]))
 
 
-@pytest.mark.parametrize("order_by", ["mass", "count"])
-def test_components_match_union_find_reference(order_by):
-    for g in _graphs_n3000():
-        got = connected_components(g, order_by=order_by)
-        ref = _reference_components(g, order_by)
-        assert _component_fields(got) == _component_fields(ref)
-        assert all(type(v) is int for c in got for v in c.vertices + (c.root,))
-        assert all(type(c.mass) is float for c in got)
+def _graphs_small():
+    """n = 1, and n = 2 with and without its one edge."""
+    yield sample_direct(WeightSeq([5.0]), rng_seed=0)
+    for edges in (frozenset(), frozenset({(1, 2)})):
+        yield AssembledGraph(n=2, weights=np.asarray([2.0, 1.0]), edges=edges,
+                             provenance="test")
+
+
+def test_components_match_union_find_reference():
+    for g in chain(_graphs_n3000(), _graphs_small()):
+        got = connected_components(g)
+        assert _component_fields(got) == _component_fields(_reference_components(g))
+        assert sum(c.count for c in got) == g.n
+        for c in got:
+            assert all(a < b for a, b in zip(c.vertices, c.vertices[1:]))
+            assert list(c.edges) == sorted(c.edges)
+            assert all(u < v for u, v in c.edges)
+            assert c.root == min(c.vertices) and c.count == len(c.vertices)
+            assert type(c.root) is int and type(c.mass) is float
+            assert all(type(v) is int for v in c.vertices)
+
+
+def test_graph_distances_equal_matrix_bfs_reference():
+    for g in chain(_graphs_n3000(), _oracle_graphs()):
+        for c in connected_components(g):
+            got = graph_distances(c)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _reference_graph_distances(c))

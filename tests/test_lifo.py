@@ -70,6 +70,12 @@ def test_pinch_resolution_examples(hand_trace):
     assert resolve_pinch(tr, 0.5, 0.8)[4] is True
 
 
+def test_forced_arrivals_need_one_time_per_client():
+    for times in ([0.2], [0.2, 0.4, 0.6], [[0.2, 0.4]]):
+        with pytest.raises(ValueError, match="one time per client"):
+            simulate_lifo(WeightSeq([1.0, 0.5]), forced_arrivals=times)
+
+
 def test_pinch_validation(hand_trace):
     with pytest.raises(ValueError):
         resolve_pinch(hand_trace, 0.1, 0.1)   # idle server

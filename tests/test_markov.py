@@ -356,6 +356,11 @@ def test_markov_horizon_must_be_positive(horizon):
         simulate_markov(w, horizon=horizon, forced_arrivals=[(0.5, 1)])
 
 
+def test_markov_infinite_horizon_needs_a_stop():
+    with pytest.raises(ValueError, match="empty-epoch target"):
+        simulate_markov(WeightSeq([1.0, 0.5]), horizon=math.inf)
+
+
 def test_gw_forest_stats_consistency():
     w = WeightSeq([1.0, 0.5])
     tr = simulate_markov(w, stop_at_empty=30, horizon=1000.0, rng_seed=7)

@@ -24,6 +24,16 @@ def test_cadlag_validation():
         CadlagStepPath([0.2, 0.2], [1.0, 1.0], 1.0)
     with pytest.raises(ValueError):
         CadlagStepPath([0.2], [-1.0], 1.0)
+    with pytest.raises(ValueError, match="1-d of equal length"):
+        CadlagStepPath([0.2, 0.4], [1.0], 1.0)
+    with pytest.raises(ValueError, match="1-d of equal length"):
+        CadlagStepPath([[0.2]], [[1.0]], 1.0)
+    for times, values in (([], []), ([0.0, 1.0], [1.0]), ([[0.0]], [[1.0]])):
+        with pytest.raises(ValueError, match="nonempty 1-d of equal length"):
+            StepFunction(times, values)
+    for times in ([0.0, 0.0], [1.0, 0.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            StepFunction(times, [1.0, 2.0])
 
 
 def test_step_function_basics():
@@ -34,8 +44,16 @@ def test_step_function_basics():
     assert h(-1.0) == 0.0
     assert h.min_on(0.5, 1.5) == 0.0
     assert h.max_on(0.5, 2.5) == 2.0
+    assert h.min_on(1.5, 0.5) == 0.0 and h.max_on(2.5, 0.5) == 2.0
     r = h.restricted(0.5, 2.0)
     assert r.times[0] == 0.5 and r(0.7) == 0.0 and r(1.5) == 2.0
+    # a before the first breakpoint: the value there is anchored at a
+    g = StepFunction([1.0, 2.0], [5.0, 3.0])
+    r = g.restricted(0.5, 1.5)
+    assert r.times.tolist() == [0.5, 1.0] and r.values.tolist() == [5.0, 5.0]
+    # no breakpoint in [a, b): one constant piece
+    r = g.restricted(0.2, 0.8)
+    assert r.times.tolist() == [0.2] and r.values.tolist() == [5.0]
 
 
 def test_uniform_distance():
@@ -51,6 +69,9 @@ def test_modulus_of_continuity_exact():
     assert modulus_of_continuity(h, 0.5) == 2.0   # the 1 -> 3 jump
     assert modulus_of_continuity(h, 1.5) == 3.0   # window spans 0 and 3
     assert modulus_of_continuity(h, 10.0) == 3.0
+    for delta in (-0.5, np.nan):
+        with pytest.raises(ValueError, match="delta must be nonnegative"):
+            modulus_of_continuity(h, delta)
 
 
 @given(st.lists(st.integers(min_value=-5, max_value=5), min_size=1,

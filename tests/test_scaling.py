@@ -234,8 +234,12 @@ def test_extinction_profile_stays_above_root():
     assert v > largest_root(SUP)
     rep = psi_report(SUP)
     assert rep.is_grey
-    with pytest.raises(ValueError):
-        extinction_profile(SUP, 0.0)
+    for t in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="t must be positive"):
+            extinction_profile(SUP, t)
+    for y in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="y must be nonnegative"):
+            psi_inverse(SUP, y)
 
 
 @pytest.mark.parametrize("alpha,beta,t", [

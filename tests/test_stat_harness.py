@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import wmgraph
 from wmgraph import (
     WeightSeq,
     chi_square_gof,
@@ -45,6 +50,21 @@ def test_chi_square_pool_falls_back_to_smallest_cell():
     stat, _ = chi_square_gof(counts, probs)
     ref = stats.chisquare([60.0, 40.0], [60.0, 40.0])
     assert stat == pytest.approx(ref.statistic)
+
+
+def test_chi_square_p_equals_chi2_sf_bit_for_bit():
+    # every expected count is at least 5, so no cells merge and the
+    # statistic has k - 1 degrees of freedom
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        k = int(rng.integers(2, 40))
+        probs = 0.5 + rng.random(k)
+        probs /= probs.sum()
+        total = int(rng.integers(15 * k, 5000))
+        drift = rng.dirichlet(np.ones(k)) * rng.choice([0.0, 0.1, 1.0])
+        counts = rng.multinomial(total, (probs + drift) / (1.0 + drift.sum()))
+        stat, p = chi_square_gof(counts, probs)
+        assert p == float(stats.chi2.sf(stat, k - 1))
 
 
 def test_chi_square_validation():
@@ -140,3 +160,17 @@ def test_hist_compare_pools_two_by_two_tables_with_yates():
     assert _hist_compare(np.array([3, 3, 4]), np.array([5])) == \
         _reference_hist_compare(np.array([3, 3, 4]), np.array([5]))
     assert _hist_compare(np.array([7, 7]), np.array([7])) == 1.0
+
+
+def test_package_import_leaves_scipy_stats_and_integrate_unloaded():
+    # both cost about half a second to import, and only ks_two_sample and
+    # check_regime use them
+    paths = [str(Path(wmgraph.__file__).parents[1]),
+             os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, wmgraph; print(sorted({'scipy.stats', "
+         "'scipy.integrate'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

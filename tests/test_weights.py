@@ -134,6 +134,30 @@ def test_limit_params_validation():
         LimitParams(0.0, 1.0, 1.0, c=(5e102, 5e102))
 
 
+def test_scaling_family_validation():
+    w = WeightSeq([2.0, 1.0])
+    for a, b in ((0.0, 1.0), (math.inf, 1.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="a_n must be"):
+            ScalingTriple(n=2, a=a, b=b, weights=w)
+        with pytest.raises(ValueError, match="b_n must be"):
+            ScalingTriple(n=2, a=b, b=a, weights=w)
+    for r in (0.0, -1.0):
+        with pytest.raises(ValueError, match="r must be positive"):
+            sigma_r(w, r)
+    for p in (0.0, 1.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match="p must lie"):
+            gen_er_triple(10, p)
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        gen_er_triple(0, 0.5)
+    for rho in (2.0, 3.0, math.nan):
+        with pytest.raises(ValueError, match="rho must lie"):
+            powerlaw_alpha0(rho, 1.0, 1.0)
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        gen_powerlaw_triple(0, 2.5)
+    with pytest.raises(ValueError, match="tilt factor is nonpositive"):
+        gen_powerlaw_triple(100, 2.5, alpha=1e6)
+
+
 def test_er_triple_normalization():
     n = 1000
     p = 1 - math.exp(-1 / n)
