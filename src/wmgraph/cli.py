@@ -112,7 +112,7 @@ def _cmd_verify(args) -> int:
                                 stop_at_empty=STOP_AT_EMPTY,
                                 rng_seed=np.random.SeedSequence([args.seed, r]))
         rep = verify_embedding(trace)   # coloured there
-        reports.append(json.loads(rep.to_json()))
+        reports.append(rep.results)
         all_ok = all_ok and rep.passed
     (_outdir(args) / "identities.json").write_text(
         json.dumps({"schema": 1, "seed": args.seed,

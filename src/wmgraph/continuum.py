@@ -23,14 +23,10 @@ TRUNC_TARGET = 1e-3
 
 @dataclass(frozen=True)
 class GridPath:
-    dt: float
-    T: float
     t: np.ndarray
     values: np.ndarray
     truncation_J: int
     truncation_bound: float
-    params: LimitParams
-    seed: object
 
     def write_csv(self, path):
         _write_csv(path, ["t", "Y"], zip(self.t.tolist(), self.values.tolist()))
@@ -93,8 +89,7 @@ def simulate_limit_Y(p: LimitParams, dt: float | None = None, T: float = 1.0,
             y[k.min():] += np.cumsum(np.bincount(k - k.min(), weights=c[keep],
                                                  minlength=n + 1 - k.min()))
     bound = 0.5 * p.kappa * T * T * float(np.sum(p.c[J:] ** 2))
-    return GridPath(dt=dt, T=T, t=t, values=y, truncation_J=J,
-                    truncation_bound=bound, params=p, seed=rng_seed)
+    return GridPath(t=t, values=y, truncation_J=J, truncation_bound=bound)
 
 
 def limit_masses(g: GridPath, top_k: int = 50) -> np.ndarray:

@@ -24,7 +24,7 @@ TOL_EXC = 1e-12
 
 @dataclass(frozen=True)
 class ExcursionDecomposition:
-    intervals: tuple        # (l_k, r_k) in canonical order
+    intervals: np.ndarray   # (K, 2) rows (l_k, r_k) in canonical order
     lengths: np.ndarray     # nonincreasing
     local_paths: Sequence   # per-excursion coding path or None, built when read
     local_pinches: tuple    # filled by assign_pinches
@@ -63,7 +63,7 @@ def _canonical(starts, ends, lengths, local) -> ExcursionDecomposition:
     a, b = srt[:-1], srt[1:]
     tie = (np.abs(lengths[a] - lengths[b]) < 10 * TOL_EXC) & (lengths[a] > 0)
     return ExcursionDecomposition(
-        intervals=tuple(zip(starts[order].tolist(), ends[order].tolist())),
+        intervals=np.column_stack((starts, ends))[order],
         lengths=lengths,
         local_paths=_LazyPaths(order.size, lambda k: local(order[k])),
         local_pinches=((),) * order.size,
@@ -132,25 +132,21 @@ def excursion_masses(y, top_k: int | None = None) -> np.ndarray:
 
 def decompose_with_masses(y: CadlagStepPath) -> ExcursionDecomposition:
     """Excursion decomposition of a load path above its running infimum.
-    Each excursion holds a run of consecutive jumps; its length is their
-    exact fsum, and its local path, those jumps shifted to start at 0,
-    is built when read."""
-    times, sizes = y.times.tolist(), y.sizes.tolist()
-    starts, bounds = [], []
-    start, run = None, 0.0
-    for i, t in enumerate(times):
-        if start is None or t >= start + run:
-            start, run = t, 0.0
-            starts.append(t)
-            bounds.append(i)
-        run += sizes[i]
-    bounds.append(len(times))
+    An excursion opens at the first jump and at every jump by which
+    R = Y - J has drifted down to 0; it holds its run of jumps, its
+    length is their exact fsum, and its local path, those jumps shifted
+    to start at 0, is built when read."""
+    times = y.times
+    opens = np.ones(times.size, dtype=bool)
+    np.less_equal(y.reflected[:-1], times[1:] - times[:-1], out=opens[1:])
+    first = opens.nonzero()[0]
+    bounds, sizes = first.tolist() + [opens.size], y.sizes.tolist()
     lengths = np.asarray([math.fsum(sizes[a:b]) for a, b in zip(bounds, bounds[1:])])
-    starts = np.asarray(starts)
+    starts = times[first]
 
     def _local(i):
         a, b = bounds[i], bounds[i + 1]
-        return CadlagStepPath(y.times[a:b] - starts[i], y.sizes[a:b],
+        return CadlagStepPath(times[a:b] - starts[i], y.sizes[a:b],
                               horizon=lengths[i])
     return _canonical(starts, starts + lengths, lengths, _local)
 
@@ -159,12 +155,11 @@ def assign_pinches(dec: ExcursionDecomposition, pinches) -> ExcursionDecompositi
     """Localize pinch points: (s_p - l_k, t_p - l_k) in the excursion whose
     interval contains t_p (the disjoint intervals' last to start by t_p),
     sorted by t within each excursion."""
-    bounds = np.asarray(dec.intervals, dtype=float).reshape(-1, 2)
-    by_start = np.argsort(bounds[:, 0], kind="stable")
-    ls, rs = bounds[by_start].T.tolist()
-    slots = np.searchsorted(bounds[by_start, 0], pinches.t, side="right") - 1
+    by_start = np.argsort(dec.intervals[:, 0], kind="stable")
+    ls, rs = dec.intervals[by_start].T.tolist()
+    slots = np.searchsorted(ls, pinches.t, side="right") - 1
     by_start = by_start.tolist()
-    local = [[] for _ in dec.intervals]
+    local = [[] for _ in by_start]
     for i, t_p, s_p, y_p in zip(slots.tolist(), pinches.t.tolist(),
                                 pinches.s.tolist(), pinches.y.tolist()):
         if i < 0 or not t_p < rs[i]:

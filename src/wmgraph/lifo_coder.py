@@ -262,15 +262,7 @@ def _profile_segments(trace: LifoTrace):
     starts one.  Returns arrays (start_time, start_level, area) over
     segments, with area the integral of R over the segment.
     """
-    times = trace.Y.times
-    levels = []
-    r = 0.0
-    prev_t = 0.0
-    for t, x in zip(times.tolist(), trace.Y.sizes.tolist()):
-        r = max(r - (t - prev_t), 0.0) + x
-        levels.append(r)
-        prev_t = t
-    r = np.array(levels)
+    times, r = trace.Y.times, trace.Y.reflected
     live = r.copy()  # the last segment lives until R hits 0
     np.minimum(r[:-1], times[1:] - times[:-1], out=live[:-1])
     return times, r, r * live - live * live / 2.0

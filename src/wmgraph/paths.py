@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
@@ -59,19 +60,29 @@ class CadlagStepPath:
         out = -t + self._cum[idx]
         return float(out) if out.ndim == 0 else out
 
-    def running_inf(self, t):
-        """Running infimum J_t = inf_{s <= t} of the path (value 0 at time 0).
+    @cached_property
+    def reflected(self) -> np.ndarray:
+        """Level of the reflected path R = Y - J just after each jump: R
+        starts at 0, drifts down at unit rate, stops at 0, and each jump
+        adds its size.  Computed on first read and kept."""
+        r, prev_t, out = 0.0, 0.0, []
+        for t, x in zip(self.times.tolist(), self.sizes.tolist()):
+            r -= t - prev_t
+            r = (0.0 if r < 0.0 else r) + x    # max(r, 0.0) + x, inlined
+            out.append(r)
+            prev_t = t
+        return np.array(out, dtype=float)
 
-        Between jumps the path decreases, so the infimum is attained at
-        left limits of jump times or at t itself.
-        """
-        scalar = np.isscalar(t)
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        pre = -self.times + self._cum[:-1]          # value just before each jump
-        lows = np.minimum.accumulate(np.concatenate(([0.0], pre)))
+    def running_inf(self, t):
+        """Running infimum J_t = inf_{s <= t} of the path (value 0 at time
+        0): Y - R, with R drifting down from its level at the last jump by
+        t (0 at time 0) until it stops at 0."""
+        t = np.asarray(t, dtype=float)
         idx = np.searchsorted(self.times, t, side="right")
-        out = np.minimum(lows[idx], self.value(t))
-        return float(out[0]) if scalar else out
+        last_t = np.concatenate(([0.0], self.times))[idx]
+        last_r = np.concatenate(([0.0], self.reflected))[idx]
+        out = self.value(t) - np.maximum(last_r - (t - last_t), 0.0)
+        return float(out) if out.ndim == 0 else out
 
     def min_on(self, a: float, b: float) -> float:
         """Minimum of the path over the closed interval [a, b]."""

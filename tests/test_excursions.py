@@ -32,7 +32,7 @@ def test_no_zero_length_excursion_at_the_domain_end(horizon):
     assert dec.local_paths[:] == ()
     h = StepFunction([0.0, 1.0, 2.0], [1.0, 0.0, 1.0])
     dec = excursions_above_zero(h, horizon=None if horizon is None else 2.0)
-    assert dec.intervals == ((0.0, 1.0),)
+    assert dec.intervals.tolist() == [[0.0, 1.0]]
     assert dec.local_paths[0].times.tolist() == [0.0, 1.0]
 
 
@@ -41,7 +41,7 @@ def test_excursions_above_zero_hand_example():
                      [1.0, 0.0, 2.0, 0.0, 1.0, 0.0])
     dec = excursions_above_zero(h)
     assert dec.count == 3
-    assert dec.intervals == ((0.0, 2.0), (3.0, 4.0), (6.0, 7.0))
+    assert dec.intervals.tolist() == [[0.0, 2.0], [3.0, 4.0], [6.0, 7.0]]
     assert dec.lengths.tolist() == [2.0, 1.0, 1.0]
     # equal lengths break ties by left endpoint
     assert dec.intervals[1][0] < dec.intervals[2][0]
@@ -64,7 +64,7 @@ def test_local_coding_paths_are_shifted_and_zero_terminated():
 def test_open_final_excursion_uses_horizon():
     h = StepFunction([0.0, 1.0, 2.0], [0.0, 3.0, 1.0])
     dec = excursions_above_zero(h, horizon=5.0)
-    assert dec.intervals == ((1.0, 5.0),)
+    assert dec.intervals.tolist() == [[1.0, 5.0]]
     assert dec.lengths.tolist() == [4.0]
 
 
@@ -78,7 +78,7 @@ def test_decompose_masses_exact_for_dyadic_jumps():
     assert math.fsum(dec.lengths) == math.fsum(sizes)
     assert np.all(np.diff(dec.lengths) <= 0)
     # the first busy period holds jumps 0 and 1: starts at 0, runs 0.3125
-    idx = [k for k, (l, _) in enumerate(dec.intervals) if l == 0.0]
+    idx = [k for k, (l, _) in enumerate(dec.intervals.tolist()) if l == 0.0]
     assert len(idx) == 1
     assert dec.lengths[idx[0]] == 0.25 + 0.0625
 
@@ -123,7 +123,7 @@ def test_assign_pinches_localizes():
     h = StepFunction([0.0, 1.5, 3.0, 5.0], [1.0, 0.0, 2.0, 0.0])
     dec = excursions_above_zero(h)
     # canonical order: (3, 5) first (length 2), then (0, 1.5)
-    assert dec.intervals[0] == (3.0, 5.0)
+    assert dec.intervals[0].tolist() == [3.0, 5.0]
     pin = _pinch_setup([(4.5, 3.5, 0.7, 1, 2), (1.0, 0.5, 0.3, 3, 4),
                         (4.0, 3.2, 0.1, 1, 2)])
     out = assign_pinches(dec, pin)
@@ -189,13 +189,35 @@ def _dyadic_load_path():
     return CadlagStepPath(np.arange(3000) / 4.0, sizes, horizon=750.0)
 
 
+def _criterion_7_load_path(r=0):
+    """A load path of criterion 7: n = 1e4 unit jumps at sorted
+    exponential times of mean n, observed up to n."""
+    w = np.ones(10 ** 4)
+    rng = np.random.default_rng(np.random.SeedSequence([11, r]))
+    return CadlagStepPath(np.sort(rng.exponential(w.sum() / w)), w,
+                          horizon=w.sum())
+
+
+def _dyadic_zero_hits_path():
+    """R hits 0 exactly at the next arrival: the jump at 0.5 opens an
+    excursion, the one at 0.75 does not (R = 0.25 there)."""
+    return CadlagStepPath([0.0, 0.5, 0.75, 1.0, 2.0],
+                          [0.5, 0.5, 0.25, 0.5, 0.25], horizon=4.0)
+
+
+def _pareto_load_path():
+    w = np.sort(np.random.default_rng(5).pareto(1.5, 3000) + 1.0)[::-1]
+    return _critical_load_path(3000, 2, w)
+
+
 @pytest.mark.parametrize("y", [
     _critical_load_path(3000, 0),
     _critical_load_path(3000, 1),
-    _critical_load_path(3000, 2, np.sort(np.random.default_rng(5).pareto(
-        1.5, 3000) + 1.0)[::-1]),
+    _pareto_load_path(),
     _dyadic_load_path(),
-], ids=["unit0", "unit1", "pareto", "dyadic"])
+    _criterion_7_load_path(),
+    _dyadic_zero_hits_path(),
+], ids=["unit0", "unit1", "pareto", "dyadic", "criterion7", "dyadic_hits"])
 def test_decompose_matches_reference(y):
     intervals, lengths, paths, ties = _reference_decompose(y)
     dec = decompose_with_masses(y)
@@ -208,6 +230,17 @@ def test_decompose_matches_reference(y):
         assert _bits(g.sizes) == _bits(ref.sizes)
         assert _bits([g.horizon]) == _bits([ref.horizon])
     assert excursion_masses(y).tolist() == sorted(lengths, reverse=True)
+
+
+def test_exact_zero_hits_open_an_excursion():
+    # R just after a jump equals the gap to the next one, so R is exactly
+    # 0 at that arrival: the arrival opens an excursion, as the old loop's
+    # t >= start + run does
+    for y in (_dyadic_zero_hits_path(), _dyadic_load_path()):
+        assert np.any(y.reflected[:-1] == np.diff(y.times))
+    dec = decompose_with_masses(_dyadic_zero_hits_path())
+    assert sorted(dec.intervals.tolist()) == [[0.0, 0.5], [0.5, 1.75],
+                                              [2.0, 2.25]]
 
 
 def test_dyadic_decomposition_has_exact_ties():
@@ -239,7 +272,7 @@ def _reference_assign(dec, pinches):
     local = [[] for _ in dec.intervals]
     for i in range(pinches.size):
         t_p, s_p, y_p = float(pinches.t[i]), float(pinches.s[i]), float(pinches.y[i])
-        for k, (l, r) in enumerate(dec.intervals):
+        for k, (l, r) in enumerate(dec.intervals.tolist()):
             if l <= t_p < r:
                 local[k].append((s_p - l, t_p - l, y_p))
                 break
@@ -263,7 +296,7 @@ def test_assign_pinches_over_many_excursions():
     assert sum(len(p) for p in out.local_pinches) == len(rows)
     # outside: past the last excursion, before the first, and at a right
     # end followed by an idle gap; escaping: a start before its excursion
-    by_time = sorted(dec.intervals)
+    by_time = sorted(dec.intervals.tolist())
     r = next(r1 for (_, r1), (l2, _) in zip(by_time, by_time[1:]) if l2 > r1)
     for t in (by_time[-1][1] + 1.0, -1.0, r):
         with pytest.raises(ValueError, match="outside"):
@@ -319,8 +352,8 @@ def _random_grid_values(rng, n):
 
 
 def _assert_same_decomposition(dec, ref):
-    assert np.array_equal(np.asarray(dec.intervals).reshape(-1, 2),
-                          np.asarray(ref.intervals).reshape(-1, 2))
+    assert dec.intervals.shape == ref.intervals.shape == (dec.count, 2)
+    assert np.array_equal(dec.intervals, ref.intervals)
     assert _bits(dec.lengths) == _bits(ref.lengths)
     assert dec.near_ties == ref.near_ties
 
@@ -351,11 +384,11 @@ def test_grid_scan_equals_per_point_reference(seed):
 def test_grid_scan_closes_an_excursion_open_at_the_end():
     h = (np.arange(5.0), np.array([0.0, 1.0, math.nan, 1.0, math.nan]))
     dec = excursions_above_zero(h)
-    assert dec.intervals == ((1.0, 5.0),)
-    assert excursions_above_zero(h, horizon=7.5).intervals == ((1.0, 7.5),)
+    assert dec.intervals.tolist() == [[1.0, 5.0]]
+    assert excursions_above_zero(h, horizon=7.5).intervals.tolist() == [[1.0, 7.5]]
     # a value at the threshold closes; a NaN neither opens nor closes
     h = (np.arange(4.0), np.array([math.nan, 1.0, TOL_EXC, math.nan]))
-    assert excursions_above_zero(h).intervals == ((1.0, 2.0),)
+    assert excursions_above_zero(h).intervals.tolist() == [[1.0, 2.0]]
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -7,6 +7,9 @@ from wmgraph import (CadlagStepPath, StepFunction, WeightSeq, height_of_path,
                      modulus_of_continuity, simulate_lifo)
 from wmgraph.paths import uniform_distance
 
+from test_excursions import (_bits, _critical_load_path, _dyadic_load_path,
+                             _pareto_load_path)
+
 
 def test_cadlag_values():
     y = CadlagStepPath([0.2, 0.4], [1.0, 0.5], 2.0)
@@ -17,6 +20,58 @@ def test_cadlag_values():
     assert y.running_inf(0.3) == pytest.approx(-0.2)
     assert y.running_inf(5.0) == pytest.approx(1.5 - 5.0)
     assert y.min_on(0.25, 0.45) == pytest.approx(0.6)  # left limit at 0.4
+
+
+def _reference_reflected(y):
+    """The per-jump loop of the old pinch profile, kept verbatim as the
+    reference for ``CadlagStepPath.reflected``."""
+    times = y.times
+    levels = []
+    r = 0.0
+    prev_t = 0.0
+    for t, x in zip(times.tolist(), y.sizes.tolist()):
+        r = max(r - (t - prev_t), 0.0) + x
+        levels.append(r)
+        prev_t = t
+    return np.array(levels)
+
+
+def _reference_running_inf(y, t):
+    """The old ``running_inf``, a scan of pre-jump minima, kept as the
+    reference."""
+    scalar = np.isscalar(t)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    pre = -y.times + y._cum[:-1]          # value just before each jump
+    lows = np.minimum.accumulate(np.concatenate(([0.0], pre)))
+    idx = np.searchsorted(y.times, t, side="right")
+    out = np.minimum(lows[idx], y.value(t))
+    return float(out[0]) if scalar else out
+
+
+@pytest.mark.parametrize("y", [
+    _critical_load_path(3000, 0),
+    _pareto_load_path(),
+    _dyadic_load_path(),
+    CadlagStepPath([], [], 1.0),
+    CadlagStepPath([0.3], [0.5], 1.0),
+    CadlagStepPath([0.0, 0.25, 2.0], [0.5, 1.0, 0.125], 3.0),
+], ids=["unit", "pareto", "dyadic", "n0", "n1", "jump_at_0"])
+def test_reflected_equals_profile_loop_reference(y):
+    r = y.reflected
+    assert r.dtype == np.float64 and r.shape == y.times.shape
+    assert _bits(r) == _bits(_reference_reflected(y))
+    assert y.reflected is r         # computed once and kept
+
+
+def test_running_inf_equals_pre_jump_scan_reference():
+    # dyadic sizes at dyadic times: both forms are exact, so they agree
+    # bit for bit, before the first jump and past the last one included
+    y = _dyadic_load_path()
+    t = np.concatenate((np.arange(-8, 6100) / 8.0, y.times))
+    assert _bits(y.running_inf(t)) == _bits(_reference_running_inf(y, t))
+    for s in (-1.0, 0.0, 0.3, 100.0, 800.0):
+        assert _bits([y.running_inf(s)]) == _bits([_reference_running_inf(y, s)])
+        assert isinstance(y.running_inf(s), float)
 
 
 def test_cadlag_validation():
