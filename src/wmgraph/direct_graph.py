@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csgraph, csr_array
@@ -43,22 +44,23 @@ class AssembledGraph:
 
     n: int
     weights: np.ndarray
-    edges: frozenset  # of (u, v) tuples with u < v
+    edges: tuple      # (u, v) pairs, u < v, from any iterable; kept sorted
     provenance: str   # "direct" or "lifo"
     n_self_loops_dropped: int = 0
     n_duplicates_dropped: int = 0
 
     def __post_init__(self):
-        for u, v in self.edges:
-            if not (1 <= u < v <= self.n):
+        edges = tuple(sorted(self.edges))
+        for prev, (u, v) in zip(((0, 0),) + edges, edges):
+            if not (1 <= u < v <= self.n and (u, v) > prev):  # no repeats
                 raise ValueError(f"invalid edge ({u}, {v})")
+        object.__setattr__(self, "edges", edges)
 
     def write_edge_csv(self, path):
-        _write_csv(path, ["u", "v"], sorted(self.edges))
+        _write_csv(path, ["u", "v"], self.edges)
 
 
-@dataclass(frozen=True)
-class ComponentView:
+class ComponentView(NamedTuple):
     """One connected component; vertices ascend, so the first is the root,
     the first-explored (smallest) vertex."""
 
@@ -106,8 +108,8 @@ def sample_direct(w: WeightSeq, edge_fn: str = "exp",
             if next(uniforms) * p < q:
                 edges.append((u + 1, v + 1))
             v, p = v + 1, q
-    return AssembledGraph(n=n, weights=w.w, edges=frozenset(edges),
-                          provenance="direct")
+    # rows ascend in u and each row in v, so the pairs come sorted
+    return AssembledGraph(n=n, weights=w.w, edges=edges, provenance="direct")
 
 
 def _uniforms(rng, size: int):
@@ -119,8 +121,7 @@ def _uniforms(rng, size: int):
 def connected_components(g: AssembledGraph) -> list:
     """Components sorted nonincreasing by mass; ties broken by the smallest
     first-explored vertex id."""
-    edges = sorted(g.edges)
-    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2) - 1
+    e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2) - 1
     adj = csr_array((np.ones(len(e), dtype=np.int8), (e[:, 0], e[:, 1])),
                     shape=(g.n, g.n))
     k, labels = csgraph.connected_components(adj, directed=False)
@@ -130,14 +131,13 @@ def connected_components(g: AssembledGraph) -> list:
     cuts = [0] + np.cumsum(np.bincount(labels, minlength=k)).tolist()
     edge_label = labels[e[:, 0]]
     edge_cuts = [0] + np.cumsum(np.bincount(edge_label, minlength=k)).tolist()
-    edges = [edges[i] for i in np.argsort(edge_label, kind="stable").tolist()]
+    edges = [g.edges[i] for i in np.argsort(edge_label, kind="stable").tolist()]
     verts = (by_label + 1).tolist()
     ws = np.asarray(g.weights, dtype=float)[by_label].tolist()
     masses = [math.fsum(ws[a:b]) for a, b in zip(cuts, cuts[1:])]
     order = np.lexsort((by_label[cuts[:-1]], -np.asarray(masses))).tolist()
-    return [ComponentView(vertices=tuple(verts[cuts[i]:cuts[i + 1]]),
-                          mass=masses[i],
-                          edges=tuple(edges[edge_cuts[i]:edge_cuts[i + 1]]))
+    return [ComponentView(tuple(verts[cuts[i]:cuts[i + 1]]), masses[i],
+                          tuple(edges[edge_cuts[i]:edge_cuts[i + 1]]))
             for i in order]
 
 

@@ -271,23 +271,18 @@ def _profile_segments(trace: LifoTrace):
 def assemble_graph(trace: LifoTrace, pinches: PinchSetup | None = None) -> AssembledGraph:
     """Tree edges (parents, root edges dropped) unioned with pinch edges;
     self-loops and duplicates collapse with counts reported."""
-    n = trace.weights.j_max
-    edges = {(min(j, p), max(j, p))
-             for j, p in enumerate(trace.parent.tolist()) if p}
-    loops = dups = 0
-    if pinches is not None:
-        for u, v in zip(pinches.u.tolist(), pinches.v.tolist()):
-            if u == v:
-                loops += 1
-                continue
-            e = (min(u, v), max(u, v))
-            if e in edges:
-                dups += 1
-            else:
-                edges.add(e)
-    return AssembledGraph(n=n, weights=trace.weights.w, edges=frozenset(edges),
-                          provenance="lifo", n_self_loops_dropped=loops,
-                          n_duplicates_dropped=dups)
+    child = trace.parent.nonzero()[0]
+    u, v = ((pinches.u, pinches.v) if pinches is not None
+            else np.zeros((2, 0), dtype=np.int64))
+    keep = u != v
+    a = np.concatenate((child, u[keep]))
+    b = np.concatenate((trace.parent[child], v[keep]))
+    pairs = list(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+    edges = set(pairs)  # tree pairs are distinct: every repeat is a pinch's
+    return AssembledGraph(
+        n=trace.weights.j_max, weights=trace.weights.w, edges=edges,
+        provenance="lifo", n_self_loops_dropped=len(u) - int(keep.sum()),
+        n_duplicates_dropped=len(pairs) - len(edges))
 
 
 __all__ = [

@@ -24,9 +24,9 @@ import numpy as np
 class CadlagStepPath:
     """Path t -> -t + sum of jump sizes at times <= t.
 
-    ``times`` strictly increasing, ``sizes`` positive.  ``horizon`` is the
-    right end of the observation window (the path itself extends past it
-    with pure drift).
+    ``times`` finite and strictly increasing, ``sizes`` positive and
+    finite.  ``horizon`` (not NaN) is the right end of the observation
+    window (the path itself extends past it with pure drift).
     """
 
     times: np.ndarray
@@ -39,8 +39,11 @@ class CadlagStepPath:
         sizes = np.asarray(sizes, dtype=float)
         if times.shape != sizes.shape or times.ndim != 1:
             raise ValueError("times and sizes must be 1-d of equal length")
-        if times.size and (np.any(np.diff(times) <= 0) or np.any(sizes <= 0)):
-            raise ValueError("times must be strictly increasing, sizes positive")
+        ok = (np.isfinite(times).all() and (np.diff(times) > 0).all()
+              and ((sizes > 0) & (sizes < math.inf)).all())
+        if not ok or math.isnan(horizon):
+            raise ValueError("times must be finite and strictly increasing, "
+                             "sizes positive and finite, horizon not NaN")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "horizon", float(horizon))
@@ -109,8 +112,8 @@ class StepFunction:
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape or times.size == 0:
             raise ValueError("times and values must be nonempty 1-d of equal length")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
+            raise ValueError("times must be finite and strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 

@@ -58,7 +58,7 @@ def test_pair_marginals_match_edge_probability(edge_fn):
 def test_single_vertex_has_no_edges():
     for edge_fn in ("exp", "cap", "ratio"):
         g = sample_direct(WeightSeq([5.0]), edge_fn, rng_seed=0)
-        assert g.n == 1 and g.edges == frozenset()
+        assert g.n == 1 and g.edges == ()
 
 
 @pytest.mark.parametrize("edge_fn", ["exp", "cap", "ratio"])
@@ -146,10 +146,27 @@ def test_graph_distances_rejects_a_disconnected_view():
 
 
 def test_assembled_graph_rejects_invalid_edges():
-    for edge in ((2, 1), (1, 1), (0, 1), (1, 4)):
+    # a repeated pair, given as a list, would count one edge twice
+    for edges in ([(2, 1)], [(1, 1)], [(0, 1)], [(1, 4)], [(1, 2), (1, 2)]):
         with pytest.raises(ValueError, match="invalid edge"):
-            AssembledGraph(n=3, weights=np.ones(3), edges=frozenset({edge}),
+            AssembledGraph(n=3, weights=np.ones(3), edges=edges,
                            provenance="test")
+
+
+def test_assembled_graph_keeps_one_edge_order():
+    pairs = [(1, 2), (1, 4), (2, 3), (3, 4)]
+    for edges in ([pairs[i] for i in (2, 0, 3, 1)], set(pairs),
+                  (e for e in reversed(pairs))):
+        g = AssembledGraph(n=4, weights=np.ones(4), edges=edges,
+                           provenance="test")
+        assert g.edges == tuple(pairs)
+
+
+def test_component_view_fields():
+    c = ComponentView(vertices=(2, 5, 7), mass=3.0, edges=((2, 5), (5, 7)))
+    assert c.root == c.vertices[0] == 2 and c.count == len(c.vertices) == 3
+    assert c == ComponentView((2, 5, 7), 3.0, ((2, 5), (5, 7)))
+    assert c != c._replace(mass=4.0)
 
 
 def test_determinism():

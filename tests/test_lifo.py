@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wmgraph import (
+    AssembledGraph,
     WeightSeq,
     assemble_graph,
     gen_powerlaw_triple,
@@ -87,7 +88,7 @@ def test_forced_pinches_assembly(hand_trace):
     ps = sample_pinches(hand_trace, forced_points=[(0.5, 0.3), (0.5, 0.9)])
     assert ps.size == 2
     g = assemble_graph(hand_trace, ps)
-    assert g.edges == frozenset({(1, 2)})
+    assert g.edges == ((1, 2),)
     assert g.n_self_loops_dropped == 1
     assert g.n_duplicates_dropped == 1   # (1,2) already a tree edge
 
@@ -257,13 +258,18 @@ def _pinch_columns(ps):
             ps.v.tolist(), ps.self_loop.tolist(), ps.boundary_tie.tolist()]
 
 
-@pytest.mark.parametrize("shift", [-0.9, 0.0, 0.9])
-def test_pinches_match_stack_scan_reference(shift):
+def _powerlaw_traces(shift):
+    """Seeded n = 3000 power-law traces, each with its pinch seed."""
     alpha = powerlaw_alpha0(2.5, 1.0, 1.0) + shift
     w = gen_powerlaw_triple(3000, rho=2.5, alpha=alpha).weights
     for r in range(2):
-        trace = simulate_lifo(w, rng_seed=np.random.SeedSequence([91, r]))
-        seed = np.random.SeedSequence([92, r])
+        yield (simulate_lifo(w, rng_seed=np.random.SeedSequence([91, r])),
+               np.random.SeedSequence([92, r]))
+
+
+@pytest.mark.parametrize("shift", [-0.9, 0.0, 0.9])
+def test_pinches_match_stack_scan_reference(shift):
+    for trace, seed in _powerlaw_traces(shift):
         ps = sample_pinches(trace, rng_seed=seed)
         assert ps.size > 50
         assert _pinch_columns(ps) == _reference_sample_pinches(trace, seed)
@@ -290,23 +296,72 @@ def _band_floor_points(trace):
     return pts
 
 
-def test_pinches_on_band_floors_match_reference():
-    # dyadic weights and arrival times keep every level exact, so points
-    # placed on band floors hit them and flag ties
+def _band_floor_traces():
+    """Dyadic traces, each with its band-floor points: dyadic weights and
+    arrival times keep every level exact, so points placed on band floors
+    hit them."""
     rng = np.random.default_rng(5)
-    ties = loops = 0
     for r in range(6):
         n = 40
         w = WeightSeq(np.sort(rng.choice([0.25, 0.5, 1.0, 2.0], n))[::-1])
         times = rng.choice(8 * n, n, replace=False) / 16.0
         trace = simulate_lifo(w, forced_arrivals=times)
-        pts = _band_floor_points(trace)
+        yield trace, _band_floor_points(trace)
+
+
+def test_pinches_on_band_floors_match_reference():
+    # points on band floors flag ties
+    ties = loops = 0
+    for trace, pts in _band_floor_traces():
         ps = sample_pinches(trace, forced_points=pts)
         assert _pinch_columns(ps) == _reference_sample_pinches(
             trace, forced_points=pts)
         ties += int(ps.boundary_tie.sum())
         loops += int(ps.self_loop.sum())
     assert ties > 100 and loops > 100
+
+
+def _reference_assemble_graph(trace, pinches=None):
+    """The per-pinch loop that the set arithmetic replaced, kept as the
+    reference."""
+    n = trace.weights.j_max
+    edges = {(min(j, p), max(j, p))
+             for j, p in enumerate(trace.parent.tolist()) if p}
+    loops = dups = 0
+    if pinches is not None:
+        for u, v in zip(pinches.u.tolist(), pinches.v.tolist()):
+            if u == v:
+                loops += 1
+                continue
+            e = (min(u, v), max(u, v))
+            if e in edges:
+                dups += 1
+            else:
+                edges.add(e)
+    return AssembledGraph(n=n, weights=trace.weights.w, edges=frozenset(edges),
+                          provenance="lifo", n_self_loops_dropped=loops,
+                          n_duplicates_dropped=dups)
+
+
+def _assembly_fields(g):
+    return g.edges, g.n_self_loops_dropped, g.n_duplicates_dropped
+
+
+def test_assembly_matches_loop_reference():
+    powerlaw = [(trace, sample_pinches(trace, rng_seed=seed))
+                for shift in (-0.9, 0.0, 0.9)
+                for trace, seed in _powerlaw_traces(shift)]
+    floors = [(trace, sample_pinches(trace, forced_points=pts))
+              for trace, pts in _band_floor_traces()]
+    trace = powerlaw[0][0]
+    empty = [(trace, None), (trace, sample_pinches(trace, forced_points=[]))]
+    for trace, ps in powerlaw + floors + empty:
+        assert _assembly_fields(assemble_graph(trace, ps)) == _assembly_fields(
+            _reference_assemble_graph(trace, ps))
+    # the band-floor points drop both self-loops and duplicates
+    graphs = [assemble_graph(trace, ps) for trace, ps in floors]
+    assert sum(g.n_self_loops_dropped for g in graphs) > 100
+    assert sum(g.n_duplicates_dropped for g in graphs) > 100
 
 
 def test_batch_resolution_rejects_any_bad_point(hand_trace):

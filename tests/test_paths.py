@@ -75,10 +75,17 @@ def test_running_inf_equals_pre_jump_scan_reference():
 
 
 def test_cadlag_validation():
-    with pytest.raises(ValueError):
-        CadlagStepPath([0.2, 0.2], [1.0, 1.0], 1.0)
-    with pytest.raises(ValueError):
-        CadlagStepPath([0.2], [-1.0], 1.0)
+    nan, inf = float("nan"), float("inf")
+    for times, sizes, horizon in (
+            ([0.2, 0.2], [1.0, 1.0], 1.0), ([0.2], [-1.0], 1.0),
+            # NaN and inf fail the order, sign and finiteness tests
+            ([0.0, nan, 2.0], [1.0, 1.0, nan], 3.0),
+            ([0.0, nan], [1.0, 1.0], 3.0), ([0.0, 1.0], [1.0, nan], 3.0),
+            ([0.0, 1.0], [1.0, inf], 3.0), ([0.0, inf], [1.0, 1.0], 3.0),
+            ([-inf, 0.0], [1.0, 1.0], 3.0), ([0.0], [1.0], nan)):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            CadlagStepPath(times, sizes, horizon)
+    assert CadlagStepPath([0.0], [1.0], inf).horizon == inf
     with pytest.raises(ValueError, match="1-d of equal length"):
         CadlagStepPath([0.2, 0.4], [1.0], 1.0)
     with pytest.raises(ValueError, match="1-d of equal length"):
@@ -87,7 +94,7 @@ def test_cadlag_validation():
         with pytest.raises(ValueError, match="nonempty 1-d of equal length"):
             StepFunction(times, values)
     for times in ([0.0, 0.0], [1.0, 0.0]):
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
             StepFunction(times, [1.0, 2.0])
 
 
@@ -109,6 +116,10 @@ def test_step_function_basics():
     # no breakpoint in [a, b): one constant piece
     r = g.restricted(0.2, 0.8)
     assert r.times.tolist() == [0.2] and r.values.tolist() == [5.0]
+    for times in ([0.0, float("nan")], [float("nan"), 1.0],
+                  [0.0, float("inf")], [float("-inf"), 0.0]):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            StepFunction(times, [1.0, 2.0])
 
 
 def test_uniform_distance():
