@@ -164,8 +164,8 @@ def _cmd_continuum(args) -> int:
 def _cmd_compare(args) -> int:
     w = _load_weights(args.weights)
     rep = edge_marginal_compare(w, replicas=args.replicas, seed=args.seed)
-    (_outdir(args) / "compare.json").write_text(rep.to_json())
-    print(rep.summary())
+    rep.write_json(_outdir(args) / "compare.json")
+    sys.stdout.writelines(line + "\n" for line in rep.summary_lines())
     return 0 if rep.passed else 1
 
 

@@ -22,7 +22,7 @@ from .paths import CadlagStepPath, StepFunction, _write_csv
 TOL_EXC = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # by identity, as the path types
 class ExcursionDecomposition:
     intervals: np.ndarray   # (K, 2) rows (l_k, r_k) in canonical order
     lengths: np.ndarray     # nonincreasing

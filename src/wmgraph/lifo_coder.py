@@ -26,9 +26,11 @@ from .weights import WeightSeq
 
 @dataclass(frozen=True)
 class LifoTrace:
-    """Full record of one LIFO simulation.
+    """Full record of one LIFO simulation, or of ``replicas`` independent
+    copies of it replayed one after another (``_replica_trace``).
 
-    Client ids are 1-based and refer to positions in the weight vector.
+    Client ids are 1-based; client r*n + j is client j of copy r, where
+    j refers to a position in the weight vector of length n.
     ``parent[j] == 0`` means client j was served by an idle server (a tree
     root).  ``pre_level[j]`` is the load just before j arrived; the busy
     period containing j ends when the load next returns to that level.
@@ -42,6 +44,11 @@ class LifoTrace:
     Y: CadlagStepPath
     H: StepFunction
     arrival_order: np.ndarray    # client ids sorted by arrival time
+
+    @property
+    def replicas(self) -> int:
+        """Number of copies of the queue in the trace."""
+        return (self.arrival.size - 1) // self.weights.j_max
 
     @property
     def busy_periods(self) -> tuple:
@@ -130,23 +137,40 @@ def simulate_lifo(w: WeightSeq, rng_seed=0,
                   forced_arrivals=None) -> LifoTrace:
     """Simulate the queue.  ``forced_arrivals`` (test hook) fixes the vector
     of arrival times E_j instead of drawing exponentials."""
-    n = w.j_max
-    s1 = w.sigma(1.0)
     if forced_arrivals is None:
         rng = np.random.default_rng(rng_seed)
-        E = rng.exponential(s1 / w.w)
+        E = rng.exponential(w.sigma(1.0) / w.w)
     else:
         E = np.asarray(forced_arrivals, dtype=float)
-        if E.shape != (n,):
+        if E.shape != (w.j_max,):
             raise ValueError("forced_arrivals must give one time per client")
-    order = np.argsort(E, kind="stable") + 1
-    sizes = w.w[order - 1]
-    rep = _replay_stack(zip(E[order - 1].tolist(), sizes.tolist()))
-    arr = np.zeros(n + 1)
-    dep = np.zeros(n + 1)
-    pre = np.zeros(n + 1)
-    par = np.zeros(n + 1, dtype=np.int64)
-    arr[1:] = E
+    return _replica_trace(w, E[None])
+
+
+def _replica_trace(w: WeightSeq, E: np.ndarray) -> LifoTrace:
+    """One replay of R independent queues on ``w``, queue r with arrival
+    times ``E[r]`` (E has shape (R, n)), one after another.
+
+    Queue r's arrivals are shifted by the sum over q < r of
+    max E_q + 2 sigma_1.  A queue holds sigma_1 of work in all, so by
+    work conservation it is empty by max E + sigma_1; the second sigma_1
+    is slack for rounding and adds no pinch area, as the reflected load
+    is 0 while the server idles.  So the trace is the R traces laid end
+    to end, and sigma_1, the pinch rate's scale, is the same.  Raises
+    unless each queue's first arrival finds the server idle."""
+    R, n = E.shape
+    shift = np.cumsum(E.max(axis=1) + 2.0 * w.sigma(1.0))
+    T = (E + np.concatenate(([0.0], shift[:-1]))[:, None]).ravel()
+    order = np.argsort(T, kind="stable") + 1
+    sizes = w.w[(order - 1) % n]
+    rep = _replay_stack(zip(T[order - 1].tolist(), sizes.tolist()))
+    if rep.parent[1::n].any():
+        raise ValueError("a replica's first arrival found the server busy")
+    arr = np.zeros(R * n + 1)
+    dep = np.zeros(R * n + 1)
+    pre = np.zeros(R * n + 1)
+    par = np.zeros(R * n + 1, dtype=np.int64)
+    arr[1:] = T
     dep[order] = rep.departure[1:]
     pre[order] = rep.pre_level[1:]
     par[order] = np.concatenate(([0], order))[rep.parent[1:]]
@@ -280,7 +304,8 @@ def assemble_graph(trace: LifoTrace, pinches: PinchSetup | None = None) -> Assem
     pairs = list(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
     edges = set(pairs)  # tree pairs are distinct: every repeat is a pinch's
     return AssembledGraph(
-        n=trace.weights.j_max, weights=trace.weights.w, edges=edges,
+        n=trace.parent.size - 1,
+        weights=np.tile(trace.weights.w, trace.replicas), edges=edges,
         provenance="lifo", n_self_loops_dropped=len(u) - int(keep.sum()),
         n_duplicates_dropped=len(pairs) - len(edges))
 

@@ -20,7 +20,9 @@ from typing import NamedTuple
 import numpy as np
 
 
-@dataclass(frozen=True)
+# The path types compare by identity (eq=False): a field-wise == would
+# take the truth value of numpy arrays, which raises.
+@dataclass(frozen=True, eq=False)
 class CadlagStepPath:
     """Path t -> -t + sum of jump sizes at times <= t.
 
@@ -32,7 +34,7 @@ class CadlagStepPath:
     times: np.ndarray
     sizes: np.ndarray
     horizon: float
-    _cum: np.ndarray = field(repr=False, compare=False, default=None)
+    _cum: np.ndarray = field(repr=False, default=None)
 
     def __init__(self, times, sizes, horizon):
         times = np.asarray(times, dtype=float)
@@ -100,7 +102,7 @@ class CadlagStepPath:
         return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepFunction:
     """Piecewise-constant cadlag function: value ``values[i]`` on [times[i], times[i+1])."""
 

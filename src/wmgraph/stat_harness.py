@@ -11,7 +11,7 @@ import numpy as np
 from scipy import special
 
 from .direct_graph import edge_probability, sample_direct
-from .lifo_coder import assemble_graph, sample_pinches, simulate_lifo
+from .lifo_coder import _replica_trace, assemble_graph, sample_pinches
 from .weights import WeightSeq
 
 # per-family multiple-testing level
@@ -73,7 +73,9 @@ class EdgeCompareReport:
     freq_direct: np.ndarray
     freq_lifo: np.ndarray
     band: np.ndarray             # 4-sigma binomial half-widths
-    marginals_pass: bool
+    marginals_pass: bool         # every frequency within its band
+    marginals_holm_p: float      # smallest Holm-adjusted exact binomial p
+    marginals_familywise_pass: bool
     count_hist_p: float
     count_hist_pass: bool
     joint_p: float | None        # full graph-distribution test, j_max <= 5
@@ -81,34 +83,50 @@ class EdgeCompareReport:
 
     @property
     def passed(self) -> bool:
-        return (self.marginals_pass and self.count_hist_pass
+        return (self.marginals_familywise_pass and self.count_hist_pass
                 and self.joint_pass is not False)
 
-    def to_json(self) -> str:
-        d = {
+    def _fields(self) -> dict:
+        return {
             "replicas": self.replicas, "seed": self.seed,
-            "edge_probs": list(map(float, self.edge_probs)),
-            "freq_direct": list(map(float, self.freq_direct)),
-            "freq_lifo": list(map(float, self.freq_lifo)),
-            "band_4sigma": list(map(float, self.band)),
+            "edge_probs": self.edge_probs, "freq_direct": self.freq_direct,
+            "freq_lifo": self.freq_lifo, "band_4sigma": self.band,
             "marginals_pass": self.marginals_pass,
+            "marginals_holm_p": self.marginals_holm_p,
+            "marginals_familywise_pass": self.marginals_familywise_pass,
             "count_hist_p": self.count_hist_p,
             "count_hist_pass": self.count_hist_pass,
             "joint_p": self.joint_p, "joint_pass": self.joint_pass,
             "passed": self.passed,
         }
-        return json.dumps(d, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self._fields(), indent=2, default=np.ndarray.tolist)
+
+    def write_json(self, path):
+        """``to_json`` into a file as it is encoded, so that only one
+        per-pair array at a time is held as Python floats."""
+        with open(path, "w") as fh:
+            json.dump(self._fields(), fh, indent=2, default=np.ndarray.tolist)
 
     def summary(self) -> str:
-        lines = [f"{'pair':>8} {'target':>10} {'direct':>10} {'lifo':>10} {'band':>10}"]
-        pairs = zip(*np.triu_indices(self.w.size, 1))
-        lines += [f"{f'{i + 1}-{j + 1}':>8} {self.edge_probs[k]:>10.6f} "
-                  f"{self.freq_direct[k]:>10.6f} {self.freq_lifo[k]:>10.6f} "
-                  f"{self.band[k]:>10.6f}" for k, (i, j) in enumerate(pairs)]
-        lines.append(f"marginals_pass={self.marginals_pass} "
-                     f"count_hist_p={self.count_hist_p:.5f} "
-                     f"joint_p={self.joint_p}")
-        return "\n".join(lines)
+        return "\n".join(self.summary_lines())
+
+    def summary_lines(self):
+        """The lines of ``summary`` one at a time: a row per pair, then
+        the verdicts."""
+        yield f"{'pair':>8} {'target':>10} {'direct':>10} {'lifo':>10} {'band':>10}"
+        n = self.w.size
+        pairs = ((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
+        for (i, j), p, fd, fl, b in zip(pairs, self.edge_probs,
+                                        self.freq_direct, self.freq_lifo,
+                                        self.band):
+            yield (f"{f'{i}-{j}':>8} {p:>10.6f} {fd:>10.6f} {fl:>10.6f} "
+                   f"{b:>10.6f}")
+        yield (f"marginals_pass={self.marginals_pass} "
+               f"marginals_holm_p={self.marginals_holm_p:.5g} "
+               f"count_hist_p={self.count_hist_p:.5f} "
+               f"joint_p={self.joint_p}")
 
 
 def _hist_compare(x: np.ndarray, y: np.ndarray) -> float:
@@ -137,49 +155,99 @@ def _hist_compare(x: np.ndarray, y: np.ndarray) -> float:
     return float(special.chdtrc(tot.size - 1, stat))
 
 
+def _binomial_p_min(hits: np.ndarray, replicas: int,
+                    probs: np.ndarray) -> float:
+    """Smallest exact two-sided binomial p-value of the hit counts, a
+    p-value being twice the smaller tail, capped at 1 (1 for no
+    counts)."""
+    lower = special.bdtr(hits, replicas, probs).min(initial=1.0)
+    upper = special.bdtrc(hits - 1, replicas, probs).min(initial=1.0)
+    return min(1.0, 2.0 * float(min(lower, upper)))
+
+
+def _edge_tally(n: int, replicas: int, edges):
+    """Per-pair hit counts, per-replica edge counts and, for n <= 5,
+    per-replica graph codes (bit k set when pair k is an edge) of
+    ``replicas`` graphs on n vertices, given as the edges of one graph
+    whose vertex r*n + j is vertex j of replica r.  Pairs are numbered in
+    ``np.triu_indices`` order."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2) - 1
+    rep = e[:, 0] // n
+    if (e[:, 1] // n != rep).any():
+        raise ValueError("an edge joins two replicas")
+    u, v = e.T % n
+    k = u * (2 * n - u - 1) // 2 + (v - u - 1)
+    hits = np.bincount(k, minlength=n * (n - 1) // 2)
+    counts = np.bincount(rep, minlength=replicas)
+    codes = None
+    if n <= 5:   # codes below 2**10, exact in the float weights
+        codes = np.bincount(rep, weights=np.left_shift(1, k),
+                            minlength=replicas).astype(np.int64)
+    return hits, counts, codes
+
+
+def _queue_graph(w: WeightSeq, replicas: int, seed: int):
+    """The queue's graphs of ``replicas`` replicas from one replay
+    (``_replica_trace``), as one graph whose vertex r*n + j is vertex j
+    of replica r.  The arrivals come from SeedSequence([seed, 1]), the
+    pinches from SeedSequence([seed, 2])."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+    trace = _replica_trace(w, rng.exponential(w.sigma(1.0) / w.w,
+                                              size=(replicas, w.j_max)))
+    return assemble_graph(trace, sample_pinches(
+        trace, rng_seed=np.random.SeedSequence([seed, 2])))
+
+
 def edge_marginal_compare(w: WeightSeq, replicas: int = 20000,
                           seed: int = 0) -> EdgeCompareReport:
     """Run ``replicas`` of each construction and compare edge statistics.
 
-    (a) every per-pair edge frequency, for both constructions, must lie
-        within 4 binomial standard deviations of the target probability
-        1 - exp(-w_i*w_j/sigma_1);
+    (a) every per-pair edge frequency, for both constructions, is tested
+        against the target probability 1 - exp(-w_i*w_j/sigma_1) by its
+        exact two-sided binomial p-value, with Holm's family-wise control
+        at the family level over all 2*C(n, 2) tests; the older check,
+        each frequency within 4 binomial standard deviations of its
+        target, is kept as ``marginals_pass``;
     (b) the two total-edge-count histograms are compared by contingency
         chi-square at the family level;
     (c) for j_max <= 5, the full distributions over all graphs are
         compared the same way.
+
+    Replica r of the direct sampler draws from SeedSequence([seed, 0, r]);
+    the queue side is ``_queue_graph``.  Memory is O(C(n, 2) + replicas)
+    beside the edges.
     """
     n = w.j_max
-    s1 = w.sigma(1.0)
-    iu, iv = np.triu_indices(n, k=1)
-    probs = edge_probability(w.w[iu] * w.w[iv] / s1, "exp")
-    npairs = iu.size
-
-    pair_index = {(int(iu[k]) + 1, int(iv[k]) + 1): k for k in range(npairs)}
-    direct_ind = np.zeros((replicas, npairs), dtype=bool)
-    lifo_ind = np.zeros((replicas, npairs), dtype=bool)
+    probs = edge_probability(
+        np.outer(w.w, w.w)[np.triu_indices(n, k=1)] / w.sigma(1.0), "exp")
+    edges = []
     for r in range(replicas):
-        gd = sample_direct(w, rng_seed=np.random.SeedSequence([seed, 0, r]))
-        trace = simulate_lifo(w, rng_seed=np.random.SeedSequence([seed, 1, r]))
-        pinches = sample_pinches(trace, rng_seed=np.random.SeedSequence([seed, 2, r]))
-        for ind, g in ((direct_ind, gd), (lifo_ind, assemble_graph(trace, pinches))):
-            for u, v in g.edges:
-                ind[r, pair_index[(u, v)]] = True
+        g = sample_direct(w, rng_seed=np.random.SeedSequence([seed, 0, r]))
+        edges += [(u + r * n, v + r * n) for u, v in g.edges]
+    direct = _edge_tally(n, replicas, edges)
+    lifo = _edge_tally(n, replicas, _queue_graph(w, replicas, seed).edges)
 
-    fd = direct_ind.mean(axis=0)
-    fl = lifo_ind.mean(axis=0)
+    fd = direct[0] / replicas
+    fl = lifo[0] / replicas
     band = 4.0 * np.sqrt(probs * (1.0 - probs) / replicas)
     marg = bool(np.all(np.abs(fd - probs) <= band)
                 and np.all(np.abs(fl - probs) <= band))
-    p_hist = _hist_compare(direct_ind.sum(axis=1), lifo_ind.sum(axis=1))
+    # Holm's first step is Bonferroni's: the smallest adjusted p-value is
+    # the number of tests times the smallest p, and the family rejects
+    # exactly when that is at most the level
+    tests = 2 * probs.size
+    p_min = min(_binomial_p_min(x[0], replicas, probs) for x in (direct, lifo))
+    holm_p = min(1.0, tests * p_min) if tests else 1.0
+    p_hist = _hist_compare(direct[1], lifo[1])
     joint_p = joint_pass = None
     if n <= 5:
-        weights2 = 1 << np.arange(npairs)
-        joint_p = _hist_compare(direct_ind @ weights2, lifo_ind @ weights2)
+        joint_p = _hist_compare(direct[2], lifo[2])
         joint_pass = bool(joint_p > FAMILY_LEVEL)
     return EdgeCompareReport(
         w=w.w, replicas=replicas, seed=seed, edge_probs=np.atleast_1d(probs),
         freq_direct=np.atleast_1d(fd), freq_lifo=np.atleast_1d(fl),
         band=np.atleast_1d(band), marginals_pass=marg,
+        marginals_holm_p=holm_p,
+        marginals_familywise_pass=bool(holm_p > FAMILY_LEVEL),
         count_hist_p=p_hist, count_hist_pass=bool(p_hist > FAMILY_LEVEL),
         joint_p=joint_p, joint_pass=joint_pass)

@@ -83,6 +83,13 @@ def test_decompose_masses_exact_for_dyadic_jumps():
     assert dec.lengths[idx[0]] == 0.25 + 0.0625
 
 
+def test_decomposition_compares_by_identity():
+    y = CadlagStepPath([0.2, 0.4, 3.0], [1.0, 0.5, 0.25], 4.0)
+    a, b = decompose_with_masses(y), decompose_with_masses(y)
+    assert a == a and not a != a
+    assert a != b and not a == b   # equal fields, distinct objects
+
+
 def test_decompose_local_paths_close_at_their_length():
     rng = np.random.default_rng(3)
     times = np.sort(rng.uniform(0.0, 6.0, size=12))

@@ -17,6 +17,7 @@ from wmgraph import (
     sample_pinches,
     simulate_lifo,
 )
+from wmgraph.lifo_coder import _replica_trace
 
 
 @pytest.fixture
@@ -362,6 +363,54 @@ def test_assembly_matches_loop_reference():
     graphs = [assemble_graph(trace, ps) for trace, ps in floors]
     assert sum(g.n_self_loops_dropped for g in graphs) > 100
     assert sum(g.n_duplicates_dropped for g in graphs) > 100
+
+
+def test_replica_trace_matches_separate_replays():
+    # dyadic weights, arrivals and shifts: every time and level is exact,
+    # so the one replay must equal the separate ones after undoing the
+    # time shift, the load offset and the id offset
+    rng = np.random.default_rng(11)
+    n, R = 40, 7
+    w = WeightSeq(np.sort(rng.choice([0.25, 0.5, 1.0, 2.0], n))[::-1])
+    s1 = w.sigma(1.0)
+    E = np.stack([rng.choice(8 * n, n, replace=False) / 16.0
+                  for _ in range(R)])
+    batch = _replica_trace(w, E)
+    assert batch.replicas == R and batch.weights is w
+    shift = np.concatenate(([0.0], np.cumsum(E.max(axis=1) + 2.0 * s1)[:-1]))
+    floors, locals_ = [], []
+    for r in range(R):
+        trace = simulate_lifo(w, forced_arrivals=E[r])
+        ids = np.arange(1, n + 1) + r * n
+        par = batch.parent[ids]
+        assert (np.where(par > 0, par - r * n, 0) == trace.parent[1:]).all()
+        assert (batch.arrival[ids] - shift[r] == trace.arrival[1:]).all()
+        assert (batch.departure[ids] - shift[r] == trace.departure[1:]).all()
+        level = r * s1 - shift[r]  # load carried over from earlier replicas
+        assert (batch.pre_level[ids] - level == trace.pre_level[1:]).all()
+        pts = _band_floor_points(trace)
+        floors += [(t + shift[r], y) for t, y in pts]
+        locals_.append(sample_pinches(trace, forced_points=pts))
+    ps = sample_pinches(batch, forced_points=floors)
+    first = 0
+    for r, local in enumerate(locals_):
+        got = slice(first, first + local.size)
+        first += local.size
+        assert (ps.s[got] - shift[r] == local.s).all()
+        assert (ps.u[got] - r * n == local.u).all()
+        assert (ps.v[got] - r * n == local.v).all()
+        assert (ps.self_loop[got] == local.self_loop).all()
+        assert (ps.boundary_tie[got] == local.boundary_tie).all()
+    assert first == ps.size and ps.boundary_tie.sum() > 20
+    g = assemble_graph(batch, ps)
+    assert g.n == R * n and g.weights.tolist() == np.tile(w.w, R).tolist()
+
+
+def test_replica_trace_rejects_a_busy_first_arrival():
+    # shifted by 5 + 2, a time of -1.5 puts replica 1's arrival inside
+    # replica 0's busy period [5, 6)
+    with pytest.raises(ValueError, match="found the server busy"):
+        _replica_trace(WeightSeq([1.0]), np.array([[5.0], [-1.5]]))
 
 
 def test_batch_resolution_rejects_any_bad_point(hand_trace):

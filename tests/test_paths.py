@@ -98,6 +98,17 @@ def test_cadlag_validation():
             StepFunction(times, [1.0, 2.0])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: CadlagStepPath([0.2, 0.4], [1.0, 0.5], 2.0),
+    lambda: StepFunction([0.0, 1.0], [0.0, 2.0]),
+], ids=["CadlagStepPath", "StepFunction"])
+def test_path_types_compare_by_identity(make):
+    a, b = make(), make()
+    assert a == a and not a != a
+    assert a != b and not a == b   # equal arrays, distinct objects
+    assert len({a, a, b}) == 2
+
+
 def test_step_function_basics():
     h = StepFunction([0.0, 1.0, 2.0], [0.0, 2.0, 1.0])
     assert h(0.5) == 0.0

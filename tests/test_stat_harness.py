@@ -15,7 +15,8 @@ from wmgraph import (
     edge_marginal_compare,
     ks_two_sample,
 )
-from wmgraph.stat_harness import _hist_compare
+from wmgraph.direct_graph import edge_probability
+from wmgraph.stat_harness import _edge_tally, _hist_compare
 
 
 def test_chi_square_matches_scipy_without_merging():
@@ -107,6 +108,63 @@ def test_edge_marginal_compare_deterministic():
     b = edge_marginal_compare(WeightSeq([1.0, 1.0]), replicas=500, seed=5)
     assert a.freq_direct.tolist() == b.freq_direct.tolist()
     assert a.freq_lifo.tolist() == b.freq_lifo.tolist()
+
+
+def test_familywise_verdict_on_many_pairs():
+    # 44,850 pairs: a few frequencies of two exact samplers fall outside
+    # their own 4-sigma bands, while Holm's control over all 89,700 exact
+    # binomial tests finds nothing
+    w = WeightSeq(2.0 ** -np.floor(np.arange(300) / 100))
+    rep = edge_marginal_compare(w, replicas=300, seed=0)
+    assert not rep.marginals_pass
+    assert rep.marginals_familywise_pass and rep.marginals_holm_p > 0.01
+    assert rep.passed
+    d = json.loads(rep.to_json())
+    assert d["marginals_holm_p"] == rep.marginals_holm_p
+    assert d["marginals_familywise_pass"] is True
+
+
+def test_familywise_verdict_is_exact_and_rejects_a_wrong_target(monkeypatch):
+    rep = edge_marginal_compare(WeightSeq([1.0, 1.0]), replicas=400, seed=3)
+    hits = np.round(np.concatenate((rep.freq_direct, rep.freq_lifo)) * 400)
+    p = np.tile(rep.edge_probs, 2)
+    tail = np.minimum(stats.binom.cdf(hits, 400, p),
+                      stats.binom.sf(hits - 1, 400, p)).min()
+    # two tests, each p-value twice the smaller tail
+    assert rep.marginals_holm_p == pytest.approx(2 * 2 * tail, rel=1e-9)
+    assert 0.01 < rep.marginals_holm_p < 1
+    # the same samplers against targets 20% too high
+    monkeypatch.setattr("wmgraph.stat_harness.edge_probability",
+                        lambda x, fn: 1.2 * edge_probability(x, fn))
+    bad = edge_marginal_compare(WeightSeq([2.0, 1.0, 1.0]), replicas=3000,
+                                seed=0)
+    assert bad.marginals_holm_p < 1e-3
+    assert not bad.marginals_familywise_pass and not bad.passed
+
+
+@pytest.mark.parametrize("w,replicas", [([1.0], 50), ([1.0, 1.0], 400),
+                                        ([2.0, 1.0, 1.0], 1)])
+def test_edge_marginal_compare_edge_cases(tmp_path, w, replicas):
+    rep = edge_marginal_compare(WeightSeq(w), replicas=replicas, seed=3)
+    pairs = len(w) * (len(w) - 1) // 2
+    assert rep.edge_probs.shape == rep.freq_lifo.shape == (pairs,)
+    assert rep.passed and rep.joint_pass
+    assert json.loads(rep.to_json())["passed"] is True
+    rep.write_json(tmp_path / "compare.json")
+    assert (tmp_path / "compare.json").read_text() == rep.to_json()
+    assert len(rep.summary().splitlines()) == pairs + 2
+    if pairs == 0:
+        assert rep.marginals_holm_p == rep.count_hist_p == 1.0
+
+
+def test_edge_tally_counts_and_codes():
+    # two replicas of 3 vertices; vertex r*3 + j is vertex j of replica r
+    hits, counts, codes = _edge_tally(3, 2, [(1, 2), (2, 3), (4, 6)])
+    assert hits.tolist() == [1, 1, 1]   # pairs 1-2, 1-3, 2-3
+    assert counts.tolist() == [2, 1]
+    assert codes.tolist() == [0b101, 0b010]
+    with pytest.raises(ValueError, match="two replicas"):
+        _edge_tally(3, 2, [(3, 4)])
 
 
 def _reference_hist_compare(x, y):
