@@ -22,7 +22,6 @@ from .excursions import (
     ExcursionDecomposition,
     assign_pinches,
     decompose_with_masses,
-    excursion_masses,
     excursions_above_zero,
 )
 from .lifo_coder import (

@@ -9,7 +9,9 @@ Subcommands:
   compare    statistical comparison of the two graph constructions
 
 Exit codes: 0 success, 1 verification or statistical failure, 2 usage error.
-Replica r of master seed s uses the stream SeedSequence([s, r]).
+Seeds: verify's replica r of master seed s draws from SeedSequence([s, r]);
+simulate, metric and continuum draw from SeedSequence([s, 0]), pinches from
+SeedSequence([s, 1]); compare's scheme is in edge_marginal_compare.
 """
 
 from __future__ import annotations

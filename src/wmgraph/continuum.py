@@ -10,11 +10,12 @@ analogues of the rescaled component masses of the discrete graphs.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .excursions import excursion_masses
+from .excursions import TOL_EXC, _intervals_above
 from .paths import _write_csv
 from .weights import LimitParams
 
@@ -51,7 +52,9 @@ def simulate_limit_Y(p: LimitParams, dt: float | None = None, T: float = 1.0,
     and snapped to the containing cell; the per-jump compensator
     -c_j^2*kappa*t is applied continuously.  ``forced_E`` (test hook)
     fixes the jump times of the first entries of c; an entry of +inf
-    never lands."""
+    never lands.  A grid whose peak working arrays would exceed physical
+    memory is rejected before any is allocated: a host that overcommits
+    memory would grant it and then kill the process."""
     if dt is None:
         dt = 1e-4 * T
     for name, value in (("T", T), ("dt", dt)):
@@ -60,11 +63,20 @@ def simulate_limit_Y(p: LimitParams, dt: float | None = None, T: float = 1.0,
                              f"got {value!r}")
     if not T / dt < np.iinfo(np.intp).max:    # T / dt may overflow to inf
         raise ValueError(f"T / dt = {T / dt!r} grid cells cannot be indexed")
+    n = int(round(T / dt))
+    need = 5 * 8 * (n + 1)     # at its peak, five float64 arrays of n + 1
+    try:    # physical memory, where the platform reports it
+        ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        ram = math.inf
+    if 0 < ram < need:
+        raise ValueError(f"a grid of {n + 1} points needs {need / 2 ** 30:.3g} "
+                         f"GiB, more than the {ram / 2 ** 30:.3g} GiB of "
+                         "physical memory")
     if J is None:
         J = len(p.c) if forced_E is not None else default_truncation(p, T)
     J = min(J, len(p.c))
     rng = np.random.default_rng(rng_seed)
-    n = int(round(T / dt))
     t = np.arange(n + 1) * dt
     y = -p.alpha * t - 0.5 * p.kappa * p.beta * t * t
     if p.beta > 0:
@@ -93,5 +105,11 @@ def simulate_limit_Y(p: LimitParams, dt: float | None = None, T: float = 1.0,
 
 
 def limit_masses(g: GridPath, top_k: int = 50) -> np.ndarray:
-    """Top-K excursion lengths of the grid path above its running infimum."""
-    return excursion_masses((g.t, g.values), top_k=top_k)
+    """Top-K lengths, nonincreasing, of the maximal runs of grid cells
+    where Y exceeds its running infimum by more than TOL_EXC.  Each value
+    holds for its cell [t_i, t_i + dt); a run open at the last point
+    closes one step after it."""
+    t, y = g.t, g.values
+    end = t[-1] + (t[1] - t[0] if t.size > 1 else 0.0)
+    ls, rs = _intervals_above(t, y - np.minimum.accumulate(y) - TOL_EXC, end)
+    return -np.sort(ls - rs)[:top_k]

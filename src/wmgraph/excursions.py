@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .paths import CadlagStepPath, StepFunction, _write_csv
 
-# Strictness tolerance used only for gridded paths, where roundoff can
-# manufacture micro-excursions; exact breakpoint paths use exact compares.
+# Strictness tolerance of the grid scan in continuum.limit_masses, where
+# roundoff can manufacture micro-excursions, and the width of a near tie;
+# exact breakpoint paths use exact compares.
 TOL_EXC = 1e-12
 
 
@@ -26,13 +27,22 @@ TOL_EXC = 1e-12
 class ExcursionDecomposition:
     intervals: np.ndarray   # (K, 2) rows (l_k, r_k) in canonical order
     lengths: np.ndarray     # nonincreasing
-    local_paths: Sequence   # per-excursion coding path or None, built when read
-    local_pinches: tuple    # filled by assign_pinches
-    near_ties: tuple        # pairs of excursion indices with |len_i-len_j| < 10*TOL_EXC
+    local_paths: Sequence   # per-excursion coding path, built when read
 
     @property
     def count(self) -> int:
         return len(self.intervals)
+
+    @property
+    def near_ties(self) -> tuple:
+        """Pairs (i, j), i < j, of excursions next to each other in length
+        order whose positive lengths differ by less than 10*TOL_EXC."""
+        srt = np.argsort(self.lengths, kind="stable")
+        a, b = srt[:-1], srt[1:]
+        la, lb = self.lengths[a], self.lengths[b]
+        tie = (np.abs(la - lb) < 10 * TOL_EXC) & (la > 0)
+        return tuple(zip(np.minimum(a, b)[tie].tolist(),
+                         np.maximum(a, b)[tie].tolist()))
 
     def write_masses_csv(self, path, top_k: int = 50):
         _write_csv(path, ["rank", "mass"],
@@ -58,32 +68,18 @@ def _canonical(starts, ends, lengths, local) -> ExcursionDecomposition:
     nonincreasing length, ties by the smaller start; ``local(i)`` builds
     excursion i's local path."""
     order = np.lexsort((starts, -lengths))
-    lengths = lengths[order]
-    srt = np.argsort(lengths, kind="stable")
-    a, b = srt[:-1], srt[1:]
-    tie = (np.abs(lengths[a] - lengths[b]) < 10 * TOL_EXC) & (lengths[a] > 0)
     return ExcursionDecomposition(
         intervals=np.column_stack((starts, ends))[order],
-        lengths=lengths,
-        local_paths=_LazyPaths(order.size, lambda k: local(order[k])),
-        local_pinches=((),) * order.size,
-        near_ties=tuple(zip(np.minimum(a, b)[tie].tolist(),
-                            np.maximum(a, b)[tie].tolist())))
+        lengths=lengths[order],
+        local_paths=_LazyPaths(order.size, lambda k: local(order[k])))
 
 
-def _intervals_above(h, horizon=None, grid_tol=None):
-    """Left and right ends, in time order, of the nonempty intervals that
-    ``excursions_above_zero`` finds.  A NaN neither opens nor closes one."""
-    if isinstance(h, StepFunction):
-        times, values, thresh = h.times, h.values, 0.0
-        end = float(times[-1]) if horizon is None else float(horizon)
-    else:
-        times, values = (np.asarray(a, dtype=float) for a in h)
-        thresh = TOL_EXC if grid_tol is None else grid_tol
-        step = times[1] - times[0] if times.size > 1 else 0.0
-        end = float(times[-1] + step) if horizon is None else float(horizon)
-    above = values > thresh
-    known = above | (values <= thresh)
+def _intervals_above(times, values, end):
+    """Left and right ends, in time order, of the maximal nonempty
+    intervals where the step values are > 0, the last one closed at
+    ``end`` if still open.  A NaN neither opens nor closes one."""
+    above = values > 0
+    known = above | (values <= 0)
     # intervals open and close in turn where ``above`` flips
     edges = times[known][np.flatnonzero(np.diff(above[known], prepend=False))]
     if edges.size % 2:
@@ -92,42 +88,21 @@ def _intervals_above(h, horizon=None, grid_tol=None):
     return ls[rs > ls], rs[rs > ls]
 
 
-def excursions_above_zero(h, horizon: float | None = None,
-                          grid_tol: float | None = None) -> ExcursionDecomposition:
-    """Maximal nonempty intervals where h > 0, canonically ordered.
-
-    ``h`` is a StepFunction (exact) or a (times, values) grid pair, in
-    which case values are treated as constant per cell and compared
-    against ``grid_tol`` (default TOL_EXC).
-    """
-    ls, rs = _intervals_above(h, horizon, grid_tol)
+def excursions_above_zero(h: StepFunction,
+                          horizon: float | None = None) -> ExcursionDecomposition:
+    """Maximal nonempty intervals where h > 0, canonically ordered; one
+    still open at the end of h closes at ``horizon`` (default: h's last
+    breakpoint)."""
+    ls, rs = _intervals_above(h.times, h.values,
+                              h.times[-1] if horizon is None else horizon)
 
     # local coding paths carry a terminal zero breakpoint at the excursion
     # length, so their domain end (zeta) is the last breakpoint
     def _local(i):
-        if not isinstance(h, StepFunction):
-            return None
         g = h.restricted(ls[i], rs[i]).shifted(-ls[i])
         return StepFunction(np.concatenate((g.times, [rs[i] - ls[i]])),
                             np.concatenate((g.values, [0.0])))
     return _canonical(ls, rs, rs - ls, _local)
-
-
-def excursion_masses(y, top_k: int | None = None) -> np.ndarray:
-    """Lengths of the maximal intervals where y exceeds its running
-    infimum, sorted nonincreasing.
-
-    For breakpoint paths (drift -1, positive jumps) each excursion length
-    equals the sum of the jump sizes inside it, so lengths are computed by
-    summation, free of endpoint cancellation.
-    """
-    if isinstance(y, CadlagStepPath):
-        out = decompose_with_masses(y).lengths
-    else:
-        values = np.asarray(y[1], dtype=float)
-        ls, rs = _intervals_above((y[0], values - np.minimum.accumulate(values)))
-        out = -np.sort(ls - rs)     # the lengths in _canonical's order
-    return out[:top_k] if top_k is not None else out
 
 
 def decompose_with_masses(y: CadlagStepPath) -> ExcursionDecomposition:
@@ -151,10 +126,10 @@ def decompose_with_masses(y: CadlagStepPath) -> ExcursionDecomposition:
     return _canonical(starts, starts + lengths, lengths, _local)
 
 
-def assign_pinches(dec: ExcursionDecomposition, pinches) -> ExcursionDecomposition:
-    """Localize pinch points: (s_p - l_k, t_p - l_k) in the excursion whose
-    interval contains t_p (the disjoint intervals' last to start by t_p),
-    sorted by t within each excursion."""
+def assign_pinches(dec: ExcursionDecomposition, pinches) -> tuple:
+    """Localize pinch points: per excursion, in canonical order, the tuple
+    of (s_p - l_k, t_p - l_k, y_p) over the pinches whose t_p lies in its
+    interval (the disjoint intervals' last to start by t_p), sorted by t."""
     by_start = np.argsort(dec.intervals[:, 0], kind="stable")
     ls, rs = dec.intervals[by_start].T.tolist()
     slots = np.searchsorted(ls, pinches.t, side="right") - 1
@@ -168,6 +143,4 @@ def assign_pinches(dec: ExcursionDecomposition, pinches) -> ExcursionDecompositi
         if not l <= s_p <= t_p:
             raise ValueError("pinch start escapes its excursion")
         local[by_start[i]].append((s_p - l, t_p - l, y_p))
-    for lst in local:
-        lst.sort(key=lambda p: p[1])
-    return replace(dec, local_pinches=tuple(tuple(lst) for lst in local))
+    return tuple(tuple(sorted(lst, key=lambda p: p[1])) for lst in local)

@@ -100,21 +100,15 @@ class EdgeCompareReport:
             "passed": self.passed,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self._fields(), indent=2, default=np.ndarray.tolist)
-
     def write_json(self, path):
-        """``to_json`` into a file as it is encoded, so that only one
-        per-pair array at a time is held as Python floats."""
+        """The report as indented JSON, written as it is encoded, so that
+        only one per-pair array at a time is held as Python floats."""
         with open(path, "w") as fh:
             json.dump(self._fields(), fh, indent=2, default=np.ndarray.tolist)
 
-    def summary(self) -> str:
-        return "\n".join(self.summary_lines())
-
     def summary_lines(self):
-        """The lines of ``summary`` one at a time: a row per pair, then
-        the verdicts."""
+        """The text summary one line at a time: a row per pair, then the
+        verdicts."""
         yield f"{'pair':>8} {'target':>10} {'direct':>10} {'lifo':>10} {'band':>10}"
         n = self.w.size
         pairs = ((i, j) for i in range(1, n) for j in range(i + 1, n + 1))

@@ -241,31 +241,20 @@ def powerlaw_alpha0(rho: float, q: float, kappa: float) -> float:
 
 def gen_powerlaw_triple(n: int, rho: float, q: float = 1.0,
                         kappa: float = 1.0,
-                        alpha: float | None = None,
-                        quantile=None) -> ScalingTriple:
+                        alpha: float | None = None) -> ScalingTriple:
     """Power-law family w_j = G(j/n) with the drift-centering tilt.
 
-    ``G`` is the tail quantile of the weight law; the default pure tail
-    gives G(y) = y^(-1/rho) for y <= 1.  Weights are multiplied by
-    (1 - (a_n/b_n)(alpha - alpha_0)); when ``alpha`` is omitted it
-    defaults to the centering constant alpha_0 so the tilt factor is 1.
+    ``G`` is the pure tail quantile G(y) = y^(-1/rho), y <= 1.  Weights
+    are multiplied by (1 - (a_n/b_n)(alpha - alpha_0)); when ``alpha`` is
+    omitted it defaults to the centering constant alpha_0 so the tilt
+    factor is 1.
     Normalization: a_n = G(1/n)/q, b_n = kappa*sigma_1(w_n)/a_n.
-
-    A tabulated ``quantile`` may replace the default tail; it must be
-    strictly decreasing on the probed grid (flat spots would mean the
-    weight law has atoms, for which no convention is defined here).
     """
     if not 2.0 < rho < 3.0:
         raise ValueError("rho must lie in (2, 3)")
     if n < 1:
         raise ValueError("n must be at least 1")
-    grid = np.arange(1, n + 1) / n
-    if quantile is None:
-        raw = grid ** (-1.0 / rho)
-    else:
-        raw = np.asarray([quantile(y) for y in grid], dtype=float)
-        if np.any(np.diff(raw) == 0):
-            raise ValueError("quantile has flat spots (atomic weight law)")
+    raw = (np.arange(1, n + 1) / n) ** (-1.0 / rho)
     a = raw[0] / q
     s1 = math.fsum(raw)
     b = kappa * s1 / a
@@ -278,7 +267,6 @@ def gen_powerlaw_triple(n: int, rho: float, q: float = 1.0,
     w = WeightSeq(raw * tilt)
     b = kappa * w.sigma(1.0) / a
     # limit of w_j/a_n: the n-dependence cancels, leaving q*j^(-1/rho)
-    limit_c = (q * np.arange(1, n + 1, dtype=float) ** (-1.0 / rho)
-               if quantile is None else ())
+    limit_c = q * np.arange(1, n + 1, dtype=float) ** (-1.0 / rho)
     limit = LimitParams(alpha=float(alpha), beta=0.0, kappa=kappa, c=limit_c)
     return ScalingTriple(n=n, a=a, b=b, weights=w, declared_limit=limit)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -251,8 +252,8 @@ _BAD_ARGUMENTS = [
     (["continuum", "--dt", "5e-324"], "T / dt = inf grid cells cannot be indexed"),
     (["continuum", "--horizon", "1e300", "--dt", "1"],
      "T / dt = 1e+300 grid cells cannot be indexed"),
-    # 1e15 cells: a request beyond any address space fails at once
-    (["continuum", "--dt", "1e-15"], "Unable to allocate"),
+    # 1e15 cells: rejected before any allocation, as more than the host has
+    (["continuum", "--dt", "1e-15"], "a grid of 1000000000000001 points needs"),
     (["continuum", "--topk", "0"], "argument --topk: must be a positive integer"),
     (["verify", "--replicas", "-3"], "argument --replicas: must be a positive integer"),
     (["verify", "--replicas", "two"], "argument --replicas: must be a positive integer"),
@@ -272,3 +273,26 @@ def test_bad_argument_exits_2(tmp_path, capsys, weights_file, limit_file,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_continuum_grid_beyond_physical_memory_exits_2(tmp_path, capsys,
+                                                       limit_file, monkeypatch):
+    # a host with 1 MiB of memory: 100,001 points need 3.8 MiB at the peak
+    monkeypatch.setattr(os, "sysconf",
+                        {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.get)
+    def run(dt, out):
+        return main(["continuum", "--limit", limit_file, "--dt", dt,
+                     "--out", str(tmp_path / out)])
+    assert run("1e-5", "big") == 2
+    assert capsys.readouterr().err == (
+        "error: a grid of 100001 points needs 0.00373 GiB, more than the "
+        "0.000977 GiB of physical memory\n")
+    assert not (tmp_path / "big").exists()
+    assert run("1e-3", "small") == 0        # 40 kB
+    # where the platform reports no memory size, an allocation that
+    # fails at once is still a usage error (1e15 cells, beyond any
+    # address space)
+    monkeypatch.delattr(os, "sysconf")
+    assert run("1e-15", "huge") == 2
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
+    assert not (tmp_path / "huge").exists()

@@ -3,6 +3,8 @@ from itertools import chain
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from wmgraph import (
     WeightSeq,
@@ -273,8 +275,24 @@ def test_components_match_union_find_reference():
             assert all(type(v) is int for v in c.vertices)
 
 
+def _csgraph_distances(g):
+    """Hop counts between all vertex pairs of g by scipy's BFS (inf
+    across components); row and column v - 1 are vertex v."""
+    u, v = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2).T - 1
+    adj = sparse.coo_array((np.ones(u.size), (u, v)), shape=(g.n, g.n))
+    return csgraph.shortest_path(adj, directed=False, unweighted=True)
+
+
 def test_graph_distances_equal_matrix_bfs_reference():
-    for g in chain(_graphs_n3000(), _oracle_graphs()):
+    # at n = 3000 scipy's BFS is the reference, the matrix BFS being slow
+    for g in _graphs_n3000():
+        dist = _csgraph_distances(g)
+        for c in connected_components(g):
+            got = graph_distances(c)
+            assert got.dtype == np.int64
+            idx = np.asarray(c.vertices) - 1
+            assert np.array_equal(got, dist[np.ix_(idx, idx)])
+    for g in chain(_oracle_graphs(), _graphs_small()):
         for c in connected_components(g):
             got = graph_distances(c)
             assert got.dtype == np.int64

@@ -8,10 +8,11 @@ from wmgraph import (
     StepFunction,
     assign_pinches,
     decompose_with_masses,
-    excursion_masses,
     excursions_above_zero,
+    limit_masses,
 )
-from wmgraph.excursions import TOL_EXC, _canonical
+from wmgraph.continuum import GridPath
+from wmgraph.excursions import TOL_EXC, _canonical, _intervals_above
 from wmgraph.lifo_coder import PinchSetup
 
 
@@ -108,15 +109,16 @@ def test_excursion_masses_step_and_grid_agree():
     times = np.array([0.2, 0.3, 1.5])
     sizes = np.array([0.5, 0.25, 0.75])
     y = CadlagStepPath(times, sizes, horizon=4.0)
-    exact = excursion_masses(y)
+    exact = decompose_with_masses(y).lengths
     grid = np.arange(0.0, 4.0, 1e-4)
     vals = np.zeros_like(grid) - grid
     for t, x in zip(times, sizes):
         vals[grid >= t] += x
-    approx = excursion_masses((grid, vals))
+    approx = limit_masses(GridPath(grid, vals, 0, 0.0))
     assert exact.size == approx.size
     assert approx == pytest.approx(exact, abs=5e-4)
-    assert excursion_masses(y, top_k=1).tolist() == [exact[0]]
+    assert limit_masses(GridPath(grid, vals, 0, 0.0), top_k=1).tolist() \
+        == [approx[0]]
 
 
 def test_near_ties_reported():
@@ -134,9 +136,9 @@ def test_assign_pinches_localizes():
     pin = _pinch_setup([(4.5, 3.5, 0.7, 1, 2), (1.0, 0.5, 0.3, 3, 4),
                         (4.0, 3.2, 0.1, 1, 2)])
     out = assign_pinches(dec, pin)
-    flat = [x for p in out.local_pinches[0] for x in p]
+    flat = [x for p in out[0] for x in p]
     assert flat == pytest.approx([0.2, 1.0, 0.1, 0.5, 1.5, 0.7])
-    assert out.local_pinches[1] == ((0.5, 1.0, 0.3),)
+    assert out[1] == ((0.5, 1.0, 0.3),)
 
 
 def test_assign_pinches_rejects_escapes():
@@ -236,7 +238,6 @@ def test_decompose_matches_reference(y):
         assert _bits(g.times) == _bits(ref.times)
         assert _bits(g.sizes) == _bits(ref.sizes)
         assert _bits([g.horizon]) == _bits([ref.horizon])
-    assert excursion_masses(y).tolist() == sorted(lengths, reverse=True)
 
 
 def test_exact_zero_hits_open_an_excursion():
@@ -270,8 +271,6 @@ def test_local_paths_are_a_lazy_read_only_sequence():
         paths[2]
     with pytest.raises(TypeError):
         paths[0] = None
-    h = StepFunction([0.0, 1.0, 2.0], [1.0, 0.0, 0.0])
-    assert list(excursions_above_zero((h.times, h.values)).local_paths) == [None]
 
 
 def _reference_assign(dec, pinches):
@@ -299,8 +298,8 @@ def test_assign_pinches_over_many_excursions():
     rows.append((dec.intervals[0][0], dec.intervals[0][0], 0.5, 1, 1))
     pin = _pinch_setup(sorted(rows))
     out = assign_pinches(dec, pin)
-    assert out.local_pinches == _reference_assign(dec, pin)
-    assert sum(len(p) for p in out.local_pinches) == len(rows)
+    assert out == _reference_assign(dec, pin)
+    assert sum(len(p) for p in out) == len(rows)
     # outside: past the last excursion, before the first, and at a right
     # end followed by an idle gap; escaping: a start before its excursion
     by_time = sorted(dec.intervals.tolist())
@@ -365,6 +364,13 @@ def _assert_same_decomposition(dec, ref):
     assert dec.near_ties == ref.near_ties
 
 
+def _scan_grid(times, values, end, tol=TOL_EXC):
+    """The scan on a grid, by value > tol as values - tol > 0 (the two
+    agree on every float: x - tol rounds to 0 only when x == tol)."""
+    ls, rs = _intervals_above(times, values - tol, end)
+    return _canonical(ls, rs, rs - ls, None)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_grid_scan_equals_per_point_reference(seed):
     rng = np.random.default_rng(seed)
@@ -374,28 +380,31 @@ def test_grid_scan_equals_per_point_reference(seed):
         values = _random_grid_values(rng, n)
         horizons = [None, n * dt + 0.5, 0.5 * n * dt] if n else [3.0]
         for horizon in horizons:
+            end = times[-1] + (dt if n > 1 else 0.0) if horizon is None else horizon
             for grid_tol in (None, 0.0, 0.75):
                 h = (times, values)
                 ref = _reference_excursions_above_zero(h, horizon, grid_tol)
-                dec = excursions_above_zero(h, horizon, grid_tol)
-                _assert_same_decomposition(dec, ref)
+                tol = TOL_EXC if grid_tol is None else grid_tol
+                _assert_same_decomposition(_scan_grid(times, values, end, tol),
+                                           ref)
         if n:
-            # the running-infimum masses are the scan's lengths, sorted
-            y = (times, values)
+            # limit_masses: the reference's lengths above the running
+            # infimum, bit for bit
             drop = values - np.minimum.accumulate(values)
-            want = excursions_above_zero((times, drop)).lengths
-            assert _bits(excursion_masses(y)) == _bits(want)
-            assert _bits(excursion_masses(y, top_k=3)) == _bits(want[:3])
+            want = _reference_excursions_above_zero((times, drop)).lengths
+            g = GridPath(times, values, 0, 0.0)
+            assert _bits(limit_masses(g, top_k=n)) == _bits(want)
+            assert _bits(limit_masses(g, top_k=3)) == _bits(want[:3])
 
 
 def test_grid_scan_closes_an_excursion_open_at_the_end():
-    h = (np.arange(5.0), np.array([0.0, 1.0, math.nan, 1.0, math.nan]))
-    dec = excursions_above_zero(h)
-    assert dec.intervals.tolist() == [[1.0, 5.0]]
-    assert excursions_above_zero(h, horizon=7.5).intervals.tolist() == [[1.0, 7.5]]
+    t, v = np.arange(5.0), np.array([0.0, 1.0, math.nan, 1.0, math.nan])
+    assert _scan_grid(t, v, 5.0).intervals.tolist() == [[1.0, 5.0]]
+    assert _scan_grid(t, v, 7.5).intervals.tolist() == [[1.0, 7.5]]
+    assert limit_masses(GridPath(t, v, 0, 0.0)).tolist() == [4.0]
     # a value at the threshold closes; a NaN neither opens nor closes
-    h = (np.arange(4.0), np.array([math.nan, 1.0, TOL_EXC, math.nan]))
-    assert excursions_above_zero(h).intervals.tolist() == [[1.0, 2.0]]
+    t, v = np.arange(4.0), np.array([math.nan, 1.0, TOL_EXC, math.nan])
+    assert _scan_grid(t, v, 4.0).intervals.tolist() == [[1.0, 2.0]]
 
 
 @pytest.mark.parametrize("seed", range(4))

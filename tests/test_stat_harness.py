@@ -88,7 +88,12 @@ def test_ks_two_sample():
         ks_two_sample([], [1.0])
 
 
-def test_edge_marginal_compare_small():
+def _report_json(rep, tmp_path):
+    rep.write_json(tmp_path / "compare.json")
+    return json.loads((tmp_path / "compare.json").read_text())
+
+
+def test_edge_marginal_compare_small(tmp_path):
     rep = edge_marginal_compare(WeightSeq([2.0, 1.0, 1.0]), replicas=3000,
                                 seed=0)
     assert rep.passed
@@ -96,10 +101,10 @@ def test_edge_marginal_compare_small():
     assert rep.joint_pass is not None            # 3 clients: joint test runs
     assert np.all(np.abs(rep.freq_direct - rep.edge_probs) <= rep.band)
     assert np.all(np.abs(rep.freq_lifo - rep.edge_probs) <= rep.band)
-    d = json.loads(rep.to_json())
+    d = _report_json(rep, tmp_path)
     assert d["passed"] is True
     assert len(d["edge_probs"]) == 3
-    text = rep.summary()
+    text = "\n".join(rep.summary_lines())
     assert "1-2" in text and "marginals_pass=True" in text
 
 
@@ -110,7 +115,7 @@ def test_edge_marginal_compare_deterministic():
     assert a.freq_lifo.tolist() == b.freq_lifo.tolist()
 
 
-def test_familywise_verdict_on_many_pairs():
+def test_familywise_verdict_on_many_pairs(tmp_path):
     # 44,850 pairs: a few frequencies of two exact samplers fall outside
     # their own 4-sigma bands, while Holm's control over all 89,700 exact
     # binomial tests finds nothing
@@ -119,7 +124,7 @@ def test_familywise_verdict_on_many_pairs():
     assert not rep.marginals_pass
     assert rep.marginals_familywise_pass and rep.marginals_holm_p > 0.01
     assert rep.passed
-    d = json.loads(rep.to_json())
+    d = _report_json(rep, tmp_path)
     assert d["marginals_holm_p"] == rep.marginals_holm_p
     assert d["marginals_familywise_pass"] is True
 
@@ -149,10 +154,8 @@ def test_edge_marginal_compare_edge_cases(tmp_path, w, replicas):
     pairs = len(w) * (len(w) - 1) // 2
     assert rep.edge_probs.shape == rep.freq_lifo.shape == (pairs,)
     assert rep.passed and rep.joint_pass
-    assert json.loads(rep.to_json())["passed"] is True
-    rep.write_json(tmp_path / "compare.json")
-    assert (tmp_path / "compare.json").read_text() == rep.to_json()
-    assert len(rep.summary().splitlines()) == pairs + 2
+    assert _report_json(rep, tmp_path)["passed"] is True
+    assert len(list(rep.summary_lines())) == pairs + 2
     if pairs == 0:
         assert rep.marginals_holm_p == rep.count_hist_p == 1.0
 

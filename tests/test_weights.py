@@ -216,5 +216,3 @@ def test_powerlaw_triple_shape():
     assert c2[:c.size] == pytest.approx(c)
     with pytest.raises(ValueError):
         gen_powerlaw_triple(100, 3.5)
-    with pytest.raises(ValueError):
-        gen_powerlaw_triple(100, 2.5, quantile=lambda y: 1.0)
