@@ -111,8 +111,6 @@ def ghp_upper_bound(h: StepFunction, h2: StepFunction, pinches, pinches2,
 
 
 def write_matrix_csv(space: CodedSpace, matrix: np.ndarray, path):
-    """Row i is sample time i, then row i of ``matrix``; rows are formed
-    one at a time, so no list of the whole matrix is held."""
-    samples = space.samples.tolist()
-    _write_csv(path, ["t", *samples], ([s, *row.tolist()] for s, row in zip(
-        samples, np.asarray(matrix, dtype=float))))
+    """Row i is sample time i, then row i of ``matrix``, written in blocks."""
+    _write_csv(path, ["t", *space.samples.tolist()],
+               [space.samples, *np.asarray(matrix, dtype=float).T])

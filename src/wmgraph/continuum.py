@@ -30,7 +30,7 @@ class GridPath:
     truncation_bound: float
 
     def write_csv(self, path):
-        _write_csv(path, ["t", "Y"], zip(self.t.tolist(), self.values.tolist()))
+        _write_csv(path, ["t", "Y"], [self.t, self.values])
 
 
 def default_truncation(p: LimitParams, T: float) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -57,7 +58,13 @@ class AssembledGraph:
         object.__setattr__(self, "edges", edges)
 
     def write_edge_csv(self, path):
-        _write_csv(path, ["u", "v"], self.edges)
+        _write_csv(path, ["u", "v"], _edge_columns(self.edges))
+
+
+def _edge_columns(edges) -> np.ndarray:
+    """The (u, v) pairs as a (2, m) int64 array: a u row and a v row."""
+    return np.fromiter(chain.from_iterable(edges), np.int64,
+                       2 * len(edges)).reshape(-1, 2).T
 
 
 class ComponentView(NamedTuple):
@@ -121,23 +128,24 @@ def _uniforms(rng, size: int):
 def connected_components(g: AssembledGraph) -> list:
     """Components sorted nonincreasing by mass; ties broken by the smallest
     first-explored vertex id."""
-    e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2) - 1
-    adj = csr_array((np.ones(len(e), dtype=np.int8), (e[:, 0], e[:, 1])),
-                    shape=(g.n, g.n))
+    u, v = _edge_columns(g.edges) - 1
+    adj = csr_array((np.ones(u.size, dtype=np.int8), (u, v)), shape=(g.n, g.n))
     k, labels = csgraph.connected_components(adj, directed=False)
     # a stable sort keeps ids ascending within a label, so each group
     # starts at its root; the sorted edges are grouped the same way
     by_label = np.argsort(labels, kind="stable")
     cuts = [0] + np.cumsum(np.bincount(labels, minlength=k)).tolist()
-    edge_label = labels[e[:, 0]]
+    edge_label = labels[u]
     edge_cuts = [0] + np.cumsum(np.bincount(edge_label, minlength=k)).tolist()
-    edges = [g.edges[i] for i in np.argsort(edge_label, kind="stable").tolist()]
-    verts = (by_label + 1).tolist()
+    edges = tuple(map(g.edges.__getitem__,
+                      np.argsort(edge_label, kind="stable").tolist()))
+    verts = tuple((by_label + 1).tolist())
     ws = np.asarray(g.weights, dtype=float)[by_label].tolist()
     masses = [math.fsum(ws[a:b]) for a, b in zip(cuts, cuts[1:])]
     order = np.lexsort((by_label[cuts[:-1]], -np.asarray(masses))).tolist()
-    return [ComponentView(tuple(verts[cuts[i]:cuts[i + 1]]), masses[i],
-                          tuple(edges[edge_cuts[i]:edge_cuts[i + 1]]))
+    # tuple.__new__ skips the named tuple's Python-level constructor
+    return [tuple.__new__(ComponentView, (verts[cuts[i]:cuts[i + 1]], masses[i],
+                                          edges[edge_cuts[i]:edge_cuts[i + 1]]))
             for i in order]
 
 
@@ -167,5 +175,5 @@ def graph_distances(c: ComponentView) -> np.ndarray:
 
 def write_component_csv(views: list, path):
     _write_csv(path, ["rank", "mass", "count", "root"],
-               ((k, c.mass, c.count, c.root)
-                for k, c in enumerate(views, start=1)))
+               [range(1, len(views) + 1), [c.mass for c in views],
+                [c.count for c in views], [c.root for c in views]])

@@ -45,8 +45,8 @@ class ExcursionDecomposition:
                          np.maximum(a, b)[tie].tolist()))
 
     def write_masses_csv(self, path, top_k: int = 50):
-        _write_csv(path, ["rank", "mass"],
-                   enumerate(self.lengths[:top_k].tolist(), start=1))
+        masses = self.lengths[:top_k]
+        _write_csv(path, ["rank", "mass"], [range(1, masses.size + 1), masses])
 
 
 class _LazyPaths(Sequence):

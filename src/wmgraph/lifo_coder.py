@@ -128,9 +128,8 @@ class PinchSetup:
     def write_csv(self, path):
         flag = np.where(self.self_loop, "self_loop",
                         np.where(self.boundary_tie, "boundary_tie", ""))
-        _write_csv(path, ["t_p", "y_p", "s_p", "u", "v", "flag"], zip(
-            self.t.tolist(), self.y.tolist(), self.s.tolist(),
-            self.u.tolist(), self.v.tolist(), flag.tolist()))
+        _write_csv(path, ["t_p", "y_p", "s_p", "u", "v", "flag"],
+                   [self.t, self.y, self.s, self.u, self.v, flag])
 
 
 def simulate_lifo(w: WeightSeq, rng_seed=0,

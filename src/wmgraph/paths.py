@@ -10,7 +10,6 @@ Two exact (breakpoint-based, no gridding) representations:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -277,13 +276,22 @@ def _collapsed(times, values) -> StepFunction:
     return StepFunction(times[keep], values[keep])
 
 
-def _write_csv(path, header, rows):
-    """The one writer of result files: a header row, then ``rows``, with
-    CRLF line ends; ``csv`` writes a float by ``repr``, so it round-trips."""
+_BLOCK_CELLS = 1 << 16
+
+
+def _write_csv(path, header, columns):
+    """The one writer of result files: a header row, then row i of item i of
+    each equal-length column, CRLF line ends.  A cell is ``str`` of its value
+    (for a float, its round-tripping ``repr``); string cells are fixed tokens
+    that need no quoting.  Memory is bounded by one block of cells."""
+    step = max(1, _BLOCK_CELLS // len(columns))
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        wr.writerows(rows)
+        fh.write(",".join(map(str, header)) + "\r\n")
+        for a in range(0, len(columns[0]), step):
+            parts = [c[a:a + step] for c in columns]
+            cells = [map(str, p.tolist() if isinstance(p, np.ndarray) else p)
+                     for p in parts]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def _write_trace_csv(path, clients, arrival, departure, load, height,
@@ -297,9 +305,7 @@ def _write_trace_csv(path, clients, arrival, departure, load, height,
     order = np.lexsort((ids, kind, time))
     order = order[np.isfinite(time[order])]
     ids, kind, time = ids[order], kind[order], time[order]
-    _write_csv(path, ["time", "event", "client", "Y", "H", *extra], zip(
-        time.tolist(), map(("arrival", "departure").__getitem__, kind.tolist()),
-        ids.tolist(), load.value(time).tolist(),
-        height(time).astype(np.int64).tolist(),
-        *(column[ids].tolist() for column in extra.values())))
-
+    _write_csv(path, ["time", "event", "client", "Y", "H", *extra], [
+        time, [("arrival", "departure")[k] for k in kind.tolist()], ids,
+        load.value(time), height(time).astype(np.int64),
+        *(column[ids] for column in extra.values())])

@@ -215,8 +215,7 @@ class RegimeReport:
         cols = np.column_stack((
             self.a, self.a * self.b_over_a, self.c1, self.c2,
             self.beta0_proxy, self.kappa_proxy, self.c4_integrals))
-        _write_csv(path, head, ([n, *row] for n, row in zip(
-            self.ns.astype(np.int64).tolist(), cols.tolist())))
+        _write_csv(path, head, [self.ns.astype(np.int64), *cols.T])
 
 
 # report window for the per-j weight limits; the full quantified family

@@ -2,7 +2,10 @@
 inputs: a header row, CRLF line ends, floats by repr, integers in
 decimal."""
 
+import csv
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from wmgraph import (
     write_matrix_csv,
 )
 from wmgraph.direct_graph import write_component_csv
+from wmgraph.paths import _BLOCK_CELLS, _write_csv
 
 # clients 1, 2, 3 (w = 1, 1/2, 1/4) arrive at 1/4, 1/2, 3/4, each
 # preempting the last; 3 leaves at 1, 2 at 5/4, 1 at 2; client 4
@@ -156,3 +160,68 @@ def test_result_file_bytes(tmp_path, name):
     path = tmp_path / name
     WRITERS[name](path)
     assert path.read_bytes() == EXPECTED[name].encode()
+
+
+FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-05, 1e-4,
+          1e16, 1e15 + 0.5, 0.1 + 0.2, 1.7976931348623157e308, -2.5, 3.0]
+INTS = [-7, -(2 ** 53) - 1, 0, 2 ** 53 + 1, 2 ** 63 - 1, 12, -(2 ** 63)]
+TOKENS = ["arrival", "departure", "self_loop", "boundary_tie", "", "b", "r"]
+
+
+def _csv_module_bytes(path, header, rows):
+    """The result-file format as the ``csv`` module writes it."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(rows)
+    return path.read_bytes()
+
+
+def _cycle(values, n):
+    return [values[i % len(values)] for i in range(n)]
+
+
+# row counts around the first and second block boundaries of 6 columns
+STEP = _BLOCK_CELLS // 6
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, STEP - 1, STEP, STEP + 1, 2 * STEP + 3])
+def test_writer_matches_csv_module(tmp_path, n):
+    floats, ints, tokens = _cycle(FLOATS, n), _cycle(INTS, n), _cycle(TOKENS, n)
+    big = [2 ** 70 + k for k in range(n)]    # past int64: a Python list only
+    header = ["t", 0.25, 1e-05, "C4_integral_y=1", "mass", "flag"]  # matrix.csv
+    # each kind of cell as a numpy array and as a Python sequence
+    columns = [np.array(floats), np.array(ints, dtype=np.int64),
+               np.array(tokens), big, floats, tokens]
+    _write_csv(tmp_path / "new.csv", header, columns)
+    rows = zip(floats, ints, tokens, big, floats, tokens)
+    assert (tmp_path / "new.csv").read_bytes() == _csv_module_bytes(
+        tmp_path / "old.csv", header, rows)
+
+
+def test_writer_matches_csv_module_on_wide_rows(tmp_path):
+    # more columns than a block holds rows: matrix.csv at large n
+    rng = np.random.default_rng(0)
+    m = rng.standard_normal((5, _BLOCK_CELLS // 3)) * 10.0 ** rng.integers(
+        -20, 20, (5, _BLOCK_CELLS // 3))
+    header = ["t", *m[0].tolist()]
+    _write_csv(tmp_path / "new.csv", header, [m[:, 0], *m.T])
+    rows = ([r[0], *r] for r in m.tolist())
+    assert (tmp_path / "new.csv").read_bytes() == _csv_module_bytes(
+        tmp_path / "old.csv", header, rows)
+
+
+def test_matrix_writer_holds_one_block(tmp_path):
+    """write_matrix_csv never holds the matrix as Python floats (32 bytes
+    per cell with the list slot), only a block of cells at a time."""
+    n = 600
+    m = np.random.default_rng(1).random((n, n))
+    space = SimpleNamespace(samples=np.arange(1.0, n + 1))
+    tracemalloc.start()
+    try:
+        write_matrix_csv(space, m, tmp_path / "matrix.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 32
+    assert (tmp_path / "matrix.csv").read_text().count("\n") == n + 1
