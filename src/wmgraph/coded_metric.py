@@ -30,15 +30,10 @@ class CodedSpace:
     pinches: tuple            # ((s_i, t_i), ...)
     eps: float
     samples: np.ndarray       # sample times
-    weights: np.ndarray       # mass per sample
 
-    def __init__(self, h, pinches=(), eps=0.0, samples=(), weights=None):
+    def __init__(self, h, pinches=(), eps=0.0, samples=()):
         eps = check_eps(eps)
         samples = np.asarray(samples, dtype=float)
-        weights = (np.ones_like(samples) if weights is None
-                   else np.asarray(weights, dtype=float))
-        if weights.shape != samples.shape:
-            raise ValueError("weights must have the shape of samples")
         zeta = float(h.times[-1])
         if not np.all((samples >= 0) & (samples <= zeta)):
             raise ValueError("sample outside the coding domain")
@@ -50,7 +45,6 @@ class CodedSpace:
                                                   for s, t in pinches))
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "weights", weights)
 
 
 def tree_distance(h: StepFunction, s: float, t: float) -> float:

@@ -44,17 +44,17 @@ def default_truncation(p: LimitParams, T: float) -> int:
 
 
 def simulate_limit_Y(p: LimitParams, dt: float | None = None, T: float = 1.0,
-                     J: int | None = None, rng_seed=0,
-                     forced_E=None) -> GridPath:
+                     rng_seed=0, forced_E=None) -> GridPath:
     """Simulate Y on a uniform grid of step dt (default T*1e-4).
 
     Brownian increments are N(0, beta*dt); jump times are drawn exactly
     and snapped to the containing cell; the per-jump compensator
-    -c_j^2*kappa*t is applied continuously.  ``forced_E`` (test hook)
-    fixes the jump times of the first entries of c; an entry of +inf
-    never lands.  A grid whose peak working arrays would exceed physical
-    memory is rejected before any is allocated: a host that overcommits
-    memory would grant it and then kill the process."""
+    -c_j^2*kappa*t is applied continuously.  c is cut at
+    ``default_truncation(p, T)``, unless ``forced_E`` (test hook) fixes
+    the jump time of every entry of c; an entry of +inf never lands.  A
+    grid whose peak working arrays would exceed physical memory is
+    rejected before any is allocated: a host that overcommits memory
+    would grant it and then kill the process."""
     if dt is None:
         dt = 1e-4 * T
     for name, value in (("T", T), ("dt", dt)):
@@ -73,9 +73,7 @@ def simulate_limit_Y(p: LimitParams, dt: float | None = None, T: float = 1.0,
         raise ValueError(f"a grid of {n + 1} points needs {need / 2 ** 30:.3g} "
                          f"GiB, more than the {ram / 2 ** 30:.3g} GiB of "
                          "physical memory")
-    if J is None:
-        J = len(p.c) if forced_E is not None else default_truncation(p, T)
-    J = min(J, len(p.c))
+    J = len(p.c) if forced_E is not None else default_truncation(p, T)
     rng = np.random.default_rng(rng_seed)
     t = np.arange(n + 1) * dt
     y = -p.alpha * t - 0.5 * p.kappa * p.beta * t * t
@@ -88,7 +86,7 @@ def simulate_limit_Y(p: LimitParams, dt: float | None = None, T: float = 1.0,
             E = np.asarray(forced_E, dtype=float)
             if E.shape != c.shape or not np.all(E >= 0):    # NaN fails
                 raise ValueError("forced_E must give one nonnegative time "
-                                 "per kept c entry")
+                                 "per c entry")
         else:
             E = rng.exponential(1.0 / (p.kappa * c))
         y = y - t * math.fsum((c * c * p.kappa).tolist())   # compensator

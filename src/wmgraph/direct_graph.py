@@ -1,8 +1,8 @@
 """Direct sampler of the weight-multiplicative graph by independent edge coins.
 
 Vertices 1..j carry weights w_1 >= ... >= w_j; the unordered pair {i, k}
-is an edge independently with probability h(w_i*w_k/sigma_1), where h is
-one of exp: 1-e^{-x}, cap: 1 and x, ratio: x/(1+x).
+is an edge independently with probability h(w_i*w_k/sigma_1), where
+h(x) = 1 - e^{-x}.
 """
 
 from __future__ import annotations
@@ -19,23 +19,15 @@ from .paths import _write_csv
 from .weights import WeightSeq
 
 
-# h(x) of each edge function; each formula takes a float or an array
-_EDGE_FUNCTIONS = {
-    "exp": lambda x: -np.expm1(-x),
-    "cap": lambda x: np.minimum(1.0, x),
-    "ratio": lambda x: x / (1.0 + x),
-}
+def h(x):
+    """The edge law h(x) = 1 - e^{-x}, for a float or an array; the sampler
+    and ``edge_probability`` look it up when called."""
+    return -np.expm1(-x)
 
 
-def _edge_function(edge_fn: str):
-    if edge_fn not in _EDGE_FUNCTIONS:
-        raise ValueError(f"unknown edge function {edge_fn!r}")
-    return _EDGE_FUNCTIONS[edge_fn]
-
-
-def edge_probability(x, edge_fn: str):
-    """h(x) for the named edge function, elementwise."""
-    out = _edge_function(edge_fn)(np.asarray(x, dtype=float))
+def edge_probability(x):
+    """h(x), elementwise."""
+    out = h(np.asarray(x, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
@@ -84,8 +76,7 @@ class ComponentView(NamedTuple):
         return len(self.vertices)
 
 
-def sample_direct(w: WeightSeq, edge_fn: str = "exp",
-                  rng_seed=0) -> AssembledGraph:
+def sample_direct(w: WeightSeq, rng_seed=0) -> AssembledGraph:
     """Draw one graph in O(n + m) by geometric skipping (Miller and
     Hagberg, WAW 2011; Batagelj and Brandes, Phys. Rev. E 2005).
 
@@ -96,7 +87,6 @@ def sample_direct(w: WeightSeq, edge_fn: str = "exp",
     pair it lands on with probability p_v/p; every pair is then an edge
     independently with probability exactly p_v.
     """
-    h = _edge_function(edge_fn)
     rng = np.random.default_rng(rng_seed)
     n = w.j_max
     s1 = w.sigma(1.0)

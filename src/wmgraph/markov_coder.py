@@ -58,9 +58,8 @@ class MarkovTrace:
                          type=trace.types, color=trace.color)
 
     def events(self) -> np.ndarray:
-        dep = self.departure[1:]
-        return np.unique(np.concatenate(
-            ([0.0], self.tau[1:], dep[np.isfinite(dep)], [self.horizon])))
+        # H breaks at 0 and at every arrival and departure up to the end
+        return np.union1d(self.H.times, [self.horizon])
 
 
 def simulate_markov(w: WeightSeq, horizon: float = math.inf, rng_seed=0,
@@ -77,6 +76,9 @@ def simulate_markov(w: WeightSeq, horizon: float = math.inf, rng_seed=0,
     if not math.isfinite(horizon) and stop_at_empty is None \
             and forced_arrivals is None:
         raise ValueError("need a finite horizon or an empty-epoch target")
+    if stop_at_empty is not None and not stop_at_empty >= 1:
+        raise ValueError("stop_at_empty must be at least 1, "
+                         f"got {stop_at_empty!r}")
     sizes = w.w.tolist()
     if forced_arrivals is not None:
         forced = [(float(t), int(j)) for t, j in forced_arrivals]

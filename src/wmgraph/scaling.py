@@ -31,14 +31,10 @@ _GL_X, _GL_W = np.r_[-_GL_X, _GL_X], np.r_[_GL_W, _GL_W]
 PSI_BLOCK = 1 << 15            # lambda x c products per block: <= 256 KB
 
 
-def psi_eval(p: LimitParams, lam, truncation: int | None = None):
-    """psi(lambda) using the first ``truncation`` entries of c (default all).
-
-    Returns (value, tail_bound) where tail_bound = (kappa/2)*lambda^2 *
-    sum_{j>J} c_j^3 bounds the dropped terms."""
+def psi_eval(p: LimitParams, lam):
+    """psi(lambda), a float for a scalar lambda, else an array of its shape."""
     lam = np.asarray(lam, dtype=float)
-    J = len(p.c) if truncation is None else min(truncation, len(p.c))
-    c = p.c[:J]
+    c = p.c
     out = p.alpha * lam + 0.5 * p.beta * lam * lam
     if c.size:
         flat, rows = lam.reshape(-1), max(1, PSI_BLOCK // c.size)
@@ -52,14 +48,7 @@ def psi_eval(p: LimitParams, lam, truncation: int | None = None):
             e *= kc
             jumps[i:i + rows] = e.sum(axis=-1)
         out = out + jumps.reshape(lam.shape)
-    tail = 0.5 * p.kappa * lam * lam * float(np.sum(p.c[J:] ** 3))
-    if out.ndim == 0:
-        return float(out), float(tail)
-    return out, tail
-
-
-def _psi(p: LimitParams, lam):
-    return psi_eval(p, lam)[0]
+    return float(out) if out.ndim == 0 else out
 
 
 def _first_above(p: LimitParams, y: float, lo: float) -> float:
@@ -69,7 +58,7 @@ def _first_above(p: LimitParams, y: float, lo: float) -> float:
     hi, it = max(lo, 1.0), 0
     # -inf (hugely negative alpha) and NaN (-inf + inf) never bracket
     with np.errstate(over="ignore", invalid="ignore"):
-        while not _psi(p, hi) > y:
+        while not psi_eval(p, hi) > y:
             hi *= 2.0
             it += 1
             if it > MAX_BISECT:
@@ -79,7 +68,7 @@ def _first_above(p: LimitParams, y: float, lo: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _psi(p, mid) > y:
+        if psi_eval(p, mid) > y:
             hi = mid
         else:
             lo = mid
@@ -117,7 +106,7 @@ def psi_report(p: LimitParams) -> PsiReport:
     psi(lambda) ~= psi(L)*(lambda/L)^2."""
     rho = largest_root(p)
     L = max(1e6, 1e3 * rho)
-    v1, v2 = _psi(p, L), _psi(p, 10 * L)
+    v1, v2 = psi_eval(p, L), psi_eval(p, 10 * L)
     growth = math.log(v2 / v1) / math.log(10.0)
     grey = growth > 1.0 + 1e-6
     tail = L / (v1 * (growth - 1.0)) if grey else math.inf
@@ -129,7 +118,7 @@ def _ladder_integral(p: LimitParams, rho: float, a: float, b: float):
     """(int_a^b g by the 8-point rule, g(a)), g(s) = e^s/psi(rho + e^s)."""
     half = 0.5 * (b - a)
     s = np.append(0.5 * (a + b) + half * _GL_X, a)
-    g = np.exp(s) / _psi(p, rho + np.exp(s))
+    g = np.exp(s) / psi_eval(p, rho + np.exp(s))
     return half * float(_GL_W @ g[:-1]), float(g[-1])
 
 
@@ -148,7 +137,7 @@ def extinction_profile(p: LimitParams, t: float) -> float:
     rep = psi_report(p)
     if not rep.is_grey:
         raise ValueError("tail integral of 1/psi diverges; no profile")
-    L, psi_L = rep.lambda_max, _psi(p, rep.lambda_max)
+    L, psi_L = rep.lambda_max, psi_eval(p, rep.lambda_max)
     if t <= L / psi_L:
         return L * L / (psi_L * t)
     rho, f_hi = rep.root, L / psi_L     # F at the panel top hi

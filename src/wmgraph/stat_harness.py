@@ -211,9 +211,11 @@ def edge_marginal_compare(w: WeightSeq, replicas: int = 20000,
     the queue side is ``_queue_graph``.  Memory is O(C(n, 2) + replicas)
     beside the edges.
     """
+    if not replicas >= 1:
+        raise ValueError(f"replicas must be at least 1, got {replicas!r}")
     n = w.j_max
     probs = edge_probability(
-        np.outer(w.w, w.w)[np.triu_indices(n, k=1)] / w.sigma(1.0), "exp")
+        np.outer(w.w, w.w)[np.triu_indices(n, k=1)] / w.sigma(1.0))
     edges = []
     for r in range(replicas):
         g = sample_direct(w, rng_seed=np.random.SeedSequence([seed, 0, r]))

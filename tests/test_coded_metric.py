@@ -101,11 +101,8 @@ def test_coded_space_validation():
     for bad in ([0.5, 9.0], [0.5, float("nan")], [-0.5], [float("inf")]):
         with pytest.raises(ValueError, match="sample outside"):
             CodedSpace(H, samples=bad)
-    with pytest.raises(ValueError, match="shape"):
-        CodedSpace(H, samples=[0.5, 1.5], weights=[1.0])
-    space = CodedSpace(H, eps=float("inf"), samples=[0.0, 4.0],
-                       weights=[0.25, 0.75])
-    assert space.eps == float("inf") and space.weights.tolist() == [0.25, 0.75]
+    space = CodedSpace(H, eps=float("inf"), samples=[0.0, 4.0])
+    assert space.eps == float("inf")
 
 
 def _reference_pinched_matrix(space):

@@ -89,12 +89,10 @@ def test_grid_csv_roundtrip(tmp_path):
     assert back[:, 1] == pytest.approx(g.values)
 
 
-def _reference_simulate_limit_Y(p, dt, T, J=None, rng_seed=0, forced_E=None):
+def _reference_simulate_limit_Y(p, dt, T, rng_seed=0, forced_E=None):
     """The grid simulation with the compensator of one (grid x J) outer
     product, as before the row blocks."""
-    if J is None:
-        J = len(p.c) if forced_E is not None else default_truncation(p, T)
-    J = min(J, len(p.c))
+    J = len(p.c) if forced_E is not None else default_truncation(p, T)
     rng = np.random.default_rng(rng_seed)
     n = int(round(T / dt))
     t = np.arange(n + 1) * dt

@@ -21,11 +21,7 @@ from wmgraph.direct_graph import AssembledGraph, ComponentView
 
 def test_edge_probability_functions():
     x = np.asarray([0.0, 0.5, 2.0])
-    assert np.allclose(edge_probability(x, "exp"), 1.0 - np.exp(-x))
-    assert np.allclose(edge_probability(x, "cap"), [0.0, 0.5, 1.0])
-    assert np.allclose(edge_probability(x, "ratio"), x / (1.0 + x))
-    with pytest.raises(ValueError):
-        edge_probability(x, "nope")
+    assert np.allclose(edge_probability(x), 1.0 - np.exp(-x))
 
 
 def test_single_pair_frequency():
@@ -38,40 +34,44 @@ def test_single_pair_frequency():
     assert abs(hits / R - p) < 4 * math.sqrt(p * (1 - p) / R)
 
 
-@pytest.mark.parametrize("edge_fn", ["exp", "cap", "ratio"])
-def test_pair_marginals_match_edge_probability(edge_fn):
-    # sigma_1 = 20: under cap the pairs {1, 2} and {1, 3} have x >= 1, so
-    # p = 1 and they must appear in every draw
+def test_pair_marginals_match_edge_probability():
     w = WeightSeq([8.0, 6.0, 3.0, 1.0, 1.0, 1.0])
     iu, iv = np.triu_indices(w.j_max, k=1)
-    probs = edge_probability(w.w[iu] * w.w[iv] / w.sigma(1.0), edge_fn)
-    assert (edge_fn == "cap") == bool(np.any(probs == 1.0))
+    probs = edge_probability(w.w[iu] * w.w[iv] / w.sigma(1.0))
     index = {(int(a) + 1, int(b) + 1): k for k, (a, b) in enumerate(zip(iu, iv))}
     R = 4000
     counts = np.zeros(iu.size)
     for r in range(R):
-        g = sample_direct(w, edge_fn, rng_seed=np.random.SeedSequence([47, r]))
+        g = sample_direct(w, rng_seed=np.random.SeedSequence([47, r]))
         for e in g.edges:
             counts[index[e]] += 1
     band = 4 * np.sqrt(probs * (1 - probs) / R)
     assert np.all(np.abs(counts / R - probs) <= band)
 
 
+def test_certain_pair_appears_in_every_draw():
+    # sigma_1 = 204: the pair {1, 2} has x = 100*100/204 ~ 49 and
+    # h(x) == 1.0 in floating point, so its row takes the no-skip branch
+    w = WeightSeq([100.0, 100.0, 1.0, 1.0, 1.0, 1.0])
+    assert edge_probability(w.w[0] * w.w[1] / w.sigma(1.0)) == 1.0
+    for r in range(2000):
+        g = sample_direct(w, rng_seed=np.random.SeedSequence([47, r]))
+        assert (1, 2) in g.edges
+
+
 def test_single_vertex_has_no_edges():
-    for edge_fn in ("exp", "cap", "ratio"):
-        g = sample_direct(WeightSeq([5.0]), edge_fn, rng_seed=0)
-        assert g.n == 1 and g.edges == ()
+    g = sample_direct(WeightSeq([5.0]), rng_seed=0)
+    assert g.n == 1 and g.edges == ()
 
 
-@pytest.mark.parametrize("edge_fn", ["exp", "cap", "ratio"])
-def test_unit_weight_edge_count_is_binomial(edge_fn):
+def test_unit_weight_edge_count_is_binomial():
     # unit weights: every pair has p = h(1/n), so the edge count is
     # Binomial(C(n, 2), p)
     n = 4000
     pairs = n * (n - 1) // 2
-    p = edge_probability(1.0 / n, edge_fn)
+    p = edge_probability(1.0 / n)
     for seed in range(3):
-        g = sample_direct(WeightSeq(np.ones(n)), edge_fn,
+        g = sample_direct(WeightSeq(np.ones(n)),
                           rng_seed=np.random.SeedSequence([53, seed]))
         assert g.provenance == "direct"
         assert abs(len(g.edges) - pairs * p) < 4 * math.sqrt(pairs * p * (1 - p))

@@ -317,6 +317,7 @@ def test_colouring_and_identities_equal_per_arrival_reference():
     for w, horizon, seed, r in _DIFFERENTIAL_TRACES:
         tr = simulate_markov(w, horizon=horizon, stop_at_empty=5,
                              rng_seed=np.random.SeedSequence([seed, r]))
+        assert np.array_equal(tr.events(), _reference_events(tr))
         got, ref = color_blue_red(tr), _reference_color_blue_red(tr)
         _assert_same_colouring(got, ref)
         assert (verify_embedding(got).to_json()
@@ -324,11 +325,20 @@ def test_colouring_and_identities_equal_per_arrival_reference():
     # a repeat type in blue context: one red block, one A jump
     tr = simulate_markov(WeightSeq([1.0]),
                          forced_arrivals=[(0.5, 1), (0.7, 1)])
+    assert np.array_equal(tr.events(), _reference_events(tr))
     got, ref = color_blue_red(tr), _reference_color_blue_red(tr)
     _assert_same_colouring(got, ref)
     assert got.A.values.tolist() == [0.0, 1.0]
     assert (verify_embedding(got).to_json()
             == _reference_verify_embedding(ref).to_json())
+
+
+def _reference_events(trace):
+    """events() as the union of 0, the arrivals, the finite departures and
+    the horizon."""
+    dep = trace.departure[1:]
+    return np.unique(np.concatenate(
+        ([0.0], trace.tau[1:], dep[np.isfinite(dep)], [trace.horizon])))
 
 
 def test_identity_reference_agrees_on_a_dropped_jump():
@@ -358,6 +368,13 @@ def test_markov_horizon_must_be_positive(horizon):
         simulate_markov(w, horizon=horizon, stop_at_empty=5)
     with pytest.raises(ValueError, match="horizon must be positive"):
         simulate_markov(w, horizon=horizon, forced_arrivals=[(0.5, 1)])
+
+
+@pytest.mark.parametrize("stop", [0, -1])
+def test_markov_stop_at_empty_must_be_positive(stop):
+    with pytest.raises(ValueError, match="stop_at_empty must be at least 1"):
+        simulate_markov(WeightSeq([1.0, 0.5]), horizon=10.0,
+                        stop_at_empty=stop)
 
 
 def test_markov_infinite_horizon_needs_a_stop():

@@ -140,11 +140,17 @@ def test_familywise_verdict_is_exact_and_rejects_a_wrong_target(monkeypatch):
     assert 0.01 < rep.marginals_holm_p < 1
     # the same samplers against targets 20% too high
     monkeypatch.setattr("wmgraph.stat_harness.edge_probability",
-                        lambda x, fn: 1.2 * edge_probability(x, fn))
+                        lambda x: 1.2 * edge_probability(x))
     bad = edge_marginal_compare(WeightSeq([2.0, 1.0, 1.0]), replicas=3000,
                                 seed=0)
     assert bad.marginals_holm_p < 1e-3
     assert not bad.marginals_familywise_pass and not bad.passed
+
+
+@pytest.mark.parametrize("replicas", [0, -1])
+def test_edge_marginal_compare_needs_a_replica(replicas):
+    with pytest.raises(ValueError, match="replicas must be at least 1"):
+        edge_marginal_compare(WeightSeq([2.0, 1.0, 1.0]), replicas=replicas)
 
 
 @pytest.mark.parametrize("w,replicas", [([1.0], 50), ([1.0, 1.0], 400),
