@@ -28,7 +28,6 @@ from .lifo_coder import (
     LifoTrace,
     PinchSetup,
     assemble_graph,
-    resolve_pinch,
     sample_pinches,
     simulate_lifo,
 )

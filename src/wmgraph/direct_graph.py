@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -31,41 +30,54 @@ def edge_probability(x):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssembledGraph:
-    """Simple graph on vertices 1..n with per-vertex weights."""
+    """Simple graph on vertices 1..n with per-vertex weights; compared by
+    identity (eq=False), as a field-wise == on its arrays raises."""
 
     n: int
-    weights: np.ndarray
-    edges: tuple      # (u, v) pairs, u < v, from any iterable; kept sorted
-    provenance: str   # "direct" or "lifo"
+    weights: np.ndarray   # one per vertex
+    edges: np.ndarray     # (m, 2) int64, rows u < v ascending; from pairs
+    provenance: str       # "direct" or "lifo"
     n_self_loops_dropped: int = 0
     n_duplicates_dropped: int = 0
 
     def __post_init__(self):
-        edges = tuple(sorted(self.edges))
-        for prev, (u, v) in zip(((0, 0),) + edges, edges):
-            if not (1 <= u < v <= self.n and (u, v) > prev):  # no repeats
-                raise ValueError(f"invalid edge ({u}, {v})")
-        object.__setattr__(self, "edges", edges)
+        if np.shape(self.weights) != (self.n,):
+            raise ValueError(f"need one weight per vertex, n = {self.n}")
+        a = self.edges
+        a = np.asarray(a if isinstance(a, np.ndarray) else list(a))
+        a = np.empty((0, 2), np.int64) if a.shape == (0,) else a
+        if a.ndim != 2 or a.shape[1] != 2:
+            raise ValueError("edges must be (u, v) pairs")
+        if a.dtype.kind not in "biu":
+            raise ValueError("edge endpoints must be integers")
+        e = a.astype(np.int64)
+        u, v = e[:, 0], e[:, 1]
+        rises = (u[1:] > u[:-1]) | (u[1:] == u[:-1]) & (v[1:] > v[:-1])
+        if not rises.all():   # sorted only when the pairs do not ascend
+            e = e[np.lexsort((v, u))]   # as tuples sort
+            u, v = e[:, 0], e[:, 1]
+            rises = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+        ok = (1 <= u) & (u < v) & (v <= self.n)
+        ok[1:] &= rises   # no repeats
+        if not ok.all():
+            raise ValueError("invalid edge ({}, {})".format(*e[ok.argmin()]))
+        e.flags.writeable = False   # the graph's own copy, frozen like it
+        object.__setattr__(self, "edges", e)
 
     def write_edge_csv(self, path):
-        _write_csv(path, ["u", "v"], _edge_columns(self.edges))
-
-
-def _edge_columns(edges) -> np.ndarray:
-    """The (u, v) pairs as a (2, m) int64 array: a u row and a v row."""
-    return np.fromiter(chain.from_iterable(edges), np.int64,
-                       2 * len(edges)).reshape(-1, 2).T
+        _write_csv(path, ["u", "v"], list(self.edges.T))
 
 
 class ComponentView(NamedTuple):
     """One connected component; vertices ascend, so the first is the root,
-    the first-explored (smallest) vertex."""
+    the first-explored (smallest) vertex.  ``edges`` holds its rows of the
+    graph's edges."""
 
     vertices: tuple
     mass: float
-    edges: tuple
+    edges: np.ndarray
 
     @property
     def root(self) -> int:
@@ -87,26 +99,37 @@ def sample_direct(w: WeightSeq, rng_seed=0) -> AssembledGraph:
     pair it lands on with probability p_v/p; every pair is then an edge
     independently with probability exactly p_v.
     """
-    rng = np.random.default_rng(rng_seed)
-    n = w.j_max
-    s1 = w.sigma(1.0)
-    ws = w.w.tolist()
-    uniforms = _uniforms(rng, n)
-    edges = []
+    return AssembledGraph(n=w.j_max, weights=w.w,
+                          edges=_direct_edges(w, rng_seed), provenance="direct")
+
+
+def _direct_edges(w: WeightSeq, rng_seed=0) -> np.ndarray:
+    """The edges ``sample_direct`` draws, as an (m, 2) int64 array.  Rows
+    ascend in u and each row in v, so the pairs come sorted."""
+    n, s1, ws = w.j_max, w.sigma(1.0), w.w.tolist()
+    uniforms = _uniforms(np.random.default_rng(rng_seed), n)
+    ends = []
+    # h is evaluated once per run of equal arguments, as a Python float
+    x_last = q = math.nan
     for u in range(n - 1):
-        v, p = u + 1, h(ws[u] * ws[u + 1] / s1)
+        wu, v = ws[u], u + 1
+        x = wu * ws[v] / s1
+        if x != x_last:
+            x_last, q = x, float(h(x))
+        p = q
         while v < n and p > 0:
             if p < 1:
                 skip = math.log1p(-next(uniforms)) / math.log1p(-p)
                 if skip >= n - v:
                     break
                 v += int(skip)
-            q = h(ws[u] * ws[v] / s1)
+            x = wu * ws[v] / s1
+            if x != x_last:
+                x_last, q = x, float(h(x))
             if next(uniforms) * p < q:
-                edges.append((u + 1, v + 1))
+                ends += (u + 1, v + 1)
             v, p = v + 1, q
-    # rows ascend in u and each row in v, so the pairs come sorted
-    return AssembledGraph(n=n, weights=w.w, edges=edges, provenance="direct")
+    return np.array(ends, dtype=np.int64).reshape(-1, 2)
 
 
 def _uniforms(rng, size: int):
@@ -118,25 +141,35 @@ def _uniforms(rng, size: int):
 def connected_components(g: AssembledGraph) -> list:
     """Components sorted nonincreasing by mass; ties broken by the smallest
     first-explored vertex id."""
-    u, v = _edge_columns(g.edges) - 1
-    adj = csr_array((np.ones(u.size, dtype=np.int8), (u, v)), shape=(g.n, g.n))
+    u, v = g.edges[:, 0] - 1, g.edges[:, 1] - 1
+    # the sorted rows are the upper triangle in CSR order; float64 data is
+    # the type csgraph works in, so it makes no converted copy
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(u, minlength=g.n))))
+    adj = csr_array((np.ones(u.size), v, indptr), shape=(g.n, g.n))
     k, labels = csgraph.connected_components(adj, directed=False)
     # a stable sort keeps ids ascending within a label, so each group
     # starts at its root; the sorted edges are grouped the same way
     by_label = np.argsort(labels, kind="stable")
-    cuts = [0] + np.cumsum(np.bincount(labels, minlength=k)).tolist()
+    sizes = np.bincount(labels, minlength=k)
+    starts = np.cumsum(sizes) - sizes
+    cuts = starts.tolist() + [g.n]
     edge_label = labels[u]
     edge_cuts = [0] + np.cumsum(np.bincount(edge_label, minlength=k)).tolist()
-    edges = tuple(map(g.edges.__getitem__,
-                      np.argsort(edge_label, kind="stable").tolist()))
+    edges = g.edges[np.argsort(edge_label, kind="stable")]
     verts = tuple((by_label + 1).tolist())
-    ws = np.asarray(g.weights, dtype=float)[by_label].tolist()
-    masses = [math.fsum(ws[a:b]) for a, b in zip(cuts, cuts[1:])]
-    order = np.lexsort((by_label[cuts[:-1]], -np.asarray(masses))).tolist()
+    ws = np.asarray(g.weights, dtype=float)[by_label]
+    # a singleton's mass is its weight, exactly; larger ones are fsums
+    masses, wl = ws[starts], ws.tolist()
+    for i in np.flatnonzero(sizes > 1).tolist():
+        masses[i] = math.fsum(wl[cuts[i]:cuts[i + 1]])
+    order = np.lexsort((by_label[starts], -masses)).tolist()
+    masses = masses.tolist()
+    none = edges[:0]   # shared by the components without an edge
     # tuple.__new__ skips the named tuple's Python-level constructor
-    return [tuple.__new__(ComponentView, (verts[cuts[i]:cuts[i + 1]], masses[i],
-                                          edges[edge_cuts[i]:edge_cuts[i + 1]]))
-            for i in order]
+    return [tuple.__new__(ComponentView, (
+        verts[cuts[i]:cuts[i + 1]], masses[i],
+        edges[edge_cuts[i]:edge_cuts[i + 1]]
+        if edge_cuts[i] < edge_cuts[i + 1] else none)) for i in order]
 
 
 def graph_distances(c: ComponentView) -> np.ndarray:
@@ -144,7 +177,7 @@ def graph_distances(c: ComponentView) -> np.ndarray:
     index = {v: i for i, v in enumerate(c.vertices)}
     n = len(c.vertices)
     adj = [[] for _ in range(n)]
-    for u, v in c.edges:
+    for u, v in np.asarray(c.edges).tolist():
         adj[index[u]].append(index[v])
         adj[index[v]].append(index[u])
     rows = []

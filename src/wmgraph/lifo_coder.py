@@ -62,46 +62,6 @@ class LifoTrace:
         return tuple((times[a], math.fsum(sizes[a:b]), tuple(ids[a:b]))
                      for a, b in zip(starts, starts[1:] + [len(ids)]))
 
-    @property
-    def service_intervals(self) -> tuple:
-        """Per client: its (start, end) service intervals.
-
-        A client is served from its arrival until its first child arrives,
-        from each child's departure until the next child arrives, and from
-        its last child's departure until it departs."""
-        arrival, departure = self.arrival.tolist(), self.departure.tolist()
-        starts = [[t] for t in arrival]
-        ends = [[] for _ in arrival]
-        for c in self.arrival_order.tolist():
-            p = int(self.parent[c])
-            if p:
-                ends[p].append(arrival[c])
-                starts[p].append(departure[c])
-        return tuple(tuple(zip(starts[j], ends[j] + [departure[j]]))
-                     for j in range(1, len(arrival)))
-
-    def served_at(self, t: float) -> int:
-        """Client in service at time t (cadlag), 0 if the server is idle.
-
-        Clients nest: a child arrives after its parent and departs before
-        it.  So the clients queued at t are the last arrival by t and its
-        ancestors, less those departed by t, and the deepest is served."""
-        i = int(np.searchsorted(self.Y.times, t, side="right")) - 1
-        j = int(self.arrival_order[i]) if i >= 0 else 0
-        while j and self.departure[j] <= t:
-            j = int(self.parent[j])
-        return j
-
-    def stack_at(self, t: float) -> list:
-        """Clients in queue at time t, bottom (oldest) first: the client
-        in service and its ancestors."""
-        stack = []
-        j = self.served_at(t)
-        while j:
-            stack.append(j)
-            j = int(self.parent[j])
-        return stack[::-1]
-
     def write_csv(self, path):
         """Rows (time, event, client, Y, H); see ``_write_trace_csv``."""
         _write_trace_csv(path, self.arrival_order, self.arrival,
@@ -179,25 +139,17 @@ def _replica_trace(w: WeightSeq, E: np.ndarray) -> LifoTrace:
         arrival_order=order)
 
 
-def resolve_pinch(trace: LifoTrace, t_p: float, y_p: float):
-    """Resolve one pinch point (t_p, y_p) with 0 < y_p < (Y-J)(t_p).
-
-    The start time s_p = inf{s <= t_p : inf_{[s,t_p]}(Y-J) > y_p} is the
-    arrival time of the deepest queued ancestor whose load band contains
-    y_p: up the stack at t_p, the infimum of Y over [arrival_k, t_p]
-    equals the pre-arrival level of the next stack entry (or Y(t_p) at
-    the top).  Returns (s_p, u, v, self_loop, boundary_tie).
-    """
-    s, u, v, loop, tie = _resolve_pinches(trace, np.asarray([float(t_p)]),
-                                          np.asarray([float(y_p)]))
-    return float(s[0]), int(u[0]), int(v[0]), bool(loop[0]), bool(tie[0])
-
-
 def _resolve_pinches(trace: LifoTrace, t: np.ndarray, y: np.ndarray):
-    """``resolve_pinch`` for arrays of points, by binary lifting.
+    """Resolve pinch points (t, y), 0 < y < (Y-J)(t), by binary lifting.
+    Returns arrays (s, u, v, self_loop, boundary_tie).
+
+    The start time s = inf{s' <= t : inf_{[s',t]}(Y-J) > y} is the
+    arrival time of the deepest queued ancestor whose load band contains
+    y: up the stack at t, the infimum of Y over [arrival_k, t] equals the
+    pre-arrival level of the next stack entry (or Y(t) at the top).
 
     v is the first client up the chain of the last arrival by t that
-    departs after t (0: idle), as ``served_at`` walks it; u is the first
+    departs after t (0: idle): the client in service; u is the first
     client up from v whose band floor (pre-arrival level less the root's,
     j_exc) is at most y.  Floors increase down a chain, since a newcomer's
     pre-arrival level is the value the replay found above its parent's,
@@ -294,23 +246,24 @@ def _profile_segments(trace: LifoTrace):
 def assemble_graph(trace: LifoTrace, pinches: PinchSetup | None = None) -> AssembledGraph:
     """Tree edges (parents, root edges dropped) unioned with pinch edges;
     self-loops and duplicates collapse with counts reported."""
+    n = trace.parent.size - 1
     child = trace.parent.nonzero()[0]
     u, v = ((pinches.u, pinches.v) if pinches is not None
             else np.zeros((2, 0), dtype=np.int64))
     keep = u != v
     a = np.concatenate((child, u[keep]))
     b = np.concatenate((trace.parent[child], v[keep]))
-    pairs = list(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
-    edges = set(pairs)  # tree pairs are distinct: every repeat is a pinch's
+    # one key per pair; tree pairs are distinct, so every repeat is a pinch's
+    keys = np.minimum(a, b) * (n + 1) + np.maximum(a, b)
+    edges = np.unique(keys)
     return AssembledGraph(
-        n=trace.parent.size - 1,
-        weights=np.tile(trace.weights.w, trace.replicas), edges=edges,
-        provenance="lifo", n_self_loops_dropped=len(u) - int(keep.sum()),
-        n_duplicates_dropped=len(pairs) - len(edges))
+        n=n, weights=np.tile(trace.weights.w, trace.replicas),
+        edges=np.stack(np.divmod(edges, n + 1), axis=1), provenance="lifo",
+        n_self_loops_dropped=len(u) - int(keep.sum()),
+        n_duplicates_dropped=keys.size - edges.size)
 
 
 __all__ = [
     "LifoTrace", "PinchSetup", "CadlagStepPath", "StepFunction",
-    "simulate_lifo", "height_of_path", "sample_pinches", "resolve_pinch",
-    "assemble_graph",
+    "simulate_lifo", "height_of_path", "sample_pinches", "assemble_graph",
 ]

@@ -10,8 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .direct_graph import edge_probability, sample_direct
+from .direct_graph import _direct_edges, edge_probability
 from .lifo_coder import _replica_trace, assemble_graph, sample_pinches
+from .paths import _BLOCK_CELLS
 from .weights import WeightSeq
 
 # per-family multiple-testing level
@@ -101,22 +102,37 @@ class EdgeCompareReport:
         }
 
     def write_json(self, path):
-        """The report as indented JSON, written as it is encoded, so that
-        only one per-pair array at a time is held as Python floats."""
+        """The report as ``json.dump(..., indent=2)`` writes it, byte for
+        byte, with each per-pair array encoded a block of floats at a
+        time: the C encoder, with the indented list's separator, writes
+        each block, where the indenting encoder is pure Python."""
         with open(path, "w") as fh:
-            json.dump(self._fields(), fh, indent=2, default=np.ndarray.tolist)
+            for i, (key, value) in enumerate(self._fields().items()):
+                fh.write(("," if i else "{") + f"\n  {json.dumps(key)}: ")
+                if not isinstance(value, np.ndarray):
+                    fh.write(json.dumps(value))
+                    continue
+                for a in range(0, value.size, _BLOCK_CELLS):
+                    block = value[a:a + _BLOCK_CELLS].tolist()
+                    fh.write(("," if a else "[") + "\n    " + json.dumps(
+                        block, separators=(",\n    ", ": "))[1:-1])
+                fh.write("\n  ]" if value.size else "[]")
+            fh.write("\n}")
 
     def summary_lines(self):
         """The text summary one line at a time: a row per pair, then the
-        verdicts."""
+        verdicts.  The columns are read as Python floats a block at a
+        time."""
         yield f"{'pair':>8} {'target':>10} {'direct':>10} {'lifo':>10} {'band':>10}"
         n = self.w.size
         pairs = ((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
-        for (i, j), p, fd, fl, b in zip(pairs, self.edge_probs,
-                                        self.freq_direct, self.freq_lifo,
-                                        self.band):
-            yield (f"{f'{i}-{j}':>8} {p:>10.6f} {fd:>10.6f} {fl:>10.6f} "
-                   f"{b:>10.6f}")
+        cols = (self.edge_probs, self.freq_direct, self.freq_lifo, self.band)
+        for a in range(0, self.edge_probs.size, _BLOCK_CELLS):
+            # pairs last: zip stops on the block before drawing a pair
+            for p, fd, fl, b, (i, j) in zip(
+                    *(c[a:a + _BLOCK_CELLS].tolist() for c in cols), pairs):
+                yield (f"{f'{i}-{j}':>8} {p:>10.6f} {fd:>10.6f} {fl:>10.6f} "
+                       f"{b:>10.6f}")
         yield (f"marginals_pass={self.marginals_pass} "
                f"marginals_holm_p={self.marginals_holm_p:.5g} "
                f"count_hist_p={self.count_hist_p:.5f} "
@@ -216,11 +232,9 @@ def edge_marginal_compare(w: WeightSeq, replicas: int = 20000,
     n = w.j_max
     probs = edge_probability(
         np.outer(w.w, w.w)[np.triu_indices(n, k=1)] / w.sigma(1.0))
-    edges = []
-    for r in range(replicas):
-        g = sample_direct(w, rng_seed=np.random.SeedSequence([seed, 0, r]))
-        edges += [(u + r * n, v + r * n) for u, v in g.edges]
-    direct = _edge_tally(n, replicas, edges)
+    direct = _edge_tally(n, replicas, np.concatenate([
+        _direct_edges(w, np.random.SeedSequence([seed, 0, r])) + r * n
+        for r in range(replicas)]))
     lifo = _edge_tally(n, replicas, _queue_graph(w, replicas, seed).edges)
 
     fd = direct[0] / replicas

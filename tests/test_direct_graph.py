@@ -16,6 +16,7 @@ from wmgraph import (
     sample_pinches,
     simulate_lifo,
 )
+from wmgraph import direct_graph
 from wmgraph.direct_graph import AssembledGraph, ComponentView
 
 
@@ -28,8 +29,9 @@ def test_single_pair_frequency():
     # w = (2, 1): P(edge) = 1 - exp(-2/3) ~ 0.486583
     w = WeightSeq([2.0, 1.0])
     R = 4000
-    hits = sum((1, 2) in sample_direct(
-        w, rng_seed=np.random.SeedSequence([41, r])).edges for r in range(R))
+    hits = sum([1, 2] in sample_direct(
+        w, rng_seed=np.random.SeedSequence([41, r])).edges.tolist()
+        for r in range(R))
     p = 1 - math.exp(-2.0 / 3.0)
     assert abs(hits / R - p) < 4 * math.sqrt(p * (1 - p) / R)
 
@@ -43,7 +45,7 @@ def test_pair_marginals_match_edge_probability():
     counts = np.zeros(iu.size)
     for r in range(R):
         g = sample_direct(w, rng_seed=np.random.SeedSequence([47, r]))
-        for e in g.edges:
+        for e in map(tuple, g.edges.tolist()):
             counts[index[e]] += 1
     band = 4 * np.sqrt(probs * (1 - probs) / R)
     assert np.all(np.abs(counts / R - probs) <= band)
@@ -56,12 +58,12 @@ def test_certain_pair_appears_in_every_draw():
     assert edge_probability(w.w[0] * w.w[1] / w.sigma(1.0)) == 1.0
     for r in range(2000):
         g = sample_direct(w, rng_seed=np.random.SeedSequence([47, r]))
-        assert (1, 2) in g.edges
+        assert [1, 2] in g.edges.tolist()
 
 
 def test_single_vertex_has_no_edges():
     g = sample_direct(WeightSeq([5.0]), rng_seed=0)
-    assert g.n == 1 and g.edges == ()
+    assert g.n == 1 and g.edges.shape == (0, 2)
 
 
 def test_unit_weight_edge_count_is_binomial():
@@ -142,7 +144,7 @@ def test_graph_distances_vs_bfs_oracle():
 
 
 def test_graph_distances_rejects_a_disconnected_view():
-    view = ComponentView(vertices=(1, 2, 3), mass=3.0, edges=((1, 2),))
+    view = ComponentView(vertices=(1, 2, 3), mass=3.0, edges=np.array([[1, 2]]))
     with pytest.raises(ValueError, match="not connected"):
         graph_distances(view)
 
@@ -155,13 +157,90 @@ def test_assembled_graph_rejects_invalid_edges():
                            provenance="test")
 
 
+def _reference_validate(n, edges):
+    """The constructor's per-pair check when edges were a tuple, kept as
+    the reference: the sorted pairs, or the ValueError naming the first
+    invalid pair in sorted order."""
+    edges = tuple(sorted(edges))
+    for prev, (u, v) in zip(((0, 0),) + edges, edges):
+        if not (1 <= u < v <= n and (u, v) > prev):  # no repeats
+            raise ValueError(f"invalid edge ({u}, {v})")
+    return edges
+
+
+def _verdict(check):
+    try:
+        return check()
+    except ValueError as err:
+        return str(err)
+
+
+def _random_edge_lists():
+    """Valid edge lists, sorted and shuffled, and lists made invalid by a
+    repeat, u = 0, u = v, u > v or v > n."""
+    rng = np.random.default_rng(23)
+    for _ in range(600):
+        n = int(rng.integers(1, 9))
+        iu, iv = np.triu_indices(n, k=1)
+        pick = rng.random(iu.size) < rng.random()
+        edges = list(zip(iu[pick] + 1, iv[pick] + 1))
+        if rng.random() < 0.5:
+            edges = [edges[i] for i in rng.permutation(len(edges))]
+        for _ in range(int(rng.integers(0, 3))):
+            kind = rng.integers(0, 5)
+            if kind == 0 and edges:   # a repeat
+                edges.append(edges[int(rng.integers(0, len(edges)))])
+            else:                     # endpoints anywhere in 0..n+1
+                edges.append(tuple(rng.integers(0, n + 2, size=2)))
+            edges.insert(int(rng.integers(0, len(edges))), edges.pop())
+        yield n, [(int(u), int(v)) for u, v in edges]
+
+
+def test_assembled_graph_validation_matches_reference():
+    verdicts = set()
+    for n, edges in _random_edge_lists():
+        want = _verdict(lambda: [list(e) for e in _reference_validate(n, edges)])
+        got = _verdict(lambda: AssembledGraph(
+            n=n, weights=np.ones(n), edges=edges,
+            provenance="test").edges.tolist())
+        assert got == want, (n, edges)
+        verdicts.add(isinstance(want, str))
+    assert verdicts == {False, True}
+
+
+def test_assembled_graph_rejects_malformed_input():
+    with pytest.raises(ValueError, match="one weight per vertex"):
+        AssembledGraph(n=3, weights=np.ones(2), edges=[(1, 2)],
+                       provenance="test")
+    with pytest.raises(ValueError, match="one weight per vertex"):
+        AssembledGraph(n=3, weights=np.ones(4), edges=[(1, 2)],
+                       provenance="test")
+    for edges in ([(1.5, 2)], [(1, math.nan)], [(1, math.inf)], [("1", "2")],
+                  [(2.0, 3.0)], np.ones((1, 2))):
+        with pytest.raises(ValueError, match="must be integers"):
+            AssembledGraph(n=3, weights=np.ones(3), edges=edges,
+                           provenance="test")
+    # [(1, 2, 3, 4)] must not be read as the two edges (1, 2) and (3, 4)
+    for edges in ([(1, 2, 3, 4)], [(1,)], [()], [1, 2], np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="pairs"):
+            AssembledGraph(n=4, weights=np.ones(4), edges=edges,
+                           provenance="test")
+    with pytest.raises(ValueError):
+        AssembledGraph(n=4, weights=np.ones(4), edges=[(1, 2), (3,)],
+                       provenance="test")
+    g = AssembledGraph(n=3, weights=np.ones(3), edges=np.array([[2, 3]]),
+                       provenance="test")
+    assert g.edges.tolist() == [[2, 3]] and not g.edges.flags.writeable
+
+
 def test_assembled_graph_keeps_one_edge_order():
     pairs = [(1, 2), (1, 4), (2, 3), (3, 4)]
     for edges in ([pairs[i] for i in (2, 0, 3, 1)], set(pairs),
                   (e for e in reversed(pairs))):
         g = AssembledGraph(n=4, weights=np.ones(4), edges=edges,
                            provenance="test")
-        assert g.edges == tuple(pairs)
+        assert g.edges.dtype == np.int64
+        assert g.edges.tolist() == [list(e) for e in pairs]
 
 
 def test_component_view_fields():
@@ -175,7 +254,7 @@ def test_determinism():
     w = WeightSeq([3.0, 2.0, 2.0, 1.0, 1.0, 1.0])
     g1 = sample_direct(w, rng_seed=np.random.SeedSequence([9, 9]))
     g2 = sample_direct(w, rng_seed=np.random.SeedSequence([9, 9]))
-    assert g1.edges == g2.edges
+    assert np.array_equal(g1.edges, g2.edges)
 
 
 def _reference_components(g):
@@ -191,14 +270,14 @@ def _reference_components(g):
             parent[x], x = root, parent[x]
         return root
 
-    for u, v in g.edges:
+    for u, v in g.edges.tolist():
         ru, rv = sorted((find(u), find(v)))
         if ru != rv:
             parent[rv] = ru
     members, local_edges = {}, {}
     for v in range(1, g.n + 1):
         members.setdefault(find(v), []).append(v)
-    for u, v in sorted(g.edges):
+    for u, v in sorted(g.edges.tolist()):
         local_edges.setdefault(find(u), []).append((u, v))
     views = [ComponentView(
         vertices=tuple(verts),
@@ -236,7 +315,7 @@ def _reference_graph_distances(c):
 
 def _component_fields(views):
     return [(c.vertices, c.root, np.float64(c.mass).view(np.int64), c.count,
-             c.edges) for c in views]
+             np.asarray(c.edges).tolist()) for c in views]
 
 
 def _graphs_n3000():
@@ -268,8 +347,9 @@ def test_components_match_union_find_reference():
         assert sum(c.count for c in got) == g.n
         for c in got:
             assert all(a < b for a, b in zip(c.vertices, c.vertices[1:]))
-            assert list(c.edges) == sorted(c.edges)
-            assert all(u < v for u, v in c.edges)
+            assert c.edges.dtype == np.int64 and c.edges.shape[1:] == (2,)
+            assert c.edges.tolist() == sorted(c.edges.tolist())
+            assert all(u < v for u, v in c.edges.tolist())
             assert c.root == min(c.vertices) and c.count == len(c.vertices)
             assert type(c.root) is int and type(c.mass) is float
             assert all(type(v) is int for v in c.vertices)
@@ -297,3 +377,70 @@ def test_graph_distances_equal_matrix_bfs_reference():
             got = graph_distances(c)
             assert got.dtype == np.int64
             assert np.array_equal(got, _reference_graph_distances(c))
+
+
+def _reference_sample_direct(w, rng_seed=0):
+    """The sampler loop that appended one (u, v) tuple per edge and called
+    h per landing, kept as the reference.  It reads
+    ``wmgraph.direct_graph.h`` when called."""
+    rng = np.random.default_rng(rng_seed)
+    n = w.j_max
+    s1 = w.sigma(1.0)
+    ws = w.w.tolist()
+
+    def uniforms():
+        while True:
+            yield from rng.random(n).tolist()
+
+    draws = uniforms()
+    h = direct_graph.h
+    edges = []
+    for u in range(n - 1):
+        v, p = u + 1, h(ws[u] * ws[u + 1] / s1)
+        while v < n and p > 0:
+            if p < 1:
+                skip = math.log1p(-next(draws)) / math.log1p(-p)
+                if skip >= n - v:
+                    break
+                v += int(skip)
+            q = h(ws[u] * ws[v] / s1)
+            if next(draws) * p < q:
+                edges.append((u + 1, v + 1))
+            v, p = v + 1, q
+    return edges
+
+
+def _sampler_cases():
+    n = 3000
+    unit = WeightSeq(np.ones(n))
+    pareto = WeightSeq(np.random.default_rng(1).pareto(2.5, n) + 0.2)
+    dyadic = WeightSeq(np.random.default_rng(2).integers(1, 9, n) / 8.0)
+    for w in (unit, pareto, dyadic):
+        for seed in range(5):
+            yield w, np.random.SeedSequence([61, seed])
+    # h(x) == 1.0 on the pair {1, 2}: the no-skip branch
+    certain = WeightSeq([100.0, 100.0, 1.0, 1.0, 1.0, 1.0])
+    for seed in range(50):
+        yield certain, np.random.SeedSequence([62, seed])
+
+
+def _assert_sampler_matches_reference(cases):
+    for w, seed in cases:
+        g = sample_direct(w, rng_seed=seed)
+        want = _reference_sample_direct(w, rng_seed=seed)
+        assert g.edges.dtype == np.int64 and g.edges.shape == (len(want), 2)
+        assert g.edges.tolist() == [list(e) for e in want]
+
+
+def test_sampler_matches_tuple_loop_reference():
+    _assert_sampler_matches_reference(_sampler_cases())
+
+
+def test_sampler_reads_the_edge_law_when_called(monkeypatch):
+    w = WeightSeq(np.random.default_rng(1).pareto(2.5, 3000) + 0.2)
+    seeds = [np.random.SeedSequence([63, r]) for r in range(3)]
+    plain = [sample_direct(w, rng_seed=s).edges for s in seeds]
+    monkeypatch.setattr("wmgraph.direct_graph.h", lambda x: x / (1.0 + x))
+    _assert_sampler_matches_reference([(w, s) for s in seeds])
+    mutant = [sample_direct(w, rng_seed=s).edges for s in seeds]
+    assert not any(np.array_equal(a, b) for a, b in zip(plain, mutant))

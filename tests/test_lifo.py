@@ -13,11 +13,61 @@ from wmgraph import (
     gen_powerlaw_triple,
     height_of_path,
     powerlaw_alpha0,
-    resolve_pinch,
     sample_pinches,
     simulate_lifo,
 )
-from wmgraph.lifo_coder import _replica_trace
+from wmgraph.lifo_coder import _replica_trace, _resolve_pinches
+
+
+def _reference_service_intervals(trace):
+    """Per client: its (start, end) service intervals.
+
+    A client is served from its arrival until its first child arrives,
+    from each child's departure until the next child arrives, and from
+    its last child's departure until it departs."""
+    arrival, departure = trace.arrival.tolist(), trace.departure.tolist()
+    starts = [[t] for t in arrival]
+    ends = [[] for _ in arrival]
+    for c in trace.arrival_order.tolist():
+        p = int(trace.parent[c])
+        if p:
+            ends[p].append(arrival[c])
+            starts[p].append(departure[c])
+    return tuple(tuple(zip(starts[j], ends[j] + [departure[j]]))
+                 for j in range(1, len(arrival)))
+
+
+def _reference_served_at(trace, t):
+    """Client in service at time t (cadlag), 0 if the server is idle, by
+    a walk up the parents.
+
+    Clients nest: a child arrives after its parent and departs before
+    it.  So the clients queued at t are the last arrival by t and its
+    ancestors, less those departed by t, and the deepest is served."""
+    i = int(np.searchsorted(trace.Y.times, t, side="right")) - 1
+    j = int(trace.arrival_order[i]) if i >= 0 else 0
+    while j and trace.departure[j] <= t:
+        j = int(trace.parent[j])
+    return j
+
+
+def _reference_stack_at(trace, t):
+    """Clients in queue at time t, bottom (oldest) first: the client in
+    service and its ancestors."""
+    stack = []
+    j = _reference_served_at(trace, t)
+    while j:
+        stack.append(j)
+        j = int(trace.parent[j])
+    return stack[::-1]
+
+
+def _resolve_pinch(trace, t_p, y_p):
+    """The batch resolver on one point (t_p, y_p): (s_p, u, v, self_loop,
+    boundary_tie) as Python scalars."""
+    s, u, v, loop, tie = _resolve_pinches(trace, np.asarray([float(t_p)]),
+                                          np.asarray([float(y_p)]))
+    return float(s[0]), int(u[0]), int(v[0]), bool(loop[0]), bool(tie[0])
 
 
 @pytest.fixture
@@ -35,8 +85,9 @@ def test_hand_example_schedule(hand_trace):
     assert tr.parent.tolist() == [0, 0, 1]         # 2 served-at-arrival by 1
     assert tr.H.times == pytest.approx([0.0, 0.2, 0.4, 0.9, 1.7], abs=1e-12)
     assert tr.H.values.tolist() == [0.0, 1.0, 2.0, 1.0, 0.0]
-    assert tr.served_at(0.5) == 2 and tr.served_at(1.0) == 1
-    assert tr.stack_at(0.5) == [1, 2]
+    assert _reference_served_at(tr, 0.5) == 2
+    assert _reference_served_at(tr, 1.0) == 1
+    assert _reference_stack_at(tr, 0.5) == [1, 2]
     assert len(tr.busy_periods) == 1
     start, work, members = tr.busy_periods[0]
     assert (start, work, members) == (0.2, 1.5, (1, 2))
@@ -53,23 +104,24 @@ def test_load_path_and_height_agree(hand_trace):
 def test_service_intervals_partition_busy_time(hand_trace):
     tr = hand_trace
     # client 1 serves [0.2,0.4) and [0.9,1.7); client 2 serves [0.4,0.9)
-    flat0 = [x for iv in tr.service_intervals[0] for x in iv]
+    intervals = _reference_service_intervals(tr)
+    flat0 = [x for iv in intervals[0] for x in iv]
     assert flat0 == pytest.approx([0.2, 0.4, 0.9, 1.7], abs=1e-12)
-    assert tr.service_intervals[1] == ((0.4, 0.9),)
-    total = sum(b - a for ivs in tr.service_intervals for a, b in ivs)
+    assert intervals[1] == ((0.4, 0.9),)
+    total = sum(b - a for ivs in intervals for a, b in ivs)
     assert total == pytest.approx(tr.weights.sigma(1.0))
 
 
 def test_pinch_resolution_examples(hand_trace):
     tr = hand_trace
     # low level: deepest band, endpoints are clients 1 (start) and 2 (serving)
-    s, u, v, loop, tie = resolve_pinch(tr, 0.5, 0.3)
+    s, u, v, loop, tie = _resolve_pinch(tr, 0.5, 0.3)
     assert (s, u, v, loop, tie) == (0.2, 1, 2, False, False)
     # high level: inside client 2's band -> self loop starting at 0.4
-    s, u, v, loop, tie = resolve_pinch(tr, 0.5, 0.9)
+    s, u, v, loop, tie = _resolve_pinch(tr, 0.5, 0.9)
     assert (s, u, v, loop) == (0.4, 2, 2, True)
     # exact band boundary flags a tie
-    assert resolve_pinch(tr, 0.5, 0.8)[4] is True
+    assert _resolve_pinch(tr, 0.5, 0.8)[4] is True
 
 
 def test_forced_arrivals_need_one_time_per_client():
@@ -80,16 +132,16 @@ def test_forced_arrivals_need_one_time_per_client():
 
 def test_pinch_validation(hand_trace):
     with pytest.raises(ValueError):
-        resolve_pinch(hand_trace, 0.1, 0.1)   # idle server
+        _resolve_pinch(hand_trace, 0.1, 0.1)   # idle server
     with pytest.raises(ValueError):
-        resolve_pinch(hand_trace, 0.5, 5.0)   # above the reflected load
+        _resolve_pinch(hand_trace, 0.5, 5.0)   # above the reflected load
 
 
 def test_forced_pinches_assembly(hand_trace):
     ps = sample_pinches(hand_trace, forced_points=[(0.5, 0.3), (0.5, 0.9)])
     assert ps.size == 2
     g = assemble_graph(hand_trace, ps)
-    assert g.edges == ((1, 2),)
+    assert g.edges.tolist() == [[1, 2]]
     assert g.n_self_loops_dropped == 1
     assert g.n_duplicates_dropped == 1   # (1,2) already a tree edge
 
@@ -133,7 +185,7 @@ def test_tree_edges_connect_busy_period():
     tr = simulate_lifo(w, forced_arrivals=[0.1, 0.2, 5.0, 5.1])
     g = assemble_graph(tr)
     # first busy period holds clients 1,2; second 3,4
-    assert (1, 2) in g.edges and (3, 4) in g.edges
+    assert [1, 2] in g.edges.tolist() and [3, 4] in g.edges.tolist()
     assert len(g.edges) == 2
 
 
@@ -206,7 +258,7 @@ def test_trace_csv_columns_are_numeric(tmp_path):
 def _reference_resolve(trace, t_p, y_p):
     """The per-pinch resolver the batch one replaced: a bottom-up scan of
     the stack at t_p."""
-    stack = trace.stack_at(t_p)
+    stack = _reference_stack_at(trace, t_p)
     j_exc = trace.pre_level[stack[0]]
     rel = [trace.pre_level[j] - j_exc for j in stack]
     assert 0.0 < y_p < trace.Y.value(t_p) - j_exc
@@ -218,7 +270,7 @@ def _reference_resolve(trace, t_p, y_p):
                 tie = True
         else:
             break
-    u, v = stack[k], trace.served_at(t_p)
+    u, v = stack[k], _reference_served_at(trace, t_p)
     return float(trace.arrival[u]), int(u), int(v), bool(u == v), tie
 
 
@@ -284,7 +336,7 @@ def _band_floor_points(trace):
     times = np.unique(np.concatenate((events, events[:-1] + 1.0 / 64)))
     pts = []
     for t in times.tolist():
-        stack = trace.stack_at(t)
+        stack = _reference_stack_at(trace, t)
         if not stack:
             continue
         j_exc = trace.pre_level[stack[0]]
@@ -345,7 +397,8 @@ def _reference_assemble_graph(trace, pinches=None):
 
 
 def _assembly_fields(g):
-    return g.edges, g.n_self_loops_dropped, g.n_duplicates_dropped
+    return (g.edges.tolist(), g.n_self_loops_dropped,
+            g.n_duplicates_dropped)
 
 
 def test_assembly_matches_loop_reference():
@@ -440,5 +493,5 @@ def test_stack_queries_match_definition(clients, extra_times):
                for q in (t, np.nextafter(t, -1.0), np.nextafter(t, 99.0))]
     for t in queries + extra_times:
         want = [j for j in ids if tr.arrival[j] <= t < tr.departure[j]]
-        assert tr.stack_at(t) == want
-        assert tr.served_at(t) == (want[-1] if want else 0)
+        assert _reference_stack_at(tr, t) == want
+        assert _reference_served_at(tr, t) == (want[-1] if want else 0)

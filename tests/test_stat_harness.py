@@ -10,6 +10,7 @@ from scipy import stats
 
 import wmgraph
 from wmgraph import (
+    EdgeCompareReport,
     WeightSeq,
     chi_square_gof,
     edge_marginal_compare,
@@ -164,6 +165,55 @@ def test_edge_marginal_compare_edge_cases(tmp_path, w, replicas):
     assert len(list(rep.summary_lines())) == pairs + 2
     if pairs == 0:
         assert rep.marginals_holm_p == rep.count_hist_p == 1.0
+
+
+def _reference_summary_lines(rep):
+    """The summary formatted from numpy scalars, kept as the reference."""
+    yield f"{'pair':>8} {'target':>10} {'direct':>10} {'lifo':>10} {'band':>10}"
+    n = rep.w.size
+    pairs = ((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
+    for (i, j), p, fd, fl, b in zip(pairs, rep.edge_probs, rep.freq_direct,
+                                    rep.freq_lifo, rep.band):
+        yield (f"{f'{i}-{j}':>8} {p:>10.6f} {fd:>10.6f} {fl:>10.6f} "
+               f"{b:>10.6f}")
+    yield (f"marginals_pass={rep.marginals_pass} "
+           f"marginals_holm_p={rep.marginals_holm_p:.5g} "
+           f"count_hist_p={rep.count_hist_p:.5f} "
+           f"joint_p={rep.joint_p}")
+
+
+def _report(n, rng):
+    """A report on n vertices with random columns, NaN and +-inf among
+    them."""
+    pairs = n * (n - 1) // 2
+    cols = [rng.random(pairs) for _ in range(4)]
+    for col in cols:
+        if pairs:
+            col[rng.integers(0, pairs, size=3)] = [np.nan, np.inf, -np.inf]
+    return EdgeCompareReport(
+        w=np.ones(n), replicas=7, seed=3, edge_probs=cols[0],
+        freq_direct=cols[1], freq_lifo=cols[2], band=cols[3],
+        marginals_pass=False, marginals_holm_p=float(rng.random()),
+        marginals_familywise_pass=True, count_hist_p=np.nan,
+        count_hist_pass=False, joint_p=None if n > 5 else np.inf,
+        joint_pass=None if n > 5 else True)
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+def test_report_json_and_summary_equal_the_json_module(tmp_path, monkeypatch,
+                                                       block):
+    if block is not None:   # several blocks per column
+        monkeypatch.setattr("wmgraph.stat_harness._BLOCK_CELLS", block)
+    rng = np.random.default_rng(block or 0)
+    for n in (1, 2, 60):
+        rep = _report(n, rng)
+        rep.write_json(tmp_path / "compare.json")
+        with open(tmp_path / "want.json", "w") as fh:
+            json.dump(rep._fields(), fh, indent=2, default=np.ndarray.tolist)
+        got = (tmp_path / "compare.json").read_bytes()
+        assert got == (tmp_path / "want.json").read_bytes()
+        assert (b"NaN" in got) and (n == 1 or b"-Infinity" in got)
+        assert list(rep.summary_lines()) == list(_reference_summary_lines(rep))
 
 
 def test_edge_tally_counts_and_codes():
