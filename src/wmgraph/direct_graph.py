@@ -94,48 +94,69 @@ def sample_direct(w: WeightSeq, rng_seed=0) -> AssembledGraph:
 
     The weights are nonincreasing and h is nondecreasing, so in row u the
     edge probability p_v of the pair {u, v} is nonincreasing in v > u.
-    Each row skips ahead a geometric number of pairs with the probability
-    p of the last pair it landed on (no skip when p = 1), and keeps the
-    pair it lands on with probability p_v/p; every pair is then an edge
-    independently with probability exactly p_v.
+    Each row lands on pairs a geometric number of pairs apart, with the
+    probability p of the last pair it landed on (no skip when p = 1),
+    and keeps the pair v it lands on with probability p_v/p; every pair
+    is then an edge independently with probability exactly p_v.  All
+    rows advance at once (``_direct_edges``).
     """
     return AssembledGraph(n=w.j_max, weights=w.w,
                           edges=_direct_edges(w, rng_seed), provenance="direct")
 
 
-def _direct_edges(w: WeightSeq, rng_seed=0) -> np.ndarray:
+def _direct_edges(w: WeightSeq, rng_seed=0, replicas: int = 1) -> np.ndarray:
     """The edges ``sample_direct`` draws, as an (m, 2) int64 array.  Rows
-    ascend in u and each row in v, so the pairs come sorted."""
-    n, s1, ws = w.j_max, w.sigma(1.0), w.w.tolist()
-    uniforms = _uniforms(np.random.default_rng(rng_seed), n)
-    ends = []
-    # h is evaluated once per run of equal arguments, as a Python float
-    x_last = q = math.nan
-    for u in range(n - 1):
-        wu, v = ws[u], u + 1
-        x = wu * ws[v] / s1
-        if x != x_last:
-            x_last, q = x, float(h(x))
-        p = q
-        while v < n and p > 0:
-            if p < 1:
-                skip = math.log1p(-next(uniforms)) / math.log1p(-p)
-                if skip >= n - v:
-                    break
-                v += int(skip)
-            x = wu * ws[v] / s1
-            if x != x_last:
-                x_last, q = x, float(h(x))
-            if next(uniforms) * p < q:
-                ends += (u + 1, v + 1)
-            v, p = v + 1, q
-    return np.array(ends, dtype=np.int64).reshape(-1, 2)
+    ascend in u and each row in v, so the pairs come sorted.
 
+    ``replicas`` = R draws R independent graphs as one graph whose vertex
+    r*n + j is vertex j of replica r: a row's pairs end with its block.
 
-def _uniforms(rng, size: int):
-    """Endless U[0, 1) stream, drawn ``size`` at a time."""
+    Every live row advances in the same round of array passes.  In round
+    k (k = 0, 1, ...) the live rows draw a chunk of 2**k landings each:
+    one ``rng.random((2, rows, 2**k))`` call gives the skip uniforms, then
+    the keep uniforms, row by row.  The whole chunk skips with the p of
+    the row's last landing before the round, which bounds every p_v of
+    the chunk as h does not increase along the row; the row then goes on
+    from its last landing with that landing's p_v, or stops when a
+    landing passes its last pair or p_v = 0.  A row with L landings
+    inside its pairs draws at most 2L + 1, in at most log2(L + 1) + 1
+    rounds.
+    """
+    n, s1 = w.j_max, w.sigma(1.0)
+    ws = np.tile(w.w, replicas)
+    u = np.arange(ws.size)
+    u = u[u % n < n - 1]               # a block's last vertex has no pair
+    stop = (u // n + 1) * n            # one past the row's last pair
+    p = h(ws[u] * ws[u + 1] / s1)
+    rng = np.random.default_rng(rng_seed)
+    at, k, found = u.astype(float), 1, []
     while True:
-        yield from rng.random(size).tolist()
+        live = p > 0
+        u, stop, p, at = u[live], stop[live], p[live], at[live]
+        if not u.size:
+            break
+        skips, keeps = rng.random((2, u.size, k))
+        # p = 1 gives log1p(-p) = -inf and no skip
+        with np.errstate(divide="ignore", over="ignore"):
+            v = np.log1p(-skips) / np.log1p(-p)[:, None]
+        np.floor(v, out=v)
+        v += 1.0
+        np.cumsum(v, axis=1, out=v)
+        v += at[:, None]    # exact integers below the row's stop
+        inside = v < stop[:, None]    # a prefix of each row
+        row = np.nonzero(inside)[0]
+        ui, vi = u[row], v[inside].astype(np.int64)
+        q = h(ws[ui] * ws[vi] / s1)
+        kept = keeps[inside] * p[row] < q
+        found.append(np.stack((ui[kept], vi[kept]), axis=1))
+        # the rows whose chunk stayed inside go on from its last landing
+        full = inside[:, -1]
+        u, stop, at = u[full], stop[full], v[full, -1]
+        p = q[np.cumsum(inside.sum(axis=1))[full] - 1]
+        k *= 2
+    e = np.concatenate(found) + 1 if found else np.empty((0, 2), np.int64)
+    # each round's pairs ascend; a stable sort by u merges the rounds
+    return e[np.argsort(e[:, 0], kind="stable")]
 
 
 def connected_components(g: AssembledGraph) -> list:

@@ -103,15 +103,19 @@ def psi_report(p: LimitParams) -> PsiReport:
     Convergence is judged by the local growth exponent of psi at the
     cutoff: the tail converges iff psi grows superlinearly there, and the
     tail value is then estimated under the quadratic-envelope model
-    psi(lambda) ~= psi(L)*(lambda/L)^2."""
-    rho = largest_root(p)
-    L = max(1e6, 1e3 * rho)
-    v1, v2 = psi_eval(p, L), psi_eval(p, 10 * L)
-    growth = math.log(v2 / v1) / math.log(10.0)
-    grey = growth > 1.0 + 1e-6
-    tail = L / (v1 * (growth - 1.0)) if grey else math.inf
-    return PsiReport(root=rho, grey_integral_tail=tail, is_grey=grey,
-                     lambda_max=L)
+    psi(lambda) ~= psi(L)*(lambda/L)^2.  The report and psi(L) are
+    memoized in ``p._cache``."""
+    if "psi_report" not in p._cache:
+        rho = largest_root(p)
+        L = max(1e6, 1e3 * rho)
+        v1, v2 = psi_eval(p, L), psi_eval(p, 10 * L)
+        growth = math.log(v2 / v1) / math.log(10.0)
+        grey = growth > 1.0 + 1e-6
+        tail = L / (v1 * (growth - 1.0)) if grey else math.inf
+        p._cache["psi_L"] = v1
+        p._cache["psi_report"] = PsiReport(
+            root=rho, grey_integral_tail=tail, is_grey=grey, lambda_max=L)
+    return p._cache["psi_report"]
 
 
 def _ladder_integral(p: LimitParams, rho: float, a: float, b: float):
@@ -122,6 +126,26 @@ def _ladder_integral(p: LimitParams, rho: float, a: float, b: float):
     return half * float(_GL_W @ g[:-1]), float(g[-1])
 
 
+def _ladder_panels(p: LimitParams):
+    """The extinction profile's panels (lo, hi, F(hi), int_lo^hi g, g(lo)),
+    walked down from hi = log(L - rho) with F(hi) summed panel by panel.
+    They are memoized in ``p._cache`` and extended only as far as a
+    caller walks, so every call sees the same floats in any order; they
+    end where rho + e^lo == rho."""
+    rep = psi_report(p)
+    rho, panels = rep.root, p._cache.setdefault("ladder", [])
+    yield from panels   # only this generator appends, after its loop
+    lo, f_lo = ((panels[-1][0], panels[-1][2] + panels[-1][3]) if panels else
+                (math.log(rep.lambda_max - rho),
+                 rep.lambda_max / p._cache["psi_L"]))
+    while rho + math.exp(lo - LADDER_STEP) != rho:
+        hi, lo = lo, lo - LADDER_STEP
+        part, g = _ladder_integral(p, rho, lo, hi)
+        panels.append((lo, hi, f_lo, part, g))
+        yield panels[-1]
+        f_lo += part
+
+
 def extinction_profile(p: LimitParams, t: float) -> float:
     """v(t) with int_{v(t)}^infty d(lambda)/psi = t; requires the grey case.
 
@@ -130,26 +154,23 @@ def extinction_profile(p: LimitParams, t: float) -> float:
     below L, and v(t) = L^2/(psi(L)*t) once t <= L/psi(L).  Below L, F is
     integrated in s = log(u - rho), smooth at the root, on Gauss-Legendre
     panels walked down from s = log(L - rho) until F > t (or until
-    rho + e^s == rho: rho is returned).  In that panel, bracketed Newton
-    steps with F'(s) = -e^s/psi(rho + e^s) stop on a step <= TOL_INV*v."""
+    rho + e^s == rho: rho is returned); the panels are memoized per
+    limit (``_ladder_panels``).  In that panel, bracketed Newton steps
+    with F'(s) = -e^s/psi(rho + e^s) stop on a step <= TOL_INV*v."""
     if not t > 0:
         raise ValueError("t must be positive")
     rep = psi_report(p)
     if not rep.is_grey:
         raise ValueError("tail integral of 1/psi diverges; no profile")
-    L, psi_L = rep.lambda_max, psi_eval(p, rep.lambda_max)
+    L, psi_L = rep.lambda_max, p._cache["psi_L"]
     if t <= L / psi_L:
         return L * L / (psi_L * t)
-    rho, f_hi = rep.root, L / psi_L     # F at the panel top hi
-    hi = math.log(L - rho)
-    while True:
-        lo = hi - LADDER_STEP
-        if rho + math.exp(lo) == rho:
-            return rho
-        part, g = _ladder_integral(p, rho, lo, hi)
+    rho = rep.root
+    for lo, hi, f_hi, part, g in _ladder_panels(p):
         if f_hi + part > t:
             break
-        hi, f_hi = lo, f_hi + part
+    else:
+        return rho
     a, b, s = lo, hi, lo
     for _ in range(MAX_BISECT):
         f = f_hi + part

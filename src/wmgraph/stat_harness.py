@@ -223,18 +223,20 @@ def edge_marginal_compare(w: WeightSeq, replicas: int = 20000,
     (c) for j_max <= 5, the full distributions over all graphs are
         compared the same way.
 
-    Replica r of the direct sampler draws from SeedSequence([seed, 0, r]);
-    the queue side is ``_queue_graph``.  Memory is O(C(n, 2) + replicas)
-    beside the edges.
+    Seeds: the direct side draws all its replicas in one call of the
+    sampler from SeedSequence([seed, 0]), as one graph whose vertex
+    r*n + j is vertex j of replica r; the queue side is ``_queue_graph``,
+    on SeedSequence([seed, 1]) and SeedSequence([seed, 2]).  Memory is
+    O(C(n, 2) + replicas) beside the edges.
     """
     if not replicas >= 1:
         raise ValueError(f"replicas must be at least 1, got {replicas!r}")
     n = w.j_max
-    probs = edge_probability(
-        np.outer(w.w, w.w)[np.triu_indices(n, k=1)] / w.sigma(1.0))
-    direct = _edge_tally(n, replicas, np.concatenate([
-        _direct_edges(w, np.random.SeedSequence([seed, 0, r])) + r * n
-        for r in range(replicas)]))
+    iu, iv = np.triu_indices(n, k=1)
+    probs = edge_probability(w.w[iu] * w.w[iv] / w.sigma(1.0))
+    del iu, iv    # 16 bytes a pair, held through the samplers otherwise
+    direct = _edge_tally(n, replicas, _direct_edges(
+        w, np.random.SeedSequence([seed, 0]), replicas=replicas))
     lifo = _edge_tally(n, replicas, _queue_graph(w, replicas, seed).edges)
 
     fd = direct[0] / replicas

@@ -95,15 +95,20 @@ class WeightSeq:
 
 @dataclass(frozen=True)
 class LimitParams:
-    """Continuum parameters (alpha, beta, kappa, c) with sum(c_j^3) finite."""
+    """Continuum parameters (alpha, beta, kappa, c) with sum(c_j^3) finite.
+
+    ``c`` is the object's own read-only copy, so the values
+    ``wmgraph.scaling`` memoizes in ``_cache`` cannot go stale."""
 
     alpha: float
     beta: float
     kappa: float
     c: np.ndarray
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __init__(self, alpha, beta, kappa, c=()):
-        c = np.asarray(c, dtype=float)
+        c = np.array(c, dtype=float)
         if not (np.all(np.isfinite([alpha, beta, kappa]))
                 and np.all(np.isfinite(c))):
             raise ValueError("alpha, beta, kappa and c must be finite")
@@ -120,7 +125,9 @@ class LimitParams:
         object.__setattr__(self, "alpha", float(alpha))
         object.__setattr__(self, "beta", float(beta))
         object.__setattr__(self, "kappa", float(kappa))
+        c.flags.writeable = False
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "_cache", {})
 
     def to_json(self) -> str:
         return json.dumps(

@@ -379,35 +379,49 @@ def test_graph_distances_equal_matrix_bfs_reference():
             assert np.array_equal(got, _reference_graph_distances(c))
 
 
-def _reference_sample_direct(w, rng_seed=0):
-    """The sampler loop that appended one (u, v) tuple per edge and called
-    h per landing, kept as the reference.  It reads
-    ``wmgraph.direct_graph.h`` when called."""
+def _reference_sample_direct(w, rng_seed=0, replicas=1):
+    """``_direct_edges`` as a plain-float loop over its rounds, kept as
+    the reference: each round draws one (2, rows, 2**k) block of
+    uniforms, and the live rows, in ascending order, read their skip and
+    keep uniforms from it landing by landing.  It reads
+    ``wmgraph.direct_graph.h`` when called, and takes numpy's log1p on
+    each float, as ``math.log1p`` can differ from it in the last bit."""
     rng = np.random.default_rng(rng_seed)
-    n = w.j_max
-    s1 = w.sigma(1.0)
-    ws = w.w.tolist()
-
-    def uniforms():
-        while True:
-            yield from rng.random(n).tolist()
-
-    draws = uniforms()
+    n, s1 = w.j_max, w.sigma(1.0)
+    ws = w.w.tolist() * replicas
     h = direct_graph.h
-    edges = []
-    for u in range(n - 1):
-        v, p = u + 1, h(ws[u] * ws[u + 1] / s1)
-        while v < n and p > 0:
-            if p < 1:
-                skip = math.log1p(-next(draws)) / math.log1p(-p)
-                if skip >= n - v:
+    rows = []   # [u, one past its last pair, last landing, p]
+    for u in range(len(ws) - 1):
+        stop = (u // n + 1) * n
+        if u + 1 < stop:
+            rows.append((u, stop, u, float(h(ws[u] * ws[u + 1] / s1))))
+    edges, k = [], 1
+    while True:
+        rows = [r for r in rows if r[3] > 0]
+        if not rows:
+            break
+        skips, keeps = rng.random((2, len(rows), k)).tolist()
+        going = []
+        for (u, stop, v, p), row_skips, row_keeps in zip(rows, skips, keeps):
+            for a, b in zip(row_skips, row_keeps):
+                skip = 0.0 if p == 1 else (float(np.log1p(-a))
+                                           / float(np.log1p(-p)))
+                if skip >= stop - v - 1:
                     break
-                v += int(skip)
-            q = h(ws[u] * ws[v] / s1)
-            if next(draws) * p < q:
-                edges.append((u + 1, v + 1))
-            v, p = v + 1, q
-    return edges
+                v += int(skip) + 1
+                q = float(h(ws[u] * ws[v] / s1))
+                if b * p < q:
+                    edges.append((u + 1, v + 1))
+            else:
+                going.append((u, stop, v, q))
+        rows, k = going, 2 * k
+    return sorted(edges)
+
+
+def _hub(n):
+    """One vertex of weight 1e6 beside n - 1 of weight 1: the hub's row
+    lands on about 0.6 n pairs, the others on almost none."""
+    return WeightSeq(np.r_[1e6, np.ones(n - 1)])
 
 
 def _sampler_cases():
@@ -415,7 +429,7 @@ def _sampler_cases():
     unit = WeightSeq(np.ones(n))
     pareto = WeightSeq(np.random.default_rng(1).pareto(2.5, n) + 0.2)
     dyadic = WeightSeq(np.random.default_rng(2).integers(1, 9, n) / 8.0)
-    for w in (unit, pareto, dyadic):
+    for w in (unit, pareto, dyadic, _hub(n)):
         for seed in range(5):
             yield w, np.random.SeedSequence([61, seed])
     # h(x) == 1.0 on the pair {1, 2}: the no-skip branch
@@ -444,3 +458,42 @@ def test_sampler_reads_the_edge_law_when_called(monkeypatch):
     _assert_sampler_matches_reference([(w, s) for s in seeds])
     mutant = [sample_direct(w, rng_seed=s).edges for s in seeds]
     assert not any(np.array_equal(a, b) for a, b in zip(plain, mutant))
+
+
+def test_sampler_rounds_grow_with_log_n(monkeypatch):
+    # h is called once before the first round and once per round; the hub
+    # row's chunks double, so its ~0.6 n landings take about log2(n)
+    # rounds, where one landing per round would take 0.6 n
+    calls = [0]
+    orig = direct_graph.h
+
+    def counted(x):
+        calls[0] += 1
+        return orig(x)
+
+    monkeypatch.setattr("wmgraph.direct_graph.h", counted)
+    for n in (1000, 10_000, 100_000):
+        calls[0] = 0
+        g = sample_direct(_hub(n), rng_seed=np.random.SeedSequence([64, n]))
+        assert len(g.edges) > 0.5 * n
+        assert 2 <= calls[0] <= math.log2(n) + 4, (n, calls[0])
+
+
+@pytest.mark.parametrize("w", [
+    WeightSeq([3.0, 2.0, 2.0, 1.0, 1.0, 1.0]),
+    WeightSeq([100.0, 100.0, 1.0, 1.0, 1.0, 1.0]),
+    WeightSeq(np.random.default_rng(3).pareto(2.5, 40) + 0.2),
+    WeightSeq([5.0]),
+])
+def test_replica_rows_stay_in_their_blocks(w):
+    n = w.j_max
+    seed = np.random.SeedSequence([65, n])
+    one = direct_graph._direct_edges(w, seed, replicas=1)
+    assert np.array_equal(one, sample_direct(w, rng_seed=seed).edges)
+    e = direct_graph._direct_edges(w, seed, replicas=300)
+    assert e.dtype == np.int64 and e.shape[1:] == (2,)
+    assert e.tolist() == [list(x) for x in
+                          _reference_sample_direct(w, seed, replicas=300)]
+    assert ((e[:, 0] - 1) // n == (e[:, 1] - 1) // n).all()
+    assert e[:, 1].max(initial=0) <= 300 * n
+    assert e.tolist() == sorted(e.tolist())

@@ -381,10 +381,55 @@ def test_psi_eval_call_counts_are_pinned(monkeypatch):
     p = LimitParams(-2.0, 2.0, 1.0, c=(1e-3,) * 10_000)
     psi_report(p)
     assert calls[0] == 39
-    for t, expect in zip(POWERLAW_TIMES, (55, 53, 54, 56, 58)):
+    # the report, psi(L) and the ladder panels are memoized on p: each
+    # profile pays only the panels below the deepest walked so far and
+    # its own Newton steps
+    for t, expect in zip(POWERLAW_TIMES, (15, 3, 4, 5, 5)):
         calls[0] = 0
         extinction_profile(p, t)
         assert calls[0] == expect, t
+    calls[0] = 0
+    psi_report(p)
+    assert calls[0] == 0
+
+
+def _profile_limits():
+    alpha0 = powerlaw_alpha0(2.5, 1.0, 1.0)
+    for shift in (-0.9, 0.9):
+        yield lambda: gen_powerlaw_triple(
+            1000, rho=2.5, alpha=alpha0 + shift).declared_limit
+    yield lambda: LimitParams(-2.0, 2.0, 1.0, c=(1e-3,) * 1000)
+    yield lambda: LimitParams(-0.5, 1.0, 1.0, c=(0.8, 0.4, 0.2))
+    yield lambda: LimitParams(-1.0, 1.0, 1.0)    # SUP: t = 30 hits rho
+    yield lambda: LimitParams(0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("make", list(_profile_limits()))
+def test_extinction_profile_is_the_same_in_any_call_order(make):
+    # the memoized ladder grows with the deepest t asked; values must not
+    # depend on the order in which the panels were built
+    times = (1e-9,) + POWERLAW_TIMES + (8.0, 30.0)
+    forward = [extinction_profile(make(), t) for t in times]   # fresh each
+    p = make()
+    walked = [extinction_profile(p, t) for t in times]
+    q = make()
+    backward = [extinction_profile(q, t) for t in reversed(times)][::-1]
+    for want, a, b in zip(forward, walked, backward):
+        assert want.hex() == a.hex() == b.hex()
+    assert q._cache["ladder"] == p._cache["ladder"]
+
+
+def test_limit_params_hold_a_read_only_copy_of_c():
+    c = np.array([0.8, 0.4, 0.2])
+    p = LimitParams(-0.5, 1.0, 1.0, c=c)
+    v = extinction_profile(p, 1.0)
+    c[0] = 5.0     # the caller's array is not the limit's
+    assert p.c[0] == 0.8 and not p.c.flags.writeable
+    with pytest.raises(ValueError):
+        p.c[0] = 5.0
+    assert extinction_profile(p, 1.0) == v
+    assert repr(p) == ("LimitParams(alpha=-0.5, beta=1.0, kappa=1.0, "
+                       "c=array([0.8, 0.4, 0.2]))")
 
 
 def test_grey_verdict_fails_without_curvature():
