@@ -107,13 +107,17 @@ def excursions_above_zero(h: StepFunction,
 
 def decompose_with_masses(y: CadlagStepPath) -> ExcursionDecomposition:
     """Excursion decomposition of a load path above its running infimum.
-    An excursion opens at the first jump and at every jump by which
-    R = Y - J has drifted down to 0; it holds its run of jumps, its
+    An excursion opens at the first jump and at every jump whose left
+    limit l_k = cum[k-1] - t_k is at most every earlier one, where
+    R = Y - J has drifted down to 0 (for jumps at times >= 0); these are
+    the roots of the LIFO replay of the path (``paths._drain``), which
+    reads the same levels.  An excursion holds its run of jumps, its
     length is their exact fsum, and its local path, those jumps shifted
     to start at 0, is built when read."""
     times = y.times
+    levels = y._cum[:-1] - times
     opens = np.ones(times.size, dtype=bool)
-    np.less_equal(y.reflected[:-1], times[1:] - times[:-1], out=opens[1:])
+    np.less_equal(levels[1:], np.minimum.accumulate(levels)[:-1], out=opens[1:])
     first = opens.nonzero()[0]
     bounds, sizes = first.tolist() + [opens.size], y.sizes.tolist()
     lengths = np.asarray([math.fsum(sizes[a:b]) for a, b in zip(bounds, bounds[1:])])

@@ -19,7 +19,7 @@ import numpy as np
 
 from .direct_graph import AssembledGraph
 from .markov_coder import _choice_cdf
-from .paths import (CadlagStepPath, StepFunction, _replay_stack, _write_csv,
+from .paths import (CadlagStepPath, StepFunction, _drain, _write_csv,
                     _write_trace_csv, height_of_path)
 from .weights import WeightSeq
 
@@ -121,21 +121,21 @@ def _replica_trace(w: WeightSeq, E: np.ndarray) -> LifoTrace:
     shift = np.cumsum(E.max(axis=1) + 2.0 * w.sigma(1.0))
     T = (E + np.concatenate(([0.0], shift[:-1]))[:, None]).ravel()
     order = np.argsort(T, kind="stable") + 1
-    sizes = w.w[(order - 1) % n]
-    rep = _replay_stack(zip(T[order - 1].tolist(), sizes.tolist()))
-    if rep.parent[1::n].any():
+    times, sizes = T[order - 1], w.w[(order - 1) % n]
+    rep = _drain(times, np.concatenate(([0.0], np.cumsum(sizes))))
+    if rep.parent[::n].any():
         raise ValueError("a replica's first arrival found the server busy")
     arr = np.zeros(R * n + 1)
     dep = np.zeros(R * n + 1)
     pre = np.zeros(R * n + 1)
     par = np.zeros(R * n + 1, dtype=np.int64)
     arr[1:] = T
-    dep[order] = rep.departure[1:]
-    pre[order] = rep.pre_level[1:]
-    par[order] = np.concatenate(([0], order))[rep.parent[1:]]
+    dep[order] = rep.departure
+    pre[order] = rep.pre_level
+    par[order] = np.concatenate(([0], order))[rep.parent]
     return LifoTrace(
         weights=w, arrival=arr, departure=dep, pre_level=pre, parent=par,
-        Y=CadlagStepPath(rep.tau[1:], sizes, rep.end), H=rep.H,
+        Y=CadlagStepPath(times, sizes, rep.H.times[-1]), H=rep.H,
         arrival_order=order)
 
 

@@ -196,9 +196,102 @@ def height_of_path(y: CadlagStepPath) -> StepFunction:
     At time t it counts the jump times s <= t whose pre-jump level still
     lies strictly below the infimum of the path over [s, t]; equivalently
     the stack of unfinished jump records, closed when the path drifts back
-    down to their pre-jump level (``_replay_stack``).
+    down to their pre-jump level (``_drain``).
     """
-    return _replay_stack(zip(y.times.tolist(), y.sizes.tolist())).H
+    return _drain(y.times, y._cum).H
+
+
+class _Drained(NamedTuple):
+    """Result of ``_drain``; entry k - 1 of each array is client k, the
+    k-th arrival."""
+
+    parent: np.ndarray     # the client on top of the stack at arrival, 0 if empty
+    pre_level: np.ndarray  # the path's left limit at the arrival
+    departure: np.ndarray
+    H: StepFunction        # stack depth, from 0 (or the first arrival) to the last departure
+
+
+def _drain(times, cum) -> _Drained:
+    """Preemptive-LIFO replay of a finite path that drains after its last
+    arrival, in array passes: clients arrive at ``times`` (increasing), and
+    the path is -t + cum[k] from the k-th arrival on (``cum[0] == 0``).
+
+    Client k arrives at the level l_k = cum[k-1] - times[k-1], the path's
+    left limit there.  The LIFO stack is the all-nearest-smaller-values
+    structure of these levels (Berkman, Schieber and Vishkin 1993): k's
+    parent is the last earlier client with a level < l_k, and k departs
+    when the path comes back down to l_k, after the last arrival g before
+    the first later client with a level <= l_k; that is at k's arrival plus
+    the work of clients k..g, cum[g] - cum[k-1], and never after that later
+    client arrives.  H at t counts the arrivals <= t less the departures
+    <= t.
+    """
+    n = times.size
+    lv = np.empty(n + 2)
+    lv[0] = lv[-1] = -math.inf
+    pre = lv[1:-1]
+    np.subtract(cum[:-1], times, out=pre)
+    last, parent = _lower_neighbours(lv)
+    # event times: arrivals, one slot, departures; the slot holds +inf, the
+    # arrival after the last one, while departures are clamped, then the
+    # start of H
+    ev = np.empty(2 * n + 1)
+    ev[:n] = times
+    ev[n] = math.inf
+    dep = ev[n + 1:]
+    np.subtract(cum.take(last), cum[:-1], out=dep)
+    np.add(dep, times, out=dep)
+    np.minimum(dep, ev.take(last), out=dep)
+    ev[n] = min(0.0, times[0]) if n else 0.0
+    order = ev.argsort(kind="stable")
+    at = ev.take(order)
+    # +1 per arrival, 0 for the start, -1 per departure, in place
+    np.sign(np.subtract(n, order, out=order), out=order)
+    return _Drained(parent, pre, dep,
+                    _collapsed(at, np.add.accumulate(order, dtype=float)))
+
+
+# Paths of at most this many jumps compare all pairs of levels at once;
+# longer ones read a sparse table.  _LATER[a, b] is b > a.
+_ALL_PAIRS = 128
+_LATER = np.less.outer(np.arange(_ALL_PAIRS + 2), np.arange(_ALL_PAIRS + 2))
+
+
+def _lower_neighbours(lv):
+    """For each entry k = 1..n of ``lv`` (n + 2 levels, -inf at both ends):
+    the first later entry <= lv[k], less one, and the last earlier entry
+    < lv[k], as two index arrays (the ends make both exist)."""
+    n = lv.size - 2
+    if n <= _ALL_PAIRS:
+        later = _LATER[:n + 2, :n + 2]
+        below = np.less.outer(lv, lv)
+        last = (later > below)[1:-1, 1:].argmax(axis=1)
+        prev = (below & later)[::-1, 1:-1].argmax(axis=0)
+        return last, n + 1 - prev
+    # Range minima of the levels' dense int32 ranks (the ends rank 0) over
+    # blocks of 2**j entries (Bender and Farach-Colton 2000), longest blocks
+    # first: row r holds blocks of 2**(J - r) from each entry on.  A block
+    # reaching past the end holds its rank 0, and so does every read just
+    # before the start of row r >= 1 (it lands in row r - 1's tail) or of
+    # row 0 (clipped to entry 0).
+    J, N = n.bit_length() - 1, n + 2
+    table = np.empty((J + 1, N), dtype=np.int32)
+    table[J] = np.unique(lv, return_inverse=True)[1]
+    for r in range(J - 1, -1, -1):
+        h = 1 << (J - 1 - r)
+        np.minimum(table[r + 1, :-h], table[r + 1, h:], out=table[r, :-h])
+        table[r, -h:] = 0
+    flat, me = table.ravel(), table[J, 1:-1]
+    # binary lifting, both ways at once: nxt skips each block of ranks all
+    # > me, prev each block of ranks all >= me that ends where it stands;
+    # both read the flat index of their next block in the next row
+    k = np.arange(1, n + 1)
+    nxt, prev = k + 1, k - (1 << J)
+    for r in range(J + 1):
+        h = 1 << (J - r)
+        nxt += (flat.take(nxt) > me) * h + N
+        prev += N + (h >> 1) - (flat.take(prev, mode="clip") >= me) * h
+    return nxt - (J + 1) * N - 1, prev - (J + 1) * N
 
 
 class _Replay(NamedTuple):
@@ -215,7 +308,10 @@ class _Replay(NamedTuple):
 
 
 def _replay_stack(arrivals, horizon=math.inf, stop_at_empty=math.inf) -> _Replay:
-    """Preemptive-LIFO stack replay of the load path -t + sum of sizes.
+    """Preemptive-LIFO stack replay of the load path -t + sum of sizes, one
+    event at a time; the online replay of the Markov queue, whose arrivals
+    are drawn until a horizon or an empty-epoch count (``_drain`` replays
+    a finite path in array passes).
 
     ``arrivals`` yields time-sorted (time, size) pairs and is read lazily,
     one pair at a time.  A client departs when the load drifts back down

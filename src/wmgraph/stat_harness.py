@@ -175,6 +175,13 @@ def _binomial_p_min(hits: np.ndarray, replicas: int,
     return min(1.0, 2.0 * float(min(lower, upper)))
 
 
+def _within(freq: np.ndarray, probs: np.ndarray, band: np.ndarray) -> bool:
+    """Every |freq - probs| <= band, with one temporary."""
+    dev = freq - probs
+    np.abs(dev, out=dev)
+    return bool(np.all(dev <= band))
+
+
 def _edge_tally(n: int, replicas: int, edges):
     """Per-pair hit counts, per-replica edge counts and, for n <= 5,
     per-replica graph codes (bit k set when pair k is an edge) of
@@ -235,25 +242,34 @@ def edge_marginal_compare(w: WeightSeq, replicas: int = 20000,
     iu, iv = np.triu_indices(n, k=1)
     probs = edge_probability(w.w[iu] * w.w[iv] / w.sigma(1.0))
     del iu, iv    # 16 bytes a pair, held through the samplers otherwise
-    direct = _edge_tally(n, replicas, _direct_edges(
+    # each side's hit counts are judged, turned into frequencies and
+    # dropped before the other side is drawn: one count array at a time
+    hits, counts_d, codes_d = _edge_tally(n, replicas, _direct_edges(
         w, np.random.SeedSequence([seed, 0]), replicas=replicas))
-    lifo = _edge_tally(n, replicas, _queue_graph(w, replicas, seed).edges)
+    p_min = _binomial_p_min(hits, replicas, probs)
+    fd = hits / replicas
+    del hits
+    hits, counts_l, codes_l = _edge_tally(
+        n, replicas, _queue_graph(w, replicas, seed).edges)
+    p_min = min(p_min, _binomial_p_min(hits, replicas, probs))
+    fl = hits / replicas
+    del hits
 
-    fd = direct[0] / replicas
-    fl = lifo[0] / replicas
-    band = 4.0 * np.sqrt(probs * (1.0 - probs) / replicas)
-    marg = bool(np.all(np.abs(fd - probs) <= band)
-                and np.all(np.abs(fl - probs) <= band))
+    band = 1.0 - probs      # 4 sqrt(p (1 - p) / replicas), in place
+    band *= probs
+    band /= replicas
+    np.sqrt(band, out=band)
+    band *= 4.0
+    marg = all(_within(f, probs, band) for f in (fd, fl))
     # Holm's first step is Bonferroni's: the smallest adjusted p-value is
     # the number of tests times the smallest p, and the family rejects
     # exactly when that is at most the level
     tests = 2 * probs.size
-    p_min = min(_binomial_p_min(x[0], replicas, probs) for x in (direct, lifo))
     holm_p = min(1.0, tests * p_min) if tests else 1.0
-    p_hist = _hist_compare(direct[1], lifo[1])
+    p_hist = _hist_compare(counts_d, counts_l)
     joint_p = joint_pass = None
     if n <= 5:
-        joint_p = _hist_compare(direct[2], lifo[2])
+        joint_p = _hist_compare(codes_d, codes_l)
         joint_pass = bool(joint_p > FAMILY_LEVEL)
     return EdgeCompareReport(
         w=w.w, replicas=replicas, seed=seed, edge_probs=np.atleast_1d(probs),

@@ -14,6 +14,7 @@ from wmgraph import (
 from wmgraph.continuum import GridPath
 from wmgraph.excursions import TOL_EXC, _canonical, _intervals_above
 from wmgraph.lifo_coder import PinchSetup
+from wmgraph.paths import _drain
 
 
 def _pinch_setup(rows):
@@ -249,6 +250,24 @@ def test_exact_zero_hits_open_an_excursion():
     dec = decompose_with_masses(_dyadic_zero_hits_path())
     assert sorted(dec.intervals.tolist()) == [[0.0, 0.5], [0.5, 1.75],
                                               [2.0, 2.25]]
+
+
+@pytest.mark.parametrize("y", [
+    _critical_load_path(3000, 0),
+    _pareto_load_path(),
+    _dyadic_load_path(),
+    _criterion_7_load_path(),
+    _dyadic_zero_hits_path(),
+], ids=["unit0", "pareto", "dyadic", "criterion7", "dyadic_hits"])
+def test_openings_are_the_replay_roots(y):
+    # both read the same levels, so an excursion opens exactly at each
+    # root of the LIFO replay, and the lengths are the busy periods' work
+    roots = np.flatnonzero(_drain(y.times, y._cum).parent == 0)
+    dec = decompose_with_masses(y)
+    assert np.sort(dec.intervals[:, 0]).tolist() == y.times[roots].tolist()
+    bounds = roots.tolist() + [y.times.size]
+    assert sorted(dec.lengths.tolist()) == sorted(
+        math.fsum(y.sizes[a:b].tolist()) for a, b in zip(bounds, bounds[1:]))
 
 
 def test_dyadic_decomposition_has_exact_ties():

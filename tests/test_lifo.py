@@ -17,6 +17,7 @@ from wmgraph import (
     simulate_lifo,
 )
 from wmgraph.lifo_coder import _replica_trace, _resolve_pinches
+from wmgraph.paths import _replay_stack
 
 
 def _reference_service_intervals(trace):
@@ -457,6 +458,26 @@ def test_replica_trace_matches_separate_replays():
     assert first == ps.size and ps.boundary_tie.sum() > 20
     g = assemble_graph(batch, ps)
     assert g.n == R * n and g.weights.tolist() == np.tile(w.w, R).tolist()
+
+
+def test_replica_trace_tree_matches_reference_replay():
+    # random weights and arrivals: the one replay of five queues has the
+    # reference loop's tree and H values on the same path, each queue's
+    # first arrival is a root, and every level is Y's left limit
+    rng = np.random.default_rng(12)
+    n, R = 50, 5
+    w = WeightSeq(np.sort(rng.uniform(0.5, 3.0, n))[::-1])
+    E = rng.exponential(w.sigma(1.0) / w.w, size=(R, n))
+    tr = _replica_trace(w, E)
+    order = tr.arrival_order
+    ref = _replay_stack(zip(tr.Y.times.tolist(), tr.Y.sizes.tolist()))
+    assert tr.replicas == R
+    assert np.array_equal(tr.parent[order],
+                          np.concatenate(([0], order))[ref.parent[1:]])
+    assert np.array_equal(tr.H.values, ref.H.values)
+    assert (tr.parent[order[::n]] == 0).all()
+    assert np.array_equal(tr.pre_level[order], tr.Y.value_left(tr.Y.times))
+    assert np.all(tr.departure[order] >= tr.Y.times)
 
 
 def test_replica_trace_rejects_a_busy_first_arrival():

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from wmgraph import (CadlagStepPath, StepFunction, WeightSeq, height_of_path,
                      modulus_of_continuity, simulate_lifo)
-from wmgraph.paths import uniform_distance
+from wmgraph.paths import (_drain, _lower_neighbours, _replay_stack,
+                          uniform_distance)
 
 from test_excursions import (_bits, _critical_load_path, _dyadic_load_path,
-                             _pareto_load_path)
+                             _dyadic_zero_hits_path, _pareto_load_path)
 
 
 def test_cadlag_values():
@@ -236,12 +237,95 @@ def _reference_height(y: CadlagStepPath) -> StepFunction:
     return StepFunction(times[keep], np.asarray(values, dtype=float)[keep])
 
 
+def _reference_replay(y: CadlagStepPath):
+    return _replay_stack(zip(y.times.tolist(), y.sizes.tolist()))
+
+
+def _departure_bound(y: CadlagStepPath) -> float:
+    """How far the array replay's departure times may lie from the
+    reference loop's (CHANGES.md derives it): with u = 2^-53, t_n the
+    last arrival and W the total work, the array replay is within
+    2 (n + 1) u (t_n + W) of the exact time and the loop within
+    5 n u (t_n + W)."""
+    n = y.times.size
+    return 8 * n * 2.0 ** -53 * (abs(float(y.times[-1])) + float(y._cum[-1]))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_height_matches_reference_replay(seed):
+    # the array replay reads departures off the path's own sums, the
+    # reference loop off one float chain through every event: the tree,
+    # the H values and the breakpoint count are equal, the times within
+    # the bound, and here rounding does move some of them
     rng = np.random.default_rng(seed)
     w = WeightSeq(1.0 + rng.pareto(2.5, size=3000))
     tr = simulate_lifo(w, rng_seed=seed)
-    ref = _reference_height(tr.Y)
+    ref, rep = _reference_height(tr.Y), _reference_replay(tr.Y)
+    order = tr.arrival_order
+    assert np.array_equal(tr.parent[order],
+                          np.concatenate(([0], order))[rep.parent[1:]])
+    bound = _departure_bound(tr.Y)
+    assert np.all(np.abs(tr.departure[order] - rep.departure[1:]) <= bound)
     for h in (height_of_path(tr.Y), tr.H):
-        assert np.array_equal(h.times, ref.times)
         assert np.array_equal(h.values, ref.values)
+        assert np.all(np.abs(h.times - ref.times) <= bound)
+    assert not np.array_equal(tr.H.times, ref.times)
+
+
+def _equal_levels_path():
+    """Client 2 departs at 1.5, exactly when client 3 arrives at its
+    level, so client 3's parent is client 1."""
+    return CadlagStepPath([0.0, 1.0, 1.5], [2.0, 0.5, 1.0], horizon=4.0)
+
+
+@pytest.mark.parametrize("y", [
+    _dyadic_load_path(), _dyadic_zero_hits_path(), _equal_levels_path(),
+    CadlagStepPath([0.5], [2.0], horizon=3.0),
+    CadlagStepPath([], [], horizon=1.0),
+], ids=["dyadic", "dyadic_hits", "equal_levels", "one", "empty"])
+def test_replay_exact_on_dyadic_paths(y):
+    # every sum is exact, so the array replay equals the loop bit for bit
+    got, rep, ref = _drain(y.times, y._cum), _reference_replay(y), \
+        _reference_height(y)
+    assert got.parent.tolist() == rep.parent[1:].tolist()
+    assert _bits(got.departure) == _bits(rep.departure[1:])
+    assert _bits(got.pre_level) == _bits(rep.pre_level[1:])
+    for h in (got.H, height_of_path(y)):
+        assert _bits(h.times) == _bits(ref.times)
+        assert h.values.tolist() == ref.values.tolist()
+
+
+def test_replay_at_equal_levels():
+    y = _equal_levels_path()
+    got = _drain(y.times, y._cum)
+    assert got.parent.tolist() == [0, 1, 1]
+    assert got.departure.tolist() == [3.5, 1.5, 2.5]
+    assert got.H.times.tolist() == [0.0, 1.0, 1.5, 2.5, 3.5]
+    assert got.H.values.tolist() == [1.0, 2.0, 2.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pre_level_is_the_left_limit(seed):
+    # levels come off the path's own cumulative sums, bit for bit
+    rng = np.random.default_rng(seed)
+    w = WeightSeq(1.0 + rng.pareto(2.5, size=2000))
+    tr = simulate_lifo(w, rng_seed=seed)
+    assert _bits(tr.pre_level[tr.arrival_order]) \
+        == _bits(tr.Y.value_left(tr.Y.times))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64, 128, 129, 300, 5000])
+def test_all_pairs_and_sparse_table_agree(n):
+    # both neighbour searches against a stack over the same levels, on
+    # levels with many exact ties
+    rng = np.random.default_rng(n)
+    lv = np.concatenate(([-np.inf], rng.integers(-20, 20, n) / 4.0, [-np.inf]))
+    nxt, prev, stack = [0] * n, [0] * n, [0]
+    for k in range(1, n + 2):
+        while stack[-1] and lv[stack[-1]] >= lv[k]:
+            nxt[stack.pop() - 1] = k
+        if k <= n:
+            prev[k - 1] = stack[-1]
+            stack.append(k)
+    last, parent = _lower_neighbours(lv)
+    assert (last + 1).tolist() == nxt and parent.tolist() == prev
