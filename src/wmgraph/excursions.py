@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import CadlagStepPath, StepFunction, _write_csv
+from .paths import CadlagStepPath, StepFunction, _openings, _write_csv
 
 # Strictness tolerance of the grid scan in continuum.limit_masses, where
 # roundoff can manufacture micro-excursions, and the width of a near tie;
@@ -115,9 +115,7 @@ def decompose_with_masses(y: CadlagStepPath) -> ExcursionDecomposition:
     length is their exact fsum, and its local path, those jumps shifted
     to start at 0, is built when read."""
     times = y.times
-    levels = y._cum[:-1] - times
-    opens = np.ones(times.size, dtype=bool)
-    np.less_equal(levels[1:], np.minimum.accumulate(levels)[:-1], out=opens[1:])
+    opens = _openings(y._cum[:-1] - times)
     first = opens.nonzero()[0]
     bounds, sizes = first.tolist() + [opens.size], y.sizes.tolist()
     lengths = np.asarray([math.fsum(sizes[a:b]) for a, b in zip(bounds, bounds[1:])])

@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .paths import (CadlagStepPath, StepFunction, _collapsed, _replay_stack,
-                    _write_trace_csv, height_of_path)
+from .paths import (CadlagStepPath, StepFunction, _collapsed, _drain,
+                    _openings, _write_trace_csv, height_of_path)
 from .weights import WeightSeq
 
 
@@ -68,8 +68,16 @@ def simulate_markov(w: WeightSeq, horizon: float = math.inf, rng_seed=0,
     """Simulate until ``horizon`` or until ``stop_at_empty`` empty-queue
     epochs, whichever comes first (at least one must be finite).
 
+    Arrivals are drawn up to the first one past ``horizon`` or the
+    (stop_at_empty + 1)-th root, an arrival that finds the queue empty;
+    the ones before it are replayed once by ``paths._drain``, the kernel
+    of the LIFO queue and of ``height_of_path`` too.  The trace ends at
+    the stop_at_empty-th root's departure if that is at most ``horizon``,
+    else at ``horizon``; a departure after the end is +inf.
+
     ``forced_arrivals`` (test hook): list of (time, type) pairs replacing
-    the Poisson/type draws.
+    the Poisson/type draws, times finite, nonnegative and increasing,
+    types integers 1..j_max.
     """
     if not horizon > 0:     # NaN fails too; +inf is allowed
         raise ValueError(f"horizon must be positive, got {horizon!r}")
@@ -79,40 +87,69 @@ def simulate_markov(w: WeightSeq, horizon: float = math.inf, rng_seed=0,
     if stop_at_empty is not None and not stop_at_empty >= 1:
         raise ValueError("stop_at_empty must be at least 1, "
                          f"got {stop_at_empty!r}")
-    sizes = w.w.tolist()
+    stop = math.inf if stop_at_empty is None else stop_at_empty
     if forced_arrivals is not None:
-        forced = [(float(t), int(j)) for t, j in forced_arrivals]
+        times, types = np.array(forced_arrivals, dtype=float).reshape(
+            len(forced_arrivals), 2).T
+        if not (np.isfinite(times).all() and (times >= 0.0).all()
+                and (np.diff(times) > 0.0).all() and (types % 1 == 0).all()
+                and ((types >= 1) & (types <= w.j_max)).all()):
+            raise ValueError("forced arrivals need finite, nonnegative, "
+                             "strictly increasing times and integer types "
+                             f"in 1..{w.j_max}")
+        types = types.astype(np.int64)
         if math.isinf(horizon):
             # every forced client departs by last arrival + total work
-            horizon = (max(t for t, _ in forced)
-                       + math.fsum(sizes[j - 1] for _, j in forced)
-                       if forced else 1.0)
-        types = [j for _, j in forced]
-        arrivals = [(t, sizes[j - 1]) for t, j in forced]
+            horizon = (float(times[-1]) + math.fsum(w.w[types - 1])
+                       if times.size else 1.0)
+        chunks = [(times, types)]
     else:
-        rng = np.random.default_rng(rng_seed)
-        cdf = _choice_cdf(w.w / w.sigma(1.0))
-        types = []
-
-        def draws():
-            # chunks of 16, 32, ... gaps, then types; times add gaps in turn
-            t, m = [0.0], 16
-            while True:
-                t = np.cumsum(np.append(t[-1], rng.exponential(1.0, m))).tolist()
-                drawn = cdf.searchsorted(rng.random(m), "right")
-                types.extend((drawn + 1).tolist())
-                yield from zip(t[1:], w.w[drawn].tolist())
-                m *= 2
-        arrivals = draws()
-    rep = _replay_stack(arrivals, horizon,
-                        math.inf if stop_at_empty is None else stop_at_empty)
-    # the replay may have read one arrival past its stop
-    types = np.asarray([0] + types[:rep.tau.size - 1], dtype=np.int64)
+        chunks = _drawn_arrivals(w, rng_seed)
+    # read chunks up to the first arrival past the horizon or the
+    # (stop + 1)-th root, carrying the sum of sizes and the lowest level
+    times, types, c, low, roots = [], [], 0.0, math.inf, 0
+    for ts, js in chunks:
+        cs = np.cumsum(np.append(c, w.w[js - 1]))
+        levels = cs[:-1] - ts
+        opens = np.flatnonzero(_openings(levels, low))
+        k = int(ts.searchsorted(horizon, "right"))
+        if opens.size > stop - roots:
+            k = min(k, int(opens[stop - roots]))
+        times.append(ts[:k])
+        types.append(js[:k])
+        if k < ts.size:
+            break
+        c, low, roots = cs[-1], levels.min(initial=low), roots + opens.size
+    times, types = np.concatenate(times), np.concatenate(([0], *types))
+    sizes = w.w[types[1:] - 1]
+    rep = _drain(times, np.concatenate(([0.0], np.cumsum(sizes))))
+    empty = rep.departure[rep.parent == 0]
+    end = float(horizon)
+    if empty.size == stop and empty[-1] <= horizon:
+        end = float(empty[-1])
+    departure = np.concatenate(([0.0], rep.departure))
+    departure[departure > end] = math.inf
+    h = rep.H.times.searchsorted(end, "right")
     return MarkovTrace(
-        weights=w, tau=rep.tau, types=types, departure=rep.departure,
-        pre_level=rep.pre_level, parent=rep.parent,
-        X=CadlagStepPath(rep.tau[1:], w.w[types[1:] - 1], rep.end), H=rep.H,
-        horizon=rep.end, empty_epochs=rep.empty_epochs)
+        weights=w, tau=np.concatenate(([0.0], times)), types=types,
+        departure=departure, pre_level=np.concatenate(([0.0], rep.pre_level)),
+        parent=np.concatenate(([0], rep.parent)),
+        X=CadlagStepPath(times, sizes, end),
+        H=StepFunction(rep.H.times[:h], rep.H.values[:h]),
+        horizon=end, empty_epochs=empty[empty <= end])
+
+
+def _drawn_arrivals(w: WeightSeq, rng_seed):
+    """Unit-rate Poisson arrival times and their types, in chunks of 16,
+    32, ...: a chunk's exponential gaps, then its types by inverse CDF;
+    the times add the gaps one at a time."""
+    rng = np.random.default_rng(rng_seed)
+    cdf = _choice_cdf(w.w / w.sigma(1.0))
+    t, m = 0.0, 16
+    while True:
+        ts = np.cumsum(np.append(t, rng.exponential(1.0, m)))[1:]
+        yield ts, cdf.searchsorted(rng.random(m), "right") + 1
+        t, m = ts[-1], 2 * m
 
 
 def mu_w_pmf(w: WeightSeq, k) -> float | np.ndarray:

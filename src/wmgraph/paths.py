@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -251,6 +250,13 @@ def _drain(times, cum) -> _Drained:
                     _collapsed(at, np.add.accumulate(order, dtype=float)))
 
 
+def _openings(levels, low=math.inf) -> np.ndarray:
+    """Whether each of ``levels`` is at most every earlier one and ``low``:
+    the arrivals that find the LIFO stack empty (``_drain``'s roots), where
+    the excursions above the running infimum open."""
+    return levels <= np.minimum.accumulate(np.concatenate(([low], levels))[:-1])
+
+
 # Paths of at most this many jumps compare all pairs of levels at once;
 # longer ones read a sparse table.  _LATER[a, b] is b > a.
 _ALL_PAIRS = 128
@@ -292,77 +298,6 @@ def _lower_neighbours(lv):
         nxt += (flat.take(nxt) > me) * h + N
         prev += N + (h >> 1) - (flat.take(prev, mode="clip") >= me) * h
     return nxt - (J + 1) * N - 1, prev - (J + 1) * N
-
-
-class _Replay(NamedTuple):
-    """Result of ``_replay_stack``; client k is the k-th arrival kept and
-    entry 0 of every array is unused (0)."""
-
-    tau: np.ndarray           # arrival times
-    parent: np.ndarray        # client on top of the stack at arrival, 0 if empty
-    pre_level: np.ndarray     # load just before the arrival
-    departure: np.ndarray     # +inf if still queued at the end
-    empty_epochs: np.ndarray  # times at which a departure emptied the stack
-    end: float
-    H: StepFunction           # stack depth on [0, end]
-
-
-def _replay_stack(arrivals, horizon=math.inf, stop_at_empty=math.inf) -> _Replay:
-    """Preemptive-LIFO stack replay of the load path -t + sum of sizes, one
-    event at a time; the online replay of the Markov queue, whose arrivals
-    are drawn until a horizon or an empty-epoch count (``_drain`` replays
-    a finite path in array passes).
-
-    ``arrivals`` yields time-sorted (time, size) pairs and is read lazily,
-    one pair at a time.  A client departs when the load drifts back down
-    to its pre-arrival level.  The replay stops at the first arrival past
-    ``horizon`` (clients still queued there keep departure +inf) or at the
-    ``stop_at_empty``-th departure that empties the stack, whichever comes
-    first; with neither it drains the stack after the last arrival.  The
-    end time is that empty epoch, else the horizon, else the last event.
-    """
-    tau, parent, pre_level, departure = [0.0], [0], [0.0], [0.0]
-    h_times, h_values = [0.0], [0]
-    empty = []
-    stack = []  # (client, pre-arrival level)
-    cur_t, cur_v = 0.0, 0.0
-    # a final pseudo-arrival at the horizon drains what departs by then
-    for t, x in chain(arrivals, ((horizon, None),)):
-        if t > horizon:
-            t, x = horizon, None
-        while stack and cur_v - (t - cur_t) <= stack[-1][1]:
-            k, p = stack.pop()
-            cur_t = departure[k] = cur_t + (cur_v - p)
-            cur_v = p
-            h_times.append(cur_t)
-            h_values.append(len(stack))
-            if not stack:
-                empty.append(cur_t)
-        if x is None or len(empty) >= stop_at_empty:
-            break
-        k = len(tau)
-        pre = cur_v - (t - cur_t)
-        tau.append(t)
-        parent.append(stack[-1][0] if stack else 0)
-        pre_level.append(pre)
-        departure.append(math.inf)
-        stack.append((k, pre))
-        cur_t, cur_v = t, pre + x
-        h_times.append(t)
-        h_values.append(len(stack))
-    if len(empty) >= stop_at_empty:
-        end = empty[-1]
-    elif math.isfinite(horizon):
-        end = float(horizon)
-    else:
-        end = max(cur_t, tau[-1])
-    h_times = np.asarray(h_times)
-    keep = h_times <= end
-    return _Replay(
-        tau=np.asarray(tau), parent=np.asarray(parent, dtype=np.int64),
-        pre_level=np.asarray(pre_level), departure=np.asarray(departure),
-        empty_epochs=np.asarray(empty), end=end,
-        H=_collapsed(h_times[keep], np.asarray(h_values, dtype=float)[keep]))
 
 
 def _collapsed(times, values) -> StepFunction:

@@ -17,7 +17,8 @@ from wmgraph import (
     simulate_lifo,
 )
 from wmgraph.lifo_coder import _replica_trace, _resolve_pinches
-from wmgraph.paths import _replay_stack
+
+from test_paths import _reference_replay
 
 
 def _reference_service_intervals(trace):
@@ -470,7 +471,7 @@ def test_replica_trace_tree_matches_reference_replay():
     E = rng.exponential(w.sigma(1.0) / w.w, size=(R, n))
     tr = _replica_trace(w, E)
     order = tr.arrival_order
-    ref = _replay_stack(zip(tr.Y.times.tolist(), tr.Y.sizes.tolist()))
+    ref = _reference_replay(tr.Y)
     assert tr.replicas == R
     assert np.array_equal(tr.parent[order],
                           np.concatenate(([0], order))[ref.parent[1:]])

@@ -23,6 +23,9 @@ from wmgraph.markov_coder import (GwForestStats, IdentityReport, TOL_IDENTITY,
                                   _clock, _cum_steps, completed_clients)
 from wmgraph.paths import CadlagStepPath, height_of_path
 
+from test_excursions import _bits
+from test_paths import _departure_bound, _reference_replay
+
 
 def test_mu_pmf_oracle():
     # w = (2,1,1): sigma_1 = 4; mu(k) = sum_j w_j^{k+1} e^{-w_j} / (4 k!)
@@ -79,7 +82,7 @@ def test_type_draws_are_generator_choice(w):
     assert tr.n_arrivals > 16 + 32      # at least three chunks are read
     rng = np.random.default_rng(13)
     t, tau, types, m = 0.0, [], [], 16
-    while len(tau) < tr.n_arrivals + 1:     # the replay reads one past
+    while len(tau) < tr.n_arrivals + 1:     # and the first past the horizon
         for gap in rng.exponential(1.0, size=m).tolist():
             t += gap
             tau.append(t)
@@ -524,6 +527,121 @@ def test_offspring_mean_matches_criticality():
     mean = st.offspring_counts.mean()
     se = st.offspring_counts.std() / math.sqrt(st.offspring_counts.size)
     assert abs(mean - 1.0) < 4 * max(se, 1e-3)
+
+
+@pytest.mark.parametrize("forced", [
+    [(0.5, 0), (0.7, 0)],       # type 0 took the last weight
+    [(0.5, 1), (0.7, 3)],       # a type above n raised IndexError
+    [(0.5, 1.7)],               # was truncated to type 1
+    [(-0.5, 1), (0.7, 2)],      # a negative time was accepted
+], ids=["type_0", "type_above_n", "fractional_type", "negative_time"])
+def test_forced_arrivals_are_checked(forced):
+    with pytest.raises(ValueError, match="forced arrival"):
+        simulate_markov(WeightSeq([2.0, 1.0]), forced_arrivals=forced)
+
+
+def _drawn_pairs(w, seed, types):
+    """simulate_markov's arrival stream as (time, size) pairs, read lazily
+    (chunks of 16, 32, ...: gaps, then types by rng.choice(p=nu_w)); the
+    types of the chunks drawn so far are appended to ``types``."""
+    rng = np.random.default_rng(seed)
+    nu = w.w / w.sigma(1.0)
+    t, m = 0.0, 16
+    while True:
+        gaps = rng.exponential(1.0, size=m).tolist()
+        drawn = rng.choice(w.j_max, size=m, p=nu).tolist()
+        types += [j + 1 for j in drawn]
+        for gap, j in zip(gaps, drawn):
+            t += gap
+            yield t, float(w.w[j])
+        m *= 2
+
+
+def _assert_matches_loop(tr, ref, types):
+    # the tree, types and H values are equal; departures, the end and the
+    # empty epochs are within the rounding bound of the two replays; the
+    # levels are X's left limits bit for bit
+    n = ref.tau.size - 1
+    assert _bits(tr.tau) == _bits(ref.tau)
+    assert tr.types.tolist() == [0] + types[:n]
+    assert tr.parent.tolist() == ref.parent.tolist()
+    assert tr.H.values.tolist() == ref.H.values.tolist()
+    assert tr.empty_epochs.size == ref.empty_epochs.size
+    bound = _departure_bound(tr.X) if n else 0.0
+    done = np.isfinite(ref.departure)
+    assert np.array_equal(np.isfinite(tr.departure), done)
+    assert np.all(np.abs(tr.departure[done] - ref.departure[done]) <= bound)
+    assert abs(tr.horizon - ref.end) <= bound
+    assert np.all(np.abs(tr.empty_epochs - ref.empty_epochs) <= bound)
+    assert np.all(np.abs(tr.H.times - ref.H.times) <= bound)
+    assert _bits(tr.pre_level[1:]) == _bits(tr.X.value_left(tr.tau[1:]))
+
+
+@pytest.mark.parametrize("w, horizon, stop, seed, ends", [
+    ((2.0, 1.0, 1.0, 1.0), 60.0, 5, 1, "horizon"),
+    ((2.0, 1.0, 1.0, 1.0), 60.0, 5, 36, "stop"),
+    ((2.0, 1.0, 1.0, 1.0), 60.0, 5, 0, "stop_past_horizon"),
+    ((2.0, 1.0, 1.0, 1.0), 0.05, 5, 0, "empty"),
+    ((1.0, 0.5), 20.0, 5, 1, "horizon"),
+    ((1.0, 0.5), 20.0, 5, 4, "stop"),
+    ((1.0, 0.5), 20.0, 5, 0, "stop_past_horizon"),
+    ((1.0, 0.5), 200.0, None, 2, "horizon"),
+    ((1.0, 0.5), math.inf, 30, 3, "stop"),
+    ((1.0,) * 1000, 1000.0, 5, 0, "stop"),
+])
+def test_markov_replay_matches_reference_loop(w, horizon, stop, seed, ends):
+    w = WeightSeq(w)
+    tr = simulate_markov(w, horizon=horizon, stop_at_empty=stop,
+                         rng_seed=seed)
+    types = []
+    ref = _reference_replay(_drawn_pairs(w, seed, types), horizon,
+                            math.inf if stop is None else stop)
+    _assert_matches_loop(tr, ref, types)
+    assert _how_it_ends(tr, horizon, stop) == ends
+
+
+def _how_it_ends(tr, horizon, stop):
+    roots = np.count_nonzero(tr.parent[1:] == 0)
+    if tr.n_arrivals == 0:
+        return "empty"
+    if tr.horizon < horizon:
+        assert tr.empty_epochs.size == stop == roots
+        assert tr.empty_epochs[-1] == tr.horizon
+        return "stop"
+    assert tr.horizon == horizon
+    if roots == stop:
+        assert tr.empty_epochs.size == stop - 1
+        return "stop_past_horizon"
+    return "horizon"
+
+
+@pytest.mark.parametrize("forced, horizon, stop", [
+    # client 3 arrives exactly at the horizon and is kept
+    ([(0.5, 1), (1.0, 2), (1.25, 2)], 1.25, math.inf),
+    # client 1 departs at 2.0, the queue's first empty epoch, exactly when
+    # client 3 arrives at its level: a root, cut by a stop at one epoch
+    ([(0.5, 1), (1.0, 2), (2.0, 2), (2.25, 1)], 10.0, 1),
+    ([(0.5, 1), (1.0, 2), (2.0, 2), (2.25, 1)], 10.0, 2),
+    ([(0.5, 1), (1.0, 2), (2.0, 2), (2.25, 1)], 2.0, 1),
+    ([], 1.0, math.inf),
+], ids=["arrival_at_horizon", "arrival_at_stop_epoch",
+        "arrival_at_empty_epoch", "stop_epoch_at_horizon", "no_arrivals"])
+def test_markov_replay_exact_on_dyadic_arrivals(forced, horizon, stop):
+    # every sum is exact, so the replay equals the loop bit for bit
+    w = WeightSeq([1.0, 0.5])
+    tr = simulate_markov(w, horizon=horizon,
+                         stop_at_empty=None if math.isinf(stop) else stop,
+                         forced_arrivals=forced)
+    ref = _reference_replay(((t, w.w[j - 1]) for t, j in forced),
+                            horizon, stop)
+    for got, want in ((tr.tau, ref.tau), (tr.departure, ref.departure),
+                      (tr.pre_level, ref.pre_level), (tr.H.times, ref.H.times),
+                      (tr.H.values, ref.H.values), ([tr.horizon], [ref.end]),
+                      (tr.empty_epochs, ref.empty_epochs)):
+        assert _bits(got) == _bits(want)
+    assert tr.parent.tolist() == ref.parent.tolist()
+    assert tr.types[1:].tolist() == [j for _, j in forced][:tr.n_arrivals]
+    assert _bits(tr.pre_level[1:]) == _bits(tr.X.value_left(tr.tau[1:]))
 
 
 @pytest.mark.parametrize("inf", [math.inf, float("inf")])

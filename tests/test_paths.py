@@ -1,3 +1,7 @@
+import math
+from itertools import chain
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +9,8 @@ from hypothesis import strategies as st
 
 from wmgraph import (CadlagStepPath, StepFunction, WeightSeq, height_of_path,
                      modulus_of_continuity, simulate_lifo)
-from wmgraph.paths import (_drain, _lower_neighbours, _replay_stack,
-                          uniform_distance)
+from wmgraph.paths import (_collapsed, _drain, _lower_neighbours,
+                           uniform_distance)
 
 from test_excursions import (_bits, _critical_load_path, _dyadic_load_path,
                              _dyadic_zero_hits_path, _pareto_load_path)
@@ -212,33 +216,65 @@ def test_height_matches_direct_count(jumps):
         assert h(t) == _brute_height(y, float(t))
 
 
-def _reference_height(y: CadlagStepPath) -> StepFunction:
-    # the stack replay as a standalone loop over the path's numpy scalars
-    times, values, stack = [0.0], [0], []
+def _reference_replay(y, horizon=math.inf, stop_at_empty=math.inf):
+    """Preemptive-LIFO stack replay of the load path -t + sum of sizes, one
+    event at a time: the reference for ``paths._drain`` and for
+    ``simulate_markov``'s replay.  Entry 0 of every array is unused (0)
+    and client k is the k-th arrival kept.
+
+    ``y`` is a CadlagStepPath or time-sorted (time, size) pairs, read
+    lazily, one pair at a time.  A client departs when the load drifts
+    back down to its pre-arrival level.  The replay stops at the first
+    arrival past ``horizon`` (clients still queued there keep departure
+    +inf) or at the ``stop_at_empty``-th departure that empties the stack,
+    whichever comes first; with neither it drains the stack after the last
+    arrival.  The end time is that empty epoch, else the horizon, else the
+    last event.
+    """
+    if isinstance(y, CadlagStepPath):
+        y = zip(y.times.tolist(), y.sizes.tolist())
+    tau, parent, pre_level, departure = [0.0], [0], [0.0], [0.0]
+    h_times, h_values = [0.0], [0]
+    empty = []
+    stack = []  # (client, pre-arrival level)
     cur_t, cur_v = 0.0, 0.0
-    for t, x in zip(y.times, y.sizes):
-        while stack and cur_v - (t - cur_t) <= stack[-1]:
-            p = stack.pop()
-            cur_t, cur_v = cur_t + (cur_v - p), p
-            times.append(cur_t)
-            values.append(len(stack))
+    # a final pseudo-arrival at the horizon drains what departs by then
+    for t, x in chain(y, ((horizon, None),)):
+        if t > horizon:
+            t, x = horizon, None
+        while stack and cur_v - (t - cur_t) <= stack[-1][1]:
+            k, p = stack.pop()
+            cur_t = departure[k] = cur_t + (cur_v - p)
+            cur_v = p
+            h_times.append(cur_t)
+            h_values.append(len(stack))
+            if not stack:
+                empty.append(cur_t)
+        if x is None or len(empty) >= stop_at_empty:
+            break
+        k = len(tau)
         pre = cur_v - (t - cur_t)
-        stack.append(pre)
+        tau.append(t)
+        parent.append(stack[-1][0] if stack else 0)
+        pre_level.append(pre)
+        departure.append(math.inf)
+        stack.append((k, pre))
         cur_t, cur_v = t, pre + x
-        times.append(t)
-        values.append(len(stack))
-    while stack:
-        p = stack.pop()
-        cur_t, cur_v = cur_t + (cur_v - p), p
-        times.append(cur_t)
-        values.append(len(stack))
-    times = np.asarray(times)
-    keep = np.concatenate((np.diff(times) > 0, [True]))
-    return StepFunction(times[keep], np.asarray(values, dtype=float)[keep])
-
-
-def _reference_replay(y: CadlagStepPath):
-    return _replay_stack(zip(y.times.tolist(), y.sizes.tolist()))
+        h_times.append(t)
+        h_values.append(len(stack))
+    if len(empty) >= stop_at_empty:
+        end = empty[-1]
+    elif math.isfinite(horizon):
+        end = float(horizon)
+    else:
+        end = max(cur_t, tau[-1])
+    h_times = np.asarray(h_times)
+    keep = h_times <= end
+    return SimpleNamespace(
+        tau=np.asarray(tau), parent=np.asarray(parent, dtype=np.int64),
+        pre_level=np.asarray(pre_level), departure=np.asarray(departure),
+        empty_epochs=np.asarray(empty), end=end,
+        H=_collapsed(h_times[keep], np.asarray(h_values, dtype=float)[keep]))
 
 
 def _departure_bound(y: CadlagStepPath) -> float:
@@ -260,16 +296,16 @@ def test_height_matches_reference_replay(seed):
     rng = np.random.default_rng(seed)
     w = WeightSeq(1.0 + rng.pareto(2.5, size=3000))
     tr = simulate_lifo(w, rng_seed=seed)
-    ref, rep = _reference_height(tr.Y), _reference_replay(tr.Y)
+    rep = _reference_replay(tr.Y)
     order = tr.arrival_order
     assert np.array_equal(tr.parent[order],
                           np.concatenate(([0], order))[rep.parent[1:]])
     bound = _departure_bound(tr.Y)
     assert np.all(np.abs(tr.departure[order] - rep.departure[1:]) <= bound)
     for h in (height_of_path(tr.Y), tr.H):
-        assert np.array_equal(h.values, ref.values)
-        assert np.all(np.abs(h.times - ref.times) <= bound)
-    assert not np.array_equal(tr.H.times, ref.times)
+        assert np.array_equal(h.values, rep.H.values)
+        assert np.all(np.abs(h.times - rep.H.times) <= bound)
+    assert not np.array_equal(tr.H.times, rep.H.times)
 
 
 def _equal_levels_path():
@@ -285,14 +321,13 @@ def _equal_levels_path():
 ], ids=["dyadic", "dyadic_hits", "equal_levels", "one", "empty"])
 def test_replay_exact_on_dyadic_paths(y):
     # every sum is exact, so the array replay equals the loop bit for bit
-    got, rep, ref = _drain(y.times, y._cum), _reference_replay(y), \
-        _reference_height(y)
+    got, rep = _drain(y.times, y._cum), _reference_replay(y)
     assert got.parent.tolist() == rep.parent[1:].tolist()
     assert _bits(got.departure) == _bits(rep.departure[1:])
     assert _bits(got.pre_level) == _bits(rep.pre_level[1:])
     for h in (got.H, height_of_path(y)):
-        assert _bits(h.times) == _bits(ref.times)
-        assert h.values.tolist() == ref.values.tolist()
+        assert _bits(h.times) == _bits(rep.H.times)
+        assert h.values.tolist() == rep.H.values.tolist()
 
 
 def test_replay_at_equal_levels():
