@@ -7,14 +7,13 @@ h(x) = 1 - e^{-x}.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csgraph, csr_array
 
-from .paths import _write_csv
+from .paths import _group_fsums, _write_csv
 from .weights import WeightSeq
 
 
@@ -171,19 +170,14 @@ def connected_components(g: AssembledGraph) -> list:
     # a stable sort keeps ids ascending within a label, so each group
     # starts at its root; the sorted edges are grouped the same way
     by_label = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels, minlength=k)
-    starts = np.cumsum(sizes) - sizes
-    cuts = starts.tolist() + [g.n]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=k))))
+    cuts = bounds.tolist()
     edge_label = labels[u]
     edge_cuts = [0] + np.cumsum(np.bincount(edge_label, minlength=k)).tolist()
     edges = g.edges[np.argsort(edge_label, kind="stable")]
     verts = tuple((by_label + 1).tolist())
-    ws = np.asarray(g.weights, dtype=float)[by_label]
-    # a singleton's mass is its weight, exactly; larger ones are fsums
-    masses, wl = ws[starts], ws.tolist()
-    for i in np.flatnonzero(sizes > 1).tolist():
-        masses[i] = math.fsum(wl[cuts[i]:cuts[i + 1]])
-    order = np.lexsort((by_label[starts], -masses)).tolist()
+    masses = _group_fsums(np.asarray(g.weights, dtype=float)[by_label], bounds)
+    order = np.lexsort((by_label[bounds[:-1]], -masses)).tolist()
     masses = masses.tolist()
     none = edges[:0]   # shared by the components without an edge
     # tuple.__new__ skips the named tuple's Python-level constructor
@@ -220,4 +214,4 @@ def graph_distances(c: ComponentView) -> np.ndarray:
 def write_component_csv(views: list, path):
     _write_csv(path, ["rank", "mass", "count", "root"],
                [range(1, len(views) + 1), [c.mass for c in views],
-                [c.count for c in views], [c.root for c in views]])
+                [len(c.vertices) for c in views], [c.vertices[0] for c in views]])

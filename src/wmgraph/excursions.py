@@ -9,13 +9,13 @@ the smaller left endpoint.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import CadlagStepPath, StepFunction, _openings, _write_csv
+from .paths import (CadlagStepPath, StepFunction, _group_fsums, _openings,
+                    _write_csv)
 
 # Strictness tolerance of the grid scan in continuum.limit_masses, where
 # roundoff can manufacture micro-excursions, and the width of a near tie;
@@ -116,10 +116,9 @@ def decompose_with_masses(y: CadlagStepPath) -> ExcursionDecomposition:
     to start at 0, is built when read."""
     times = y.times
     opens = _openings(y._cum[:-1] - times)
-    first = opens.nonzero()[0]
-    bounds, sizes = first.tolist() + [opens.size], y.sizes.tolist()
-    lengths = np.asarray([math.fsum(sizes[a:b]) for a, b in zip(bounds, bounds[1:])])
-    starts = times[first]
+    bounds = np.concatenate((opens, [True])).nonzero()[0]
+    lengths = _group_fsums(y.sizes, bounds)
+    starts = times[bounds[:-1]]
 
     def _local(i):
         a, b = bounds[i], bounds[i + 1]

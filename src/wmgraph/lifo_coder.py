@@ -19,8 +19,8 @@ import numpy as np
 
 from .direct_graph import AssembledGraph
 from .markov_coder import _choice_cdf
-from .paths import (CadlagStepPath, StepFunction, _drain, _write_csv,
-                    _write_trace_csv, height_of_path)
+from .paths import (CadlagStepPath, StepFunction, _drain, _group_fsums,
+                    _write_csv, _write_trace_csv, height_of_path)
 from .weights import WeightSeq
 
 
@@ -56,11 +56,13 @@ class LifoTrace:
 
         Arrival order is depth-first order, so a busy period holds its
         root and every client arriving before the next root."""
-        ids = self.arrival_order.tolist()
-        times, sizes = self.Y.times.tolist(), self.Y.sizes.tolist()
-        starts = np.flatnonzero(self.parent[self.arrival_order] == 0).tolist()
-        return tuple((times[a], math.fsum(sizes[a:b]), tuple(ids[a:b]))
-                     for a, b in zip(starts, starts[1:] + [len(ids)]))
+        ids = tuple(self.arrival_order.tolist())
+        roots = self.parent[self.arrival_order] == 0
+        bounds = np.concatenate((roots, [True])).nonzero()[0]
+        b = bounds.tolist()
+        return tuple(zip(self.Y.times[bounds[:-1]].tolist(),
+                         _group_fsums(self.Y.sizes, bounds).tolist(),
+                         (ids[a:z] for a, z in zip(b, b[1:]))))
 
     def write_csv(self, path):
         """Rows (time, event, client, Y, H); see ``_write_trace_csv``."""

@@ -308,21 +308,35 @@ def _collapsed(times, values) -> StepFunction:
 
 
 _BLOCK_CELLS = 1 << 16
+_EVENTS = np.array(["arrival", "departure"], dtype=object)
+
+
+def _group_fsums(values, bounds) -> np.ndarray:
+    """Exact sums of the nonempty runs values[bounds[i]:bounds[i + 1]] (int
+    array ``bounds``); as fsum([x]) == x, only longer runs call fsum."""
+    sums = values[bounds[:-1]]
+    vl, long = values.tolist(), (bounds[1:] - bounds[:-1] > 1).nonzero()[0]
+    sums[long] = [math.fsum(vl[a:z]) for a, z in
+                  zip(bounds[long].tolist(), bounds[long + 1].tolist())]
+    return sums
 
 
 def _write_csv(path, header, columns):
     """The one writer of result files: a header row, then row i of item i of
     each equal-length column, CRLF line ends.  A cell is ``str`` of its value
     (for a float, its round-tripping ``repr``); string cells are fixed tokens
-    that need no quoting.  Memory is bounded by one block of cells."""
-    step = max(1, _BLOCK_CELLS // len(columns))
+    that need no quoting.  One ``%`` writes each block of cells, interleaved
+    row by row into one list, so memory is bounded by one block."""
+    m = len(columns)
+    step, row = max(1, _BLOCK_CELLS // m), ",".join(["%s"] * m) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(map(str, header)) + "\r\n")
         for a in range(0, len(columns[0]), step):
             parts = [c[a:a + step] for c in columns]
-            cells = [map(str, p.tolist() if isinstance(p, np.ndarray) else p)
-                     for p in parts]
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+            cells = [None] * (m * len(parts[0]))
+            for j, p in enumerate(parts):
+                cells[j::m] = p.tolist() if isinstance(p, np.ndarray) else p
+            fh.write(row * len(parts[0]) % tuple(cells))
 
 
 def _write_trace_csv(path, clients, arrival, departure, load, height,
@@ -337,6 +351,6 @@ def _write_trace_csv(path, clients, arrival, departure, load, height,
     order = order[np.isfinite(time[order])]
     ids, kind, time = ids[order], kind[order], time[order]
     _write_csv(path, ["time", "event", "client", "Y", "H", *extra], [
-        time, [("arrival", "departure")[k] for k in kind.tolist()], ids,
+        time, _EVENTS[kind], ids,
         load.value(time), height(time).astype(np.int64),
         *(column[ids] for column in extra.values())])

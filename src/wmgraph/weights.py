@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -182,7 +183,7 @@ def sigma_r(w: WeightSeq, r: float) -> float:
     """Power sum sum_j w_j^r over the positive entries."""
     if r <= 0:
         raise ValueError("r must be positive")
-    return math.fsum(float(x) ** r for x in w.w)
+    return math.fsum(map(pow, w.w.tolist(), repeat(r)))
 
 
 def classify_criticality(w: WeightSeq) -> str:
@@ -263,7 +264,7 @@ def gen_powerlaw_triple(n: int, rho: float, q: float = 1.0,
         raise ValueError("n must be at least 1")
     raw = (np.arange(1, n + 1) / n) ** (-1.0 / rho)
     a = raw[0] / q
-    s1 = math.fsum(raw)
+    s1 = math.fsum(raw.tolist())
     b = kappa * s1 / a
     alpha0 = powerlaw_alpha0(rho, q, kappa)
     if alpha is None:

@@ -85,6 +85,12 @@ def test_decompose_masses_exact_for_dyadic_jumps():
     assert dec.lengths[idx[0]] == 0.25 + 0.0625
 
 
+def test_empty_load_path_has_no_excursions():
+    dec = decompose_with_masses(CadlagStepPath([], [], 0.0))
+    assert dec.count == 0 and dec.lengths.dtype == float
+    assert dec.intervals.shape == (0, 2)
+
+
 def test_decomposition_compares_by_identity():
     y = CadlagStepPath([0.2, 0.4, 3.0], [1.0, 0.5, 0.25], 4.0)
     a, b = decompose_with_masses(y), decompose_with_masses(y)

@@ -10,6 +10,8 @@ from wmgraph import (
     AssembledGraph,
     WeightSeq,
     assemble_graph,
+    connected_components,
+    decompose_with_masses,
     gen_powerlaw_triple,
     height_of_path,
     powerlaw_alpha0,
@@ -18,7 +20,17 @@ from wmgraph import (
 )
 from wmgraph.lifo_coder import _replica_trace, _resolve_pinches
 
-from test_paths import _reference_replay
+from test_paths import TINY, _reference_replay
+
+
+def _reference_busy_periods(trace):
+    """The old per-period comprehension, kept as the reference for
+    ``LifoTrace.busy_periods``."""
+    ids = trace.arrival_order.tolist()
+    times, sizes = trace.Y.times.tolist(), trace.Y.sizes.tolist()
+    starts = np.flatnonzero(trace.parent[trace.arrival_order] == 0).tolist()
+    return tuple((times[a], math.fsum(sizes[a:b]), tuple(ids[a:b]))
+                 for a, b in zip(starts, starts[1:] + [len(ids)]))
 
 
 def _reference_service_intervals(trace):
@@ -517,3 +529,47 @@ def test_stack_queries_match_definition(clients, extra_times):
         want = [j for j in ids if tr.arrival[j] <= t < tr.departure[j]]
         assert _reference_stack_at(tr, t) == want
         assert _reference_served_at(tr, t) == (want[-1] if want else 0)
+
+
+def _tiny_tail_trace():
+    """Clients 1, 2 (weight 1) each open a busy period that clients 4, 5
+    and 6, 7 (weight 2**-53) join; client 3 (weight 0.1) is alone.  Each
+    long period's exact work 1 + 2**-52 is not its left-to-right sum."""
+    w = WeightSeq([1.0, 1.0, 0.1] + [TINY] * 4)
+    return simulate_lifo(w, forced_arrivals=[1.0, 4.0, 8.0, 1.25, 1.5,
+                                             4.25, 4.5])
+
+
+def test_group_sums_exact_and_equal_across_layers():
+    # excursion lengths, busy-period work and component masses are each
+    # the fsum of their members' weights, and so equal one another
+    tr = _tiny_tail_trace()
+    periods = tr.busy_periods
+    assert periods == _reference_busy_periods(tr)
+    assert [m for *_, m in periods] == [(1, 4, 5), (2, 6, 7), (3,)]
+    w = tr.weights.w
+    want = [math.fsum(w[v - 1] for v in m) for *_, m in periods]
+    assert want == [1.0 + 2.0 ** -52] * 2 + [0.1]
+    assert sum([1.0, TINY, TINY]) != want[0]
+    assert [work for _, work, _ in periods] == want
+    dec = decompose_with_masses(tr.Y)
+    comps = connected_components(assemble_graph(tr))
+    assert dec.lengths.tolist() == sorted(want, reverse=True)
+    assert [c.mass for c in comps] == sorted(want, reverse=True)
+    assert [c.vertices for c in comps] == [(1, 4, 5), (2, 6, 7), (3,)]
+    # the singleton's mass is its weight, bit for bit
+    assert comps[-1].mass.hex() == (0.1).hex() == dec.lengths[-1].hex()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_busy_periods_match_reference_comprehension(seed):
+    rng = np.random.default_rng(seed)
+    n, R = 60, 6
+    w = WeightSeq(np.concatenate((rng.pareto(1.5, n // 2) + 1.0,
+                                  rng.uniform(0.01, 0.1, n // 2))))
+    tr = _replica_trace(w, rng.exponential(w.sigma(1.0) / w.w, size=(R, n)))
+    periods = tr.busy_periods
+    assert tr.replicas == R and len(periods) > R
+    assert periods == _reference_busy_periods(tr)
+    for _, work, members in periods:
+        assert type(work) is float and type(members) is tuple

@@ -1,3 +1,4 @@
+import csv
 import math
 from itertools import chain
 from types import SimpleNamespace
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from wmgraph import (CadlagStepPath, StepFunction, WeightSeq, height_of_path,
                      modulus_of_continuity, simulate_lifo)
-from wmgraph.paths import (_collapsed, _drain, _lower_neighbours,
-                           uniform_distance)
+from wmgraph.paths import (_collapsed, _drain, _group_fsums,
+                           _lower_neighbours, _write_csv, uniform_distance)
 
 from test_excursions import (_bits, _critical_load_path, _dyadic_load_path,
                              _dyadic_zero_hits_path, _pareto_load_path)
@@ -364,3 +365,55 @@ def test_all_pairs_and_sparse_table_agree(n):
             stack.append(k)
     last, parent = _lower_neighbours(lv)
     assert (last + 1).tolist() == nxt and parent.tolist() == prev
+
+
+def test_writer_keeps_percent_signs_verbatim(tmp_path):
+    # the writer fills a "%s" row template with one %; cells and header
+    # entries that hold % must come out as the csv module writes them
+    tokens = ["%s", "%%", "50%", "%(x)s", "%d", "%", "s%"]
+    header = ["%s", "50%", "%%", "rank", 0.5]
+    n = 23
+    columns = [np.array([tokens[k % 7] for k in range(n)]), range(1, n + 1),
+               [tokens[-k % 7] for k in range(n)], np.arange(n) / 8.0,
+               np.arange(n, dtype=np.int64) - 11]
+    _write_csv(tmp_path / "new.csv", header, columns)
+    with open(tmp_path / "old.csv", "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(zip(*(list(c) for c in columns)))
+    assert (tmp_path / "new.csv").read_bytes() \
+        == (tmp_path / "old.csv").read_bytes()
+    assert (tmp_path / "new.csv").read_bytes().startswith(
+        b"%s,50%,%%,rank,0.5\r\n%s,1,%s,0.0,-11\r\n%%,2,s%,0.125,-10\r\n")
+
+
+def test_writer_takes_a_lone_range_column(tmp_path):
+    _write_csv(tmp_path / "r.csv", ["rank"], [range(1, 4)])
+    assert (tmp_path / "r.csv").read_bytes() == b"rank\r\n1\r\n2\r\n3\r\n"
+
+
+# 1 + 2**-53 rounds to 1 (ties to even), so a left-to-right sum of
+# [1, 2**-53, 2**-53] is 1 while the exact sum 1 + 2**-52 is a float
+TINY = 2.0 ** -53
+
+
+def test_group_fsums_are_exact_per_run():
+    values = np.array([1.0, TINY, TINY, 0.1, 1.0, TINY, TINY, TINY, 0.3])
+    bounds = [0, 3, 4, 8, 9]
+    assert sum([1.0, TINY, TINY]) == 1.0   # the naive sum drops the tail
+    sums = _group_fsums(values, np.array(bounds))
+    want = [math.fsum(values[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+    assert _bits(sums) == _bits(want)
+    # 1 + 3 * 2**-53 lies halfway between floats and rounds to even
+    assert sums.tolist() == [1.0 + 2.0 ** -52, 0.1, 1.0 + 2.0 ** -51, 0.3]
+    # singletons are their value, bit for bit; the input stays as it was
+    assert _bits(sums[[1, 3]]) == _bits([0.1, 0.3])
+    assert values[3] == 0.1 and values.size == 9
+
+
+def test_group_fsums_edge_cases():
+    assert _group_fsums(np.empty(0), np.array([0])).size == 0
+    one = _group_fsums(np.array([0.1]), np.array([0, 1]))
+    assert one.dtype == float and _bits(one) == _bits([0.1])
+    whole = _group_fsums(np.array([1.0, TINY, TINY]), np.array([0, 3]))
+    assert whole.tolist() == [1.0 + 2.0 ** -52]

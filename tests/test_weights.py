@@ -50,6 +50,20 @@ def test_sigma_hand_values():
     assert sigma_r(WeightSeq([2.0, 1.0]), 2.0) == 5.0
 
 
+def _reference_sigma_r(w, r):
+    """The old generator over numpy scalars, kept as the reference for
+    ``sigma_r``."""
+    return math.fsum(float(x) ** r for x in w.w)
+
+
+@pytest.mark.parametrize("r", [0.7, 1, 1.0, 2, 2.0, 3.0])
+def test_sigma_r_matches_scalar_generator_bit_for_bit(r):
+    pareto = np.random.default_rng(3).pareto(1.5, 5000) + 1.0
+    for w in (WeightSeq(np.ones(5000)), gen_powerlaw_triple(5000, 2.5).weights,
+              WeightSeq(pareto), WeightSeq([0.1, 2.0 ** -53, 1e-300])):
+        assert sigma_r(w, r).hex() == _reference_sigma_r(w, r).hex()
+
+
 def test_sigma_fsum_exactness():
     # dyadic weights sum exactly in float arithmetic
     w = WeightSeq([0.5, 0.25, 0.125] * 100)
