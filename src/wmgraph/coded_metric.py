@@ -37,12 +37,13 @@ class CodedSpace:
         zeta = float(h.times[-1])
         if not np.all((samples >= 0) & (samples <= zeta)):
             raise ValueError("sample outside the coding domain")
+        # one pass over the pinches, which may be an iterator
+        pinches = tuple((float(s), float(t)) for s, t in pinches)
         for s, t in pinches:
             if not (0 <= s <= t <= zeta):
                 raise ValueError("pinch outside the coding domain")
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "pinches", tuple((float(s), float(t))
-                                                  for s, t in pinches))
+        object.__setattr__(self, "pinches", pinches)
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "samples", samples)
 

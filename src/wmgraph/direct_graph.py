@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csgraph, csr_array
 
 from .paths import _group_fsums, _write_csv
 from .weights import WeightSeq
@@ -71,8 +70,7 @@ class AssembledGraph:
 
 class ComponentView(NamedTuple):
     """One connected component; vertices ascend, so the first is the root,
-    the first-explored (smallest) vertex.  ``edges`` holds its rows of the
-    graph's edges."""
+    the smallest vertex.  ``edges`` holds its rows of the graph's edges."""
 
     vertices: tuple
     mass: float
@@ -158,15 +156,51 @@ def _direct_edges(w: WeightSeq, rng_seed=0, replicas: int = 1) -> np.ndarray:
     return e[np.argsort(e[:, 0], kind="stable")]
 
 
+def _root_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Label each of the vertices 0..n-1 of the edges (u, v) with the
+    smallest vertex of its component, by hooking and shortcutting
+    (Shiloach and Vishkin, J. Algorithms 1982).
+
+    The edges are kept as pairs of roots.  Each round hooks every root
+    that has a smaller neighbouring root under the smallest such root,
+    jumps the hooked roots' pointers until each points to a root, moves
+    the edges onto their ends' roots and drops those inside one root; it
+    ends when no edge is left.  The vertices then jump to their roots.
+    Labels only fall along edges, so a component's smallest vertex is
+    never hooked and ends as its one root.  The minimum per root is a
+    sort-based reduction, one sort of the keys (root, neighbour) a
+    round, as ``np.minimum.at`` was slow before numpy 1.25."""
+    lab, s = np.arange(n), (n - 1).bit_length()
+    a, b = u, v
+    while a.size:
+        key = np.sort(np.maximum(a, b) << s | np.minimum(a, b))
+        hi = key >> s
+        first = np.concatenate(([True], hi[1:] != hi[:-1]))
+        hooked, up = hi[first], key[first] & ((1 << s) - 1)
+        lab[hooked] = up
+        while True:
+            jumped = lab[up]
+            if np.array_equal(jumped, up):
+                break
+            lab[hooked] = up = jumped
+        a, b = lab[a], lab[b]
+        keep = a != b
+        a, b = a[keep], b[keep]
+    while True:
+        jumped = lab[lab]
+        if np.array_equal(jumped, lab):
+            return lab
+        lab = jumped
+
+
 def connected_components(g: AssembledGraph) -> list:
-    """Components sorted nonincreasing by mass; ties broken by the smallest
-    first-explored vertex id."""
+    """Components sorted nonincreasing by mass; ties broken by the smaller
+    root."""
     u, v = g.edges[:, 0] - 1, g.edges[:, 1] - 1
-    # the sorted rows are the upper triangle in CSR order; float64 data is
-    # the type csgraph works in, so it makes no converted copy
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(u, minlength=g.n))))
-    adj = csr_array((np.ones(u.size), v, indptr), shape=(g.n, g.n))
-    k, labels = csgraph.connected_components(adj, directed=False)
+    lab = _root_labels(g.n, u, v)
+    # roots number the components in ascending order of their root
+    is_root = lab == np.arange(g.n)
+    k, labels = int(is_root.sum()), (np.cumsum(is_root) - 1)[lab]
     # a stable sort keeps ids ascending within a label, so each group
     # starts at its root; the sorted edges are grouped the same way
     by_label = np.argsort(labels, kind="stable")

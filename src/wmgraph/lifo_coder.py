@@ -20,7 +20,8 @@ import numpy as np
 from .direct_graph import AssembledGraph
 from .markov_coder import _choice_cdf
 from .paths import (CadlagStepPath, StepFunction, _drain, _group_fsums,
-                    _write_csv, _write_trace_csv, height_of_path)
+                    _sorted_unique, _write_csv, _write_trace_csv,
+                    height_of_path)
 from .weights import WeightSeq
 
 
@@ -257,7 +258,7 @@ def assemble_graph(trace: LifoTrace, pinches: PinchSetup | None = None) -> Assem
     b = np.concatenate((trace.parent[child], v[keep]))
     # one key per pair; tree pairs are distinct, so every repeat is a pinch's
     keys = np.minimum(a, b) * (n + 1) + np.maximum(a, b)
-    edges = np.unique(keys)
+    edges = _sorted_unique(keys)
     return AssembledGraph(
         n=n, weights=np.tile(trace.weights.w, trace.replicas),
         edges=np.stack(np.divmod(edges, n + 1), axis=1), provenance="lifo",

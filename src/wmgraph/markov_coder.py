@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .paths import (CadlagStepPath, StepFunction, _collapsed, _drain,
-                    _openings, _write_trace_csv, height_of_path)
+                    _openings, _sorted_unique, _write_trace_csv,
+                    height_of_path)
 from .weights import WeightSeq
 
 
@@ -59,7 +60,7 @@ class MarkovTrace:
 
     def events(self) -> np.ndarray:
         # H breaks at 0 and at every arrival and departure up to the end
-        return np.union1d(self.H.times, [self.horizon])
+        return _sorted_unique(np.append(self.H.times, self.horizon))
 
 
 def simulate_markov(w: WeightSeq, horizon: float = math.inf, rng_seed=0,

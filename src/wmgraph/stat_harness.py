@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .direct_graph import _direct_edges, edge_probability
 from .lifo_coder import _replica_trace, assemble_graph, sample_pinches
@@ -25,6 +24,10 @@ def chi_square_gof(counts, probs):
     Cells with expected count below 5 are pooled into a single cell; if
     the pool still falls short it is merged with the smallest retained
     cell.  Returns (statistic, p_value)."""
+    # scipy.special is imported where it is used, as are scipy.stats and
+    # scipy.integrate: any of them costs ``import wmgraph`` about 0.3 s
+    from scipy import special
+
     counts = np.asarray(counts, dtype=float)
     probs = np.asarray(probs, dtype=float)
     if counts.shape != probs.shape:
@@ -141,6 +144,8 @@ class EdgeCompareReport:
 
 def _hist_compare(x: np.ndarray, y: np.ndarray) -> float:
     """Two-sample contingency chi-square over pooled small cells."""
+    from scipy import special
+
     values, cell = np.unique(np.concatenate((x, y)), return_inverse=True)
     table = np.stack([np.bincount(c, minlength=values.size)
                       for c in (cell[:x.size], cell[x.size:])]).astype(float)
@@ -170,6 +175,8 @@ def _binomial_p_min(hits: np.ndarray, replicas: int,
     """Smallest exact two-sided binomial p-value of the hit counts, a
     p-value being twice the smaller tail, capped at 1 (1 for no
     counts)."""
+    from scipy import special
+
     lower = special.bdtr(hits, replicas, probs).min(initial=1.0)
     upper = special.bdtrc(hits - 1, replicas, probs).min(initial=1.0)
     return min(1.0, 2.0 * float(min(lower, upper)))

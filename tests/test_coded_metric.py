@@ -105,6 +105,18 @@ def test_coded_space_validation():
     assert space.eps == float("inf")
 
 
+def test_coded_space_keeps_pinches_from_any_iterable():
+    # validation and storage share one pass over an iterator
+    want = ((0.5, 2.5), (1.0, 3.0))
+    for pinches in (zip([0.5, 1.0], [2.5, 3.0]), (p for p in want),
+                    iter([[0.5, 2.5], [1, 3]])):
+        space = CodedSpace(H, pinches=pinches, eps=1.0)
+        assert space.pinches == want
+        assert all(type(x) is float for p in space.pinches for x in p)
+    with pytest.raises(ValueError, match="domain"):
+        CodedSpace(H, pinches=(p for p in ((0.5, 9.0),)))
+
+
 def _reference_pinched_matrix(space):
     """The O(N^2) Python-loop tree matrix and the min-plus closure over all
     N points that pinched_matrix replaced."""

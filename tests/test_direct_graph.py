@@ -497,3 +497,63 @@ def test_replica_rows_stay_in_their_blocks(w):
     assert ((e[:, 0] - 1) // n == (e[:, 1] - 1) // n).all()
     assert e[:, 1].max(initial=0) <= 300 * n
     assert e.tolist() == sorted(e.tolist())
+
+
+def _labelling_cases():
+    """(name, n, u, v): 0-based edge lists in any order, as the labelling
+    takes them."""
+    rng = np.random.default_rng(66)
+    for n in (2, 1000, 100_000):
+        p = rng.permutation(n)
+        yield "random path", n, p[:-1], p[1:]
+        yield "sorted path", n, np.arange(n - 1), np.arange(1, n)
+        yield "reversed path", n, np.arange(n - 1)[::-1], np.arange(1, n)[::-1]
+    yield "star hubbed at the largest id", 500, np.arange(499), np.full(499, 499)
+    yield "one vertex", 1, np.arange(0), np.arange(0)
+    yield "no edges", 50, np.arange(0), np.arange(0)
+    u, v = np.triu_indices(60, 1)
+    yield "complete graph", 60, u, v
+    for m in (100, 2000, 20_000):
+        u, v = rng.integers(0, 20_000, (2, m))
+        yield "many components", 20_000, u, v
+    # 40 cliques of 25 on shuffled ids, edges both ways and repeated
+    ids = rng.permutation(1000).reshape(40, 25)
+    i, j = np.triu_indices(25, 1)
+    u, v = ids[:, i].ravel(), ids[:, j].ravel()
+    yield "cliques", 1000, np.concatenate((u, v, u)), np.concatenate((v, u, v))
+
+
+def _csgraph_root_labels(n, u, v):
+    """Each vertex's smallest component-mate, from scipy's labelling."""
+    adj = sparse.coo_array((np.ones(u.size), (u, v)), shape=(n, n))
+    k, labels = csgraph.connected_components(adj, directed=False)
+    smallest = np.full(k, n)
+    np.minimum.at(smallest, labels, np.arange(n))
+    return smallest[labels]
+
+
+def test_root_labels_match_csgraph(monkeypatch):
+    # the labelling sorts once per hook round; count the rounds
+    rounds, orig = [0], np.sort
+
+    def counted(*args, **kwargs):
+        rounds[0] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", counted)
+    for name, n, u, v in _labelling_cases():
+        want = _csgraph_root_labels(n, u, v)
+        rounds[0] = 0
+        got = direct_graph._root_labels(n, u, v)
+        assert got.tolist() == want.tolist(), name
+        if name in ("sorted path", "reversed path"):
+            # every vertex hooks under its predecessor in one round
+            assert rounds[0] == 1, (name, n)
+        elif name == "random path":
+            # the roots left are local minima of the contracted path, so
+            # each round at least halves them: 11 rounds at n = 1e5
+            assert rounds[0] <= math.log2(n) + 1, (name, n, rounds[0])
+        elif name == "star hubbed at the largest id":
+            assert rounds[0] == 2
+        elif name in ("one vertex", "no edges"):
+            assert rounds[0] == 0

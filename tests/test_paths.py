@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from wmgraph import (CadlagStepPath, StepFunction, WeightSeq, height_of_path,
                      modulus_of_continuity, simulate_lifo)
 from wmgraph.paths import (_collapsed, _drain, _group_fsums,
-                           _lower_neighbours, _write_csv, uniform_distance)
+                           _lower_neighbours, _sorted_unique, _trace_events,
+                           _write_csv, uniform_distance)
 
 from test_excursions import (_bits, _critical_load_path, _dyadic_load_path,
                              _dyadic_zero_hits_path, _pareto_load_path)
@@ -417,3 +418,61 @@ def test_group_fsums_edge_cases():
     assert one.dtype == float and _bits(one) == _bits([0.1])
     whole = _group_fsums(np.array([1.0, TINY, TINY]), np.array([0, 3]))
     assert whole.tolist() == [1.0 + 2.0 ** -52]
+
+
+def test_sorted_unique_equals_np_unique():
+    rng = np.random.default_rng(6)
+    cases = [np.empty(0, np.int64), np.array([5]), np.array([2, 2, 2]),
+             rng.integers(0, 50, 1000), rng.integers(-2**62, 2**62, 100),
+             np.empty(0), np.array([3.0, np.inf, 0.5, 3.0, np.inf]),
+             rng.integers(0, 8, 500) / 4.0]
+    for a in cases:
+        got, want = _sorted_unique(a), np.unique(a)
+        assert got.dtype == want.dtype and _bits(got) == _bits(want)
+        assert got.tolist() == want.tolist()
+    a = np.array([3, 1, 3])
+    _sorted_unique(a)
+    assert a.tolist() == [3, 1, 3]   # the input stays as it was
+
+
+def _lexsort_events(clients, arrival, departure):
+    """The order the merge replaced: one lexsort over all 2N (time, kind,
+    id) triples, infinite and NaN times dropped after."""
+    ids = np.tile(clients, 2)
+    kind = np.repeat([0, 1], clients.size)
+    time = np.where(kind, departure[ids], arrival[ids])
+    order = np.lexsort((ids, kind, time))
+    order = order[np.isfinite(time[order])]
+    return ids[order], kind[order], time[order]
+
+
+def _event_cases():
+    # forced ties: client 2 departs when client 3 arrives, clients 1 and
+    # 3 depart together, client 4 never departs
+    arrival = np.array([np.nan, 0.0, 1.0, 2.0, 3.0])
+    departure = np.array([np.nan, 4.0, 2.0, 4.0, np.inf])
+    yield np.array([1, 2, 3, 4]), arrival, departure
+    yield np.array([1]), np.array([0.0, 1.0]), np.array([0.0, np.inf])
+    yield np.array([], dtype=np.int64), np.zeros(1), np.zeros(1)
+    rng = np.random.default_rng(5)
+    for n in (2, 10, 1000):
+        # few distinct times, so arrivals tie with arrivals and departures
+        arrival = np.concatenate(([0.0], rng.integers(0, 8, n) / 4.0))
+        departure = arrival + rng.integers(0, 4, n + 1) / 2.0
+        departure[rng.random(n + 1) < 0.1] = np.inf
+        # arrival order, ties by id, as both queues hand it over
+        clients = np.argsort(arrival[1:], kind="stable") + 1
+        yield clients, arrival, departure
+
+
+def test_trace_events_equal_the_lexsort_order():
+    for clients, arrival, departure in _event_cases():
+        got = _trace_events(clients, arrival, departure)
+        want = _lexsort_events(clients, arrival, departure)
+        for g, w in zip(got, want):
+            assert g.tolist() == w.tolist()
+        assert got[0].dtype == clients.dtype and got[2].dtype == np.float64
+    ids, kind, time = _trace_events(*next(_event_cases()))
+    assert list(zip(time.tolist(), kind.tolist(), ids.tolist())) == [
+        (0.0, 0, 1), (1.0, 0, 2), (2.0, 0, 3), (2.0, 1, 2),
+        (3.0, 0, 4), (4.0, 1, 1), (4.0, 1, 3)]

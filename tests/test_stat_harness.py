@@ -291,3 +291,30 @@ def test_package_import_leaves_scipy_stats_and_integrate_unloaded():
          "'scipy.integrate'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("statement", [
+    "import wmgraph",
+    "import wmgraph.cli",
+    "import wmgraph.cli; code = wmgraph.cli.main(['simulate', '--mode', "
+    "'lifo', '--weights', sys.argv[1], '--out', sys.argv[2]]); "
+    "assert code == 0, code",
+])
+def test_package_and_cli_load_no_scipy_submodule(tmp_path, statement):
+    # any of these costs an import of wmgraph about 0.3 s, so each is
+    # imported where it is used
+    weights = tmp_path / "w.json"
+    weights.write_text('{"schema": 1, "w": [2, 1, 1]}')
+    paths = [str(Path(wmgraph.__file__).parents[1]),
+             os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    script = (f"import sys\n{statement}\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+              "[['scipy', s] for s in ('sparse', 'special', 'stats', "
+              "'integrate')]))")
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(weights), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+    if "main" in statement:
+        assert (tmp_path / "out" / "components.csv").is_file()
