@@ -11,6 +11,12 @@ Two exact (breakpoint-based, no gridding) representations:
 from __future__ import annotations
 
 import math
+import os
+import shutil
+import sys
+import tempfile
+import threading
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -156,7 +162,7 @@ class StepFunction:
 
 def uniform_distance(f: StepFunction, g: StepFunction) -> float:
     """sup |f - g| over [0, infinity), both extended by their last value."""
-    grid = np.union1d(f.times, g.times)
+    grid = _sorted_unique(np.concatenate((f.times, g.times)))
     return float(np.max(np.abs(f(grid) - g(grid))))
 
 
@@ -176,7 +182,7 @@ def modulus_of_continuity(f: StepFunction, delta: float) -> float:
     # directly keeps deltas below the breakpoint ulp scale exact
     if delta > 0 and v.size > 1:
         best = float(np.max(np.abs(np.diff(v))))
-    ends = np.union1d(t, t + delta)
+    ends = _sorted_unique(np.concatenate((t, t + delta)))
     for u in ends:
         lo_edge = f(max(u - delta, t[0]))
         i = np.searchsorted(t, u - delta, side="right")
@@ -336,17 +342,77 @@ def _write_csv(path, header, columns):
     each equal-length column, CRLF line ends.  A cell is ``str`` of its value
     (for a float, its round-tripping ``repr``); string cells are fixed tokens
     that need no quoting.  One ``%`` writes each block of cells, interleaved
-    row by row into one list, so memory is bounded by one block."""
-    m = len(columns)
-    step, row = max(1, _BLOCK_CELLS // m), ",".join(["%s"] * m) + "\r\n"
+    row by row into one list, so memory is bounded by one block.
+
+    With two or more CPUs, two or more blocks and no other Python thread,
+    a forked child formats the second half of the blocks while this
+    process formats the first (``_write_halves``); the bytes are the
+    same."""
+    blocks = range(0, len(columns[0]), max(1, _BLOCK_CELLS // len(columns)))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(map(str, header)) + "\r\n")
-        for a in range(0, len(columns[0]), step):
-            parts = [c[a:a + step] for c in columns]
-            cells = [None] * (m * len(parts[0]))
-            for j, p in enumerate(parts):
-                cells[j::m] = p.tolist() if isinstance(p, np.ndarray) else p
-            fh.write(row * len(parts[0]) % tuple(cells))
+        if (len(blocks) >= 2 and threading.active_count() == 1
+                and hasattr(os, "sched_getaffinity")    # Linux only
+                and len(os.sched_getaffinity(0)) >= 2):
+            _write_halves(fh, columns, blocks)
+        else:
+            fh.writelines(_csv_blocks(columns, blocks))
+
+
+def _csv_blocks(columns, blocks):
+    """The CSV text of each block of rows: a block starts at each item of
+    the range ``blocks`` and holds ``blocks.step`` rows."""
+    m = len(columns)
+    row = ",".join(["%s"] * m) + "\r\n"
+    for a in blocks:
+        parts = [c[a:a + blocks.step] for c in columns]
+        cells = [None] * (m * len(parts[0]))
+        for j, p in enumerate(parts):
+            cells[j::m] = p.tolist() if isinstance(p, np.ndarray) else p
+        yield row * len(parts[0]) % tuple(cells)
+
+
+def _write_halves(fh, columns, blocks):
+    """Write ``blocks`` to the text file ``fh``: a forked child formats the
+    second half into an unlinked temporary file while this process formats
+    the first half into ``fh``; the child's bytes are then appended."""
+    k = len(blocks) // 2
+    fh.flush()
+    with tempfile.TemporaryFile() as tmp:
+        # Python 3.12+ warns at a fork while any OS thread is alive, and an
+        # idle OpenBLAS worker is one.  The child imports nothing, calls no
+        # BLAS, takes no lock but malloc's (which glibc resets at fork) and
+        # leaves only by os._exit.
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", r"This process \(pid=\d+\) is multi-threaded",
+                DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            # never unwind into the caller's with and finally blocks: they
+            # would flush the parent's buffers a second time
+            status = 1
+            try:
+                for text in _csv_blocks(columns, blocks[k:]):
+                    tmp.write(text.encode(fh.encoding, fh.errors))
+                tmp.flush()
+                status = 0
+            except BaseException:
+                sys.__excepthook__(*sys.exc_info())
+                sys.stderr.flush()
+            finally:
+                os._exit(status)
+        try:
+            fh.writelines(_csv_blocks(columns, blocks[:k]))
+        finally:
+            status = os.waitpid(pid, 0)[1]
+        if status:
+            raise OSError(f"the child writing the second half of {fh.name} "
+                          f"exited with status "
+                          f"{os.waitstatus_to_exitcode(status)}")
+        fh.flush()
+        tmp.seek(0)
+        shutil.copyfileobj(tmp, fh.buffer)
 
 
 def _trace_events(clients, arrival, departure):

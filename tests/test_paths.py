@@ -1,6 +1,10 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 from itertools import chain
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wmgraph
 from wmgraph import (CadlagStepPath, StepFunction, WeightSeq, height_of_path,
                      modulus_of_continuity, simulate_lifo)
 from wmgraph.paths import (_collapsed, _drain, _group_fsums,
@@ -433,6 +438,50 @@ def test_sorted_unique_equals_np_unique():
     a = np.array([3, 1, 3])
     _sorted_unique(a)
     assert a.tolist() == [3, 1, 3]   # the input stays as it was
+
+
+def test_breakpoint_grids_equal_union1d(monkeypatch):
+    # dyadic breakpoints on a coarse grid: f and g share some, and t + delta
+    # lands on others (dyadic deltas), so the unions hold ties
+    rng = np.random.default_rng(8)
+    cases = []
+    for _ in range(200):
+        f, g = (StepFunction(np.sort(rng.choice(np.arange(24) / 8.0, k,
+                                                replace=False)),
+                             rng.integers(-3, 4, k) / 2.0)
+                for k in rng.integers(1, 12, 2))
+        cases.append((f, g, rng.integers(0, 17) / 8.0))
+    for f, g, delta in cases:
+        assert _bits(_sorted_unique(np.concatenate((f.times, g.times)))) \
+            == _bits(np.union1d(f.times, g.times))
+        assert _bits(_sorted_unique(np.concatenate((f.times, f.times + delta)))) \
+            == _bits(np.union1d(f.times, f.times + delta))
+    got = [(uniform_distance(f, g), modulus_of_continuity(f, delta))
+           for f, g, delta in cases]
+    # the same functions on np.union1d's grids
+    monkeypatch.setattr("wmgraph.paths._sorted_unique",
+                        lambda a: np.union1d(a, a[:0]))
+    want = [(uniform_distance(f, g), modulus_of_continuity(f, delta))
+            for f, g, delta in cases]
+    assert got == want
+
+
+def test_ghp_upper_bound_leaves_numpy_ma_unloaded():
+    # numpy 2.4's np.union1d imports numpy.ma on its first call, about
+    # 16 ms a process
+    paths = [str(Path(wmgraph.__file__).parents[1]),
+             os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    script = (
+        "import sys\n"
+        "from wmgraph import StepFunction, ghp_upper_bound\n"
+        "h = StepFunction([0.0, 1.0, 2.0], [0.0, 1.0, 0.5])\n"
+        "h2 = StepFunction([0.0, 1.5, 2.5], [0.0, 2.0, 0.5])\n"
+        "assert ghp_upper_bound(h, h2, [], [], 0.1, 0.1, 0.25) > 0\n"
+        "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def _lexsort_events(clients, arrival, departure):

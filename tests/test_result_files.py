@@ -4,7 +4,10 @@ decimal."""
 
 import csv
 import math
+import os
+import threading
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -225,3 +228,156 @@ def test_matrix_writer_holds_one_block(tmp_path):
         tracemalloc.stop()
     assert peak < n * n * 32
     assert (tmp_path / "matrix.csv").read_text().count("\n") == n + 1
+
+
+# The two-process writer (a forked child formats the second half of the
+# blocks) against the serial one, with blocks of a few rows so that small
+# files split: os.sched_getaffinity picks the path.
+SPLIT_WRITERS = {
+    **WRITERS,
+    "pinches_empty.csv": lambda path: sample_pinches(
+        _lifo(), forced_points=[]).write_csv(path),
+    "trace_n300.csv": lambda path: simulate_lifo(
+        WeightSeq(np.ones(300)), rng_seed=3).write_csv(path),
+    "markov_trace_n300.csv": lambda path: simulate_markov(
+        WeightSeq(np.linspace(0.5, 1.5, 300)), horizon=40.0,
+        rng_seed=3).write_csv(path),
+}
+
+
+def _split_and_serial(monkeypatch, tmp_path, write):
+    """The bytes ``write`` puts in a file on the two-process path and on
+    the serial path, and the forks each path made."""
+    fork, forks = os.fork, []
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    out = []
+    for name, cpus in (("split", {0, 1}), ("serial", {0})):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c)
+        write(tmp_path / name)
+        out.append(((tmp_path / name).read_bytes(), len(forks)))
+        forks.clear()
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 3, 8, 12, 13, 19],
+                         ids=["0rows", "lt1block", "2blocks", "3blocks",
+                              "4blocks_partial", "5blocks_partial"])
+def test_two_process_writer_equals_serial(monkeypatch, tmp_path, n):
+    monkeypatch.setattr("wmgraph.paths._BLOCK_CELLS", 6 * 4)   # 4 rows
+    floats, ints, tokens = _cycle(FLOATS, n), _cycle(INTS, n), _cycle(TOKENS, n)
+    columns = [np.array(floats), np.array(ints, dtype=np.int64),
+               np.array(tokens), [2 ** 70 + k for k in range(n)], floats,
+               range(n)]
+    header = ["t", 0.25, 1e-05, "C4_integral_y=1", "mass", "flag"]
+    (split, forks), (serial, none) = _split_and_serial(
+        monkeypatch, tmp_path, lambda path: _write_csv(path, header, columns))
+    assert split == serial == _csv_module_bytes(
+        tmp_path / "old.csv", header, zip(*(list(c) for c in columns)))
+    assert (forks, none) == (int(n > 4), 0)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 5])
+@pytest.mark.parametrize("name", sorted(SPLIT_WRITERS))
+def test_two_process_result_files_equal_serial(monkeypatch, tmp_path, name,
+                                               rows):
+    path = tmp_path / name
+    SPLIT_WRITERS[name](path)
+    header, *lines = path.read_bytes().split(b"\r\n")[:-1]
+    monkeypatch.setattr("wmgraph.paths._BLOCK_CELLS",
+                        rows * (header.count(b",") + 1))
+    (split, forks), (serial, none) = _split_and_serial(
+        monkeypatch, tmp_path, SPLIT_WRITERS[name])
+    assert split == serial == path.read_bytes()
+    assert (forks, none) == (int(len(lines) > rows), 0)
+
+
+def _no_fork():
+    raise AssertionError("the writer forked")
+
+
+def test_writer_forks_only_with_two_cpus_and_one_thread(monkeypatch,
+                                                        tmp_path):
+    monkeypatch.setattr("wmgraph.paths._BLOCK_CELLS", 8)      # 4 rows
+    monkeypatch.setattr(os, "fork", _no_fork)
+    want = "a,b\r\n" + "".join(f"{k},{k / 4}\r\n" for k in range(16))
+
+    def check():
+        _write_csv(tmp_path / "x.csv", ["a", "b"],
+                   [range(16), np.arange(16) / 4])
+        assert (tmp_path / "x.csv").read_bytes() == want.encode()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    check()
+    monkeypatch.delattr(os, "sched_getaffinity")            # not Linux
+    check()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(60,))
+    thread.start()
+    try:
+        check()
+    finally:
+        stop.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+
+
+class _Unprintable:
+    def __str__(self):
+        raise ValueError("unprintable cell")
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("bad_row", [0, 15], ids=["parent", "child"])
+def test_failed_half_raises_and_leaves_nothing(monkeypatch, tmp_path, capfd,
+                                               bad_row):
+    monkeypatch.setattr("wmgraph.paths._BLOCK_CELLS", 8)      # 4 blocks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cells = [1] * 16
+    cells[bad_row] = _Unprintable()
+    fds = _open_fds()
+    if bad_row == 0:    # the parent's half: its own error, child reaped
+        expected = pytest.raises(ValueError, match="unprintable cell")
+    else:               # the child's: its traceback, then status 1
+        expected = pytest.raises(OSError, match="exited with status 1")
+    with expected:
+        _write_csv(tmp_path / "x.csv", ["a", "b"], [range(16), cells])
+    if bad_row:
+        assert "ValueError: unprintable cell" in capfd.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+    assert _open_fds() == fds
+
+
+def test_fork_warning_of_python_3_12_is_filtered(monkeypatch, tmp_path):
+    # from 3.12 os.fork warns in the parent while any OS thread is alive
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn(f"This process (pid={os.getpid()}) is "
+                          "multi-threaded, use of fork() may lead to "
+                          "deadlocks in the child.", DeprecationWarning,
+                          stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr("wmgraph.paths._BLOCK_CELLS", 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _write_csv(tmp_path / "x.csv", ["a", "b"], [range(16), range(16)])
+    assert (tmp_path / "x.csv").read_bytes().count(b"\r\n") == 17
