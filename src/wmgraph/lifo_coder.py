@@ -152,46 +152,39 @@ def _resolve_pinches(trace: LifoTrace, t: np.ndarray, y: np.ndarray):
     y: up the stack at t, the infimum of Y over [arrival_k, t] equals the
     pre-arrival level of the next stack entry (or Y(t) at the top).
 
-    v is the first client up the chain of the last arrival by t that
-    departs after t (0: idle): the client in service; u is the first
-    client up from v whose band floor (pre-arrival level less the root's,
-    j_exc) is at most y.  Floors increase down a chain, since a newcomer's
-    pre-arrival level is the value the replay found above its parent's,
-    so u is the deepest band holding y.  Each climb takes the jumps of
-    2^k, k descending, whose passed clients all fail the stop test; the
-    test reads a maximum (minimum) over the jump, so the climb equals the
-    walk even if rounding broke the nesting of departures."""
+    Both endpoints are read off the levels (pre-arrival loads), as the
+    replay decides who is queued.  v is the first client up the chain of
+    the last arrival by t whose level is below Y(t) (0: idle): the client
+    in service, the parent the replay would give an arrival of size 0 at
+    t.  u is the first client up from v whose band floor (level less the
+    busy period's root level j_exc) is at most y: the deepest band
+    holding y.  A parent has a strictly lower level than its child, so
+    both stop tests hold from the first client that meets them up to
+    client 0 (level -inf); a jump of 2^k, k descending, is taken when the
+    client it lands on does not stop."""
     order = trace.arrival_order
     i = trace.Y.times.searchsorted(t, side="right") - 1
     x = np.where(i >= 0, order[np.maximum(i, 0)], 0)
-    dep = trace.departure.copy()
-    dep[0] = math.inf
     pre = trace.pre_level.copy()
     pre[0] = -math.inf
-    # up[k][j]: the 2^k-th ancestor of j (0 past a root); latest[k][j] and
-    # lowest[k][j]: the latest departure and lowest pre-arrival level among
-    # the 2^k clients from j up, which a jump from j passes
-    up, latest, lowest = [trace.parent], [dep], [pre]
+    up = [trace.parent]  # up[k][j]: the 2^k-th ancestor of j (0 past a root)
     while up[-1][x].any():
-        a = up[-1]
-        latest.append(np.maximum(latest[-1], latest[-1][a]))
-        lowest.append(np.minimum(lowest[-1], lowest[-1][a]))
-        up.append(a[a])
+        up.append(up[-1][up[-1]])
 
-    def climb(j, key, passes):
-        for a, k in zip(up[::-1], key[::-1]):
-            j = np.where(passes(k[j]), a[j], j)
-        return j
+    def climb(j, stops):
+        for a in up[::-1]:
+            j = np.where(stops(pre[a[j]]), j, a[j])
+        return np.where(stops(pre[j]), j, trace.parent[j])
 
-    v = climb(x, latest, lambda d: d <= t)
+    load = trace.Y.value(t)
+    v = climb(x, lambda level: level < load)
     if (v == 0).any():
         raise ValueError("pinch time falls outside every busy period")
-    starts = (trace.parent[order] == 0).nonzero()[0]
-    root = order[starts[starts.searchsorted(i, side="right") - 1]]
-    j_exc = trace.pre_level[root]  # excursion infimum level
-    if not ((0.0 < y) & (y < trace.Y.value(t) - j_exc)).all():
+    # a busy period's root holds the least level so far: the excursion's floor
+    j_exc = np.minimum.accumulate(trace.pre_level[order])[i]
+    if not ((0.0 < y) & (y < load - j_exc)).all():
         raise ValueError("pinch level outside the reflected load at t_p")
-    u = climb(v, lowest, lambda low: low - j_exc > y)
+    u = climb(v, lambda level: level - j_exc <= y)
     # boundary hit, assigned to the deeper ancestor; the root's floor is
     # 0 < y, so it never ties
     tie = trace.pre_level[u] - j_exc == y

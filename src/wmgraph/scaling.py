@@ -109,7 +109,8 @@ def psi_report(p: LimitParams) -> PsiReport:
         rho = largest_root(p)
         L = max(1e6, 1e3 * rho)
         v1, v2 = psi_eval(p, L), psi_eval(p, 10 * L)
-        growth = math.log(v2 / v1) / math.log(10.0)
+        # psi(L) > 0 past the root unless psi == 0, whose tail diverges
+        growth = math.log(v2 / v1) / math.log(10.0) if v1 > 0 else 1.0
         grey = growth > 1.0 + 1e-6
         tail = L / (v1 * (growth - 1.0)) if grey else math.inf
         p._cache["psi_L"] = v1

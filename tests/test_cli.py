@@ -219,6 +219,17 @@ def test_non_finite_limit_named_in_error(tmp_path, capsys, command, value):
     assert not (tmp_path / "limit_path.csv").exists()
 
 
+@pytest.mark.parametrize("c", ["", ', "c": [0, 0]'], ids=["no_c", "zero_c"])
+def test_scaling_on_zero_psi_exits_2(tmp_path, capsys, c):
+    path = tmp_path / "limit.json"
+    path.write_text(f'{{"schema": 1, "alpha": 0, "beta": 0, "kappa": 1{c}}}')
+    out = tmp_path / "out"
+    assert main(["scaling", "--limit", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: tail integral of 1/psi diverges; no profile\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("eps", ["nan", "-1"])
 def test_metric_bad_eps_exits_2(tmp_path, capsys, weights_file, eps):
     out = tmp_path / "mm"

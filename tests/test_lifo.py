@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -343,11 +344,13 @@ def test_pinches_match_stack_scan_reference(shift):
         assert ps.u.dtype == ps.v.dtype == np.int64
 
 
-def _band_floor_points(trace):
-    """At every arrival and departure time and between them, a level on
-    each band floor above the root and one inside each band."""
-    events = np.concatenate((trace.arrival[1:], trace.departure[1:]))
-    times = np.unique(np.concatenate((events, events[:-1] + 1.0 / 64)))
+def _band_floor_points(trace, times=None):
+    """At ``times`` (default: every arrival and departure time and between
+    them), a level on each band floor above the root and one inside each
+    band."""
+    if times is None:
+        events = np.concatenate((trace.arrival[1:], trace.departure[1:]))
+        times = np.unique(np.concatenate((events, events[:-1] + 1.0 / 64)))
     pts = []
     for t in times.tolist():
         stack = _reference_stack_at(trace, t)
@@ -374,6 +377,17 @@ def _band_floor_traces():
         times = rng.choice(8 * n, n, replace=False) / 16.0
         trace = simulate_lifo(w, forced_arrivals=times)
         yield trace, _band_floor_points(trace)
+    # a chain: each of 512 clients arrives before the one before it
+    # departs, so the last arrival has 511 ancestors and the ancestor
+    # table 10 levels.  Points at the last arrival, on all 512 bands, and
+    # as client 2^k + 1 departs, k < 9 (at that time and just after): the
+    # client in service, 2^k, is 512 - 2^k clients up from the last arrival
+    n = 512
+    trace = simulate_lifo(WeightSeq(np.ones(n)),
+                          forced_arrivals=np.arange(n) / 2.0)
+    leave = trace.departure[2 ** np.arange(9) + 1]
+    yield trace, _band_floor_points(trace, np.concatenate(
+        ([trace.arrival[n]], leave, leave + 1.0 / 64)))
 
 
 def test_pinches_on_band_floors_match_reference():
@@ -386,6 +400,38 @@ def test_pinches_on_band_floors_match_reference():
         ties += int(ps.boundary_tie.sum())
         loops += int(ps.self_loop.sum())
     assert ties > 100 and loops > 100
+
+
+def test_pinch_resolution_holds_one_ancestor_table():
+    """The resolver's memory peak on a 100-replica trace of N = n + 1
+    entries per client array (client 0 included).
+
+    With D the deepest stack, no last arrival has more than D - 1
+    ancestors, so the ancestor table has at most L = bit_length(D - 1) + 1
+    levels.  The resolver allocates L - 1 of them (level 0 is the trace's
+    parent array), a copy of the levels, and, while it reads the busy
+    period floors, the levels in arrival order and their running minimum:
+    L + 2 arrays of N 8-byte entries.  The bound allows one array more,
+    and 128 bytes a pinch point (sixteen 8-byte values) for the
+    per-point work.  A
+    resolver that also kept a table of departures and one of level minima
+    per level would hold 3(L - 1) + 2 arrays."""
+    w = WeightSeq(np.random.default_rng(4).pareto(2.5, 2000) + 0.2)
+    rng = np.random.default_rng(np.random.SeedSequence([0, 1]))
+    trace = _replica_trace(w, rng.exponential(w.sigma(1.0) / w.w,
+                                              size=(100, w.j_max)))
+    ps = sample_pinches(trace, rng_seed=np.random.SeedSequence([0, 2]))
+    levels = (int(trace.H.values.max()) - 1).bit_length() + 1
+    N = trace.parent.size
+    assert levels >= 6 and ps.size > 1000
+    tracemalloc.start()
+    try:
+        got = _resolve_pinches(trace, ps.t, ps.y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * N * (levels + 3) + 128 * ps.size
+    assert np.array_equal(got[1], ps.u) and np.array_equal(got[2], ps.v)
 
 
 def _reference_assemble_graph(trace, pinches=None):

@@ -442,6 +442,18 @@ def test_grey_verdict_fails_without_curvature():
         extinction_profile(p, 1.0)
 
 
+@pytest.mark.parametrize("c", [(), (0.0, 0.0)])
+def test_zero_psi_has_no_grey_tail(c):
+    # alpha = beta = 0 with no jumps, or with jumps of size 0: psi == 0,
+    # so psi(L) = 0 and the tail integral of 1/psi diverges
+    p = LimitParams(alpha=0.0, beta=0.0, kappa=1.0, c=c)
+    rep = psi_report(p)
+    assert (rep.root, rep.is_grey, rep.grey_integral_tail) == (
+        0.0, False, math.inf)
+    with pytest.raises(ValueError, match="diverges"):
+        extinction_profile(p, 1.0)
+
+
 def test_psi_n_hand_value():
     tr = ScalingTriple(n=1, a=1.0, b=1.0, weights=WeightSeq([1.0]))
     # drift vanishes (sigma_2 = sigma_1); curve = e^{-lam} - 1 + lam
