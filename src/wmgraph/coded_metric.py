@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import StepFunction, _write_csv, modulus_of_continuity, uniform_distance
+from .paths import (StepFunction, _check_memory, _write_csv,
+                    modulus_of_continuity, uniform_distance)
 
 
 def check_eps(eps) -> float:
@@ -63,6 +64,8 @@ def pinched_matrix(space: CodedSpace) -> np.ndarray:
     h, m = space.h, space.samples.size
     pts = np.concatenate((space.samples, np.ravel(space.pinches)))
     n = pts.size
+    # at its peak, four float64 arrays of n by n
+    _check_memory(32 * n * n, f"a distance matrix over {n} points")
     # breakpoint index of each point, as StepFunction.__call__ and min_on
     k = np.maximum(np.searchsorted(h.times, pts, side="right") - 1, 0)
     order = np.argsort(k, kind="stable")
@@ -92,12 +95,13 @@ def ghp_upper_bound(h: StepFunction, h2: StepFunction, pinches, pinches2,
 
     Requires equal pinch counts and index-matched pinch times within delta
     (no bound is defined otherwise)."""
-    if len(pinches) != len(pinches2):
-        raise ValueError("pinch counts differ; the bound is undefined")
-    for (s, t), (s2, t2) in zip(pinches, pinches2):
-        if abs(s - s2) > delta or abs(t - t2) > delta:
-            raise ValueError("pinch times differ by more than delta")
     p = len(pinches)
+    if len(pinches2) != p:
+        raise ValueError("pinch counts differ; the bound is undefined")
+    gap = (np.asarray(pinches, dtype=float).reshape(p, 2)
+           - np.asarray(pinches2, dtype=float).reshape(p, 2))
+    if (np.abs(gap) > delta).any():
+        raise ValueError("pinch times differ by more than delta")
     zeta, zeta2 = float(h.times[-1]), float(h2.times[-1])
     sup = uniform_distance(h, h2)
     omega = modulus_of_continuity(h, delta)

@@ -10,13 +10,12 @@ analogues of the rescaled component masses of the discrete graphs.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .excursions import TOL_EXC, _intervals_above
-from .paths import _write_csv
+from .paths import _check_memory, _write_csv
 from .weights import LimitParams
 
 TRUNC_TARGET = 1e-3
@@ -52,9 +51,7 @@ def simulate_limit_Y(p: LimitParams, dt: float | None = None, T: float = 1.0,
     -c_j^2*kappa*t is applied continuously.  c is cut at
     ``default_truncation(p, T)``, unless ``forced_E`` (test hook) fixes
     the jump time of every entry of c; an entry of +inf never lands.  A
-    grid whose peak working arrays would exceed physical memory is
-    rejected before any is allocated: a host that overcommits memory
-    would grant it and then kill the process."""
+    grid larger than physical memory is rejected before it is allocated."""
     if dt is None:
         dt = 1e-4 * T
     for name, value in (("T", T), ("dt", dt)):
@@ -64,15 +61,8 @@ def simulate_limit_Y(p: LimitParams, dt: float | None = None, T: float = 1.0,
     if not T / dt < np.iinfo(np.intp).max:    # T / dt may overflow to inf
         raise ValueError(f"T / dt = {T / dt!r} grid cells cannot be indexed")
     n = int(round(T / dt))
-    need = 5 * 8 * (n + 1)     # at its peak, five float64 arrays of n + 1
-    try:    # physical memory, where the platform reports it
-        ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        ram = math.inf
-    if 0 < ram < need:
-        raise ValueError(f"a grid of {n + 1} points needs {need / 2 ** 30:.3g} "
-                         f"GiB, more than the {ram / 2 ** 30:.3g} GiB of "
-                         "physical memory")
+    # at its peak, five float64 arrays of n + 1
+    _check_memory(5 * 8 * (n + 1), f"a grid of {n + 1} points")
     J = len(p.c) if forced_E is not None else default_truncation(p, T)
     rng = np.random.default_rng(rng_seed)
     t = np.arange(n + 1) * dt

@@ -167,30 +167,25 @@ def _root_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     the edges onto their ends' roots and drops those inside one root; it
     ends when no edge is left.  The vertices then jump to their roots.
     Labels only fall along edges, so a component's smallest vertex is
-    never hooked and ends as its one root.  The minimum per root is a
-    sort-based reduction, one sort of the keys (root, neighbour) a
-    round, as ``np.minimum.at`` was slow before numpy 1.25."""
-    lab, s = np.arange(n), (n - 1).bit_length()
+    never hooked and ends as its one root.  One ``np.minimum.at`` a
+    round takes the minimum per root."""
+    lab = np.arange(n)
+
+    def jump(at):   # until each of lab[at] points to a root
+        up = lab[at]
+        while not np.array_equal(jumped := lab[up], up):
+            lab[at] = up = jumped
+
     a, b = u, v
     while a.size:
-        key = np.sort(np.maximum(a, b) << s | np.minimum(a, b))
-        hi = key >> s
-        first = np.concatenate(([True], hi[1:] != hi[:-1]))
-        hooked, up = hi[first], key[first] & ((1 << s) - 1)
-        lab[hooked] = up
-        while True:
-            jumped = lab[up]
-            if np.array_equal(jumped, up):
-                break
-            lab[hooked] = up = jumped
+        hooked = np.maximum(a, b)
+        np.minimum.at(lab, hooked, np.minimum(a, b))
+        jump(hooked)
         a, b = lab[a], lab[b]
         keep = a != b
         a, b = a[keep], b[keep]
-    while True:
-        jumped = lab[lab]
-        if np.array_equal(jumped, lab):
-            return lab
-        lab = jumped
+    jump(slice(None))
+    return lab
 
 
 def connected_components(g: AssembledGraph) -> list:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .paths import (CadlagStepPath, StepFunction, _collapsed, _drain,
-                    _openings, _sorted_unique, _write_trace_csv,
+from .paths import (CadlagStepPath, StepFunction, _check_memory, _collapsed,
+                    _drain, _openings, _sorted_unique, _write_trace_csv,
                     height_of_path)
 from .weights import WeightSeq
 
@@ -150,6 +150,8 @@ def _drawn_arrivals(w: WeightSeq, rng_seed):
     cdf = _choice_cdf(w.w / w.sigma(1.0))
     t, m = 0.0, 16
     while True:
+        # a run peaks near 300 B an arrival; 2m - 16 are drawn with this chunk
+        _check_memory(320 * (2 * m - 16), f"a replay of {2 * m - 16} arrivals")
         ts = np.cumsum(np.append(t, rng.exponential(1.0, m)))[1:]
         yield ts, cdf.searchsorted(rng.random(m), "right") + 1
         t, m = ts[-1], 2 * m

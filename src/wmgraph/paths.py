@@ -97,13 +97,9 @@ class CadlagStepPath:
         """Minimum of the path over the closed interval [a, b]."""
         if b < a:
             a, b = b, a
-        lo, hi = np.searchsorted(self.times, a, side="right"), \
-            np.searchsorted(self.times, b, side="right")
-        m = self.value(b)
-        if hi > lo:
-            pre = -self.times[lo:hi] + self._cum[lo:hi]
-            m = min(m, float(pre.min()))
-        return m
+        lo, hi = np.searchsorted(self.times, (a, b), side="right")
+        pre = -self.times[lo:hi] + self._cum[lo:hi]
+        return min(self.value(b), float(pre.min(initial=math.inf)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +168,7 @@ def modulus_of_continuity(f: StepFunction, delta: float) -> float:
     The extrema of f over a closed window are attained at breakpoint
     values inside the window or at the value in force at its left edge,
     so it suffices to scan windows ending at each breakpoint and at each
-    breakpoint + delta.
+    breakpoint + delta, all in one ``reduceat`` pass of max and of min.
     """
     if not delta >= 0:
         raise ValueError("delta must be nonnegative")
@@ -183,16 +179,16 @@ def modulus_of_continuity(f: StepFunction, delta: float) -> float:
     if delta > 0 and v.size > 1:
         best = float(np.max(np.abs(np.diff(v))))
     ends = _sorted_unique(np.concatenate((t, t + delta)))
-    for u in ends:
-        lo_edge = f(max(u - delta, t[0]))
-        i = np.searchsorted(t, u - delta, side="right")
-        j = np.searchsorted(t, u, side="right")
-        if i < j:
-            seg = v[i:j]
-            hi = max(float(seg.max()), lo_edge)
-            lo = min(float(seg.min()), lo_edge)
-            best = max(best, hi - lo)
-    return float(best)
+    starts = ends - delta
+    i, j = np.searchsorted(t, (starts, ends), side="right")
+    inner = i < j
+    edge = f(np.maximum(starts, t[0]))[inner]
+    # at the interleaved (i, j), reduceat reduces v[i:j] in the even places
+    # (the odd are dropped); the appended 0 makes the index j = v.size valid
+    at, vs = np.stack((i, j), axis=1)[inner].ravel(), np.append(v, 0.0)
+    hi = np.maximum(np.maximum.reduceat(vs, at)[::2], edge)
+    lo = np.minimum(np.minimum.reduceat(vs, at)[::2], edge)
+    return max(best, float(np.max(hi - lo, initial=-math.inf)))
 
 
 def height_of_path(y: CadlagStepPath) -> StepFunction:
@@ -320,6 +316,18 @@ def _collapsed(times, values) -> StepFunction:
 
 _BLOCK_CELLS = 1 << 16
 _EVENTS = np.array(["arrival", "departure"], dtype=object)
+
+
+def _check_memory(need: float, what: str):
+    """Raise ValueError if ``need`` bytes for ``what`` exceed the physical
+    memory reported: an overcommitting host would grant them, then kill."""
+    try:
+        ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if 0 < ram < need:
+        raise ValueError(f"{what} needs {need / 2 ** 30:.3g} GiB, more than "
+                         f"the {ram / 2 ** 30:.3g} GiB of physical memory")
 
 
 def _sorted_unique(a) -> np.ndarray:

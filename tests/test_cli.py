@@ -286,6 +286,27 @@ def test_bad_argument_exits_2(tmp_path, capsys, weights_file, limit_file,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["simulate", "--mode", "markov"],
+                                     ["verify", "--replicas", "2"]])
+def test_markov_run_beyond_physical_memory_exits_2(tmp_path, capsys,
+                                                   weights_file, monkeypatch,
+                                                   command):
+    # a host with 1 MiB of memory: w = (2, 1, 1) is supercritical, so the
+    # queue does not empty five times and the arrivals outgrow the host
+    # long before the horizon
+    monkeypatch.setattr(os, "sysconf",
+                        {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.get)
+    def run(horizon, out):
+        return main([*command, "--weights", weights_file, "--horizon",
+                     horizon, "--out", str(tmp_path / out)])
+    assert run("1e308", "big") == 2
+    assert capsys.readouterr().err == (
+        "error: a replay of 4080 arrivals needs 0.00122 GiB, more than the "
+        "0.000977 GiB of physical memory\n")
+    assert not (tmp_path / "big").exists()
+    assert run("10", "small") == 0
+
+
 def test_continuum_grid_beyond_physical_memory_exits_2(tmp_path, capsys,
                                                        limit_file, monkeypatch):
     # a host with 1 MiB of memory: 100,001 points need 3.8 MiB at the peak

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -50,6 +51,21 @@ def test_pinched_matrix_no_pinches_is_tree_matrix():
                        [1.0, 0.0, 3.0],
                        [2.0, 3.0, 0.0]])
     assert m == pytest.approx(expect)
+
+
+def test_pinched_matrix_beyond_physical_memory_raises(monkeypatch):
+    # a host with 1 MiB of memory: the matrix peaks at 32 N^2 bytes, so 182
+    # points are too many and 181 are not
+    monkeypatch.setattr(os, "sysconf",
+                        {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.get)
+    pinches = ((1.5, 3.5),)
+    space = CodedSpace(H, pinches=pinches, samples=np.linspace(0.0, 4.0, 180))
+    with pytest.raises(ValueError, match="^a distance matrix over 182 points "
+                       "needs 0.000987 GiB, more than the 0.000977 GiB of "
+                       "physical memory$"):
+        pinched_matrix(space)
+    space = CodedSpace(H, pinches=pinches, samples=np.linspace(0.0, 4.0, 179))
+    assert pinched_matrix(space).shape == (179, 179)
 
 
 def test_pinch_glue_examples():

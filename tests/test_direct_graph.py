@@ -533,18 +533,19 @@ def _csgraph_root_labels(n, u, v):
 
 
 def test_root_labels_match_csgraph(monkeypatch):
-    # the labelling sorts once per hook round; count the rounds
-    rounds, orig = [0], np.sort
+    # the labelling calls np.maximum once per hook round; count the rounds
+    rounds, orig = [0], np.maximum
 
     def counted(*args, **kwargs):
         rounds[0] += 1
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(np, "sort", counted)
     for name, n, u, v in _labelling_cases():
         want = _csgraph_root_labels(n, u, v)
         rounds[0] = 0
-        got = direct_graph._root_labels(n, u, v)
+        with monkeypatch.context() as m:
+            m.setattr(np, "maximum", counted)
+            got = direct_graph._root_labels(n, u, v)
         assert got.tolist() == want.tolist(), name
         if name in ("sorted path", "reversed path"):
             # every vertex hooks under its predecessor in one round
@@ -557,3 +558,49 @@ def test_root_labels_match_csgraph(monkeypatch):
             assert rounds[0] == 2
         elif name in ("one vertex", "no edges"):
             assert rounds[0] == 0
+
+
+def _reference_root_labels(n, u, v):
+    """The labelling before ``np.minimum.at``: each round takes the least
+    neighbouring root of each root by one sort of bit-packed keys (root,
+    neighbour) and a first-of-group scan.  Kept as the reference."""
+    lab, s = np.arange(n), (n - 1).bit_length()
+    a, b = u, v
+    while a.size:
+        key = np.sort(np.maximum(a, b) << s | np.minimum(a, b))
+        hi = key >> s
+        first = np.concatenate(([True], hi[1:] != hi[:-1]))
+        hooked, up = hi[first], key[first] & ((1 << s) - 1)
+        lab[hooked] = up
+        while True:
+            jumped = lab[up]
+            if np.array_equal(jumped, up):
+                break
+            lab[hooked] = up = jumped
+        a, b = lab[a], lab[b]
+        keep = a != b
+        a, b = a[keep], b[keep]
+    while True:
+        jumped = lab[lab]
+        if np.array_equal(jumped, lab):
+            return lab
+        lab = jumped
+
+
+def _certify_graphs():
+    """(name, n, u, v) of LIFO graphs shaped like the acceptance suite's
+    metric criterion: 2-50 weights from U(0.5, 3), pinches sampled."""
+    for r in range(300):
+        rng = np.random.default_rng([72, r])
+        w = WeightSeq(np.sort(rng.uniform(0.5, 3.0, rng.integers(2, 51)))[::-1])
+        trace = simulate_lifo(w, rng_seed=np.random.SeedSequence([72, r, 0]))
+        g = assemble_graph(trace, sample_pinches(
+            trace, rng_seed=np.random.SeedSequence([72, r, 1])))
+        yield "certify-shaped", g.n, g.edges[:, 0] - 1, g.edges[:, 1] - 1
+
+
+def test_root_labels_equal_the_sort_based_reference():
+    for name, n, u, v in chain(_labelling_cases(), _certify_graphs()):
+        got = direct_graph._root_labels(n, u, v)
+        assert got.dtype == np.intp, name
+        assert got.tolist() == _reference_root_labels(n, u, v).tolist(), name

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
@@ -183,6 +184,64 @@ def test_modulus_matches_brute_force(vals, delta):
                     or times[j] - times[i] <= delta:
                 best = max(best, abs(float(vals[j] - vals[i])))
     assert modulus_of_continuity(h, delta) == pytest.approx(best)
+
+
+def _reference_modulus_of_continuity(f, delta):
+    """The per-window loop that ``modulus_of_continuity`` replaced by one
+    ``reduceat`` pass, kept verbatim as the reference."""
+    if not delta >= 0:
+        raise ValueError("delta must be nonnegative")
+    t, v = f.times, f.values
+    best = 0.0
+    if delta > 0 and v.size > 1:
+        best = float(np.max(np.abs(np.diff(v))))
+    ends = _sorted_unique(np.concatenate((t, t + delta)))
+    for u in ends:
+        lo_edge = f(max(u - delta, t[0]))
+        i = np.searchsorted(t, u - delta, side="right")
+        j = np.searchsorted(t, u, side="right")
+        if i < j:
+            seg = v[i:j]
+            hi = max(float(seg.max()), lo_edge)
+            lo = min(float(seg.min()), lo_edge)
+            best = max(best, hi - lo)
+    return float(best)
+
+
+def test_modulus_equals_the_window_loop_bit_for_bit():
+    # random, dyadic and integer-valued step functions on 1-40 breakpoints;
+    # deltas below the ulp scale, at the domain end, past it and infinite
+    # (inf - inf is NaN in both forms, and warns in both)
+    rng = np.random.default_rng(70)
+    cases = []
+    for r in range(1112):
+        k = int(rng.integers(1, 41))
+        if r % 3 == 0:
+            t, v = np.sort(rng.uniform(0.0, 5.0, k)), rng.normal(size=k)
+        elif r % 3 == 1:
+            t = np.sort(rng.choice(np.arange(64) / 8.0, k, replace=False))
+            v = rng.integers(-8, 9, k) / 4.0
+        else:
+            t = np.sort(rng.choice(np.arange(50.0), k, replace=False))
+            v = rng.integers(0, 20, k).astype(float)
+        f = StepFunction(t, v)
+        cases += [(f, delta) for delta in (
+            0.0, 1e-18, 0.125, rng.uniform(0.0, 6.0), 5 - 1e-15,
+            float(f.times[-1]), 10.0, 1e300, math.inf)]
+    assert len(cases) >= 10_000
+    # the height path of a unit-weight trace, 20,001 breakpoints
+    H = simulate_lifo(WeightSeq(np.ones(10_000)), rng_seed=71).H
+    cases += [(H, 1e-3), (H, 30.0)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+
+        def warned(fn, f, delta):
+            caught.clear()
+            return _bits([fn(f, delta)]), bool(caught)
+
+        for f, delta in cases:
+            assert warned(modulus_of_continuity, f, delta) == warned(
+                _reference_modulus_of_continuity, f, delta), (f, delta)
 
 
 def test_height_of_path_hand_example():
