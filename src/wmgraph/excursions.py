@@ -96,12 +96,13 @@ def excursions_above_zero(h: StepFunction,
     ls, rs = _intervals_above(h.times, h.values,
                               h.times[-1] if horizon is None else horizon)
 
-    # local coding paths carry a terminal zero breakpoint at the excursion
-    # length, so their domain end (zeta) is the last breakpoint
+    # an excursion opens at a breakpoint; its local coding path is h on
+    # [l, r) shifted to 0, closed by a zero at r - l, its domain end (zeta)
     def _local(i):
-        g = h.restricted(ls[i], rs[i]).shifted(-ls[i])
-        return StepFunction(np.concatenate((g.times, [rs[i] - ls[i]])),
-                            np.concatenate((g.values, [0.0])))
+        l, r = ls[i], rs[i]
+        a, b = np.searchsorted(h.times, (l, r))
+        return StepFunction(np.append(h.times[a:b] - l, r - l),
+                            np.append(h.values[a:b], 0.0))
     return _canonical(ls, rs, rs - ls, _local)
 
 

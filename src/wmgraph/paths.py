@@ -139,22 +139,6 @@ class StepFunction:
     def max_on(self, a: float, b: float) -> float:
         return float(self._window(a, b).max())
 
-    def shifted(self, dt: float) -> "StepFunction":
-        return StepFunction(self.times + dt, self.values)
-
-    def restricted(self, a: float, b: float) -> "StepFunction":
-        """Restriction to [a, b), re-anchored so a breakpoint sits at a."""
-        lo = np.searchsorted(self.times, a, side="right") - 1
-        hi = np.searchsorted(self.times, b, side="left")
-        times = self.times[max(lo, 0):hi].copy()
-        values = self.values[max(lo, 0):hi].copy()
-        if times.size == 0 or times[0] > a:
-            times = np.concatenate(([a], times))
-            values = np.concatenate(([self(a)], values))
-        else:
-            times[0] = a
-        return StepFunction(times, values)
-
 
 def uniform_distance(f: StepFunction, g: StepFunction) -> float:
     """sup |f - g| over [0, infinity), both extended by their last value."""
@@ -165,10 +149,12 @@ def uniform_distance(f: StepFunction, g: StepFunction) -> float:
 def modulus_of_continuity(f: StepFunction, delta: float) -> float:
     """Exact max of |f(s) - f(t)| over |s - t| <= delta for a step function.
 
-    The extrema of f over a closed window are attained at breakpoint
-    values inside the window or at the value in force at its left edge,
-    so it suffices to scan windows ending at each breakpoint and at each
-    breakpoint + delta, all in one ``reduceat`` pass of max and of min.
+    The values f takes on a closed window are the breakpoint values in
+    force on it, and those on a window are among those on the window of
+    the same width ending at its last breakpoint.  So window k is
+    ``values[a_k:k + 1]``, from the value in force at t_k - delta; its max
+    and min are those of its first and last 2**m values, for the largest
+    2**m not above its length, which one doubling pass gives for every m.
     """
     if not delta >= 0:
         raise ValueError("delta must be nonnegative")
@@ -178,17 +164,18 @@ def modulus_of_continuity(f: StepFunction, delta: float) -> float:
     # directly keeps deltas below the breakpoint ulp scale exact
     if delta > 0 and v.size > 1:
         best = float(np.max(np.abs(np.diff(v))))
-    ends = _sorted_unique(np.concatenate((t, t + delta)))
-    starts = ends - delta
-    i, j = np.searchsorted(t, (starts, ends), side="right")
-    inner = i < j
-    edge = f(np.maximum(starts, t[0]))[inner]
-    # at the interleaved (i, j), reduceat reduces v[i:j] in the even places
-    # (the odd are dropped); the appended 0 makes the index j = v.size valid
-    at, vs = np.stack((i, j), axis=1)[inner].ravel(), np.append(v, 0.0)
-    hi = np.maximum(np.maximum.reduceat(vs, at)[::2], edge)
-    lo = np.minimum(np.minimum.reduceat(vs, at)[::2], edge)
-    return max(best, float(np.max(hi - lo, initial=-math.inf)))
+    a = np.maximum(np.searchsorted(t, t - delta, side="right") - 1, 0)
+    # window k, v[a_k:k + 1], holds 2**level_k to 2**(level_k + 1) - 1 values
+    level = np.frexp(np.arange(1, v.size + 1) - a)[1] - 1
+    hi, lo = v.copy(), v.copy()   # max and min of v[p:p + 2**m], at m = 0
+    for m in range(level.max() + 1):
+        w, k = 1 << m, np.flatnonzero(level == m)
+        p, q = a[k], k + 1 - w
+        span = np.maximum(hi[p], hi[q]) - np.minimum(lo[p], lo[q])
+        best = max(best, float(np.max(span, initial=-math.inf)))
+        np.maximum(hi[:-w], hi[w:], out=hi[:-w])
+        np.minimum(lo[:-w], lo[w:], out=lo[:-w])
+    return best
 
 
 def height_of_path(y: CadlagStepPath) -> StepFunction:

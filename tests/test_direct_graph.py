@@ -25,13 +25,20 @@ def test_edge_probability_functions():
     assert np.allclose(edge_probability(x), 1.0 - np.exp(-x))
 
 
+def _replica_edges(w, rng_seed, replicas):
+    """``replicas`` draws of ``sample_direct``'s law from one
+    ``_direct_edges`` call: columns replica, u, v, with u < v the
+    replica's own 1-based vertices."""
+    e = direct_graph._direct_edges(w, rng_seed, replicas=replicas) - 1
+    return np.column_stack((e[:, 0] // w.j_max, e % w.j_max + 1))
+
+
 def test_single_pair_frequency():
     # w = (2, 1): P(edge) = 1 - exp(-2/3) ~ 0.486583
     w = WeightSeq([2.0, 1.0])
     R = 4000
-    hits = sum([1, 2] in sample_direct(
-        w, rng_seed=np.random.SeedSequence([41, r])).edges.tolist()
-        for r in range(R))
+    _, u, v = _replica_edges(w, 41, R).T
+    hits = np.count_nonzero((u == 1) & (v == 2))
     p = 1 - math.exp(-2.0 / 3.0)
     assert abs(hits / R - p) < 4 * math.sqrt(p * (1 - p) / R)
 
@@ -43,10 +50,8 @@ def test_pair_marginals_match_edge_probability():
     index = {(int(a) + 1, int(b) + 1): k for k, (a, b) in enumerate(zip(iu, iv))}
     R = 4000
     counts = np.zeros(iu.size)
-    for r in range(R):
-        g = sample_direct(w, rng_seed=np.random.SeedSequence([47, r]))
-        for e in map(tuple, g.edges.tolist()):
-            counts[index[e]] += 1
+    for e in map(tuple, _replica_edges(w, 47, R)[:, 1:].tolist()):
+        counts[index[e]] += 1
     band = 4 * np.sqrt(probs * (1 - probs) / R)
     assert np.all(np.abs(counts / R - probs) <= band)
 
@@ -56,9 +61,9 @@ def test_certain_pair_appears_in_every_draw():
     # h(x) == 1.0 in floating point, so its row takes the no-skip branch
     w = WeightSeq([100.0, 100.0, 1.0, 1.0, 1.0, 1.0])
     assert edge_probability(w.w[0] * w.w[1] / w.sigma(1.0)) == 1.0
-    for r in range(2000):
-        g = sample_direct(w, rng_seed=np.random.SeedSequence([47, r]))
-        assert [1, 2] in g.edges.tolist()
+    R = 2000
+    r, u, v = _replica_edges(w, 47, R).T
+    assert r[(u == 1) & (v == 2)].tolist() == list(range(R))
 
 
 def test_single_vertex_has_no_edges():

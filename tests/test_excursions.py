@@ -446,3 +446,48 @@ def test_step_function_scan_equals_per_point_reference(seed):
             for k, (l, r) in enumerate(dec.intervals):
                 g = dec.local_paths[k]
                 assert g.times[0] == 0.0 and g.times[-1] == r - l
+
+
+def _reference_local_path(h, l, r):
+    """Excursion [l, r)'s local path as the removed ``StepFunction``
+    methods built it, ``h.restricted(l, r).shifted(-l)`` with a terminal
+    zero at r - l, kept as the reference."""
+    lo = np.searchsorted(h.times, l, side="right") - 1
+    hi = np.searchsorted(h.times, r, side="left")
+    times = h.times[max(lo, 0):hi].copy()
+    values = h.values[max(lo, 0):hi].copy()
+    if times.size == 0 or times[0] > l:
+        times = np.concatenate(([l], times))
+        values = np.concatenate(([h(l)], values))
+    else:
+        times[0] = l
+    g = StepFunction(times, values)
+    g = StepFunction(g.times + -l, g.values)
+    return StepFunction(np.concatenate((g.times, [r - l])),
+                        np.concatenate((g.values, [0.0])))
+
+
+@pytest.mark.parametrize("kind", ["random", "dyadic", "nan_interior"])
+def test_local_paths_equal_the_restrict_and_shift_reference(kind):
+    rng = np.random.default_rng({"random": 110, "dyadic": 111,
+                                 "nan_interior": 112}[kind])
+    for n in [1, 2, 3] + rng.integers(4, 300, size=40).tolist():
+        if kind == "dyadic":
+            times = np.sort(rng.choice(np.arange(4 * n) / 8.0, n,
+                                       replace=False))
+            values = rng.integers(-2, 5, n) / 4.0
+        else:
+            times = np.cumsum(rng.uniform(0.1, 1.0, size=n))
+            values = (rng.normal(size=n) if kind == "random"
+                      else _random_grid_values(rng, n) * 1e12)
+        h = StepFunction(times, values)
+        end = float(times[-1])
+        # horizons closing an excursion open at the end past, at and
+        # before the last breakpoint
+        for horizon in (None, end + 2.0, end + 0.125, (times[0] + end) / 2):
+            dec = excursions_above_zero(h, horizon)
+            assert len(dec.local_paths) == dec.count
+            for k, (l, r) in enumerate(dec.intervals):
+                g, ref = dec.local_paths[k], _reference_local_path(h, l, r)
+                assert _bits(g.times) == _bits(ref.times), (kind, n, k)
+                assert _bits(g.values) == _bits(ref.values), (kind, n, k)

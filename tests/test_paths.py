@@ -133,15 +133,6 @@ def test_step_function_basics():
     assert h.min_on(0.5, 1.5) == 0.0
     assert h.max_on(0.5, 2.5) == 2.0
     assert h.min_on(1.5, 0.5) == 0.0 and h.max_on(2.5, 0.5) == 2.0
-    r = h.restricted(0.5, 2.0)
-    assert r.times[0] == 0.5 and r(0.7) == 0.0 and r(1.5) == 2.0
-    # a before the first breakpoint: the value there is anchored at a
-    g = StepFunction([1.0, 2.0], [5.0, 3.0])
-    r = g.restricted(0.5, 1.5)
-    assert r.times.tolist() == [0.5, 1.0] and r.values.tolist() == [5.0, 5.0]
-    # no breakpoint in [a, b): one constant piece
-    r = g.restricted(0.2, 0.8)
-    assert r.times.tolist() == [0.2] and r.values.tolist() == [5.0]
     for times in ([0.0, float("nan")], [float("nan"), 1.0],
                   [0.0, float("inf")], [float("-inf"), 0.0]):
         with pytest.raises(ValueError, match="finite and strictly increasing"):
@@ -187,8 +178,8 @@ def test_modulus_matches_brute_force(vals, delta):
 
 
 def _reference_modulus_of_continuity(f, delta):
-    """The per-window loop that ``modulus_of_continuity`` replaced by one
-    ``reduceat`` pass, kept verbatim as the reference."""
+    """The per-window loop that ``modulus_of_continuity`` replaced by array
+    passes, kept verbatim as the reference."""
     if not delta >= 0:
         raise ValueError("delta must be nonnegative")
     t, v = f.times, f.values
@@ -208,12 +199,11 @@ def _reference_modulus_of_continuity(f, delta):
     return float(best)
 
 
-def test_modulus_equals_the_window_loop_bit_for_bit():
-    # random, dyadic and integer-valued step functions on 1-40 breakpoints;
-    # deltas below the ulp scale, at the domain end, past it and infinite
-    # (inf - inf is NaN in both forms, and warns in both)
+def _modulus_cases():
+    # random, dyadic and integer-valued step functions on 1-40 breakpoints,
+    # each with deltas below the ulp scale, at the domain end, past it and
+    # infinite
     rng = np.random.default_rng(70)
-    cases = []
     for r in range(1112):
         k = int(rng.integers(1, 41))
         if r % 3 == 0:
@@ -225,23 +215,43 @@ def test_modulus_equals_the_window_loop_bit_for_bit():
             t = np.sort(rng.choice(np.arange(50.0), k, replace=False))
             v = rng.integers(0, 20, k).astype(float)
         f = StepFunction(t, v)
-        cases += [(f, delta) for delta in (
-            0.0, 1e-18, 0.125, rng.uniform(0.0, 6.0), 5 - 1e-15,
-            float(f.times[-1]), 10.0, 1e300, math.inf)]
-    assert len(cases) >= 10_000
+        yield f, (0.0, 1e-18, 0.125, rng.uniform(0.0, 6.0), 5 - 1e-15,
+                  float(f.times[-1]), 10.0, 1e300, math.inf)
+
+
+@pytest.fixture(scope="module")
+def unit_height_path():
     # the height path of a unit-weight trace, 20,001 breakpoints
-    H = simulate_lifo(WeightSeq(np.ones(10_000)), rng_seed=71).H
+    return simulate_lifo(WeightSeq(np.ones(10_000)), rng_seed=71).H
+
+
+def test_modulus_equals_the_window_loop_bit_for_bit(unit_height_path):
+    # the reference warns at delta = inf (inf - inf is NaN), the breakpoint
+    # windows never do
+    cases = [(f, delta) for f, deltas in _modulus_cases() for delta in deltas]
+    assert len(cases) >= 10_000
+    H = unit_height_path
     cases += [(H, 1e-3), (H, 30.0)]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-
-        def warned(fn, f, delta):
-            caught.clear()
-            return _bits([fn(f, delta)]), bool(caught)
-
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         for f, delta in cases:
-            assert warned(modulus_of_continuity, f, delta) == warned(
-                _reference_modulus_of_continuity, f, delta), (f, delta)
+            with np.errstate(invalid="ignore"):
+                want = _reference_modulus_of_continuity(f, delta)
+            assert _bits([modulus_of_continuity(f, delta)]) == _bits([want]), \
+                (f, delta)
+
+
+def test_modulus_past_the_domain_span_is_the_range(unit_height_path):
+    # a window as wide as the domain holds every breakpoint value
+    fs = [f for f, _ in _modulus_cases()] + [unit_height_path]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in fs:
+            span = float(f.times[-1] - f.times[0])
+            want = _bits([float(f.values.max() - f.values.min())])
+            for delta in (span, 2 * span, 1e300, math.inf):
+                assert _bits([modulus_of_continuity(f, delta)]) == want, \
+                    (f, delta)
 
 
 def test_height_of_path_hand_example():
