@@ -7,12 +7,14 @@ h(x) = 1 - e^{-x}.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from .paths import _group_fsums, _write_csv
+from .paths import _group_fsums, _Rows, _Runs, _write_csv
 from .weights import WeightSeq
 
 
@@ -188,32 +190,33 @@ def _root_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return lab
 
 
-def connected_components(g: AssembledGraph) -> list:
+def connected_components(g: AssembledGraph) -> Sequence:
     """Components sorted nonincreasing by mass; ties broken by the smaller
-    root."""
+    root.  A read-only sequence (``paths._Rows``) whose views are built
+    when read, from the vertex tuples, the masses and the edge rows it
+    keeps grouped in that order."""
     u, v = g.edges[:, 0] - 1, g.edges[:, 1] - 1
     lab = _root_labels(g.n, u, v)
     # roots number the components in ascending order of their root
     is_root = lab == np.arange(g.n)
     k, labels = int(is_root.sum()), (np.cumsum(is_root) - 1)[lab]
     # a stable sort keeps ids ascending within a label, so each group
-    # starts at its root; the sorted edges are grouped the same way
+    # starts at its root
     by_label = np.argsort(labels, kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=k))))
-    cuts = bounds.tolist()
-    edge_label = labels[u]
-    edge_cuts = [0] + np.cumsum(np.bincount(edge_label, minlength=k)).tolist()
-    edges = g.edges[np.argsort(edge_label, kind="stable")]
-    verts = tuple((by_label + 1).tolist())
     masses = _group_fsums(np.asarray(g.weights, dtype=float)[by_label], bounds)
-    order = np.lexsort((by_label[bounds[:-1]], -masses)).tolist()
-    masses = masses.tolist()
-    none = edges[:0]   # shared by the components without an edge
-    # tuple.__new__ skips the named tuple's Python-level constructor
-    return [tuple.__new__(ComponentView, (
-        verts[cuts[i]:cuts[i + 1]], masses[i],
-        edges[edge_cuts[i]:edge_cuts[i + 1]]
-        if edge_cuts[i] < edge_cuts[i + 1] else none)) for i in order]
+    order = np.lexsort((by_label[bounds[:-1]], -masses))
+    # the vertex tuples are slices of one tuple of ids: tuples of ints,
+    # which the collector stops tracking at its first pass
+    vertices = list(_Runs(tuple((by_label + 1).tolist()),
+                          bounds[:-1][order], bounds[1:][order]))
+    # the sorted edges are grouped the same way
+    edge_label = labels[u]
+    edge_cuts = np.concatenate(
+        ([0], np.cumsum(np.bincount(edge_label, minlength=k))))
+    edges = g.edges[np.argsort(edge_label, kind="stable")]
+    return _Rows(ComponentView, vertices, memoryview(masses[order]),
+                 _Runs(edges, edge_cuts[:-1][order], edge_cuts[1:][order]))
 
 
 def graph_distances(c: ComponentView) -> np.ndarray:
@@ -240,7 +243,10 @@ def graph_distances(c: ComponentView) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64)
 
 
-def write_component_csv(views: list, path):
+def write_component_csv(views: Sequence, path):
+    """Rows (rank, mass, count, root) of ``connected_components``' sequence,
+    read off its vertex and mass columns without building a view."""
+    vertices, masses, _ = views.columns
     _write_csv(path, ["rank", "mass", "count", "root"],
-               [range(1, len(views) + 1), [c.mass for c in views],
-                [len(c.vertices) for c in views], [c.vertices[0] for c in views]])
+               [range(1, len(views) + 1), np.asarray(masses),
+                list(map(len, vertices)), list(map(itemgetter(0), vertices))])

@@ -13,6 +13,7 @@ edge-coin sampler.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,8 @@ import numpy as np
 from .direct_graph import AssembledGraph
 from .markov_coder import _choice_cdf
 from .paths import (CadlagStepPath, StepFunction, _drain, _group_fsums,
-                    _sorted_unique, _write_csv, _write_trace_csv,
-                    height_of_path)
+                    _Rows, _Runs, _sorted_unique, _write_csv,
+                    _write_trace_csv, height_of_path)
 from .weights import WeightSeq
 
 
@@ -53,18 +54,19 @@ class LifoTrace:
         return (self.arrival.size - 1) // self.weights.j_max
 
     @property
-    def busy_periods(self) -> tuple:
-        """(start, work, member ids) per busy period, in time order.
+    def busy_periods(self) -> Sequence:
+        """(start, work, member ids) per busy period, in time order, as a
+        read-only sequence (``paths._Rows``) whose rows are built when read;
+        the member tuples are sliced then from one tuple of ids.
 
         Arrival order is depth-first order, so a busy period holds its
         root and every client arriving before the next root."""
-        ids = tuple(self.arrival_order.tolist())
         roots = self.parent[self.arrival_order] == 0
         bounds = np.concatenate((roots, [True])).nonzero()[0]
-        b = bounds.tolist()
-        return tuple(zip(self.Y.times[bounds[:-1]].tolist(),
-                         _group_fsums(self.Y.sizes, bounds).tolist(),
-                         (ids[a:z] for a, z in zip(b, b[1:]))))
+        return _Rows(tuple, memoryview(self.Y.times[bounds[:-1]]),
+                     memoryview(_group_fsums(self.Y.sizes, bounds)),
+                     _Runs(tuple(self.arrival_order.tolist()),
+                           bounds[:-1], bounds[1:]))
 
     def write_csv(self, path):
         """Rows (time, event, client, Y, H); see ``_write_trace_csv``."""

@@ -17,8 +17,10 @@ import sys
 import tempfile
 import threading
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -335,6 +337,45 @@ def _group_fsums(values, bounds) -> np.ndarray:
     sums[long] = [math.fsum(vl[a:z]) for a, z in
                   zip(bounds[long].tolist(), bounds[long + 1].tolist())]
     return sums
+
+
+class _Rows(Sequence):
+    """Read-only sequence of the rows of equal-length columns: row i is the
+    tuple type ``kind`` of item i of each column, built when read.
+    Iteration builds the rows by one C-level ``map``, so a pass holds no
+    more rows than its reader keeps; a slice is a tuple of rows."""
+
+    def __init__(self, kind, *columns):
+        self._kind, self.columns = kind, columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        return tuple.__new__(self._kind, [c[i] for c in self.columns])
+
+    def __iter__(self):
+        return map(tuple.__new__, repeat(self._kind), zip(*self.columns))
+
+
+class _Runs:
+    """A column of ``_Rows``: item i is the run ``base[starts[i]:ends[i]]``
+    of a sliceable ``base`` (``starts``, ``ends``: int64 arrays), sliced
+    when read; iteration slices the runs by one C-level ``map``."""
+
+    def __init__(self, base, starts, ends):
+        # memoryviews read their items as Python ints
+        self._base, self._starts, self._ends = \
+            base, memoryview(starts), memoryview(ends)
+
+    def __getitem__(self, i: int):
+        return self._base[self._starts[i]:self._ends[i]]
+
+    def __iter__(self):
+        return map(self._base.__getitem__,
+                   map(slice, self._starts, self._ends))
 
 
 def _write_csv(path, header, columns):

@@ -1,3 +1,4 @@
+import gc
 import math
 from itertools import chain
 
@@ -18,6 +19,7 @@ from wmgraph import (
 )
 from wmgraph import direct_graph
 from wmgraph.direct_graph import AssembledGraph, ComponentView
+from wmgraph.paths import _group_fsums
 
 
 def test_edge_probability_functions():
@@ -358,6 +360,67 @@ def test_components_match_union_find_reference():
             assert c.root == min(c.vertices) and c.count == len(c.vertices)
             assert type(c.root) is int and type(c.mass) is float
             assert all(type(v) is int for v in c.vertices)
+
+
+def _reference_eager_components(g):
+    """The eager list of views that ``connected_components`` returned
+    before its views were built when read, kept as the reference."""
+    u, v = g.edges[:, 0] - 1, g.edges[:, 1] - 1
+    lab = direct_graph._root_labels(g.n, u, v)
+    is_root = lab == np.arange(g.n)
+    k, labels = int(is_root.sum()), (np.cumsum(is_root) - 1)[lab]
+    by_label = np.argsort(labels, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=k))))
+    cuts = bounds.tolist()
+    edge_label = labels[u]
+    edge_cuts = [0] + np.cumsum(np.bincount(edge_label, minlength=k)).tolist()
+    edges = g.edges[np.argsort(edge_label, kind="stable")]
+    verts = tuple((by_label + 1).tolist())
+    masses = _group_fsums(np.asarray(g.weights, dtype=float)[by_label], bounds)
+    order = np.lexsort((by_label[bounds[:-1]], -masses)).tolist()
+    masses = masses.tolist()
+    none = edges[:0]
+    return [tuple.__new__(ComponentView, (
+        verts[cuts[i]:cuts[i + 1]], masses[i],
+        edges[edge_cuts[i]:edge_cuts[i + 1]]
+        if edge_cuts[i] < edge_cuts[i + 1] else none)) for i in order]
+
+
+def test_component_sequence_equals_the_eager_list():
+    for g in chain(_graphs_n3000(), _graphs_small(), _oracle_graphs()):
+        got, want = connected_components(g), _reference_eager_components(g)
+        k = len(want)
+        assert len(got) == k
+        fields = _component_fields(want)
+        assert _component_fields(got) == fields
+        assert _component_fields(got) == fields   # a second pass, equal rows
+        for c in got:
+            assert type(c) is ComponentView and type(c.mass) is float
+            assert c.edges.dtype == np.int64 and c.edges.shape[1:] == (2,)
+        for i in (0, -1, k // 2, -k):
+            assert _component_fields([got[i]]) == _component_fields([want[i]])
+        for s in (slice(3), slice(-2, None), slice(None, None, -2),
+                  slice(1, -1, 3), slice(k, None)):
+            assert type(got[s]) is tuple
+            assert _component_fields(got[s]) == _component_fields(want[s])
+        for i in (k, -k - 1):
+            with pytest.raises(IndexError):
+                got[i]
+
+
+def test_holding_the_components_adds_few_tracked_objects():
+    # the views are built when read, and the vertex tuples hold ints only,
+    # so the collector stops tracking them; an eager list would keep one
+    # tracked view per component, about 5,000 here
+    trace = simulate_lifo(WeightSeq(np.ones(10_000)),
+                          rng_seed=np.random.SeedSequence([74, 0]))
+    g = assemble_graph(trace)
+    gc.collect()
+    before = len(gc.get_objects())
+    comps = connected_components(g)
+    gc.collect()
+    assert len(gc.get_objects()) - before < 100
+    assert len(comps) > 1000
 
 
 def _csgraph_distances(g):

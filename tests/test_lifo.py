@@ -591,7 +591,7 @@ def test_group_sums_exact_and_equal_across_layers():
     # the fsum of their members' weights, and so equal one another
     tr = _tiny_tail_trace()
     periods = tr.busy_periods
-    assert periods == _reference_busy_periods(tr)
+    assert tuple(periods) == _reference_busy_periods(tr)
     assert [m for *_, m in periods] == [(1, 4, 5), (2, 6, 7), (3,)]
     w = tr.weights.w
     want = [math.fsum(w[v - 1] for v in m) for *_, m in periods]
@@ -616,6 +616,6 @@ def test_busy_periods_match_reference_comprehension(seed):
     tr = _replica_trace(w, rng.exponential(w.sigma(1.0) / w.w, size=(R, n)))
     periods = tr.busy_periods
     assert tr.replicas == R and len(periods) > R
-    assert periods == _reference_busy_periods(tr)
+    assert tuple(periods) == _reference_busy_periods(tr)
     for _, work, members in periods:
         assert type(work) is float and type(members) is tuple
