@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .paths import _group_fsums, _Rows, _Runs, _write_csv
+from .paths import _group_fsums, _id_tuple, _Rows, _Runs, _write_csv
 from .weights import WeightSeq
 
 
@@ -194,7 +194,8 @@ def connected_components(g: AssembledGraph) -> Sequence:
     """Components sorted nonincreasing by mass; ties broken by the smaller
     root.  A read-only sequence (``paths._Rows``) whose views are built
     when read, from the vertex tuples, the masses and the edge rows it
-    keeps grouped in that order."""
+    keeps grouped in that order, and the id table (``paths._id_tuple``)
+    of its vertex ints."""
     u, v = g.edges[:, 0] - 1, g.edges[:, 1] - 1
     lab = _root_labels(g.n, u, v)
     # roots number the components in ascending order of their root
@@ -207,16 +208,19 @@ def connected_components(g: AssembledGraph) -> Sequence:
     masses = _group_fsums(np.asarray(g.weights, dtype=float)[by_label], bounds)
     order = np.lexsort((by_label[bounds[:-1]], -masses))
     # the vertex tuples are slices of one tuple of ids: tuples of ints,
-    # which the collector stops tracking at its first pass
-    vertices = list(_Runs(tuple((by_label + 1).tolist()),
-                          bounds[:-1][order], bounds[1:][order]))
+    # which the collector stops tracking at its first pass; the ints are
+    # the id table's, shared with the other partitions alive
+    ids, table = _id_tuple(by_label + 1, g.n)
+    vertices = list(_Runs(ids, bounds[:-1][order], bounds[1:][order]))
     # the sorted edges are grouped the same way
     edge_label = labels[u]
-    edge_cuts = np.concatenate(
-        ([0], np.cumsum(np.bincount(edge_label, minlength=k))))
+    edge_counts = np.bincount(edge_label, minlength=k)
+    edge_cuts = np.concatenate(([0], np.cumsum(edge_counts)))
     edges = g.edges[np.argsort(edge_label, kind="stable")]
     return _Rows(ComponentView, vertices, memoryview(masses[order]),
-                 _Runs(edges, edge_cuts[:-1][order], edge_cuts[1:][order]))
+                 _Runs(edges, edge_cuts[:-1][order], edge_cuts[1:][order],
+                       full=edge_counts[order] > 0),
+                 ids=table)
 
 
 def graph_distances(c: ComponentView) -> np.ndarray:

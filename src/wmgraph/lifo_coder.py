@@ -21,7 +21,7 @@ import numpy as np
 from .direct_graph import AssembledGraph
 from .markov_coder import _choice_cdf
 from .paths import (CadlagStepPath, StepFunction, _drain, _group_fsums,
-                    _Rows, _Runs, _sorted_unique, _write_csv,
+                    _id_tuple, _Rows, _Runs, _sorted_unique, _write_csv,
                     _write_trace_csv, height_of_path)
 from .weights import WeightSeq
 
@@ -57,16 +57,17 @@ class LifoTrace:
     def busy_periods(self) -> Sequence:
         """(start, work, member ids) per busy period, in time order, as a
         read-only sequence (``paths._Rows``) whose rows are built when read;
-        the member tuples are sliced then from one tuple of ids.
+        the member tuples are sliced then from one tuple of ids, whose ints
+        are the id table's (``paths._id_tuple``).
 
         Arrival order is depth-first order, so a busy period holds its
         root and every client arriving before the next root."""
         roots = self.parent[self.arrival_order] == 0
         bounds = np.concatenate((roots, [True])).nonzero()[0]
+        ids, table = _id_tuple(self.arrival_order, self.arrival.size - 1)
         return _Rows(tuple, memoryview(self.Y.times[bounds[:-1]]),
                      memoryview(_group_fsums(self.Y.sizes, bounds)),
-                     _Runs(tuple(self.arrival_order.tolist()),
-                           bounds[:-1], bounds[1:]))
+                     _Runs(ids, bounds[:-1], bounds[1:]), ids=table)
 
     def write_csv(self, path):
         """Rows (time, event, client, Y, H); see ``_write_trace_csv``."""
@@ -103,13 +104,25 @@ def simulate_lifo(w: WeightSeq, rng_seed=0,
     """Simulate the queue.  ``forced_arrivals`` (test hook) fixes the vector
     of arrival times E_j instead of drawing exponentials."""
     if forced_arrivals is None:
-        rng = np.random.default_rng(rng_seed)
-        E = rng.exponential(w.sigma(1.0) / w.w)
+        E = _arrival_times(w, np.random.default_rng(rng_seed))
     else:
         E = np.asarray(forced_arrivals, dtype=float)
         if E.shape != (w.j_max,):
             raise ValueError("forced_arrivals must give one time per client")
     return _replica_trace(w, E[None])
+
+
+def _arrival_times(w: WeightSeq, rng, size=None) -> np.ndarray:
+    """Arrival times ``rng.exponential(sigma_1/w, size)``; raises, naming
+    the smallest weight, if sigma_1/w or a drawn time overflows."""
+    tiny = float(w.w[-1])
+    if math.isfinite(w.sigma(1.0) / tiny):
+        E = rng.exponential(w.sigma(1.0) / w.w, size)
+        if math.isfinite(E.max()):
+            return E
+    raise ValueError(f"weight {tiny!r} is too small for the LIFO queue: "
+                     f"its arrival time, sigma_1/w times an Exp(1) draw, "
+                     f"overflows")
 
 
 def _replica_trace(w: WeightSeq, E: np.ndarray) -> LifoTrace:
@@ -122,12 +135,23 @@ def _replica_trace(w: WeightSeq, E: np.ndarray) -> LifoTrace:
     is slack for rounding and adds no pinch area, as the reflected load
     is 0 while the server idles.  So the trace is the R traces laid end
     to end, and sigma_1, the pinch rate's scale, is the same.  Raises
-    unless each queue's first arrival finds the server idle."""
+    unless each queue's first arrival finds the server idle, and for
+    R > 1 unless the shifted arrival times are finite and distinct (a
+    tiny weight's late arrival shifts the later queues so far that
+    their times round together)."""
     R, n = E.shape
-    shift = np.cumsum(E.max(axis=1) + 2.0 * w.sigma(1.0))
-    T = (E + np.concatenate(([0.0], shift[:-1]))[:, None]).ravel()
+    with np.errstate(over="ignore"):    # checked on the sorted times
+        shift = np.cumsum(E.max(axis=1) + 2.0 * w.sigma(1.0))
+        T = (E + np.concatenate(([0.0], shift[:-1]))[:, None]).ravel()
     order = np.argsort(T, kind="stable") + 1
     times, sizes = T[order - 1], w.w[(order - 1) % n]
+    if R > 1 and not (math.isfinite(times[-1])
+                      and (times[1:] > times[:-1]).all()):
+        raise ValueError(
+            f"{R} replicas of the weights {float(w.w[-1])!r} to "
+            f"{float(w.w[0])!r}, laid end to end, give equal or infinite "
+            f"arrival times: the weights spread too far for this many "
+            f"replicas")
     rep = _drain(times, np.concatenate(([0.0], np.cumsum(sizes))))
     if rep.parent[::n].any():
         raise ValueError("a replica's first arrival found the server busy")
@@ -255,8 +279,9 @@ def assemble_graph(trace: LifoTrace, pinches: PinchSetup | None = None) -> Assem
     # one key per pair; tree pairs are distinct, so every repeat is a pinch's
     keys = np.minimum(a, b) * (n + 1) + np.maximum(a, b)
     edges = _sorted_unique(keys)
+    w, R = trace.weights.w, trace.replicas
     return AssembledGraph(
-        n=n, weights=np.tile(trace.weights.w, trace.replicas),
+        n=n, weights=w if R == 1 else np.tile(w, R),
         edges=np.stack(np.divmod(edges, n + 1), axis=1), provenance="lifo",
         n_self_loops_dropped=len(u) - int(keep.sum()),
         n_duplicates_dropped=keys.size - edges.size)

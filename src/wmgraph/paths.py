@@ -17,6 +17,7 @@ import sys
 import tempfile
 import threading
 import warnings
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -339,14 +340,38 @@ def _group_fsums(values, bounds) -> np.ndarray:
     return sums
 
 
+# n -> the live table of the ints 0..n: an object array, one int object
+# per id, that lives while a result holds it
+_ID_TABLES = weakref.WeakValueDictionary()
+
+
+def _id_tuple(ids, n):
+    """``tuple(ids.tolist())`` of an int array of ids in 0..n, and the id
+    table its ints are taken from: the live one of n, else a new one.  The
+    caller's result holds the table, so the results alive together share
+    one int object per id; ``take`` gathers them at C level.  Up to
+    n = 256 the ints are CPython's cached ones already, and the table is
+    None."""
+    if n <= 256:
+        return tuple(ids.tolist()), None
+    table = _ID_TABLES.get(n)
+    if table is None:
+        table = np.arange(n + 1).astype(object)
+        table.flags.writeable = False
+        _ID_TABLES[n] = table
+    return tuple(table.take(ids).tolist()), table
+
+
 class _Rows(Sequence):
     """Read-only sequence of the rows of equal-length columns: row i is the
     tuple type ``kind`` of item i of each column, built when read.
     Iteration builds the rows by one C-level ``map``, so a pass holds no
-    more rows than its reader keeps; a slice is a tuple of rows."""
+    more rows than its reader keeps; a slice is a tuple of rows.  ``ids``
+    is the id table (``_id_tuple``) the columns' ints come from, held
+    while the rows are."""
 
-    def __init__(self, kind, *columns):
-        self._kind, self.columns = kind, columns
+    def __init__(self, kind, *columns, ids):
+        self._kind, self.columns, self._ids = kind, columns, ids
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -363,19 +388,28 @@ class _Rows(Sequence):
 class _Runs:
     """A column of ``_Rows``: item i is the run ``base[starts[i]:ends[i]]``
     of a sliceable ``base`` (``starts``, ``ends``: int64 arrays), sliced
-    when read; iteration slices the runs by one C-level ``map``."""
+    when read; iteration slices the runs by one C-level ``map``.  Given
+    ``full``, a bool array true at the nonempty runs, iteration slices only
+    those and gives the empty ones one shared empty slice, merged in at C
+    level."""
 
-    def __init__(self, base, starts, ends):
+    def __init__(self, base, starts, ends, full=None):
         # memoryviews read their items as Python ints
         self._base, self._starts, self._ends = \
             base, memoryview(starts), memoryview(ends)
+        self._full = None if full is None else (
+            memoryview(full), memoryview(starts[full]), memoryview(ends[full]))
 
     def __getitem__(self, i: int):
         return self._base[self._starts[i]:self._ends[i]]
 
     def __iter__(self):
-        return map(self._base.__getitem__,
-                   map(slice, self._starts, self._ends))
+        if self._full is None:
+            return map(self._base.__getitem__,
+                       map(slice, self._starts, self._ends))
+        full, starts, ends = self._full
+        runs = map(self._base.__getitem__, map(slice, starts, ends))
+        return map(next, map((repeat(self._base[:0]), runs).__getitem__, full))
 
 
 def _write_csv(path, header, columns):

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .direct_graph import _direct_edges, edge_probability
-from .lifo_coder import _replica_trace, assemble_graph, sample_pinches
+from .lifo_coder import (_arrival_times, _replica_trace, assemble_graph,
+                         sample_pinches)
 from .paths import _BLOCK_CELLS
 from .weights import WeightSeq
 
@@ -216,8 +217,7 @@ def _queue_graph(w: WeightSeq, replicas: int, seed: int):
     of replica r.  The arrivals come from SeedSequence([seed, 1]), the
     pinches from SeedSequence([seed, 2])."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    trace = _replica_trace(w, rng.exponential(w.sigma(1.0) / w.w,
-                                              size=(replicas, w.j_max)))
+    trace = _replica_trace(w, _arrival_times(w, rng, (replicas, w.j_max)))
     return assemble_graph(trace, sample_pinches(
         trace, rng_seed=np.random.SeedSequence([seed, 2])))
 

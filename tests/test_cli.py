@@ -209,6 +209,41 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, flag, text):
     assert [p.name for p in tmp_path.iterdir()] == ["input.json"]
 
 
+_TINY_RUNS = {
+    "simulate_lifo": ["simulate", "--mode", "lifo"],
+    "simulate_direct": ["simulate", "--mode", "direct"],
+    "simulate_markov": ["simulate", "--mode", "markov", "--horizon", "10"],
+    "metric": ["metric"],
+    "verify": ["verify", "--replicas", "2", "--horizon", "10"],
+    "compare": ["compare", "--replicas", "20"],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("weights, fail", [
+    # sigma_1/w overflows: no LIFO queue can draw the arrival
+    ([1e-310, 1], {"simulate_lifo", "metric", "compare"}),
+    # one queue runs; 20 laid end to end round arrival times together
+    ([1e-300, 1], {"compare"}),
+    ([1e-15, 1, 1], {"compare"}),
+    ([1e-12, 1, 1], set()),
+], ids=["1e-310", "1e-300", "1e-15", "1e-12"])
+@pytest.mark.parametrize("run", _TINY_RUNS)
+def test_tiny_weights_run_or_exit_2_naming_the_weight(tmp_path, capsys,
+                                                      weights, fail, run):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"schema": 1, "w": weights}))
+    out = tmp_path / "out"
+    rc = main([*_TINY_RUNS[run], "--weights", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    if run in fail:
+        assert rc == 2 and err.count("\n") == 1, err
+        assert err.startswith("error: ") and repr(weights[0]) in err, err
+        assert not out.exists()
+    else:
+        assert rc == 0 and err == "", err
+
+
 @pytest.mark.parametrize("command", ["scaling", "continuum"])
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_limit_named_in_error(tmp_path, capsys, command, value):

@@ -1,5 +1,6 @@
 import gc
 import math
+import weakref
 from itertools import chain
 
 import numpy as np
@@ -17,7 +18,7 @@ from wmgraph import (
     sample_pinches,
     simulate_lifo,
 )
-from wmgraph import direct_graph
+from wmgraph import direct_graph, paths
 from wmgraph.direct_graph import AssembledGraph, ComponentView
 from wmgraph.paths import _group_fsums
 
@@ -421,6 +422,57 @@ def test_holding_the_components_adds_few_tracked_objects():
     gc.collect()
     assert len(gc.get_objects()) - before < 100
     assert len(comps) > 1000
+
+
+def _one_replica(n, seed):
+    """The trace, LIFO graph and direct graph of one replica on unit
+    weights, drawn as the benchmark's critical workload draws them."""
+    w = WeightSeq(np.ones(n))
+    trace = simulate_lifo(w, rng_seed=np.random.SeedSequence([seed, 0]))
+    g = assemble_graph(trace, sample_pinches(
+        trace, rng_seed=np.random.SeedSequence([seed, 1])))
+    return trace, g, sample_direct(w, rng_seed=np.random.SeedSequence([seed, 2]))
+
+
+def test_partitions_alive_together_share_one_int_per_vertex():
+    # the two component results and the busy periods of one replica hold
+    # the same int object for each id (ints above 256 are not cached)
+    n = 10_000
+    trace, g, gd = _one_replica(n, 75)
+    comps, dcomps = connected_components(g), connected_components(gd)
+    periods = trace.busy_periods
+    first = {v: v for c in comps for v in c.vertices}
+    assert sorted(first) == list(range(1, n + 1))
+    for tuples in ([c.vertices for c in dcomps], [m for *_, m in periods]):
+        ints = [v for t in tuples for v in t]
+        assert sorted(ints) == list(range(1, n + 1))
+        assert all(first[v] is v for v in ints)
+    # still computed on their own: equal partitions, no shared tuple
+    assert {c.vertices for c in comps} == {tuple(sorted(m))
+                                           for *_, m in periods}
+    assert not {id(c.vertices) for c in comps} & {id(m) for *_, m in periods}
+
+
+def test_no_id_table_outlives_its_results():
+    n = 3_001     # no other test keeps a result on this many vertices
+    trace, g, gd = _one_replica(n, 76)
+    assert n not in paths._ID_TABLES
+    comps = connected_components(g)
+    table = weakref.ref(paths._ID_TABLES[n])
+    periods, dcomps = trace.busy_periods, connected_components(gd)
+    assert paths._ID_TABLES[n] is table()
+    del comps, dcomps
+    gc.collect()
+    assert table() is not None    # the busy periods hold it
+    del periods
+    gc.collect()
+    assert table() is None and n not in paths._ID_TABLES
+    # a new result makes a new table, and holds it alone
+    comps = connected_components(g)
+    assert comps[0].vertices[0] is paths._ID_TABLES[n][comps[0].root]
+    del comps
+    gc.collect()
+    assert n not in paths._ID_TABLES
 
 
 def _csgraph_distances(g):

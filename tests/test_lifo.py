@@ -1,6 +1,7 @@
 import csv
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -619,3 +620,69 @@ def test_busy_periods_match_reference_comprehension(seed):
     assert tuple(periods) == _reference_busy_periods(tr)
     for _, work, members in periods:
         assert type(work) is float and type(members) is tuple
+
+
+def test_busy_periods_equal_the_reference_on_the_component_fixtures():
+    # the traces behind test_direct_graph's n = 3000 graphs: each member
+    # tuple equals the plain tuple of its ids
+    weights = (np.ones(3000), np.random.default_rng(1).pareto(2.5, 3000) + 0.2,
+               np.random.default_rng(2).integers(1, 9, 3000) / 8.0)
+    for w in map(WeightSeq, weights):
+        for seed in range(2):
+            tr = simulate_lifo(w, rng_seed=np.random.SeedSequence([71, seed]))
+            periods = tr.busy_periods
+            assert tuple(periods) == _reference_busy_periods(tr)
+            assert all(type(v) is int for *_, m in periods for v in m)
+
+
+def test_one_replica_graph_keeps_the_trace_weights():
+    w = WeightSeq([2.0, 1.0, 0.5])
+    tr = simulate_lifo(w, rng_seed=3)
+    assert assemble_graph(tr).weights is w.w
+    rng = np.random.default_rng(4)
+    tr = _replica_trace(w, rng.exponential(w.sigma(1.0) / w.w, size=(3, 3)))
+    g = assemble_graph(tr)
+    assert g.n == 9 and g.weights.tolist() == np.tile(w.w, 3).tolist()
+
+
+@pytest.mark.parametrize("tiny, seed", [(1e-310, 0), (1e-308, 12)])
+def test_lifo_rejects_a_weight_whose_arrival_overflows(tiny, seed):
+    # at 1e-310 sigma_1/w overflows; at 1e-308 it is 1e308, and seed 12's
+    # Exp(1) draw for the tiny weight passes 1.8
+    w = WeightSeq([tiny, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match=f"^weight {tiny!r} is too small"):
+            simulate_lifo(w, rng_seed=seed)
+    # forced arrivals draw nothing
+    assert simulate_lifo(w, forced_arrivals=[3.0, 1.0]).arrival_order.tolist() \
+        == [2, 1]
+
+
+@pytest.mark.parametrize("tiny, seed", [(1e-300, 0), (1e-307, 0),
+                                        (1e-308, 0)])
+def test_lifo_runs_a_tiny_weight_whose_arrival_is_finite(tiny, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr = simulate_lifo(WeightSeq([tiny, 1.0]), rng_seed=seed)
+    assert np.isfinite(tr.arrival).all() and tr.arrival[2] > 1e-3 / tiny
+
+
+@pytest.mark.parametrize("E", [
+    # replica 1's arrivals land on sums past 2**53 of replica 0's shift
+    np.array([[1e17, 1.0, 2.0], [1e17, 1.0, 1.5]]),
+    # replica 1's shift overflows
+    np.array([[1e308, 1.0, 2.0], [1e308, 1.0, 1.5]]),
+], ids=["equal", "infinite"])
+def test_replica_layout_rejects_equal_or_infinite_arrival_times(E):
+    w = WeightSeq([1e-17, 1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=(
+                r"^2 replicas of the weights 1e-17 to 1.0, laid end to end, "
+                r"give equal or infinite arrival times")):
+            _replica_trace(w, E)
+    # each replica alone runs
+    for e in E:
+        assert _replica_trace(w, e[None]).arrival[1:].tolist() == e.tolist()

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import math
 import os
@@ -19,8 +20,8 @@ from wmgraph import (CadlagStepPath, StepFunction, WeightSeq, color_blue_red,
                      simulate_markov)
 from wmgraph.lifo_coder import _replica_trace
 from wmgraph.paths import (_collapsed, _drain, _group_fsums,
-                           _lower_neighbours, _sorted_unique, _write_csv,
-                           uniform_distance)
+                           _lower_neighbours, _Runs, _sorted_unique,
+                           _write_csv, uniform_distance)
 
 from test_excursions import (_bits, _critical_load_path, _dyadic_load_path,
                              _dyadic_zero_hits_path, _pareto_load_path)
@@ -498,6 +499,98 @@ def test_group_fsums_edge_cases():
     assert one.dtype == float and _bits(one) == _bits([0.1])
     whole = _group_fsums(np.array([1.0, TINY, TINY]), np.array([0, 3]))
     assert whole.tolist() == [1.0 + 2.0 ** -52]
+
+
+def _fsum_groups(rng, values):
+    """Random group bounds over ``values``: runs of 1 to 5."""
+    sizes = rng.choice([1, 2, 2, 2, 3, 5], size=values.size)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    return np.concatenate((bounds[bounds < values.size], [values.size]))
+
+
+def test_group_fsums_equal_fsum_bit_for_bit():
+    # each longer run is fsum's sum, each run of one its value
+    rng = np.random.default_rng(12)
+    big = sys.float_info.max
+    m = 4000
+    kinds = {
+        "random": rng.standard_normal(m) * 10.0 ** rng.integers(-8, 9, m),
+        "dyadic": rng.integers(-40, 41, m) / 8.0,   # exact cancellations
+        "subnormal": rng.integers(-2 ** 20, 2 ** 20, m) * 5e-324,
+        "signed_zero": rng.choice([0.0, -0.0, 1e-300, -1e-300], m),
+        "near_overflow": rng.choice([-1.0, 1.0], m)
+        * rng.uniform(0.2, 0.5, m) * big,
+        "tie_at_the_top": np.tile([big, 2.0 ** 969, big, -(2.0 ** 970)],
+                                  m // 4),
+        "tail": np.tile([1.0, TINY, 1.0, TINY, TINY], m // 5),
+    }
+    for name, values in kinds.items():
+        bounds = _fsum_groups(rng, values)
+        want = []
+        for a, b in zip(bounds.tolist(), bounds[1:].tolist()):
+            run = values[a:b].tolist()
+            with contextlib.suppress(OverflowError):
+                want.append((a, b, run[0] if b - a == 1 else math.fsum(run)))
+        # the runs fsum can sum, laid side by side
+        keep = np.concatenate([values[a:b] for a, b, _ in want])
+        cuts = np.cumsum([0] + [b - a for a, b, _ in want])
+        got = _group_fsums(keep, cuts)
+        assert _bits(got) == _bits([x for *_, x in want]), name
+
+
+@pytest.mark.parametrize("pair, error", [
+    ([1e308, 1e308], OverflowError),
+    ([-1e308, -1e308], OverflowError),
+    ([sys.float_info.max, 2.0 ** 970], OverflowError),  # rounds to inf
+    ([math.inf, -math.inf], ValueError),
+    ([-math.inf, math.inf], ValueError),
+])
+def test_group_fsums_raise_as_fsum_on_a_pair(pair, error):
+    with pytest.raises(error) as want:
+        math.fsum(pair)
+    values = np.array([1.0, *pair, 2.0])
+    with pytest.raises(error) as got:
+        _group_fsums(values, np.array([0, 1, 3, 4]))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("pair", [
+    [math.inf, 1.0], [-math.inf, -1e308], [math.inf, math.inf],
+    [math.nan, 1.0], [-0.0, -0.0], [0.0, -0.0], [2.5, -2.5]])
+def test_group_fsums_non_finite_and_zero_pairs_as_fsum(pair):
+    got = _group_fsums(np.array(pair), np.array([0, 2]))
+    assert _bits(got) == _bits([math.fsum(pair)])
+
+
+def test_runs_iterate_as_slices_with_one_shared_empty_slice():
+    base = np.arange(20, dtype=np.int64).reshape(10, 2).copy()
+    base.flags.writeable = False
+    starts = np.array([0, 2, 2, 5, 5, 9, 10, 3])
+    ends = np.array([2, 2, 5, 5, 9, 10, 10, 3])
+    runs = _Runs(base, starts, ends, full=ends > starts)
+    for _ in range(2):    # each pass slices anew
+        got = list(runs)
+        assert len(got) == 8
+        for run, a, b in zip(got, starts.tolist(), ends.tolist()):
+            want = base[a:b]
+            assert type(run) is np.ndarray and run.dtype == np.int64
+            assert run.shape == want.shape and run.tolist() == want.tolist()
+            assert run.base is base    # a view, no copy
+        empty = [run for run, a, b in zip(got, starts, ends) if a == b]
+        assert len(empty) == 4 and all(e is empty[0] for e in empty)
+    assert [runs[i].tolist() for i in range(8)] == [r.tolist() for r in got]
+    # without the flags, and on a tuple base: the plain slices
+    plain = list(_Runs(base, starts, ends))
+    assert [r.tolist() for r in plain] == [r.tolist() for r in got]
+    assert plain[1] is not plain[3]
+    ids = tuple(range(100, 110))
+    starts, ends = np.array([0, 4, 4]), np.array([4, 4, 10])
+    want = [ids[0:4], (), ids[4:10]]
+    assert list(_Runs(ids, starts, ends)) == want
+    assert list(_Runs(ids, starts, ends, full=ends > starts)) == want
+    none = np.zeros(0, np.int64)
+    assert list(_Runs(ids, none, none)) == []
+    assert list(_Runs(ids, none, none, full=none > none)) == []
 
 
 def test_sorted_unique_equals_np_unique():
