@@ -52,7 +52,6 @@ from .scaling import (
     extinction_profile,
     largest_root,
     psi_eval,
-    psi_inverse,
     psi_n_eval,
     psi_report,
 )
@@ -61,7 +60,6 @@ from .weights import (
     LimitParams,
     ScalingTriple,
     WeightSeq,
-    classify_criticality,
     er_limit_params,
     gen_er_triple,
     gen_powerlaw_triple,

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from .paths import _group_fsums, _id_tuple, _Rows, _Runs, _write_csv
+from .paths import _group_fsums, _id_tuple, _Rows, _runs, _write_csv
 from .weights import WeightSeq
 
 
@@ -211,15 +212,17 @@ def connected_components(g: AssembledGraph) -> Sequence:
     # which the collector stops tracking at its first pass; the ints are
     # the id table's, shared with the other partitions alive
     ids, table = _id_tuple(by_label + 1, g.n)
-    vertices = list(_Runs(ids, bounds[:-1][order], bounds[1:][order]))
+    vertices = list(_runs(ids, bounds[:-1][order], bounds[1:][order]))
     # the sorted edges are grouped the same way
     edge_label = labels[u]
-    edge_counts = np.bincount(edge_label, minlength=k)
-    edge_cuts = np.concatenate(([0], np.cumsum(edge_counts)))
+    edge_cuts = np.concatenate(
+        ([0], np.cumsum(np.bincount(edge_label, minlength=k))))
     edges = g.edges[np.argsort(edge_label, kind="stable")]
-    return _Rows(ComponentView, vertices, memoryview(masses[order]),
-                 _Runs(edges, edge_cuts[:-1][order], edge_cuts[1:][order],
-                       full=edge_counts[order] > 0),
+    # tuple.__new__ builds a view at C level; ComponentView's own __new__
+    # is a Python function
+    return _Rows(partial(tuple.__new__, ComponentView), vertices,
+                 memoryview(masses[order]),
+                 _runs(edges, edge_cuts[:-1][order], edge_cuts[1:][order]),
                  ids=table)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paths import (CadlagStepPath, StepFunction, _group_fsums, _openings,
-                    _write_csv)
+                    _Rows, _write_csv)
 
 # Strictness tolerance of the grid scan in continuum.limit_masses, where
 # roundoff can manufacture micro-excursions, and the width of a near tie;
@@ -49,20 +49,6 @@ class ExcursionDecomposition:
         _write_csv(path, ["rank", "mass"], [range(1, masses.size + 1), masses])
 
 
-class _LazyPaths(Sequence):
-    """Read-only sequence whose item k is ``build(k)``, built when read."""
-
-    def __init__(self, count: int, build):
-        self._range, self._build = range(count), build
-
-    def __len__(self) -> int:
-        return len(self._range)
-
-    def __getitem__(self, k):
-        k = self._range[k]
-        return tuple(map(self._build, k)) if isinstance(k, range) else self._build(k)
-
-
 def _canonical(starts, ends, lengths, local) -> ExcursionDecomposition:
     """Excursions [starts[i], ends[i]) given in time order, reordered by
     nonincreasing length, ties by the smaller start; ``local(i)`` builds
@@ -71,7 +57,7 @@ def _canonical(starts, ends, lengths, local) -> ExcursionDecomposition:
     return ExcursionDecomposition(
         intervals=np.column_stack((starts, ends))[order],
         lengths=lengths[order],
-        local_paths=_LazyPaths(order.size, lambda k: local(order[k])))
+        local_paths=_Rows(lambda row: local(*row), memoryview(order)))
 
 
 def _intervals_above(times, values, end):

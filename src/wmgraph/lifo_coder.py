@@ -21,7 +21,7 @@ import numpy as np
 from .direct_graph import AssembledGraph
 from .markov_coder import _choice_cdf
 from .paths import (CadlagStepPath, StepFunction, _drain, _group_fsums,
-                    _id_tuple, _Rows, _Runs, _sorted_unique, _write_csv,
+                    _id_tuple, _Rows, _runs, _sorted_unique, _write_csv,
                     _write_trace_csv, height_of_path)
 from .weights import WeightSeq
 
@@ -67,7 +67,7 @@ class LifoTrace:
         ids, table = _id_tuple(self.arrival_order, self.arrival.size - 1)
         return _Rows(tuple, memoryview(self.Y.times[bounds[:-1]]),
                      memoryview(_group_fsums(self.Y.sizes, bounds)),
-                     _Runs(ids, bounds[:-1], bounds[1:]), ids=table)
+                     _runs(ids, bounds[:-1], bounds[1:]), ids=table)
 
     def write_csv(self, path):
         """Rows (time, event, client, Y, H); see ``_write_trace_csv``."""

@@ -21,7 +21,6 @@ import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -363,15 +362,15 @@ def _id_tuple(ids, n):
 
 
 class _Rows(Sequence):
-    """Read-only sequence of the rows of equal-length columns: row i is the
-    tuple type ``kind`` of item i of each column, built when read.
-    Iteration builds the rows by one C-level ``map``, so a pass holds no
-    more rows than its reader keeps; a slice is a tuple of rows.  ``ids``
-    is the id table (``_id_tuple``) the columns' ints come from, held
-    while the rows are."""
+    """Read-only sequence over equal-length columns: item i is
+    ``build(row_i)``, row_i the tuple of item i of each column, built when
+    read.  Iteration builds the items by one ``map``, so a pass holds no
+    more of them than its reader keeps; a slice is a tuple of items.
+    ``ids`` is the id table (``_id_tuple``) the columns' ints come from,
+    held while the rows are."""
 
-    def __init__(self, kind, *columns, ids):
-        self._kind, self.columns, self._ids = kind, columns, ids
+    def __init__(self, build, *columns, ids=None):
+        self._build, self.columns, self._ids = build, columns, ids
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -379,37 +378,23 @@ class _Rows(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, range(len(self))[i]))
-        return tuple.__new__(self._kind, [c[i] for c in self.columns])
+        return self._build(tuple([c[i] for c in self.columns]))
 
     def __iter__(self):
-        return map(tuple.__new__, repeat(self._kind), zip(*self.columns))
+        return map(self._build, zip(*self.columns))
 
 
-class _Runs:
-    """A column of ``_Rows``: item i is the run ``base[starts[i]:ends[i]]``
-    of a sliceable ``base`` (``starts``, ``ends``: int64 arrays), sliced
-    when read; iteration slices the runs by one C-level ``map``.  Given
-    ``full``, a bool array true at the nonempty runs, iteration slices only
-    those and gives the empty ones one shared empty slice, merged in at C
-    level."""
+def _runs(base, starts, ends) -> _Rows:
+    """Column whose item i is the run ``base[starts[i]:ends[i]]`` of a
+    sliceable ``base`` (``starts``, ``ends``: int64 arrays), sliced when
+    read; every empty run is one shared empty slice."""
+    empty = base[:0]
 
-    def __init__(self, base, starts, ends, full=None):
-        # memoryviews read their items as Python ints
-        self._base, self._starts, self._ends = \
-            base, memoryview(starts), memoryview(ends)
-        self._full = None if full is None else (
-            memoryview(full), memoryview(starts[full]), memoryview(ends[full]))
-
-    def __getitem__(self, i: int):
-        return self._base[self._starts[i]:self._ends[i]]
-
-    def __iter__(self):
-        if self._full is None:
-            return map(self._base.__getitem__,
-                       map(slice, self._starts, self._ends))
-        full, starts, ends = self._full
-        runs = map(self._base.__getitem__, map(slice, starts, ends))
-        return map(next, map((repeat(self._base[:0]), runs).__getitem__, full))
+    def run(row):
+        a, z = row
+        return base[a:z] if a != z else empty
+    # memoryviews read their items as Python ints
+    return _Rows(run, memoryview(starts), memoryview(ends))
 
 
 def _write_csv(path, header, columns):

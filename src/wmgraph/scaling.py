@@ -1,4 +1,4 @@
-"""Laplace-exponent family psi: evaluation, inverse, extinction profile,
+"""Laplace-exponent family psi: evaluation, largest root, extinction profile,
 discrete exponents psi_n, and scaling-regime diagnostics.
 
 psi(lambda) = alpha*lambda + (beta/2)*lambda^2
@@ -51,42 +51,33 @@ def psi_eval(p: LimitParams, lam):
     return float(out) if out.ndim == 0 else out
 
 
-def _first_above(p: LimitParams, y: float, lo: float) -> float:
-    """inf{u > lo : psi(u) > y}: double from max(lo, 1), then bisect until
-    the bracket is narrower than TOL_INV or its midpoint rounds to an end
-    (no float lies between them: the bracket cannot change again)."""
-    hi, it = max(lo, 1.0), 0
+def largest_root(p: LimitParams) -> float:
+    """Largest root rho of the convex function psi; 0 when alpha >= 0.
+    Past it psi > 0, so rho = inf{u > 0 : psi(u) > 0}: double from 1, then
+    bisect until the bracket is narrower than TOL_INV or its midpoint
+    rounds to an end (no float lies between them: the bracket cannot
+    change again)."""
+    if p.alpha >= 0:
+        return 0.0
+    lo, hi, it = 0.0, 1.0, 0
     # -inf (hugely negative alpha) and NaN (-inf + inf) never bracket
     with np.errstate(over="ignore", invalid="ignore"):
-        while not psi_eval(p, hi) > y:
+        while not psi_eval(p, hi) > 0.0:
             hi *= 2.0
             it += 1
             if it > MAX_BISECT:
-                raise RuntimeError(f"could not bracket inf{{u > {lo!r} : "
-                                   f"psi(u) > {y!r}}}")
+                raise RuntimeError("could not bracket the largest root of psi")
     for _ in range(MAX_BISECT):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if psi_eval(p, mid) > y:
+        if psi_eval(p, mid) > 0.0:
             hi = mid
         else:
             lo = mid
         if hi - lo < TOL_INV:
             break
     return 0.5 * (lo + hi)
-
-
-def largest_root(p: LimitParams) -> float:
-    """Largest root rho of the convex function psi; 0 when alpha >= 0."""
-    return 0.0 if p.alpha >= 0 else _first_above(p, 0.0, 0.0)
-
-
-def psi_inverse(p: LimitParams, y: float) -> float:
-    """psi^{-1}(y) = inf{u : psi(u) > y} by bracketed bisection."""
-    if not y >= 0:
-        raise ValueError("y must be nonnegative")
-    return _first_above(p, y, largest_root(p))
 
 
 @dataclass(frozen=True)

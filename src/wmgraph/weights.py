@@ -16,10 +16,6 @@ from itertools import repeat
 
 import numpy as np
 
-# Relative tolerance for the criticality trichotomy; the classification is
-# exact in real arithmetic but needs a band in floats.
-TOL_CRIT = 1e-12
-
 
 def _schema_fields(d, *keys) -> dict:
     """``d`` if it is a schema-1 JSON object holding ``keys``, else
@@ -35,9 +31,15 @@ def _schema_fields(d, *keys) -> dict:
 
 
 def _number(x, key: str, kind=(int, float)):
-    """``x`` if it is a JSON number (an integer for kind=int), else ValueError."""
+    """``x`` if it is a JSON number (an integer for kind=int) that a float
+    can hold, else ValueError."""
     if isinstance(x, bool) or not isinstance(x, kind):
         raise ValueError(f"{key} must be a number, not {json.dumps(x)}")
+    try:
+        float(x)
+    except OverflowError:
+        raise ValueError(
+            f"{key} must be a number within the float range") from None
     return x
 
 
@@ -184,17 +186,6 @@ def sigma_r(w: WeightSeq, r: float) -> float:
     if r <= 0:
         raise ValueError("r must be positive")
     return math.fsum(map(pow, w.w.tolist(), repeat(r)))
-
-
-def classify_criticality(w: WeightSeq) -> str:
-    """Trichotomy by the offspring mean sigma_2/sigma_1 of the coupled forest."""
-    s1, s2 = w.sigma(1.0), w.sigma(2.0)
-    scale = max(s1, s2)
-    if s2 > s1 + TOL_CRIT * scale:
-        return "supercritical"
-    if s2 < s1 - TOL_CRIT * scale:
-        return "subcritical"
-    return "critical"
 
 
 def er_limit_params(n: int, p: float) -> LimitParams:

@@ -164,6 +164,9 @@ def test_weights_file_forms(tmp_path, text):
     assert (out / "graph.csv").exists()
 
 
+_HUGE = "1" + "0" * 400    # a JSON integer beyond the float range
+
+
 @pytest.mark.parametrize("command,flag,text", [
     ("simulate", "--weights", "[Infinity, 1]"),
     ("simulate", "--weights", '{"schema": 1}'),
@@ -195,6 +198,22 @@ def test_weights_file_forms(tmp_path, text):
     ("verify", "--weights", '{"schema": 1, "w": "1, 1"}'),
     ("compare", "--weights", "not json"),
     ("compare", "--weights", '{"schema": 1, "w": [{"a": 1}]}'),
+    # integers too large for a float
+    pytest.param("simulate",
+                 "--weights", f'{{"schema": 1, "w": [{_HUGE}, 1]}}',
+                 id="simulate-huge-w"),
+    pytest.param("metric", "--weights", f"[{_HUGE}, 1]", id="metric-huge-w"),
+    pytest.param("verify", "--weights", f"[{_HUGE}, 1]", id="verify-huge-w"),
+    pytest.param("compare", "--weights", f"[{_HUGE}, 1]", id="compare-huge-w"),
+    pytest.param("scaling",
+                 "--limit", f'{{"schema": 1, "alpha": 0, "beta": {_HUGE}, "kappa": 1}}',
+                 id="scaling-huge-beta"),
+    pytest.param("continuum",
+                 "--limit", f'{{"schema": 1, "alpha": 0, "beta": {_HUGE}, "kappa": 1}}',
+                 id="continuum-huge-beta"),
+    pytest.param("continuum",
+                 "--limit", f'{{"schema": 1, "alpha": 0, "beta": 1, "kappa": 1, "c": [{_HUGE}]}}',
+                 id="continuum-huge-c"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, command, flag, text):
     path = tmp_path / "input.json"

@@ -635,6 +635,29 @@ def test_busy_periods_equal_the_reference_on_the_component_fixtures():
             assert all(type(v) is int for *_, m in periods for v in m)
 
 
+def test_busy_period_sequence_equals_the_reference():
+    # len, indices, slices and repeated passes of the read-only sequence,
+    # on the traces of the test above
+    weights = (np.ones(3000), np.random.default_rng(1).pareto(2.5, 3000) + 0.2,
+               np.random.default_rng(2).integers(1, 9, 3000) / 8.0)
+    for w in map(WeightSeq, weights):
+        for seed in range(2):
+            tr = simulate_lifo(w, rng_seed=np.random.SeedSequence([71, seed]))
+            got, want = tr.busy_periods, _reference_busy_periods(tr)
+            k = len(want)
+            assert len(got) == k
+            assert tuple(got) == want
+            assert tuple(got) == want    # a second pass, equal rows
+            for i in (0, -1, k // 2, -k):
+                assert got[i] == want[i]
+            for s in (slice(3), slice(-2, None), slice(None, None, -2),
+                      slice(1, -1, 3), slice(k, None)):
+                assert type(got[s]) is tuple and got[s] == want[s]
+            for i in (k, -k - 1):
+                with pytest.raises(IndexError):
+                    got[i]
+
+
 def test_one_replica_graph_keeps_the_trace_weights():
     w = WeightSeq([2.0, 1.0, 0.5])
     tr = simulate_lifo(w, rng_seed=3)

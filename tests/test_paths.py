@@ -20,7 +20,7 @@ from wmgraph import (CadlagStepPath, StepFunction, WeightSeq, color_blue_red,
                      simulate_markov)
 from wmgraph.lifo_coder import _replica_trace
 from wmgraph.paths import (_collapsed, _drain, _group_fsums,
-                           _lower_neighbours, _Runs, _sorted_unique,
+                           _lower_neighbours, _runs, _sorted_unique,
                            _write_csv, uniform_distance)
 
 from test_excursions import (_bits, _critical_load_path, _dyadic_load_path,
@@ -567,7 +567,7 @@ def test_runs_iterate_as_slices_with_one_shared_empty_slice():
     base.flags.writeable = False
     starts = np.array([0, 2, 2, 5, 5, 9, 10, 3])
     ends = np.array([2, 2, 5, 5, 9, 10, 10, 3])
-    runs = _Runs(base, starts, ends, full=ends > starts)
+    runs = _runs(base, starts, ends)
     for _ in range(2):    # each pass slices anew
         got = list(runs)
         assert len(got) == 8
@@ -579,18 +579,16 @@ def test_runs_iterate_as_slices_with_one_shared_empty_slice():
         empty = [run for run, a, b in zip(got, starts, ends) if a == b]
         assert len(empty) == 4 and all(e is empty[0] for e in empty)
     assert [runs[i].tolist() for i in range(8)] == [r.tolist() for r in got]
-    # without the flags, and on a tuple base: the plain slices
-    plain = list(_Runs(base, starts, ends))
-    assert [r.tolist() for r in plain] == [r.tolist() for r in got]
-    assert plain[1] is not plain[3]
+    assert ([r.tolist() for r in runs[1:-1:3]]
+            == [r.tolist() for r in got[1:-1:3]])
+    # on a tuple base: the tuples' slices
     ids = tuple(range(100, 110))
     starts, ends = np.array([0, 4, 4]), np.array([4, 4, 10])
     want = [ids[0:4], (), ids[4:10]]
-    assert list(_Runs(ids, starts, ends)) == want
-    assert list(_Runs(ids, starts, ends, full=ends > starts)) == want
+    assert list(_runs(ids, starts, ends)) == want
+    assert [_runs(ids, starts, ends)[i] for i in range(3)] == want
     none = np.zeros(0, np.int64)
-    assert list(_Runs(ids, none, none)) == []
-    assert list(_Runs(ids, none, none, full=none > none)) == []
+    assert list(_runs(ids, none, none)) == []
 
 
 def test_sorted_unique_equals_np_unique():

@@ -19,7 +19,6 @@ from wmgraph import (
     gen_powerlaw_triple,
     largest_root,
     psi_eval,
-    psi_inverse,
     psi_n_eval,
     psi_report,
     powerlaw_alpha0,
@@ -83,7 +82,8 @@ def test_largest_root():
 
 
 def _reference_largest_root(p):
-    """The root bisection before it shared one helper with psi_inverse."""
+    """The root bisection as first written, kept as the reference for
+    ``largest_root``."""
     if p.alpha >= 0:
         return 0.0
     hi = 1.0
@@ -98,29 +98,6 @@ def _reference_largest_root(p):
     for _ in range(MAX_BISECT):
         mid = 0.5 * (lo + hi)
         if psi_eval(p, mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < TOL_INV:
-            break
-    return 0.5 * (lo + hi)
-
-
-def _reference_psi_inverse(p, y):
-    if y < 0:
-        raise ValueError("y must be nonnegative")
-    rho = _reference_largest_root(p)
-    hi = max(rho, 1.0)
-    it = 0
-    while psi_eval(p, hi) <= y:
-        hi *= 2.0
-        it += 1
-        if it > MAX_BISECT:
-            raise RuntimeError("could not bracket psi^{-1}(y)")
-    lo = rho
-    for _ in range(MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if psi_eval(p, mid) > y:
             hi = mid
         else:
             lo = mid
@@ -155,17 +132,12 @@ def test_roots_equal_the_two_bisections_they_replace(seed):
         with np.errstate(over="ignore"):
             assert (_outcome(largest_root, p)
                     == _outcome(_reference_largest_root, p))
-            for y in (0.0, 10.0 * rng.exponential(), 1e300, -1.0):
-                assert (_outcome(psi_inverse, p, y)
-                        == _outcome(_reference_psi_inverse, p, y))
     # psi(hi) = -inf + inf = NaN from hi = 2^178 on, before psi turns
     # positive (true root 2e100): no bracket, where the old doubling
     # stopped on the NaN and returned 3.06e54, a point where psi is NaN
     nan_edge = LimitParams(-1e300, 1e200, 1.0)
     with pytest.raises(RuntimeError, match="could not bracket"):
         largest_root(nan_edge)
-    with pytest.raises(RuntimeError, match="could not bracket"):
-        psi_inverse(nan_edge, 1.0)
 
 
 def test_root_bisection_stops_when_the_bracket_cannot_shrink(monkeypatch):
@@ -184,15 +156,6 @@ def test_root_bisection_stops_when_the_bracket_cannot_shrink(monkeypatch):
     assert rho == expect
     assert len(calls) <= 80
     assert rho == pytest.approx(-2.0 * p.alpha / p.beta, rel=1e-15)
-
-
-@given(st.floats(min_value=0.01, max_value=50.0))
-@settings(max_examples=40, deadline=None)
-def test_psi_inverse_is_right_inverse(y):
-    for p in (BM, SUP, JUMPY):
-        u = psi_inverse(p, y)
-        assert psi_eval(p, u) == pytest.approx(y, rel=1e-6, abs=1e-7)
-        assert u >= largest_root(p)
 
 
 @given(st.floats(min_value=0.0, max_value=10.0),
@@ -221,9 +184,6 @@ def test_extinction_profile_stays_above_root():
     for t in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="t must be positive"):
             extinction_profile(SUP, t)
-    for y in (-1.0, math.nan):
-        with pytest.raises(ValueError, match="y must be nonnegative"):
-            psi_inverse(SUP, y)
 
 
 @pytest.mark.parametrize("alpha,beta,t", [

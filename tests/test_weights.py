@@ -10,7 +10,6 @@ from wmgraph import (
     LimitParams,
     ScalingTriple,
     WeightSeq,
-    classify_criticality,
     er_limit_params,
     gen_er_triple,
     gen_powerlaw_triple,
@@ -33,13 +32,11 @@ def test_weights_sorted_and_positive():
         WeightSeq([])
     with pytest.raises(ValueError):
         WeightSeq([math.inf, 1.0])
-    # sigma_1 overflows, or its square does (sigma_2 <= sigma_1^2 then
-    # stays finite, so classify_criticality cannot overflow)
+    # sigma_1 overflows, or its square does
     with pytest.raises(ValueError, match="square of the weight sum"):
         WeightSeq([1e308, 1e308])
     with pytest.raises(ValueError, match="square of the weight sum"):
         WeightSeq([1e200, 1.0])
-    assert classify_criticality(WeightSeq([1e154, 1.0])) == "supercritical"
 
 
 def test_sigma_hand_values():
@@ -89,15 +86,6 @@ def test_sigma_monotone_in_extension(ws):
         assert sigma_r(w2, r) > sigma_r(w, r)
 
 
-def test_criticality_trichotomy():
-    assert classify_criticality(WeightSeq([1.0, 1.0])) == "critical"
-    assert classify_criticality(WeightSeq([2.0, 1.0, 1.0])) == "supercritical"
-    assert classify_criticality(WeightSeq([0.5, 0.5])) == "subcritical"
-    # just inside the relative tolerance band still reads critical
-    w = WeightSeq(np.full(4, 1.0 + 1e-14))
-    assert classify_criticality(w) == "critical"
-
-
 def test_json_roundtrips():
     w = WeightSeq([2.0, 1.0])
     assert WeightSeq.from_json(w.to_json()).w.tolist() == [2.0, 1.0]
@@ -111,6 +99,9 @@ def test_json_roundtrips():
     tr = gen_er_triple(100, 0.01)
     tr2 = ScalingTriple.from_json(tr.to_json())
     assert tr2.n == 100 and tr2.a == tr.a and tr2.b == tr.b
+
+
+_HUGE = "1" + "0" * 400    # a JSON integer beyond the float range
 
 
 @pytest.mark.parametrize("loader,text", [
@@ -129,6 +120,22 @@ def test_json_roundtrips():
      '{"schema": 1, "n": 2, "a": [1], "b": 1, "weights": [1, 1]}'),
     (ScalingTriple.from_json,
      '{"schema": 1, "n": 2, "a": 1, "b": 1, "weights": {"w": [1, 1]}}'),
+    # integers too large for a float
+    pytest.param(WeightSeq.from_json,
+                 f'{{"schema": 1, "w": [{_HUGE}, 1]}}',
+                 id="WeightSeq-huge-w"),
+    pytest.param(LimitParams.from_json,
+                 f'{{"schema": 1, "alpha": 0, "beta": {_HUGE}, "kappa": 1}}',
+                 id="LimitParams-huge-beta"),
+    pytest.param(LimitParams.from_json,
+                 f'{{"schema": 1, "alpha": 0, "beta": 1, "kappa": 1, "c": [{_HUGE}]}}',
+                 id="LimitParams-huge-c"),
+    pytest.param(ScalingTriple.from_json,
+                 f'{{"schema": 1, "n": 2, "a": {_HUGE}, "b": 1, "weights": [1, 1]}}',
+                 id="ScalingTriple-huge-a"),
+    pytest.param(ScalingTriple.from_json,
+                 f'{{"schema": 1, "n": 2, "a": 1, "b": 1, "weights": [{_HUGE}, 1]}}',
+                 id="ScalingTriple-huge-weights"),
 ])
 def test_loaders_reject_wrong_value_types(loader, text):
     with pytest.raises(ValueError, match="must be a"):
