@@ -36,13 +36,12 @@ class CodedSpace:
         eps = check_eps(eps)
         samples = np.asarray(samples, dtype=float)
         zeta = float(h.times[-1])
-        if not np.all((samples >= 0) & (samples <= zeta)):
+        if not ((samples >= 0) & (samples <= zeta)).all():
             raise ValueError("sample outside the coding domain")
         # one pass over the pinches, which may be an iterator
         pinches = tuple((float(s), float(t)) for s, t in pinches)
-        for s, t in pinches:
-            if not (0 <= s <= t <= zeta):
-                raise ValueError("pinch outside the coding domain")
+        if not all(0 <= s <= t <= zeta for s, t in pinches):
+            raise ValueError("pinch outside the coding domain")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "pinches", pinches)
         object.__setattr__(self, "eps", eps)
@@ -67,8 +66,8 @@ def pinched_matrix(space: CodedSpace) -> np.ndarray:
     # at its peak, four float64 arrays of n by n
     _check_memory(32 * n * n, f"a distance matrix over {n} points")
     # breakpoint index of each point, as StepFunction.__call__ and min_on
-    k = np.maximum(np.searchsorted(h.times, pts, side="right") - 1, 0)
-    order = np.argsort(k, kind="stable")
+    k = np.maximum(h.times.searchsorted(pts, "right") - 1, 0)
+    order = k.argsort(kind="stable")
     ks = k[order]
     hv = h.values[ks]
     # low[i, j], j > i: min of h from sorted point j-1 to j; the running
@@ -80,7 +79,7 @@ def pinched_matrix(space: CodedSpace) -> np.ndarray:
     np.minimum.accumulate(low, axis=1, out=low)
     low = np.minimum(low, low.T)
     d = np.empty((n, n))
-    d[np.ix_(order, order)] = hv[:, None] + hv[None, :] - 2.0 * low
+    d[order[:, None], order] = hv[:, None] + hv[None, :] - 2.0 * low
     a = np.arange(m, n, 2)
     d[a, a + 1] = d[a + 1, a] = np.minimum(space.eps, d[a, a + 1])
     for e in range(m, n):

@@ -69,7 +69,7 @@ def simulate_limit_Y(p: LimitParams, dt: float | None = None, T: float = 1.0,
     y = -p.alpha * t - 0.5 * p.kappa * p.beta * t * t
     if p.beta > 0:
         incr = rng.normal(0.0, math.sqrt(p.beta * dt), size=n)
-        y = y + np.concatenate(([0.0], np.cumsum(incr)))
+        y = y + np.concatenate(([0.0], incr.cumsum()))
     c = p.c[:J]
     if c.size:
         if forced_E is not None:

@@ -123,7 +123,7 @@ def _direct_edges(w: WeightSeq, rng_seed=0, replicas: int = 1) -> np.ndarray:
     rounds.
     """
     n, s1 = w.j_max, w.sigma(1.0)
-    ws = np.tile(w.w, replicas)
+    ws = w.w[None].repeat(replicas, axis=0).ravel()
     u = np.arange(ws.size)
     u = u[u % n < n - 1]               # a block's last vertex has no pair
     stop = (u // n + 1) * n            # one past the row's last pair
@@ -141,22 +141,23 @@ def _direct_edges(w: WeightSeq, rng_seed=0, replicas: int = 1) -> np.ndarray:
             v = np.log1p(-skips) / np.log1p(-p)[:, None]
         np.floor(v, out=v)
         v += 1.0
-        np.cumsum(v, axis=1, out=v)
+        v.cumsum(axis=1, out=v)
         v += at[:, None]    # exact integers below the row's stop
         inside = v < stop[:, None]    # a prefix of each row
-        row = np.nonzero(inside)[0]
+        row = inside.nonzero()[0]
         ui, vi = u[row], v[inside].astype(np.int64)
         q = h(ws[ui] * ws[vi] / s1)
         kept = keeps[inside] * p[row] < q
-        found.append(np.stack((ui[kept], vi[kept]), axis=1))
+        found.append((ui[kept], vi[kept]))
         # the rows whose chunk stayed inside go on from its last landing
         full = inside[:, -1]
         u, stop, at = u[full], stop[full], v[full, -1]
-        p = q[np.cumsum(inside.sum(axis=1))[full] - 1]
+        p = q[inside.sum(axis=1).cumsum()[full] - 1]
         k *= 2
-    e = np.concatenate(found) + 1 if found else np.empty((0, 2), np.int64)
+    e = (np.stack([np.concatenate(c) for c in zip(*found)], axis=1) + 1
+         if found else np.empty((0, 2), np.int64))
     # each round's pairs ascend; a stable sort by u merges the rounds
-    return e[np.argsort(e[:, 0], kind="stable")]
+    return e[e[:, 0].argsort(kind="stable")]
 
 
 def _root_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -176,7 +177,7 @@ def _root_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     def jump(at):   # until each of lab[at] points to a root
         up = lab[at]
-        while not np.array_equal(jumped := lab[up], up):
+        while ((jumped := lab.take(up)) != up).any():
             lab[at] = up = jumped
 
     a, b = u, v
@@ -201,11 +202,11 @@ def connected_components(g: AssembledGraph) -> Sequence:
     lab = _root_labels(g.n, u, v)
     # roots number the components in ascending order of their root
     is_root = lab == np.arange(g.n)
-    k, labels = int(is_root.sum()), (np.cumsum(is_root) - 1)[lab]
+    k, labels = int(is_root.sum()), (is_root.cumsum() - 1)[lab]
     # a stable sort keeps ids ascending within a label, so each group
     # starts at its root
-    by_label = np.argsort(labels, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=k))))
+    by_label = labels.argsort(kind="stable")
+    bounds = np.concatenate(([0], np.bincount(labels, minlength=k).cumsum()))
     masses = _group_fsums(np.asarray(g.weights, dtype=float)[by_label], bounds)
     order = np.lexsort((by_label[bounds[:-1]], -masses))
     # the vertex tuples are slices of one tuple of ids: tuples of ints,
@@ -216,8 +217,8 @@ def connected_components(g: AssembledGraph) -> Sequence:
     # the sorted edges are grouped the same way
     edge_label = labels[u]
     edge_cuts = np.concatenate(
-        ([0], np.cumsum(np.bincount(edge_label, minlength=k))))
-    edges = g.edges[np.argsort(edge_label, kind="stable")]
+        ([0], np.bincount(edge_label, minlength=k).cumsum()))
+    edges = g.edges[edge_label.argsort(kind="stable")]
     # tuple.__new__ builds a view at C level; ComponentView's own __new__
     # is a Python function
     return _Rows(partial(tuple.__new__, ComponentView), vertices,

@@ -69,7 +69,7 @@ def _intervals_above(times, values, end):
     # intervals open and close in turn where ``above`` flips
     edges = times[known][np.flatnonzero(np.diff(above[known], prepend=False))]
     if edges.size % 2:
-        edges = np.append(edges, end)
+        edges = np.concatenate((edges, [end]))
     ls, rs = edges[0::2], edges[1::2]
     return ls[rs > ls], rs[rs > ls]
 

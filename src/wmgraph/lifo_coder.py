@@ -21,8 +21,8 @@ import numpy as np
 from .direct_graph import AssembledGraph
 from .markov_coder import _choice_cdf
 from .paths import (CadlagStepPath, StepFunction, _drain, _group_fsums,
-                    _id_tuple, _Rows, _runs, _sorted_unique, _write_csv,
-                    _write_trace_csv, height_of_path)
+                    _id_tuple, _increasing, _Rows, _runs, _sorted_unique,
+                    _write_csv, _write_trace_csv, height_of_path)
 from .weights import WeightSeq
 
 
@@ -140,31 +140,30 @@ def _replica_trace(w: WeightSeq, E: np.ndarray) -> LifoTrace:
     tiny weight's late arrival shifts the later queues so far that
     their times round together)."""
     R, n = E.shape
-    with np.errstate(over="ignore"):    # checked on the sorted times
-        shift = np.cumsum(E.max(axis=1) + 2.0 * w.sigma(1.0))
-        T = (E + np.concatenate(([0.0], shift[:-1]))[:, None]).ravel()
-    order = np.argsort(T, kind="stable") + 1
-    times, sizes = T[order - 1], w.w[(order - 1) % n]
-    if R > 1 and not (math.isfinite(times[-1])
-                      and (times[1:] > times[:-1]).all()):
+    if R == 1:      # no shift, so no sum that could overflow
+        T = E.ravel() + 0.0     # + 0.0, as the shift by 0.0 below
+    else:
+        with np.errstate(over="ignore"):    # checked on the sorted times
+            shift = (E.max(axis=1) + 2.0 * w.sigma(1.0)).cumsum()
+            T = (E + np.concatenate(([0.0], shift[:-1]))[:, None]).ravel()
+    order = T.argsort(kind="stable") + 1
+    times, sizes = T.take(order - 1), w.w.take((order - 1) % n)
+    if R > 1 and not _increasing(times):
         raise ValueError(
             f"{R} replicas of the weights {float(w.w[-1])!r} to "
             f"{float(w.w[0])!r}, laid end to end, give equal or infinite "
             f"arrival times: the weights spread too far for this many "
             f"replicas")
-    rep = _drain(times, np.concatenate(([0.0], np.cumsum(sizes))))
+    rep = _drain(times, np.concatenate(([0.0], sizes.cumsum())))
     if rep.parent[::n].any():
         raise ValueError("a replica's first arrival found the server busy")
-    arr = np.zeros(R * n + 1)
-    dep = np.zeros(R * n + 1)
-    pre = np.zeros(R * n + 1)
+    dep, pre = np.zeros((2, R * n + 1))
     par = np.zeros(R * n + 1, dtype=np.int64)
-    arr[1:] = T
-    dep[order] = rep.departure
-    pre[order] = rep.pre_level
+    dep[order], pre[order] = rep.departure, rep.pre_level
     par[order] = np.concatenate(([0], order))[rep.parent]
     return LifoTrace(
-        weights=w, arrival=arr, departure=dep, pre_level=pre, parent=par,
+        weights=w, arrival=np.concatenate(([0.0], T)), departure=dep,
+        pre_level=pre, parent=par,
         Y=CadlagStepPath(times, sizes, rep.H.times[-1]), H=rep.H,
         arrival_order=order, event_order=rep.event_order)
 
@@ -281,7 +280,7 @@ def assemble_graph(trace: LifoTrace, pinches: PinchSetup | None = None) -> Assem
     edges = _sorted_unique(keys)
     w, R = trace.weights.w, trace.replicas
     return AssembledGraph(
-        n=n, weights=w if R == 1 else np.tile(w, R),
+        n=n, weights=w if R == 1 else w[None].repeat(R, axis=0).ravel(),
         edges=np.stack(np.divmod(edges, n + 1), axis=1), provenance="lifo",
         n_self_loops_dropped=len(u) - int(keep.sum()),
         n_duplicates_dropped=keys.size - edges.size)

@@ -61,7 +61,7 @@ class MarkovTrace:
 
     def events(self) -> np.ndarray:
         # H breaks at 0 and at every arrival and departure up to the end
-        return _sorted_unique(np.append(self.H.times, self.horizon))
+        return _sorted_unique(np.concatenate((self.H.times, [self.horizon])))
 
 
 def simulate_markov(w: WeightSeq, horizon: float = math.inf, rng_seed=0,
@@ -111,9 +111,9 @@ def simulate_markov(w: WeightSeq, horizon: float = math.inf, rng_seed=0,
     # (stop + 1)-th root, carrying the sum of sizes and the lowest level
     times, types, c, low, roots = [], [], 0.0, math.inf, 0
     for ts, js in chunks:
-        cs = np.cumsum(np.append(c, w.w[js - 1]))
+        cs = np.concatenate(([c], w.w.take(js - 1))).cumsum()
         levels = cs[:-1] - ts
-        opens = np.flatnonzero(_openings(levels, low))
+        opens = _openings(levels, low).nonzero()[0]
         k = int(ts.searchsorted(horizon, "right"))
         if opens.size > stop - roots:
             k = min(k, int(opens[stop - roots]))
@@ -123,8 +123,8 @@ def simulate_markov(w: WeightSeq, horizon: float = math.inf, rng_seed=0,
             break
         c, low, roots = cs[-1], levels.min(initial=low), roots + opens.size
     times, types = np.concatenate(times), np.concatenate(([0], *types))
-    sizes = w.w[types[1:] - 1]
-    rep = _drain(times, np.concatenate(([0.0], np.cumsum(sizes))))
+    sizes = w.w.take(types[1:] - 1)
+    rep = _drain(times, np.concatenate(([0.0], sizes.cumsum())))
     empty = rep.departure[rep.parent == 0]
     end = float(horizon)
     if empty.size == stop and empty[-1] <= horizon:
@@ -152,7 +152,7 @@ def _drawn_arrivals(w: WeightSeq, rng_seed):
     while True:
         # a run peaks near 300 B an arrival; 2m - 16 are drawn with this chunk
         _check_memory(320 * (2 * m - 16), f"a replay of {2 * m - 16} arrivals")
-        ts = np.cumsum(np.append(t, rng.exponential(1.0, m)))[1:]
+        ts = np.concatenate(([t], rng.exponential(1.0, m))).cumsum()[1:]
         yield ts, cdf.searchsorted(rng.random(m), "right") + 1
         t, m = ts[-1], 2 * m
 
@@ -203,7 +203,7 @@ def gw_generation_sizes(w: WeightSeq, z0: int, generations: int,
         if z > w.j_max:     # cell counts keep time and memory at O(j_max)
             total = np.dot(rng.multinomial(z, nu), w.w)
         else:
-            total = w.w[cdf.searchsorted(rng.random(z), side="right")].sum()
+            total = np.add.reduce(w.w.take(cdf.searchsorted(rng.random(z), "right")))
         sizes.append(int(rng.poisson(float(total))))
     return np.asarray(sizes, dtype=np.int64)
 
@@ -235,8 +235,8 @@ def gw_forest_stats(trace: MarkovTrace) -> GwForestStats:
     the ancestors of the current client on a stack."""
     parent = trace.parent.tolist()
     kids = np.bincount(trace.parent[1:], minlength=trace.tau.size)
-    roots = np.flatnonzero(trace.parent[1:] == 0) + 1
-    ends = np.append(roots[1:], trace.tau.size)
+    roots = (trace.parent[1:] == 0).nonzero()[0] + 1
+    ends = np.concatenate((roots[1:], [trace.tau.size]))
     done = np.isfinite(trace.departure[roots])
     depth, order, walks = [0] * len(parent), [], []
     for r, e in zip(roots[done].tolist(), ends[done].tolist()):
@@ -254,7 +254,7 @@ def gw_forest_stats(trace: MarkovTrace) -> GwForestStats:
     depth = np.asarray(depth, dtype=np.int64)
     order = np.asarray(order, dtype=np.int64)
     return GwForestStats(
-        V=np.concatenate(([0], np.cumsum(kids[order] - 1))),
+        V=np.concatenate(([0], (kids[order] - 1).cumsum())),
         Hght=depth[order], contour=tuple(depth[w] for w in walks),
         contour_visits=tuple(walks),
         offspring_counts=kids[completed_clients(trace)],
@@ -270,24 +270,21 @@ def color_blue_red(trace: MarkovTrace) -> MarkovTrace:
     blue context (a red root) to that client's departure; the red root's
     load jump is charged to the blue side.  Blue time is everything else.
     """
-    color, blue_side = [""], [False]
-    blue_types: set = set()
-    red_blocks = []
-    open_block_end = -math.inf  # real-time end of the current red block
-    for t, j, d in zip(trace.tau.tolist()[1:], trace.types.tolist()[1:],
-                       trace.departure.tolist()[1:]):
-        in_red = t < open_block_end
-        blue_side.append(not in_red)
-        if in_red or j in blue_types:
-            color.append("r")
-            if not in_red:  # red root: opens a block until its departure
-                red_blocks.append((t, d))
-                open_block_end = d
+    # walk the clients in blue context, skipping each red root's block
+    tau, types, dep = (a.tolist() for a in (trace.tau, trace.types, trace.departure))
+    resume = trace.tau.searchsorted(trace.departure).tolist()
+    blue, side, blue_types, red_blocks, i, n = [], [], set(), [], 1, len(tau)
+    while i < n:
+        side.append(i)
+        if types[i] in blue_types:  # red root: opens a block
+            red_blocks.append((tau[i], dep[i]))
+            i = max(resume[i], i + 1)
         else:
-            color.append("b")
-            blue_types.add(j)
-    color = np.asarray(color, dtype="U1")
-    blue_side = np.asarray(blue_side)
+            blue.append(i)
+            blue_types.add(types[i])
+            i += 1
+    color, blue_side = np.full(n, "r"), np.zeros(n, dtype=bool)
+    color[0], color[blue], blue_side[side] = "", "b", True
 
     end = trace.horizon
     red_blocks = [(a, min(b, end)) for a, b in red_blocks if a < end]
@@ -310,27 +307,24 @@ def color_blue_red(trace: MarkovTrace) -> MarkovTrace:
 
 
 def _cum_steps(times: np.ndarray, sizes: np.ndarray) -> StepFunction:
-    order = np.argsort(times)
-    t = np.concatenate(([0.0], times[order]))
-    v = np.concatenate(([0.0], np.cumsum(sizes[order])))
+    order = times.argsort()
+    t = np.concatenate(([0.0], times.take(order)))
+    v = np.concatenate(([0.0], sizes.take(order).cumsum()))
     return _collapsed(t, v)
 
 
 def _clock(intervals):
-    """Lambda(t) = Lebesgue measure of the interval set up to t."""
-    starts = np.asarray([a for a, _ in intervals])
-    ends = np.asarray([b for _, b in intervals])
-    cum = np.concatenate(([0.0], np.cumsum(ends - starts)))
+    """Lambda(t) = measure of the (ordered, disjoint) intervals up to t."""
+    ab = np.zeros((2, len(intervals) + 1))
+    ab[:, :-1] = np.asarray(intervals, dtype=float).reshape(-1, 2).T
+    ab[:, -1] = ab[0, 0]    # index -1, before every interval: an empty one
+    starts, ends = ab
+    cum = np.concatenate(([0.0], (ends - starts)[:-2].cumsum(), [0.0]))
 
     def lam(t):
         t = np.asarray(t, dtype=float)
-        if starts.size == 0:
-            out = np.zeros_like(t)
-            return float(out) if out.ndim == 0 else out
-        i = np.searchsorted(starts, t, side="right")
-        j = np.maximum(i - 1, 0)
-        inside = np.clip(np.minimum(t, ends[j]) - starts[j], 0.0, None)
-        out = cum[j] + np.where(i > 0, inside, 0.0)
+        j = starts[:-1].searchsorted(t, "right") - 1
+        out = cum.take(j) + np.maximum(np.minimum(t, ends.take(j)) - starts.take(j), 0.0)
         return float(out) if out.ndim == 0 else out
     return lam
 
@@ -376,52 +370,52 @@ def verify_embedding(trace: MarkovTrace) -> IdentityReport:
     """
     if trace.color is None:
         trace = color_blue_red(trace)
-    lam_b = _clock(trace.blue_intervals)
+    blue = np.asarray(trace.blue_intervals, dtype=float).reshape(-1, 2)
+    lam_b = _clock(blue)
     end = trace.horizon
     blue_total = lam_b(end)
     ev = trace.events()
-    ev = ev[ev <= end]
+    ev = ev[:ev.searchsorted(end, "right")]
 
     # (a) queue-without-repetition reconstruction: first blue arrival per
     # type; the clock is nondecreasing, so its image comes first too
     w = trace.weights.w
     is_blue = trace.color == "b"
     blue_types = trace.types[is_blue]
-    first = np.sort(np.unique(blue_types, return_index=True)[1])
+    order = blue_types.argsort(kind="stable")   # a run's head: a type's first
+    first, s = np.ones(blue_types.size, dtype=bool), blue_types.take(order)
+    first[order[1:][s[1:] == s[:-1]]] = False
     Y_rec = CadlagStepPath(lam_b(trace.tau[is_blue][first]),
-                           w[blue_types[first] - 1], blue_total)
+                           w.take(blue_types[first] - 1), blue_total)
     mids = (ev[:-1] + ev[1:]) / 2.0
-    blue = np.asarray(trace.blue_intervals, dtype=float).reshape(-1, 2)
-    k = np.searchsorted(blue[:, 0], mids, side="right") - 1
-    tb = mids[(k >= 0) & (mids < blue[np.maximum(k, 0), 1])]
+    k = blue[:, 0].searchsorted(mids, "right") - 1
+    tb = mids[(k >= 0) & (mids < blue[:, 1].take(k, mode="clip"))]
     sb = lam_b(tb)
-    err_a = float(np.max(np.abs(Y_rec.value(sb) - trace.X.value(tb)),
-                         initial=0.0))
+    err_a = float(np.abs(Y_rec.value(sb) - trace.X.value(tb)).max(initial=0.0))
 
     # (b) height of the reconstructed path vs H through the blue clock
-    err_b = float(np.max(np.abs(height_of_path(Y_rec)(sb) - trace.H(tb)),
-                         initial=0.0))
+    err_b = float(np.abs(height_of_path(Y_rec)(sb) - trace.H(tb)).max(initial=0.0))
 
     # (c) X = X^b o Lambda^b + X^r o Lambda^r at event times
     lam_r = _clock(trace.red_blocks)
     tau, side = trace.tau[1:], trace.blue_side[1:]
-    sizes = w[trace.types[1:] - 1]
+    sizes = w.take(trace.types[1:] - 1)
     # jumps only; the drift is handled through the clocks
     Xb = _cum_steps(lam_b(tau[side]), sizes[side])
     Xr = _cum_steps(lam_r(tau[~side]), sizes[~side])
     lhs = trace.X.value(ev)
     lb, lr = lam_b(ev), lam_r(ev)
     rhs = (Xb(lb) - lb) + (Xr(lr) - lr)
-    err_c = float(np.max(np.abs(lhs - rhs), initial=0.0))
+    err_c = float(np.abs(lhs - rhs).max(initial=0.0))
 
     # (d) M = 2N - H: M counts jump times of H
     dep = trace.departure[1:]
-    N = np.searchsorted(tau, ev, side="right")     # tau is increasing
-    M = N + np.searchsorted(np.sort(dep[np.isfinite(dep)]), ev, side="right")
-    err_d = float(np.max(np.abs(M - (2 * N - trace.H(ev))), initial=0.0))
+    N = tau.searchsorted(ev, "right")     # tau is increasing
+    M = N + np.sort(dep[np.isfinite(dep)]).searchsorted(ev, "right")
+    err_d = float(np.abs(M - (2 * N - trace.H(ev))).max(initial=0.0))
 
     # (e) distinct iff every blue client is the first of its type
-    err_e = 0.0 if first.size == blue_types.size else 1.0
+    err_e = 0.0 if first.all() else 1.0
     tol_load = TOL_IDENTITY + 8 * ev.size * np.finfo(float).eps * (sizes.sum() + end)
     return IdentityReport({
         "Y_equals_X_at_theta": _verdict(err_a, tb.size, tol_load),

@@ -26,6 +26,13 @@ from typing import NamedTuple
 import numpy as np
 
 
+def _increasing(t) -> bool:
+    """Whether the 1-d float array ``t`` is finite and strictly increasing,
+    in one pass: NaN fails any comparison, an infinity one with an end."""
+    return (t.size == 0 or -math.inf < t[0] and t[-1] < math.inf) \
+        and bool(np.logical_and.reduce(t[1:] > t[:-1]))
+
+
 # The path types compare by identity (eq=False): a field-wise == would
 # take the truth value of numpy arrays, which raises.
 @dataclass(frozen=True, eq=False)
@@ -47,28 +54,26 @@ class CadlagStepPath:
         sizes = np.asarray(sizes, dtype=float)
         if times.shape != sizes.shape or times.ndim != 1:
             raise ValueError("times and sizes must be 1-d of equal length")
-        ok = (np.isfinite(times).all() and (np.diff(times) > 0).all()
-              and ((sizes > 0) & (sizes < math.inf)).all())
+        ok = (_increasing(times) and np.minimum.reduce(sizes, initial=math.inf) > 0
+              and np.maximum.reduce(sizes, initial=0.0) < math.inf)  # NaN fails
         if not ok or math.isnan(horizon):
             raise ValueError("times must be finite and strictly increasing, "
                              "sizes positive and finite, horizon not NaN")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "horizon", float(horizon))
-        object.__setattr__(self, "_cum", np.concatenate(([0.0], np.cumsum(sizes))))
+        object.__setattr__(self, "_cum", np.concatenate(([0.0], sizes.cumsum())))
 
     def value(self, t):
         """Cadlag value at t (scalar or array)."""
         t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.times, t, side="right")
-        out = -t + self._cum[idx]
+        out = self._cum.take(self.times.searchsorted(t, "right")) - t
         return float(out) if out.ndim == 0 else out
 
     def value_left(self, t):
         """Left limit at t."""
         t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.times, t, side="left")
-        out = -t + self._cum[idx]
+        out = self._cum.take(self.times.searchsorted(t, "left")) - t
         return float(out) if out.ndim == 0 else out
 
     @cached_property
@@ -116,15 +121,15 @@ class StepFunction:
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape or times.size == 0:
             raise ValueError("times and values must be nonempty 1-d of equal length")
-        if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
+        if not _increasing(times):
             raise ValueError("times must be finite and strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.times, t, side="right") - 1
-        out = self.values[np.clip(idx, 0, None)]  # constant extension left
+        out = self.values.take(self.times.searchsorted(t, "right") - 1,
+                               mode="clip")  # -1 clips: constant extension left
         return float(out) if out.ndim == 0 else out
 
     def _window(self, a: float, b: float) -> np.ndarray:
@@ -278,7 +283,8 @@ def _lower_neighbours(lv):
     # row 0 (clipped to entry 0).
     J, N = n.bit_length() - 1, n + 2
     table = np.empty((J + 1, N), dtype=np.int32)
-    table[J] = np.unique(lv, return_inverse=True)[1]
+    s = lv.take(order := lv.argsort())  # the dense ranks: np.unique's inverse
+    table[J, order] = np.concatenate(([0], (s[1:] != s[:-1]).cumsum()))
     for r in range(J - 1, -1, -1):
         h = 1 << (J - 1 - r)
         np.minimum(table[r + 1, :-h], table[r + 1, h:], out=table[r, :-h])
@@ -299,7 +305,7 @@ def _lower_neighbours(lv):
 def _collapsed(times, values) -> StepFunction:
     """Step function through time-sorted breakpoints; of equal times the
     last value holds."""
-    keep = np.concatenate((np.diff(times) > 0, [True]))
+    keep = np.concatenate((times[1:] > times[:-1], [True]))
     return StepFunction(times[keep], values[keep])
 
 
@@ -404,14 +410,15 @@ def _write_csv(path, header, columns):
     that need no quoting.  One ``%`` writes each block of cells, interleaved
     row by row into one list, so memory is bounded by one block.
 
-    With two or more CPUs, two or more blocks and no other Python thread,
-    a forked child formats the second half of the blocks while this
-    process formats the first (``_write_halves``); the bytes are the
-    same."""
+    With two or more CPUs, two or more blocks, a float column (int cells
+    format too fast to gain) and no other Python thread, a forked child
+    formats the second half of the blocks while this process formats the
+    first (``_write_halves``); the bytes are the same."""
     blocks = range(0, len(columns[0]), max(1, _BLOCK_CELLS // len(columns)))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(map(str, header)) + "\r\n")
         if (len(blocks) >= 2 and threading.active_count() == 1
+                and any(getattr(c, "dtype", None) == float for c in columns)
                 and hasattr(os, "sched_getaffinity")    # Linux only
                 and len(os.sched_getaffinity(0)) >= 2):
             _write_halves(fh, columns, blocks)

@@ -12,7 +12,7 @@ import numpy as np
 from .direct_graph import _direct_edges, edge_probability
 from .lifo_coder import (_arrival_times, _replica_trace, assemble_graph,
                          sample_pinches)
-from .paths import _BLOCK_CELLS
+from .paths import _BLOCK_CELLS, _sorted_unique
 from .weights import WeightSeq
 
 # per-family multiple-testing level
@@ -147,21 +147,21 @@ def _hist_compare(x: np.ndarray, y: np.ndarray) -> float:
     """Two-sample contingency chi-square over pooled small cells."""
     from scipy import special
 
-    values, cell = np.unique(np.concatenate((x, y)), return_inverse=True)
-    table = np.stack([np.bincount(c, minlength=values.size)
-                      for c in (cell[:x.size], cell[x.size:])]).astype(float)
-    # pool cells until every expected count is at least 5
-    while True:
-        tot = table.sum(axis=0)
-        exp_min = tot.min() * table.sum(axis=1).min() / tot.sum()
-        if exp_min >= 5 or tot.size <= 2:
-            break
-        i = int(np.argmin(tot))
-        j = i + 1 if i + 1 < tot.size else i - 1
-        table[:, j] += table[:, i]
-        table = np.delete(table, i, axis=1)
-    if tot.size < 2:
+    both = np.concatenate((x, y))
+    cell = _sorted_unique(both).searchsorted(both)
+    # pool cells until every expected count is at least 5, on exact ints
+    rows = [np.bincount(c, minlength=cell.max() + 1).tolist()
+            for c in (cell[:x.size], cell[x.size:])]
+    tot = [a + b for a, b in zip(*rows)]
+    while min(tot) * min(x.size, y.size) / both.size < 5 and len(tot) > 2:
+        i = tot.index(min(tot))
+        j = i + 1 if i + 1 < len(tot) else i - 1
+        for c in (tot, *rows):
+            c[j] += c[i]
+            del c[i]
+    if len(tot) < 2:
         return 1.0      # no degree of freedom
+    table, tot = np.array(rows, dtype=float), np.array(tot, dtype=float)
     # chi2_contingency(table).pvalue, computed as it computes it
     expected = np.outer(table.sum(axis=1), tot) / table.sum()
     if tot.size == 2:   # Yates' correction
@@ -187,7 +187,7 @@ def _within(freq: np.ndarray, probs: np.ndarray, band: np.ndarray) -> bool:
     """Every |freq - probs| <= band, with one temporary."""
     dev = freq - probs
     np.abs(dev, out=dev)
-    return bool(np.all(dev <= band))
+    return bool((dev <= band).all())
 
 
 def _edge_tally(n: int, replicas: int, edges):

@@ -61,9 +61,9 @@ class WeightSeq:
         w = np.asarray(w, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-d vector")
-        if not np.all((w > 0) & np.isfinite(w)):
+        if not (0 < np.minimum.reduce(w) and np.maximum.reduce(w) < math.inf):
             raise ValueError("weights must be positive and finite")
-        if np.any(np.diff(w) > 0):
+        if (w[1:] > w[:-1]).any():
             w = np.sort(w)[::-1]
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "_cache", {})

@@ -19,9 +19,11 @@ from wmgraph import (
     simulate_markov,
     verify_embedding,
 )
-from wmgraph.markov_coder import (GwForestStats, IdentityReport, TOL_IDENTITY,
-                                  _clock, _cum_steps, completed_clients)
-from wmgraph.paths import CadlagStepPath, height_of_path
+from wmgraph.markov_coder import (GwForestStats, IdentityReport, MarkovTrace,
+                                  TOL_IDENTITY, _choice_cdf, _clock,
+                                  _cum_steps, completed_clients)
+from wmgraph.paths import (CadlagStepPath, StepFunction, _drain, _openings,
+                           _sorted_unique, height_of_path)
 
 from test_excursions import _bits
 from test_paths import _departure_bound, _reference_replay
@@ -753,3 +755,276 @@ def test_markov_trace_csv_rows_match_the_trace(tmp_path, seed):
         assert int(r["type"]) == trace.types[j]
         assert r["color"] == trace.color[j]
     assert {r["event"] for r in rows} == {"arrival", "departure"}
+
+
+# The Markov identity path as first vectorised: numpy's function wrappers
+# (np.searchsorted, np.clip, np.append, np.cumsum, np.unique), a colouring
+# loop over every arrival, and a clock with an explicit empty case.  The
+# leaner code must give the same trace, colouring, clocks and reports, bit
+# for bit.
+
+def _ref_drawn_arrivals(w, rng_seed):
+    rng = np.random.default_rng(rng_seed)
+    cdf = _choice_cdf(w.w / w.sigma(1.0))
+    t, m = 0.0, 16
+    while True:
+        ts = np.cumsum(np.append(t, rng.exponential(1.0, m)))[1:]
+        yield ts, cdf.searchsorted(rng.random(m), "right") + 1
+        t, m = ts[-1], 2 * m
+
+
+def _ref_simulate_markov(w, horizon=math.inf, rng_seed=0, stop_at_empty=None,
+                         forced_arrivals=None):
+    stop = math.inf if stop_at_empty is None else stop_at_empty
+    if forced_arrivals is not None:
+        times, types = np.array(forced_arrivals, dtype=float).reshape(
+            len(forced_arrivals), 2).T
+        types = types.astype(np.int64)
+        if math.isinf(horizon):
+            horizon = (float(times[-1]) + math.fsum(w.w[types - 1])
+                       if times.size else 1.0)
+        chunks = [(times, types)]
+    else:
+        chunks = _ref_drawn_arrivals(w, rng_seed)
+    times, types, c, low, roots = [], [], 0.0, math.inf, 0
+    for ts, js in chunks:
+        cs = np.cumsum(np.append(c, w.w[js - 1]))
+        levels = cs[:-1] - ts
+        opens = np.flatnonzero(_openings(levels, low))
+        k = int(ts.searchsorted(horizon, "right"))
+        if opens.size > stop - roots:
+            k = min(k, int(opens[stop - roots]))
+        times.append(ts[:k])
+        types.append(js[:k])
+        if k < ts.size:
+            break
+        c, low, roots = cs[-1], levels.min(initial=low), roots + opens.size
+    times, types = np.concatenate(times), np.concatenate(([0], *types))
+    sizes = w.w[types[1:] - 1]
+    rep = _drain(times, np.concatenate(([0.0], np.cumsum(sizes))))
+    empty = rep.departure[rep.parent == 0]
+    end = float(horizon)
+    if empty.size == stop and empty[-1] <= horizon:
+        end = float(empty[-1])
+    departure = np.concatenate(([0.0], rep.departure))
+    departure[departure > end] = math.inf
+    h = rep.H.times.searchsorted(end, "right")
+    return MarkovTrace(
+        weights=w, tau=np.concatenate(([0.0], times)), types=types,
+        departure=departure, pre_level=np.concatenate(([0.0], rep.pre_level)),
+        parent=np.concatenate(([0], rep.parent)),
+        X=CadlagStepPath(times, sizes, end),
+        H=StepFunction(rep.H.times[:h], rep.H.values[:h]),
+        horizon=end, empty_epochs=empty[empty <= end],
+        event_order=rep.event_order)
+
+
+def _ref_clock(intervals):
+    starts = np.asarray([a for a, _ in intervals])
+    ends = np.asarray([b for _, b in intervals])
+    cum = np.concatenate(([0.0], np.cumsum(ends - starts)))
+
+    def lam(t):
+        t = np.asarray(t, dtype=float)
+        if starts.size == 0:
+            out = np.zeros_like(t)
+            return float(out) if out.ndim == 0 else out
+        i = np.searchsorted(starts, t, side="right")
+        j = np.maximum(i - 1, 0)
+        inside = np.clip(np.minimum(t, ends[j]) - starts[j], 0.0, None)
+        out = cum[j] + np.where(i > 0, inside, 0.0)
+        return float(out) if out.ndim == 0 else out
+    return lam
+
+
+def _ref_cum_steps(times, sizes):
+    order = np.argsort(times)
+    t = np.concatenate(([0.0], times[order]))
+    v = np.concatenate(([0.0], np.cumsum(sizes[order])))
+    keep = np.concatenate((np.diff(t) > 0, [True]))
+    return StepFunction(t[keep], v[keep])
+
+
+def _ref_color_blue_red(trace):
+    color, blue_side = [""], [False]
+    blue_types: set = set()
+    red_blocks = []
+    open_block_end = -math.inf
+    for t, j, d in zip(trace.tau.tolist()[1:], trace.types.tolist()[1:],
+                       trace.departure.tolist()[1:]):
+        in_red = t < open_block_end
+        blue_side.append(not in_red)
+        if in_red or j in blue_types:
+            color.append("r")
+            if not in_red:
+                red_blocks.append((t, d))
+                open_block_end = d
+        else:
+            color.append("b")
+            blue_types.add(j)
+    color = np.asarray(color, dtype="U1")
+    blue_side = np.asarray(blue_side)
+    end = trace.horizon
+    red_blocks = [(a, min(b, end)) for a, b in red_blocks if a < end]
+    cuts = [0.0, *(x for block in red_blocks for x in block), end]
+    blue_intervals = [(a, b) for a, b in zip(cuts[::2], cuts[1::2]) if a < b]
+    lam = _ref_clock(blue_intervals)
+    bt = lam(trace.tau[blue_side])
+    sizes = trace.weights.w[trace.types[blue_side] - 1]
+    is_blue = color[blue_side] == "b"
+    return replace(trace, color=color, blue_side=blue_side,
+                   red_blocks=tuple(red_blocks),
+                   blue_intervals=tuple(blue_intervals),
+                   A=_ref_cum_steps(bt[~is_blue], sizes[~is_blue]),
+                   Y_emb=CadlagStepPath(bt[is_blue], sizes[is_blue], lam(end)))
+
+
+def _ref_verify_embedding(trace):
+    lam_b = _ref_clock(trace.blue_intervals)
+    end = trace.horizon
+    blue_total = lam_b(end)
+    ev = _sorted_unique(np.append(trace.H.times, trace.horizon))
+    ev = ev[ev <= end]
+    w = trace.weights.w
+    is_blue = trace.color == "b"
+    blue_types = trace.types[is_blue]
+    first = np.sort(np.unique(blue_types, return_index=True)[1])
+    Y_rec = CadlagStepPath(lam_b(trace.tau[is_blue][first]),
+                           w[blue_types[first] - 1], blue_total)
+    mids = (ev[:-1] + ev[1:]) / 2.0
+    blue = np.asarray(trace.blue_intervals, dtype=float).reshape(-1, 2)
+    k = np.searchsorted(blue[:, 0], mids, side="right") - 1
+    tb = mids[(k >= 0) & (mids < blue[np.maximum(k, 0), 1])]
+    sb = lam_b(tb)
+    err_a = float(np.max(np.abs(Y_rec.value(sb) - trace.X.value(tb)),
+                         initial=0.0))
+    err_b = float(np.max(np.abs(height_of_path(Y_rec)(sb) - trace.H(tb)),
+                         initial=0.0))
+    lam_r = _ref_clock(trace.red_blocks)
+    tau, side = trace.tau[1:], trace.blue_side[1:]
+    sizes = w[trace.types[1:] - 1]
+    Xb = _ref_cum_steps(lam_b(tau[side]), sizes[side])
+    Xr = _ref_cum_steps(lam_r(tau[~side]), sizes[~side])
+    lhs = trace.X.value(ev)
+    lb, lr = lam_b(ev), lam_r(ev)
+    rhs = (Xb(lb) - lb) + (Xr(lr) - lr)
+    err_c = float(np.max(np.abs(lhs - rhs), initial=0.0))
+    dep = trace.departure[1:]
+    N = np.searchsorted(tau, ev, side="right")
+    M = N + np.searchsorted(np.sort(dep[np.isfinite(dep)]), ev, side="right")
+    err_d = float(np.max(np.abs(M - (2 * N - trace.H(ev))), initial=0.0))
+    err_e = 0.0 if first.size == blue_types.size else 1.0
+    eps = np.finfo(float).eps
+    tol_load = TOL_IDENTITY + 8 * ev.size * eps * (sizes.sum() + end)
+
+    def verdict(err, points, tol=TOL_IDENTITY):
+        return {"pass": bool(err < tol), "max_abs_err": err,
+                "n_points": int(points)}
+    return IdentityReport({
+        "Y_equals_X_at_theta": verdict(err_a, tb.size, tol_load),
+        "height_through_blue_clock": verdict(err_b, tb.size),
+        "blue_red_decomposition": verdict(err_c, ev.size, tol_load),
+        "H_jump_counter": verdict(err_d, ev.size),
+        "blue_types_distinct": verdict(err_e, blue_types.size)})
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+def _assert_same_trace(got, ref):
+    """Every field bit for bit: arrays, paths, blocks, intervals, floats."""
+    for f in fields(ref):
+        a, b = getattr(got, f.name), getattr(ref, f.name)
+        if isinstance(b, (CadlagStepPath, StepFunction)):
+            assert type(a) is type(b), f.name
+            for part in ("times", "sizes", "values", "_cum"):
+                if hasattr(b, part):
+                    assert _same_bits(getattr(a, part), getattr(b, part)), \
+                        (f.name, part)
+            if isinstance(b, CadlagStepPath):
+                assert _bits([a.horizon]) == _bits([b.horizon]), f.name
+        elif isinstance(b, np.ndarray):
+            assert _same_bits(a, b), f.name
+        elif isinstance(b, tuple):   # red blocks, blue intervals
+            assert [tuple(map(type, p)) for p in a] \
+                == [tuple(map(type, p)) for p in b], f.name
+            assert _bits([x for p in a for x in p]) \
+                == _bits([x for p in b for x in p]), f.name
+        elif isinstance(b, float):
+            assert _bits([a]) == _bits([b]), f.name
+        else:
+            assert a is b or a == b, f.name
+
+
+def _assert_same_report(got, ref):
+    assert got.results.keys() == ref.results.keys()
+    for name, r in ref.results.items():
+        g = got.results[name]
+        assert g["pass"] is r["pass"] and g["n_points"] == r["n_points"], name
+        assert type(g["max_abs_err"]) is float
+        assert _bits([g["max_abs_err"]]) == _bits([r["max_abs_err"]]), name
+    assert got.to_json() == ref.to_json()
+
+
+def _certify_shaped_runs():
+    """300 certify-shaped runs: (2, 1, 1, 1) to horizon 60 and ones(1000)
+    to horizon 1000, both stopping at 5 empty epochs."""
+    small, ones = WeightSeq([2.0, 1.0, 1.0, 1.0]), WeightSeq(np.ones(1000))
+    for r in range(150):
+        yield small, 60.0, np.random.SeedSequence([11, r, 0])
+        yield ones, 1000.0, np.random.SeedSequence([11, r, 1])
+
+
+def test_markov_path_equals_the_wrapper_reference_bit_for_bit():
+    for w, horizon, seed in _certify_shaped_runs():
+        tr = simulate_markov(w, horizon=horizon, stop_at_empty=5,
+                             rng_seed=seed)
+        ref = _ref_simulate_markov(w, horizon=horizon, stop_at_empty=5,
+                                   rng_seed=seed)
+        _assert_same_trace(tr, ref)
+        got, want = color_blue_red(tr), _ref_color_blue_red(ref)
+        _assert_same_trace(got, want)
+        _assert_same_report(verify_embedding(got), _ref_verify_embedding(want))
+
+
+@pytest.mark.parametrize("forced, horizon, red", [
+    # repeated types: red roots, blocks and A jumps, a block past the end
+    ([(0.5, 1), (0.7, 1), (0.9, 2), (1.5, 2), (1.6, 1), (4.0, 1)], math.inf,
+     True),
+    ([(0.25, 2), (0.5, 2), (0.75, 2), (1.0, 1), (1.25, 1)], 2.0, True),
+    ([(0.1, 1), (0.2, 2), (0.3, 1), (0.4, 2), (5.0, 2), (5.1, 1)], 5.05, True),
+    # distinct types: no red block at all
+    ([(0.5, 1), (0.75, 2), (3.0, 3)], math.inf, False),
+    ([], 1.0, False),
+], ids=["repeats", "repeats_dyadic", "block_at_the_end", "no_red_block",
+        "no_arrivals"])
+def test_forced_markov_paths_equal_the_wrapper_reference(forced, horizon, red):
+    w = WeightSeq([1.0, 0.5, 0.25])
+    tr = simulate_markov(w, horizon=horizon, forced_arrivals=forced)
+    ref = _ref_simulate_markov(w, horizon=horizon, forced_arrivals=forced)
+    _assert_same_trace(tr, ref)
+    got, want = color_blue_red(tr), _ref_color_blue_red(ref)
+    _assert_same_trace(got, want)
+    assert bool(got.red_blocks) is red
+    _assert_same_report(verify_embedding(got), _ref_verify_embedding(want))
+
+
+@pytest.mark.parametrize("intervals", [
+    (), ((0.0, 1.0),), ((0.0, 1.0), (2.0, 2.5), (4.0, 10.0)),
+    ((0.5, 0.5), (1.0, 3.0)), ((0.25, 1.0), (1.0, 1.0), (2.0, 2.0)),
+    ((1e-300, 1e300),)])
+def test_clock_equals_the_wrapper_reference(intervals):
+    got, want = _clock(intervals), _ref_clock(intervals)
+    ends = [x for p in intervals for x in p]
+    rng = np.random.default_rng(len(intervals))
+    t = np.concatenate((ends, np.nextafter(ends, -np.inf),
+                        np.nextafter(ends, np.inf), [-0.0, 0.0, -1.0, 12.0],
+                        [-np.inf, np.inf], rng.uniform(-1.0, 11.0, 200)))
+    assert _same_bits(got(t), want(t))
+    assert _same_bits(got(np.sort(t)), want(np.sort(t)))
+    for x in t.tolist():
+        assert _bits([got(x)]) == _bits([want(x)]), x
+        assert type(got(x)) is float

@@ -114,6 +114,140 @@ def test_cadlag_validation():
             StepFunction(times, [1.0, 2.0])
 
 
+def _reference_step_check(times, values):
+    """StepFunction's checks as first written (np.isfinite, then np.diff):
+    the ValueError message they raise, or None."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if times.ndim != 1 or times.shape != values.shape or times.size == 0:
+        return "times and values must be nonempty 1-d of equal length"
+    with np.errstate(invalid="ignore", over="ignore"):   # in np.diff
+        if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
+            return "times must be finite and strictly increasing"
+    return None
+
+
+def _reference_path_check(times, sizes, horizon):
+    """CadlagStepPath's checks as first written, as _reference_step_check."""
+    times = np.asarray(times, dtype=float)
+    sizes = np.asarray(sizes, dtype=float)
+    if times.shape != sizes.shape or times.ndim != 1:
+        return "times and sizes must be 1-d of equal length"
+    with np.errstate(invalid="ignore", over="ignore"):
+        ok = (np.isfinite(times).all() and (np.diff(times) > 0).all()
+              and ((sizes > 0) & (sizes < math.inf)).all())
+    if not ok or math.isnan(horizon):
+        return ("times must be finite and strictly increasing, sizes "
+                "positive and finite, horizon not NaN")
+    return None
+
+
+def _reference_graph_check(n, weights, edges):
+    """AssembledGraph's checks, as _reference_step_check: the message, or
+    None."""
+    if np.shape(weights) != (n,):
+        return f"need one weight per vertex, n = {n}"
+    a = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    a = np.empty((0, 2), np.int64) if a.shape == (0,) else a
+    if a.ndim != 2 or a.shape[1] != 2:
+        return "edges must be (u, v) pairs"
+    if a.dtype.kind not in "biu":
+        return "edge endpoints must be integers"
+    e = np.asarray(sorted(map(tuple, a.astype(np.int64).tolist())))
+    for k, (u, v) in enumerate(e.reshape(-1, 2).tolist()):
+        if not (1 <= u < v <= n) or k and (u, v) == tuple(e[k - 1]):
+            return f"invalid edge ({u}, {v})"
+    return None
+
+
+def _bad_times():
+    """Times that break finiteness or strict increase: NaN and +-inf first,
+    in the middle and last, ties, decreasing runs, and single entries."""
+    base = [0.5, 1.0, 2.0, 3.5, 4.0]
+    for bad in (math.nan, math.inf, -math.inf):
+        for at in (0, 2, 4):
+            yield base[:at] + [bad] + base[at + 1:]
+        yield [bad]
+    yield [0.5, 1.0, 1.0, 3.5, 4.0]     # a tie
+    yield [4.0, 3.5, 2.0, 1.0, 0.5]     # decreasing
+    yield [0.5, 2.0, 1.0, 3.5, 4.0]     # one step down
+    yield [-math.inf, math.inf]
+    yield [math.inf, math.inf]
+
+
+def _good_times():
+    yield from ([0.5, 1.0, 2.0, 3.5, 4.0], [0.0], [-3.0, -0.0, 5e-324],
+                [-1e308, 1e308], [0, 1, 2], np.arange(200) / 7.0)
+
+
+def _path_inputs():
+    """(times, sizes, horizon) the path types must accept or reject."""
+    for t in chain(_bad_times(), _good_times()):
+        yield t, np.ones(len(t)), 10.0
+    base = [0.5, 1.0, 2.0, 3.5, 4.0]
+    for bad in (0.0, -0.0, -1.0, math.inf, math.nan, -math.inf):
+        for at in (0, 2, 4):
+            yield base, [1.0] * at + [bad] + [1.0] * (4 - at), 10.0
+    yield base, [5e-324, 1e308, 1.0, 2.0, 3.0], 10.0
+    for horizon in (math.nan, math.inf, -math.inf, 0.0):
+        yield base, np.ones(5), horizon
+    # empty, 2-d and mismatched shapes
+    yield [], [], 1.0
+    yield [[0.0, 1.0], [2.0, 3.0]], [[1.0, 1.0], [1.0, 1.0]], 1.0
+    yield [[0.0]], [[1.0]], 1.0
+    yield base, [1.0, 1.0], 1.0
+    yield base[:2], np.ones(3), 1.0
+
+
+def test_path_checks_equal_the_reference_checks():
+    # the one-pass checks reject what np.isfinite and np.diff rejected,
+    # with the same message, and accept the rest unchanged
+    verdicts = {"step": set(), "path": set()}
+    for times, sizes, horizon in _path_inputs():
+        want = _reference_step_check(times, sizes)
+        if want is None:
+            h = StepFunction(times, sizes)
+            assert _bits(h.times) == _bits(np.asarray(times, dtype=float))
+        else:
+            with pytest.raises(ValueError) as err:
+                StepFunction(times, sizes)
+            assert str(err.value) == want, (times, sizes)
+        verdicts["step"].add(want)
+        want = _reference_path_check(times, sizes, horizon)
+        if want is None:
+            y = CadlagStepPath(times, sizes, horizon)
+            cum = np.concatenate(([0.0], np.cumsum(np.asarray(sizes, float))))
+            assert _bits(y._cum) == _bits(cum)
+        else:
+            with pytest.raises(ValueError) as err:
+                CadlagStepPath(times, sizes, horizon)
+            assert str(err.value) == want, (times, sizes, horizon)
+        verdicts["path"].add(want)
+    assert all(len(v) == 3 for v in verdicts.values()), verdicts
+
+
+def test_graph_checks_equal_the_reference_checks():
+    from wmgraph.direct_graph import AssembledGraph
+    cases = [(3, np.ones(3), [(1, 2), (2, 3)]), (3, np.ones(3), [(2, 3), (1, 2)]),
+             (3, np.ones(3), []), (3, np.ones(3), np.empty((0, 2), np.int64)),
+             (3, np.ones(2), [(1, 2)]), (3, np.ones((3, 1)), [(1, 2)]),
+             (3, np.ones(3), [(1, 2), (1, 2)]), (3, np.ones(3), [(2, 2)]),
+             (3, np.ones(3), [(3, 1)]), (3, np.ones(3), [(0, 1)]),
+             (3, np.ones(3), [(1, 4)]), (3, np.ones(3), [(1.0, 2.0)]),
+             (3, np.ones(3), [(1, math.nan)]), (3, np.ones(3), np.ones((2, 2, 2))),
+             (3, np.ones(3), [(1, 2, 3)]), (3, np.ones(3), [1, 2]),
+             (4, np.ones(4), np.array([[3, 4], [1, 2], [1, 3]], np.int32))]
+    for n, weights, edges in cases:
+        want = _reference_graph_check(n, weights, edges)
+        if want is None:
+            g = AssembledGraph(n=n, weights=weights, edges=edges, provenance="t")
+            assert g.edges.tolist() == sorted(map(list, g.edges.tolist()))
+        else:
+            with pytest.raises(ValueError) as err:
+                AssembledGraph(n=n, weights=weights, edges=edges, provenance="t")
+            assert str(err.value) == want, (n, edges)
+
+
 @pytest.mark.parametrize("make", [
     lambda: CadlagStepPath([0.2, 0.4], [1.0, 0.5], 2.0),
     lambda: StepFunction([0.0, 1.0], [0.0, 2.0]),
