@@ -257,4 +257,6 @@ def write_component_csv(views: Sequence, path):
     vertices, masses, _ = views.columns
     _write_csv(path, ["rank", "mass", "count", "root"],
                [range(1, len(views) + 1), np.asarray(masses),
-                list(map(len, vertices)), list(map(itemgetter(0), vertices))])
+                np.fromiter(map(len, vertices), np.int64, len(vertices)),
+                np.fromiter(map(itemgetter(0), vertices), np.int64,
+                            len(vertices))])

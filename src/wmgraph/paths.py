@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import math
 import os
-import shutil
-import sys
-import tempfile
-import threading
-import warnings
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -310,7 +307,7 @@ def _collapsed(times, values) -> StepFunction:
 
 
 _BLOCK_CELLS = 1 << 16
-_EVENTS = np.array(["arrival", "departure"], dtype=object)
+_EVENTS = np.array([b"arrival", b"departure"], dtype="S9")
 
 
 def _check_memory(need: float, what: str):
@@ -407,93 +404,361 @@ def _write_csv(path, header, columns):
     """The one writer of result files: a header row, then row i of item i of
     each equal-length column, CRLF line ends.  A cell is ``str`` of its value
     (for a float, its round-tripping ``repr``); string cells are fixed tokens
-    that need no quoting.  One ``%`` writes each block of cells, interleaved
-    row by row into one list, so memory is bounded by one block.
+    that need no quoting.  ``_text_block`` encodes a block of about
+    ``_BLOCK_CELLS`` cells at a time, so memory is bounded by one block."""
+    step = max(1, _BLOCK_CELLS // len(columns))
+    _write_blocks(path, header, ([c[a:a + step] for c in columns]
+                                 for a in range(0, len(columns[0]), step)))
 
-    With two or more CPUs, two or more blocks, a float column (int cells
-    format too fast to gain) and no other Python thread, a forked child
-    formats the second half of the blocks while this process formats the
-    first (``_write_halves``); the bytes are the same."""
-    blocks = range(0, len(columns[0]), max(1, _BLOCK_CELLS // len(columns)))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(map(str, header)) + "\r\n")
-        if (len(blocks) >= 2 and threading.active_count() == 1
-                and any(getattr(c, "dtype", None) == float for c in columns)
-                and hasattr(os, "sched_getaffinity")    # Linux only
-                and len(os.sched_getaffinity(0)) >= 2):
-            _write_halves(fh, columns, blocks)
+
+def _write_blocks(path, header, blocks):
+    with open(path, "wb") as fh:
+        fh.write((",".join(map(str, header)) + "\r\n").encode())
+        for parts in blocks:
+            fh.write(_text_block(parts))
+
+
+def _text_block(parts, row_end=b"\r\n", spell=repr):
+    """The bytes of the rows of equal-length columns ``parts``, cells
+    separated by commas, each row ended by ``row_end``.  A cell is the text
+    of ``str``: float arrays by ``_float_cells`` (``spell`` for the cells it
+    leaves), integer arrays and ranges by ``_int_cells``, byte-string arrays
+    as they are, anything else by ``str`` itself; no cell holds a NUL.
+
+    Each run of adjacent float or integer columns is encoded at once, into
+    a byte matrix of a NUL-padded row per cell.  Row i of the block is laid
+    out as every column's row i and a comma, the last comma a NUL, then
+    ``row_end``; deleting the NULs leaves the text."""
+    r = len(parts[0])
+    if r == 0:
+        return b""
+    runs = []
+    for kind, cols in groupby(map(_cell_kind, parts), key=itemgetter(0)):
+        cols = [p for _, p in cols]
+        if kind == "f":
+            runs.append(_float_cells(_interleaved(cols), spell))
+        elif kind == "i":
+            runs.append(_int_cells(_interleaved(cols)))
         else:
-            fh.writelines(_csv_blocks(columns, blocks))
+            runs += [np.ascontiguousarray(p).view(np.uint8).reshape(r, -1)
+                     for p in cols]
+    runs = [chars.reshape(r, -1, chars.shape[1]) for chars in runs]
+    width = sum(c.shape[1] * (c.shape[2] + 1) for c in runs)
+    buf = np.empty((r, width + len(row_end)), dtype=np.uint8)
+    buf[:, width:] = np.frombuffer(row_end, dtype=np.uint8)
+    at = 0
+    for chars in runs:
+        k, w = chars.shape[1:]
+        cells = buf[:, at:at + k * (w + 1)].reshape(r, k, w + 1)
+        cells[..., :w] = chars
+        cells[..., w] = ord(",")
+        at += k * (w + 1)
+    buf[:, width - 1] = 0
+    return buf.tobytes().translate(None, b"\0")
 
 
-def _csv_blocks(columns, blocks):
-    """The CSV text of each block of rows: a block starts at each item of
-    the range ``blocks`` and holds ``blocks.step`` rows."""
-    m = len(columns)
-    row = ",".join(["%s"] * m) + "\r\n"
-    for a in blocks:
-        parts = [c[a:a + blocks.step] for c in columns]
-        cells = [None] * (m * len(parts[0]))
-        for j, p in enumerate(parts):
-            cells[j::m] = p.tolist() if isinstance(p, np.ndarray) else p
-        yield row * len(parts[0]) % tuple(cells)
+def _interleaved(cols):
+    """The cells of equal-length 1-d arrays ``cols`` row by row."""
+    return np.column_stack(cols).reshape(-1) if len(cols) > 1 else cols[0]
 
 
-def _write_halves(fh, columns, blocks):
-    """Write ``blocks`` to the text file ``fh``: a forked child formats the
-    second half into an unlinked temporary file while this process formats
-    the first half into ``fh``; the child's bytes are then appended."""
-    k = len(blocks) // 2
-    fh.flush()
-    with tempfile.TemporaryFile() as tmp:
-        # Python 3.12+ warns at a fork while any OS thread is alive, and an
-        # idle OpenBLAS worker is one.  The child imports nothing, calls no
-        # BLAS, takes no lock but malloc's (which glibc resets at fork) and
-        # leaves only by os._exit.
-        with warnings.catch_warnings():
-            warnings.filterwarnings(
-                "ignore", r"This process \(pid=\d+\) is multi-threaded",
-                DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            # never unwind into the caller's with and finally blocks: they
-            # would flush the parent's buffers a second time
-            status = 1
+def _cell_kind(p):
+    """A column slice ``p`` as ("f", float array), ("i", integer array
+    within int64) or ("s", array of the byte strings of its cells)."""
+    if isinstance(p, np.ndarray):
+        if p.dtype.kind == "f":
+            return "f", p
+        if p.dtype.kind in "iu" and np.can_cast(p.dtype, np.int64):
+            return "i", p
+        if p.dtype.kind == "S":
+            return "s", p
+        if p.dtype.kind == "U":
             try:
-                for text in _csv_blocks(columns, blocks[k:]):
-                    tmp.write(text.encode(fh.encoding, fh.errors))
-                tmp.flush()
-                status = 0
-            except BaseException:
-                sys.__excepthook__(*sys.exc_info())
-                sys.stderr.flush()
-            finally:
-                os._exit(status)
-        try:
-            fh.writelines(_csv_blocks(columns, blocks[:k]))
-        finally:
-            status = os.waitpid(pid, 0)[1]
-        if status:
-            raise OSError(f"the child writing the second half of {fh.name} "
-                          f"exited with status "
-                          f"{os.waitstatus_to_exitcode(status)}")
-        fh.flush()
-        tmp.seek(0)
-        shutil.copyfileobj(tmp, fh.buffer)
+                return "s", p.astype("S")
+            except UnicodeEncodeError:
+                pass
+        p = p.tolist()
+    elif isinstance(p, range) and -2 ** 63 <= min(p.start, p.stop) \
+            and max(p.start, p.stop) < 2 ** 63:
+        return "i", np.arange(p.start, p.stop, p.step, dtype=np.int64)
+    return "s", np.array([str(v).encode() for v in p] or [b""])[:len(p)]
+
+
+_U64 = np.uint64
+_ZEROS = _U64(0x3030303030303030)    # eight ASCII '0'
+
+
+def _ascii8(v):
+    """The 8 decimal digits of each uint64 ``v`` < 10**8 as ASCII in a
+    uint64, the first in the lowest byte, leading zeros kept: Paul Khuong's
+    SWAR split of v into two 4-digit, four 2-digit and eight 1-digit lanes
+    by multiply-shift division."""
+    hi = v // _U64(10000)
+    lanes = hi | ((v - hi * _U64(10000)) << _U64(32))
+    top = ((lanes * _U64(10486)) >> _U64(20)) & _U64(0x7F0000007F)
+    lanes = ((lanes - _U64(100) * top) << _U64(16)) + top
+    tens = ((lanes * _U64(103)) >> _U64(10)) & _U64(0x000F000F000F000F)
+    tens += (lanes - _U64(10) * tens) << _U64(8)
+    return tens | _ZEROS
+
+
+def _int_cells(v):
+    """``str`` of each integer in ``v`` (within int64), right-aligned and
+    NUL-padded in a row per cell of a uint8 matrix: 8 digits a word."""
+    v = v.astype(np.int64, copy=False)
+    neg = v < 0
+    mag = np.where(neg, -v, v).view(np.uint64)  # -(-2**63) wraps to 2**63
+    # its digits, and its text with a sign
+    length = np.searchsorted(_P10U, mag, "right").clip(1)
+    first = -(length + neg)
+    words = (-int(first.min(initial=-1)) + 7) // 8
+    chars = np.empty((words, v.size), dtype=np.uint64)
+    for w in range(words - 1, -1, -1):
+        q = mag // _U64(10 ** 8)
+        chars[w] = _ascii8(mag - q * _U64(10 ** 8))
+        mag = q
+    # each word drops its bytes before the first of the text
+    first += 8 * words
+    below = np.clip(first - np.arange(0, 8 * words, 8)[:, None], 0, 8)
+    below = below.astype(np.uint64) * _U64(8)
+    chars = ((chars >> below) << below).T.copy().view(np.uint8)
+    chars[neg, first[neg]] = ord("-")
+    return chars[:, first.min(initial=8 * words):]
+
+
+_P10U = np.array([10 ** s for s in range(20)], dtype=np.uint64)
+_P10 = _P10U[:19].astype(np.int64)
+# exact doubles 10**k for k <= 22 (10**23 rounds: it only steers a choice
+# of k), and their high halves in Veltkamp's split
+_P10F = np.array([float(10 ** k) for k in range(24)])
+_P10H = _P10F * 134217729.0 - (_P10F * 134217729.0 - _P10F)
+# x = m 2**e with m in [0.5, 1): x 10**_K_OF_E[e - _E0] is in [1e16, 1e18)
+_E0 = -30
+_K_OF_E = np.array([16 - math.floor((e - 1) * math.log10(2.0))
+                    for e in range(_E0, 60)])
+
+
+def _layout(decpt, nd):
+    """``repr``'s text of the nd digits "A", "B", ... with the decimal
+    point after ``decpt`` of them: fixed-point for -4 < decpt <= 16, else
+    one digit, the rest and a two-digit exponent."""
+    d = "ABCDEFGHIJKLMNOPQ"[:nd]
+    if -4 < decpt <= 16:
+        if decpt <= 0:
+            return "0." + "0" * -decpt + d
+        if decpt >= nd:
+            return d + "0" * (decpt - nd) + ".0"
+        return d[:decpt] + "." + d[decpt:]
+    return d[0] + ("." + d[1:] if nd > 1 else "") + "e%+03d" % (decpt - 1)
+
+
+@cache
+def _layouts():
+    """For each code (k * 17 + nd - 1) * 2 + negative, k in 0..22 and nd in
+    1..17: the text of nd digits with the point after 17 - k of them, as
+    two byte shifts of the 17 digits (a row per shift) and three masks of
+    24 bytes (the digits at the first shift, those at the second, the other
+    bytes as they are, NULs after the text; a row per mask); and the length
+    of the text.  Built on first use."""
+    shifts, masks, lengths = [], [], []
+    for k in range(23):
+        for nd in range(1, 18):
+            for sign in ("", "-"):
+                text = sign + _layout(17 - k, nd)
+                rows, sh = [bytearray(24) for _ in range(3)], []
+                for p, ch in enumerate(text):
+                    if ch.isupper():
+                        c = p - ord(ch) + 65
+                        sh += [c] * (c not in sh)
+                        rows[sh.index(c)][p] = 255
+                    else:
+                        rows[2][p] = ord(ch)
+                shifts.append((sh * 2)[:2])
+                masks.append(b"".join(rows))
+                lengths.append(len(text))
+    masks = np.frombuffer(b"".join(masks), dtype=np.uint64).reshape(-1, 3, 3)
+    return (np.array(shifts).T.copy(), masks.transpose(1, 0, 2).copy(),
+            np.array(lengths))
+
+
+# repr of 0 and of the powers of 2 in [1e-6, 1e17), 2**(e - 1) in row
+# e - _POW2_E0, each as it is and negated
+_POW2_E0 = -19
+_POW2_TEXT = [repr(-v).encode() for v in
+              [0.0] + [2.0 ** (e - 1) for e in range(-18, 58)]]
+_POW2_LENGTHS = np.array(list(map(len, _POW2_TEXT)))
+_POW2_TEXT = np.array([[t[1:], t] for t in _POW2_TEXT],
+                      dtype="S24").view(np.uint8).reshape(-1, 2, 24)
+# float cells are encoded this many at a time, so that their temporaries
+# stay in cache
+_FLOAT_CHUNK = 8192
+
+
+def _float_cells(x, spell=repr):
+    """``repr`` of each float in ``x``, left-aligned and NUL-padded in a row
+    per cell of a uint8 matrix; the cells ``_float_digits`` leaves are
+    given ``spell(cell)``."""
+    x = x.astype(float, copy=False)
+    chars = np.empty((x.size, 24), dtype=np.uint8)
+    width = 0
+    for a in range(0, x.size, _FLOAT_CHUNK):
+        z = slice(a, a + _FLOAT_CHUNK)
+        chars[z], w, left = _float_digits(x[z])
+        left += a
+        chars[left] = np.array([spell(c).encode() for c in x[left].tolist()],
+                               dtype="S24").view(np.uint8).reshape(-1, 24)
+        width = max(width, w, 24 if left.size else 0)
+    return chars[:, :width]
+
+
+def _nearest(P, f, s, distance=True):
+    """The multiple N 10**s nearest P + f (int64 P, f in [0, 1)), the even N
+    of two as near; with ``distance``, also |P + f - N 10**s| rounded once
+    and whether that rounding was exact."""
+    p = _P10.take(s)
+    q, rem = np.divmod(P, p)
+    twice = 2 * rem - p      # 2 (P - q p) - p, against -2 f
+    up = (twice > -2.0 * f) | ((twice == -2.0 * f) & (q & 1 == 1))
+    if not distance:
+        return (q + up) * p
+    rem -= up * p
+    r = rem + f              # |rem| >= 1 > f, or rem = 0: Fast2Sum's test
+    return (q + up) * p, np.abs(r), r - rem == f
+
+
+def _float_digits(x):
+    """``repr``'s text of each float64 in ``x``, left-aligned and NUL-padded
+    in a row per cell of a uint8 matrix (24 columns), the longest text's
+    length, and the indices of the cells left undecided.
+
+    ``repr`` writes the fewest digits that read back as x, the nearest to x
+    if two qualify, the even one of two as near (Gay 1990; Adams, "Ryu",
+    2018).  For |x| in [1e-6, 1e17) the exact P = |x| 10**k is in [1e16,
+    1e17) for some 0 <= k <= 22 (``_scaled``), and the doubles next to x lie
+    2U away, U exact too.  The digits are the multiple of 10**s nearest P
+    for the largest s at which it lies within U (``_shortest``).  The one
+    comparison with U rounds once: a cell within that rounding of U, not
+    finite or outside that range is left undecided.  Zeros and powers of 2
+    (whose spacing below is half) are read from a table of their ``repr``."""
+    a = np.abs(x)
+    ok = (a >= 1e-6) & (a < 1e17)
+    a[~ok] = 1.5
+    mant, e = np.frexp(a)
+    row = np.where((mant == 0.5) & ok, e - _POW2_E0, -1)
+    row[x == 0] = 0
+    ok &= row < 0
+    k, P, f, U = _scaled(a, e)
+    ok &= (k <= 22) & (P >= 10 ** 16) & (P < 10 ** 17)
+    M, decided = _shortest(P, f, U, x.view(np.uint64) % 2 == 0)
+    digits, nd = _digits(M)
+    code = (np.minimum(k, 22) * 17 + nd - 1) * 2 + (x < 0)
+    text, length = _laid_out(digits, code)
+    ok &= decided
+    known = np.flatnonzero(row >= 0)
+    text[known] = _POW2_TEXT[row[known], np.signbit(x[known]).view(np.int8)]
+    width = max(length[ok].max(initial=0),
+                _POW2_LENGTHS.take(row[known]).max(initial=0))
+    return text, int(width), np.flatnonzero(~ok & (row < 0))
+
+
+def _scaled(a, e):
+    """For each a > 0, ``np.frexp``'s exponent e: the k with a 10**k in
+    [1e16, 1e17) (when k <= 22), P and f with a 10**k = P + f exactly, P an
+    int64 and f in [0, 1), and U = 2**(e - 54) 10**k, half the spacing of
+    the doubles at a, scaled.  10**k is an exact double, and Dekker's
+    two-product gives a 10**k as hi + lo exactly."""
+    k = _K_OF_E.take(e - _E0)
+    k -= a * _P10F.take(k) >= 1e17
+    kept = np.minimum(k, 22)
+    ten, th = _P10F.take(kept), _P10H.take(kept)
+    tl = ten - th
+    hi = a * ten
+    ah = a * 134217729.0
+    ah -= ah - a
+    al = a - ah
+    lo = ((ah * th - hi) + ah * tl + al * th) + al * tl
+    fl = np.floor(lo)
+    return (k, hi.astype(np.int64) + fl.astype(np.int64), lo - fl,
+            np.ldexp(ten, e - 54))
+
+
+def _shortest(P, f, U, even):
+    """The multiple M of 10**s nearest P + f for the largest s at which it
+    lies within U (at U exactly where ``even``: such a decimal reads back
+    as x when x's last bit is 0), and whether that was decided exactly.
+
+    2U is in (1.1, 22.3): with 10**s < 2U <= 10**(s + 1), a multiple of
+    10**s lies within U, and at most one of 10**(s + 1) does; if one does,
+    it is every multiple of a larger power within U."""
+    s = (U > 5.0).astype(np.int64)
+    M, r, exact = _nearest(P, f, s + 1)
+    one_more = (r < U) | ((r == U) & exact & even)
+    M = np.where(one_more, M, _nearest(P, f, s, distance=False))
+    return M, (exact | (np.abs(r - U) > U * 2.0 ** -50)) & (M < 10 ** 17)
+
+
+def _digits(M):
+    """The 17 digits of each M < 10**17 as ASCII, from byte 8 of a row of
+    four little-endian words (the first zero), and how many of them run to
+    the last nonzero one."""
+    M = M.view(np.uint64)       # M = A 10**9 + 10 C + D
+    A = M // _U64(10 ** 9)
+    B = M - A * _U64(10 ** 9)
+    C = B // _U64(10)
+    D = B - C * _U64(10)
+    digits = np.zeros((M.size, 4), dtype=np.uint64)
+    digits[:, 1] = _ascii8(A)
+    digits[:, 2] = _ascii8(C)
+    digits[:, 3] = D + _U64(48)
+    # the last nonzero digit: D, else the last of C's, else of A's, the
+    # highest nonzero byte of its ASCII XOR '0's
+    nd = np.full(M.size, 17)
+    end = np.flatnonzero(D == 0)
+    for word, before in ((2, 8), (1, 0)):
+        last = (np.frexp((digits[end, word] ^ _ZEROS).astype(float))[1]
+                - 1) // 8
+        nd[end] = before + 1 + last
+        end = end[last < 0]
+    return digits, np.maximum(nd, 1)
+
+
+def _laid_out(digits, code):
+    """The text of each row of ``_digits`` in the layout of its code
+    (``_layouts``), as a uint8 matrix of 24 columns, and its length: the
+    digits at two shifts, each under its mask, and the other bytes.  The
+    digits shifted by c bytes are the 24 bytes of their row from 8 - c on."""
+    shifts, masks, lengths = _layouts()
+    n = code.size
+    rows = np.ndarray((32 * n - 23,), dtype="V24", buffer=digits,
+                      strides=(1,))
+    at = np.arange(8, 32 * n, 32)
+    text = masks[2].take(code, axis=0)
+    for j in (0, 1):
+        shifted = rows[at - shifts[j].take(code)].view(np.uint64)
+        text |= shifted.reshape(n, 3) & masks[j].take(code, axis=0)
+    return text.view(np.uint8), lengths.take(code)
 
 
 def _write_trace_csv(path, clients, event_order, arrival, departure, load,
                      height, **extra):
     """Rows (time, event, client, Y, H, *extra), one per arrival and per
     finite departure, in ``_drain``'s ``event_order`` of ``clients`` (in
-    arrival order); the other arrays are indexed by client id."""
+    arrival order); the other arrays are indexed by client id.  The columns
+    are built a block of events at a time."""
     n = clients.size
-    ids = np.append(clients, 0).take(event_order % (n + 1))
-    time = np.concatenate((arrival[clients], [math.nan],
-                           departure[clients])).take(event_order)
-    keep = np.isfinite(time)    # not the start of H, nor a late departure
-    ids, time = ids[keep], time[keep]
-    _write_csv(path, ["time", "event", "client", "Y", "H", *extra], [
-        time, _EVENTS.take(event_order[keep] > n), ids,
-        load.value(time), height(time).astype(np.int64),
-        *(column[ids] for column in extra.values())])
+    ids_of = np.append(clients, 0)      # the start of H has no client
+
+    def blocks(step=max(1, _BLOCK_CELLS // (5 + len(extra)))):
+        for a in range(0, event_order.size, step):
+            ev = event_order[a:a + step]
+            dep = ev > n
+            ids = ids_of.take(ev % (n + 1))
+            time = np.where(dep, departure.take(ids), arrival.take(ids))
+            keep = (ev != n) & np.isfinite(time)   # no late departure
+            ids, time = ids[keep], time[keep]
+            yield [time, _EVENTS.take(dep[keep]), ids, load.value(time),
+                   height(time).astype(np.int64),
+                   *(column.take(ids) for column in extra.values())]
+
+    _write_blocks(path, ["time", "event", "client", "Y", "H", *extra],
+                  blocks())

@@ -12,7 +12,7 @@ import numpy as np
 from .direct_graph import _direct_edges, edge_probability
 from .lifo_coder import (_arrival_times, _replica_trace, assemble_graph,
                          sample_pinches)
-from .paths import _BLOCK_CELLS, _sorted_unique
+from .paths import _BLOCK_CELLS, _sorted_unique, _text_block
 from .weights import WeightSeq
 
 # per-family multiple-testing level
@@ -107,21 +107,21 @@ class EdgeCompareReport:
 
     def write_json(self, path):
         """The report as ``json.dump(..., indent=2)`` writes it, byte for
-        byte, with each per-pair array encoded a block of floats at a
-        time: the C encoder, with the indented list's separator, writes
-        each block, where the indenting encoder is pure Python."""
-        with open(path, "w") as fh:
+        byte, with each per-pair array encoded a block of floats at a time
+        by the result-file encoder (``paths._text_block``); a float it
+        leaves is spelled by ``json.dumps``, so NaN and Infinity too."""
+        with open(path, "wb") as fh:
             for i, (key, value) in enumerate(self._fields().items()):
-                fh.write(("," if i else "{") + f"\n  {json.dumps(key)}: ")
+                fh.write(f"{',' if i else '{'}\n  {json.dumps(key)}: ".encode())
                 if not isinstance(value, np.ndarray):
-                    fh.write(json.dumps(value))
+                    fh.write(json.dumps(value).encode())
                     continue
                 for a in range(0, value.size, _BLOCK_CELLS):
-                    block = value[a:a + _BLOCK_CELLS].tolist()
-                    fh.write(("," if a else "[") + "\n    " + json.dumps(
-                        block, separators=(",\n    ", ": "))[1:-1])
-                fh.write("\n  ]" if value.size else "[]")
-            fh.write("\n}")
+                    cells = _text_block([value[a:a + _BLOCK_CELLS]],
+                                        b",\n    ", json.dumps)
+                    fh.write((b"," if a else b"[") + b"\n    " + cells[:-6])
+                fh.write(b"\n  ]" if value.size else b"[]")
+            fh.write(b"\n}")
 
     def summary_lines(self):
         """The text summary one line at a time: a row per pair, then the

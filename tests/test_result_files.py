@@ -3,11 +3,9 @@ inputs: a header row, CRLF line ends, floats by repr, integers in
 decimal."""
 
 import csv
+import json
 import math
-import os
-import threading
 import tracemalloc
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,7 +27,7 @@ from wmgraph import (
     write_matrix_csv,
 )
 from wmgraph.direct_graph import write_component_csv
-from wmgraph.paths import _BLOCK_CELLS, _write_csv
+from wmgraph.paths import _BLOCK_CELLS, _text_block, _write_csv
 
 # clients 1, 2, 3 (w = 1, 1/2, 1/4) arrive at 1/4, 1/2, 3/4, each
 # preempting the last; 3 leaves at 1, 2 at 5/4, 1 at 2; client 4
@@ -230,9 +228,9 @@ def test_matrix_writer_holds_one_block(tmp_path):
     assert (tmp_path / "matrix.csv").read_text().count("\n") == n + 1
 
 
-# The two-process writer (a forked child formats the second half of the
-# blocks) against the serial one, with blocks of a few rows so that small
-# files split: os.sched_getaffinity picks the path.
+# Named for the two-process writer they once held to the serial one: with
+# one writer left they hold its bytes fixed across block boundaries, with
+# blocks of a few rows, which the split on a block boundary relied on.
 SPLIT_WRITERS = {
     **WRITERS,
     "pinches_empty.csv": lambda path: sample_pinches(
@@ -245,42 +243,21 @@ SPLIT_WRITERS = {
 }
 
 
-def _split_and_serial(monkeypatch, tmp_path, write):
-    """The bytes ``write`` puts in a file on the two-process path and on
-    the serial path, and the forks each path made."""
-    fork, forks = os.fork, []
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    out = []
-    for name, cpus in (("split", {0, 1}), ("serial", {0})):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c)
-        write(tmp_path / name)
-        out.append(((tmp_path / name).read_bytes(), len(forks)))
-        forks.clear()
-    return out
-
-
 @pytest.mark.parametrize("n", [0, 3, 8, 12, 13, 19],
                          ids=["0rows", "lt1block", "2blocks", "3blocks",
                               "4blocks_partial", "5blocks_partial"])
 def test_two_process_writer_equals_serial(monkeypatch, tmp_path, n):
-    monkeypatch.setattr("wmgraph.paths._BLOCK_CELLS", 6 * 4)   # 4 rows
     floats, ints, tokens = _cycle(FLOATS, n), _cycle(INTS, n), _cycle(TOKENS, n)
     columns = [np.array(floats), np.array(ints, dtype=np.int64),
                np.array(tokens), [2 ** 70 + k for k in range(n)], floats,
                range(n)]
     header = ["t", 0.25, 1e-05, "C4_integral_y=1", "mass", "flag"]
-    (split, forks), (serial, none) = _split_and_serial(
-        monkeypatch, tmp_path, lambda path: _write_csv(path, header, columns))
-    assert split == serial == _csv_module_bytes(
-        tmp_path / "old.csv", header, zip(*(list(c) for c in columns)))
-    assert (forks, none) == (int(n > 4), 0)
+    _write_csv(tmp_path / "one.csv", header, columns)
+    monkeypatch.setattr("wmgraph.paths._BLOCK_CELLS", 6 * 4)   # 4 rows
+    _write_csv(tmp_path / "blocks.csv", header, columns)
+    assert (tmp_path / "blocks.csv").read_bytes() \
+        == (tmp_path / "one.csv").read_bytes() == _csv_module_bytes(
+            tmp_path / "old.csv", header, zip(*(list(c) for c in columns)))
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 5])
@@ -289,97 +266,127 @@ def test_two_process_result_files_equal_serial(monkeypatch, tmp_path, name,
                                                rows):
     path = tmp_path / name
     SPLIT_WRITERS[name](path)
-    header, *lines = path.read_bytes().split(b"\r\n")[:-1]
+    header = path.read_bytes().split(b"\r\n")[0]
     monkeypatch.setattr("wmgraph.paths._BLOCK_CELLS",
                         rows * (header.count(b",") + 1))
-    (split, forks), (serial, none) = _split_and_serial(
-        monkeypatch, tmp_path, SPLIT_WRITERS[name])
-    assert split == serial == path.read_bytes()
-    # a file of int cells only, graph.csv, is written serially
-    splits = len(lines) > rows and name != "graph.csv"
-    assert (forks, none) == (int(splits), 0)
+    SPLIT_WRITERS[name](tmp_path / "blocks.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == path.read_bytes()
 
 
-def _no_fork():
-    raise AssertionError("the writer forked")
+def _reference_csv_blocks(columns, blocks):
+    """The CSV text of each block of rows, as the writer formatted it
+    before its array encoder: a block starts at each item of the range
+    ``blocks`` and holds ``blocks.step`` rows, and one ``%`` fills a
+    template of ``"%s"`` rows with its cells, interleaved row by row."""
+    m = len(columns)
+    row = ",".join(["%s"] * m) + "\r\n"
+    for a in blocks:
+        parts = [c[a:a + blocks.step] for c in columns]
+        cells = [None] * (m * len(parts[0]))
+        for j, p in enumerate(parts):
+            cells[j::m] = p.tolist() if isinstance(p, np.ndarray) else p
+        yield row * len(parts[0]) % tuple(cells)
 
 
-def test_writer_forks_only_with_two_cpus_and_one_thread(monkeypatch,
-                                                        tmp_path):
-    monkeypatch.setattr("wmgraph.paths._BLOCK_CELLS", 8)      # 4 rows
-    monkeypatch.setattr(os, "fork", _no_fork)
-    want = "a,b\r\n" + "".join(f"{k},{k / 4}\r\n" for k in range(16))
-
-    def check():
-        _write_csv(tmp_path / "x.csv", ["a", "b"],
-                   [range(16), np.arange(16) / 4])
-        assert (tmp_path / "x.csv").read_bytes() == want.encode()
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    check()
-    monkeypatch.delattr(os, "sched_getaffinity")            # not Linux
-    check()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait, args=(60,))
-    thread.start()
-    try:
-        check()
-    finally:
-        stop.set()
-        thread.join(timeout=60)
-    assert not thread.is_alive()
+def _reference_csv(header, columns, step=7):
+    return (",".join(map(str, header)) + "\r\n" + "".join(
+        _reference_csv_blocks(columns, range(0, len(columns[0]), step)))
+    ).encode()
 
 
-class _Unprintable:
-    def __str__(self):
-        raise ValueError("unprintable cell")
+def _random_floats(rng, n):
+    """Floats of every kind the encoder treats apart: log-uniform over its
+    range and past it, short decimals and their neighbours, integers,
+    powers of 2 and 10, subnormals, extremes, zeros, inf and nan."""
+    x = np.concatenate([
+        10.0 ** rng.uniform(-9, 19, n) * rng.choice([-1.0, 1.0], n),
+        rng.uniform(-1e3, 1e3, n).round(rng.integers(0, 16)),
+        rng.integers(-10 ** 6, 10 ** 6, n).astype(float),
+        2.0 ** rng.integers(-1074, 1024, n), 10.0 ** rng.integers(-8, 20, n),
+        rng.choice([0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+                    1.7976931348623157e308, np.inf, -np.inf, np.nan], n)])
+    with np.errstate(over="ignore"):
+        x = np.concatenate((x, np.nextafter(x, np.inf),
+                            np.nextafter(x, -np.inf)))
+    return rng.permutation(x)[:n]
 
 
-def _open_fds():
-    return sorted(os.listdir("/proc/self/fd"))
+@pytest.mark.parametrize("seed", range(4))
+def test_random_mixed_files_equal_the_reference_across_blocks(
+        monkeypatch, tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    ints = rng.integers(-2 ** 63, 2 ** 63 - 1, n, endpoint=True) \
+        >> rng.integers(0, 64, n)
+    columns = [_random_floats(rng, n), ints,
+               rng.integers(0, 10 ** 6, n, dtype=np.int32),
+               rng.choice(np.array([b"arrival", b"departure", b""]), n),
+               rng.choice(["self_loop", "boundary_tie", "", "b"], n),
+               _random_floats(rng, n), range(5, 5 + 3 * n, 3),
+               _random_floats(rng, n).tolist(), ints.tolist(),
+               [2 ** 70 - k for k in range(n)]]
+    order = rng.permutation(len(columns))
+    columns = [columns[j] for j in order]
+    header = [f"c{j}" for j in order]
+    # byte-string cells are written as they are, not as str of bytes
+    want = _reference_csv(header, [
+        c.astype(str) if getattr(c, "dtype", None) == "S9" else c
+        for c in columns])
+    for cells in (1, len(columns) - 1, 3 * len(columns) + 1, 1 << 16):
+        monkeypatch.setattr("wmgraph.paths._BLOCK_CELLS", cells)
+        _write_csv(tmp_path / "x.csv", header, columns)
+        assert (tmp_path / "x.csv").read_bytes() == want, cells
 
 
-@pytest.mark.parametrize("bad_row", [0, 15], ids=["parent", "child"])
-def test_failed_half_raises_and_leaves_nothing(monkeypatch, tmp_path, capfd,
-                                               bad_row):
-    monkeypatch.setattr("wmgraph.paths._BLOCK_CELLS", 8)      # 4 blocks
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    cells = [1] * 16
-    cells[bad_row] = _Unprintable()
-    fds = _open_fds()
-    if bad_row == 0:    # the parent's half: its own error, child reaped
-        expected = pytest.raises(ValueError, match="unprintable cell")
-    else:               # the child's: its traceback, then status 1
-        expected = pytest.raises(OSError, match="exited with status 1")
-    with expected:   # a float column: the file splits
-        _write_csv(tmp_path / "x.csv", ["a", "b"], [np.arange(16.0), cells])
-    if bad_row:
-        assert "ValueError: unprintable cell" in capfd.readouterr().err
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
-    assert _open_fds() == fds
+def _lines(values, encode):
+    """``encode``'s text of ``values``, one per line, and the text of
+    ``str``."""
+    return (encode(values), "".join(f"{v}\n" for v in values.tolist()))
 
 
-def test_fork_warning_of_python_3_12_is_filtered(monkeypatch, tmp_path):
-    # from 3.12 os.fork warns in the parent while any OS thread is alive
-    fork = os.fork
+def _assert_lines_equal(got, want):
+    if got != want.encode():
+        got, want = got.decode().split("\n"), want.split("\n")
+        i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+        raise AssertionError(f"line {i}: {got[i]!r} != {want[i]!r}")
 
-    def warning_fork():
-        pid = fork()
-        if pid:
-            warnings.warn(f"This process (pid={os.getpid()}) is "
-                          "multi-threaded, use of fork() may lead to "
-                          "deadlocks in the child.", DeprecationWarning,
-                          stacklevel=2)
-        return pid
 
-    monkeypatch.setattr(os, "fork", warning_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr("wmgraph.paths._BLOCK_CELLS", 8)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _write_csv(tmp_path / "x.csv", ["a", "b"], [range(16), np.arange(16.0)])
-    assert (tmp_path / "x.csv").read_bytes().count(b"\r\n") == 17
+def test_float_encoder_equals_repr_on_a_million_values():
+    rng = np.random.default_rng(2024)
+    n = 200_000
+    decimals = np.array([round(v, d) for v, d in zip(
+        rng.uniform(-1e4, 1e4, n).tolist(), rng.integers(0, 16, n).tolist())])
+    loguniform = 10.0 ** rng.uniform(-6, 17, n) * rng.choice([-1.0, 1.0], n)
+    powers = np.concatenate((2.0 ** np.arange(-1074, 1024),
+                             10.0 ** np.arange(-323, 309)))
+    x = np.concatenate([
+        loguniform, decimals, np.nextafter(decimals, np.inf),
+        np.nextafter(decimals, -np.inf), powers, np.nextafter(powers, 0.0),
+        np.nextafter(powers, np.inf), -powers,
+        rng.integers(-2 ** 53, 2 ** 53, n).astype(float),
+        np.nextafter(0.0, 1.0) * rng.integers(1, 2 ** 52, 1000),   # subnormals
+        [0.0, -0.0, 5e-324, 1.7976931348623157e308, np.inf, -np.inf, np.nan,
+         1e-6, 1e16, 1e17, 9999999999999998.0, 0.1 + 0.2]])
+    assert x.size >= 10 ** 6
+    # floats: repr; json's spelling passes through the same encoder
+    _assert_lines_equal(*_lines(x, lambda v: _text_block([v], b"\n")))
+    _assert_lines_equal(
+        _text_block([x[-12:]], b"\n", json.dumps),
+        "".join(json.dumps(v) + "\n" for v in x[-12:].tolist()))
+    # the exact path decides nearly every cell in its range
+    left = []
+    _text_block([loguniform], b"\n", lambda v: left.append(v) or repr(v))
+    assert len(left) < n // 100, len(left)
+
+
+def test_int_encoder_equals_str():
+    rng = np.random.default_rng(7)
+    n = 100_000
+    v = rng.integers(-2 ** 63, 2 ** 63 - 1, n, endpoint=True) \
+        >> rng.integers(0, 64, n)
+    tens = 10 ** np.arange(19, dtype=np.int64)
+    v = np.concatenate((v, tens, tens - 1, -tens, 1 - tens, [
+        0, 1, -1, 2 ** 63 - 1, -2 ** 63, -2 ** 63 + 1, 99999999, 100000000]))
+    _assert_lines_equal(*_lines(v, lambda v: _text_block([v], b"\n")))
+    _assert_lines_equal(*_lines(v.astype(np.int32),
+                                lambda v: _text_block([v], b"\n")))
