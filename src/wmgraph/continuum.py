@@ -36,7 +36,8 @@ def default_truncation(p: LimitParams, T: float) -> int:
     """Smallest J with (kappa/2)*T^2*sum_{j>J} c_j^2 below TRUNC_TARGET."""
     if len(p.c) == 0:
         return 0
-    tail = 0.5 * p.kappa * T * T * np.cumsum((p.c ** 2)[::-1])[::-1]
+    with np.errstate(over="ignore"):    # a tail of inf is kept
+        tail = 0.5 * p.kappa * T * T * np.cumsum((p.c ** 2)[::-1])[::-1]
     # tail[j] bounds the contribution of entries j..end
     keep = np.nonzero(tail >= TRUNC_TARGET)[0]
     return int(keep[-1] + 1) if keep.size else 0
@@ -51,7 +52,9 @@ def simulate_limit_Y(p: LimitParams, dt: float | None = None, T: float = 1.0,
     -c_j^2*kappa*t is applied continuously.  c is cut at
     ``default_truncation(p, T)``, unless ``forced_E`` (test hook) fixes
     the jump time of every entry of c; an entry of +inf never lands.  A
-    grid larger than physical memory is rejected before it is allocated."""
+    grid larger than physical memory, or a drift, jump rate or
+    compensator that overflows, is rejected before the grid is
+    allocated."""
     if dt is None:
         dt = 1e-4 * T
     for name, value in (("T", T), ("dt", dt)):
@@ -64,13 +67,28 @@ def simulate_limit_Y(p: LimitParams, dt: float | None = None, T: float = 1.0,
     # at its peak, five float64 arrays of n + 1
     _check_memory(5 * 8 * (n + 1), f"a grid of {n + 1} points")
     J = len(p.c) if forced_E is not None else default_truncation(p, T)
+    c = p.c[:J]
+    half = 0.5 * p.kappa * p.beta
+    with np.errstate(over="ignore"):
+        rate, comp = p.kappa * c, c * c * p.kappa
+    try:
+        comp = math.fsum(comp.tolist())
+    except OverflowError:   # finite terms past the largest float
+        comp = math.inf
+    # each drift term has its largest size at T, so a finite drift at T
+    # keeps every grid value finite
+    for name, value in (("kappa*beta/2", half),
+                        ("kappa*c_j", float(rate.max(initial=0.0))),
+                        ("kappa*sum of c_j^2", comp),
+                        ("the drift at T", -p.alpha * T - half * T * T - T * comp)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} is {value!r}, not a finite number")
     rng = np.random.default_rng(rng_seed)
     t = np.arange(n + 1) * dt
-    y = -p.alpha * t - 0.5 * p.kappa * p.beta * t * t
+    y = -p.alpha * t - half * t * t
     if p.beta > 0:
         incr = rng.normal(0.0, math.sqrt(p.beta * dt), size=n)
         y = y + np.concatenate(([0.0], incr.cumsum()))
-    c = p.c[:J]
     if c.size:
         if forced_E is not None:
             E = np.asarray(forced_E, dtype=float)
@@ -78,8 +96,8 @@ def simulate_limit_Y(p: LimitParams, dt: float | None = None, T: float = 1.0,
                 raise ValueError("forced_E must give one nonnegative time "
                                  "per c entry")
         else:
-            E = rng.exponential(1.0 / (p.kappa * c))
-        y = y - t * math.fsum((c * c * p.kappa).tolist())   # compensator
+            E = rng.exponential(1.0 / rate)
+        y = y - t * comp    # compensator
         # jump sums by cell, cumulated from the first landed cell on (so
         # y[0] keeps its sign); a cell past the last grid point drops it
         k = np.ceil(E / dt - 1e-12)

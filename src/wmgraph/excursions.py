@@ -18,8 +18,8 @@ from .paths import (CadlagStepPath, StepFunction, _group_fsums, _openings,
                     _Rows, _write_csv)
 
 # Strictness tolerance of the grid scan in continuum.limit_masses, where
-# roundoff can manufacture micro-excursions, and the width of a near tie;
-# exact breakpoint paths use exact compares.
+# roundoff can manufacture micro-excursions; exact breakpoint paths use
+# exact compares.
 TOL_EXC = 1e-12
 
 
@@ -32,17 +32,6 @@ class ExcursionDecomposition:
     @property
     def count(self) -> int:
         return len(self.intervals)
-
-    @property
-    def near_ties(self) -> tuple:
-        """Pairs (i, j), i < j, of excursions next to each other in length
-        order whose positive lengths differ by less than 10*TOL_EXC."""
-        srt = np.argsort(self.lengths, kind="stable")
-        a, b = srt[:-1], srt[1:]
-        la, lb = self.lengths[a], self.lengths[b]
-        tie = (np.abs(la - lb) < 10 * TOL_EXC) & (la > 0)
-        return tuple(zip(np.minimum(a, b)[tie].tolist(),
-                         np.maximum(a, b)[tie].tolist()))
 
     def write_masses_csv(self, path, top_k: int = 50):
         masses = self.lengths[:top_k]

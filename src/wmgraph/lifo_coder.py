@@ -140,12 +140,9 @@ def _replica_trace(w: WeightSeq, E: np.ndarray) -> LifoTrace:
     tiny weight's late arrival shifts the later queues so far that
     their times round together)."""
     R, n = E.shape
-    if R == 1:      # no shift, so no sum that could overflow
-        T = E.ravel() + 0.0     # + 0.0, as the shift by 0.0 below
-    else:
-        with np.errstate(over="ignore"):    # checked on the sorted times
-            shift = (E.max(axis=1) + 2.0 * w.sigma(1.0)).cumsum()
-            T = (E + np.concatenate(([0.0], shift[:-1]))[:, None]).ravel()
+    with np.errstate(over="ignore"):    # checked on the sorted times
+        shift = (E.max(axis=1) + 2.0 * w.sigma(1.0)).cumsum()
+        T = (E + np.concatenate(([0.0], shift[:-1]))[:, None]).ravel()
     order = T.argsort(kind="stable") + 1
     times, sizes = T.take(order - 1), w.w.take((order - 1) % n)
     if R > 1 and not _increasing(times):

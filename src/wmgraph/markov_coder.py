@@ -44,7 +44,6 @@ class MarkovTrace:
     blue_side: np.ndarray | None = None      # arrivals whose jump is blue-side
     red_blocks: tuple | None = None          # (start, end) per red block
     blue_intervals: tuple | None = None
-    A: StepFunction | None = None            # repeat-load A^w in the blue clock
     Y_emb: CadlagStepPath | None = None      # X read through the blue clock
 
     @property
@@ -293,17 +292,14 @@ def color_blue_red(trace: MarkovTrace) -> MarkovTrace:
     cuts = [0.0, *(x for block in red_blocks for x in block), end]
     blue_intervals = [(a, b) for a, b in zip(cuts[::2], cuts[1::2]) if a < b]
 
-    # blue-side jumps in the blue clock: blue ones make Y, the blue-side
-    # repeats make A^w
+    # blue jumps in the blue clock make Y
     lam = _clock(blue_intervals)
-    bt = lam(trace.tau[blue_side])
-    sizes = trace.weights.w[trace.types[blue_side] - 1]
-    is_blue = color[blue_side] == "b"
     return replace(trace, color=color, blue_side=blue_side,
                    red_blocks=tuple(red_blocks),
                    blue_intervals=tuple(blue_intervals),
-                   A=_cum_steps(bt[~is_blue], sizes[~is_blue]),
-                   Y_emb=CadlagStepPath(bt[is_blue], sizes[is_blue], lam(end)))
+                   Y_emb=CadlagStepPath(lam(trace.tau[blue]),
+                                        trace.weights.w[trace.types[blue] - 1],
+                                        lam(end)))
 
 
 def _cum_steps(times: np.ndarray, sizes: np.ndarray) -> StepFunction:

@@ -129,19 +129,13 @@ class StepFunction:
                                mode="clip")  # -1 clips: constant extension left
         return float(out) if out.ndim == 0 else out
 
-    def _window(self, a: float, b: float) -> np.ndarray:
-        """Values in force on [a, b], either way round."""
+    def min_on(self, a: float, b: float) -> float:
+        """Minimum over [a, b], either way round: the least of the values
+        in force on it (the function is constant between breakpoints)."""
         if b < a:
             a, b = b, a
         lo, hi = np.searchsorted(self.times, (a, b), side="right") - 1
-        return self.values[max(lo, 0):hi + 1]
-
-    def min_on(self, a: float, b: float) -> float:
-        """Minimum over [a, b] (the function is constant between breakpoints)."""
-        return float(self._window(a, b).min())
-
-    def max_on(self, a: float, b: float) -> float:
-        return float(self._window(a, b).max())
+        return float(self.values[max(lo, 0):hi + 1].min())
 
 
 def uniform_distance(f: StepFunction, g: StepFunction) -> float:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import _write_csv
 from .weights import LimitParams, ScalingTriple
 
 TOL_INV = 1e-10
@@ -210,14 +209,6 @@ class RegimeReport:
     y_grid: np.ndarray
     c4_integrals: np.ndarray   # (len(ns), len(y_grid)) of int_y^{a_n} 1/psi_n
     verdicts: dict
-
-    def write_csv(self, path):
-        head = ["n", "a_n", "b_n", "C1", "C2", "beta0_proxy", "kappa_proxy"]
-        head += [f"C4_integral_y={y:g}" for y in self.y_grid]
-        cols = np.column_stack((
-            self.a, self.a * self.b_over_a, self.c1, self.c2,
-            self.beta0_proxy, self.kappa_proxy, self.c4_integrals))
-        _write_csv(path, head, [self.ns.astype(np.int64), *cols.T])
 
 
 # report window for the per-j weight limits; the full quantified family

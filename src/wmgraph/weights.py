@@ -30,10 +30,9 @@ def _schema_fields(d, *keys) -> dict:
     return d
 
 
-def _number(x, key: str, kind=(int, float)):
-    """``x`` if it is a JSON number (an integer for kind=int) that a float
-    can hold, else ValueError."""
-    if isinstance(x, bool) or not isinstance(x, kind):
+def _number(x, key: str):
+    """``x`` if it is a JSON number that a float can hold, else ValueError."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValueError(f"{key} must be a number, not {json.dumps(x)}")
     try:
         float(x)
@@ -139,11 +138,7 @@ class LimitParams:
 
     @classmethod
     def from_json(cls, text: str) -> "LimitParams":
-        return cls._from_dict(json.loads(text))
-
-    @classmethod
-    def _from_dict(cls, d) -> "LimitParams":
-        d = _schema_fields(d, "alpha", "beta", "kappa")
+        d = _schema_fields(json.loads(text), "alpha", "beta", "kappa")
         return cls(*(_number(d[k], k) for k in ("alpha", "beta", "kappa")),
                    _numbers(d.get("c", []), "c"))
 
@@ -163,22 +158,6 @@ class ScalingTriple:
             raise ValueError("a_n must be finite and positive")
         if not (self.b > 0 and math.isfinite(self.b)):
             raise ValueError("b_n must be finite and positive")
-
-    def to_json(self) -> str:
-        d = {"schema": 1, "n": self.n, "a": self.a, "b": self.b,
-             "weights": list(self.weights.w)}
-        if self.declared_limit is not None:
-            d["limit"] = json.loads(self.declared_limit.to_json())
-        return json.dumps(d)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScalingTriple":
-        d = _schema_fields(json.loads(text), "n", "a", "b", "weights")
-        lim = d.get("limit")
-        return cls(_number(d["n"], "n", int), _number(d["a"], "a"),
-                   _number(d["b"], "b"),
-                   WeightSeq(_numbers(d["weights"], "weights")),
-                   LimitParams._from_dict(lim) if lim else None)
 
 
 def sigma_r(w: WeightSeq, r: float) -> float:

@@ -214,6 +214,14 @@ _HUGE = "1" + "0" * 400    # a JSON integer beyond the float range
     pytest.param("continuum",
                  "--limit", f'{{"schema": 1, "alpha": 0, "beta": 1, "kappa": 1, "c": [{_HUGE}]}}',
                  id="continuum-huge-c"),
+    # kappa*c_j and kappa*c_j^2 overflow: the path would read NaN, then -inf
+    pytest.param("continuum",
+                 "--limit", '{"schema":1,"alpha":0,"beta":1,"kappa":1e300,"c":[1e9]}',
+                 id="continuum-overflowing-jump-rate"),
+    # kappa*beta overflows: Y(0) would be inf*0 = NaN
+    pytest.param("continuum",
+                 "--limit", '{"schema":1,"alpha":0,"beta":1e300,"kappa":1e300}',
+                 id="continuum-overflowing-drift"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, command, flag, text):
     path = tmp_path / "input.json"

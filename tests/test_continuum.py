@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -258,3 +259,22 @@ def test_grid_that_cannot_be_indexed_is_rejected(dt):
     # T / dt overflows to inf, or is finite but past the index range
     with pytest.raises(ValueError, match="grid cells cannot be indexed"):
         simulate_limit_Y(PURE_JUMP, dt=dt, T=1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p,T,name", [
+    (LimitParams(alpha=0, beta=1e300, kappa=1e300), 1.0, "kappa*beta/2"),
+    (LimitParams(alpha=0, beta=1, kappa=1e300, c=[1e9]), 1.0, "kappa*c_j"),
+    (LimitParams(alpha=0, beta=1, kappa=1e200, c=[1e60]), 1.0,
+     "kappa*sum of c_j^2"),
+    # each term is finite; their sum is not
+    (LimitParams(alpha=0, beta=1, kappa=1e200, c=[1e54, 1e54]), 1.0,
+     "kappa*sum of c_j^2"),
+    (LimitParams(alpha=1e300, beta=1, kappa=1), 1e10, "the drift at T"),
+    (LimitParams(alpha=-1e300, beta=1e300, kappa=1), 1e10, "the drift at T"),
+])
+def test_overflowing_drift_or_jump_rate_is_rejected(p, T, name):
+    # the grid would read NaN or -inf: refused, naming the field, with no
+    # warning on the way
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} is .*, not a finite"):
+        simulate_limit_Y(p, T=T)

@@ -128,13 +128,6 @@ def test_excursion_masses_step_and_grid_agree():
         == [approx[0]]
 
 
-def test_near_ties_reported():
-    h = StepFunction([0.0, 1.0, 2.0, 3.0 + 1e-13, 4.0],
-                     [1.0, 0.0, 1.0, 0.0, 0.0])
-    dec = excursions_above_zero(h)
-    assert dec.near_ties == ((0, 1),)
-
-
 def test_assign_pinches_localizes():
     h = StepFunction([0.0, 1.5, 3.0, 5.0], [1.0, 0.0, 2.0, 0.0])
     dec = excursions_above_zero(h)
@@ -160,8 +153,8 @@ def test_assign_pinches_rejects_escapes():
 def _reference_decompose(y):
     """The eager decomposition the lazy one replaced, kept as the
     reference: a jump-index list and a CadlagStepPath per excursion,
-    ordered by a Python sort.  Returns (intervals, lengths, local paths,
-    near ties)."""
+    ordered by a Python sort.  Returns (intervals, lengths, local
+    paths)."""
     raw = []
     start, members, acc, run = None, [], [], 0.0
     for i, (t, x) in enumerate(zip(y.times, y.sizes)):
@@ -179,12 +172,8 @@ def _reference_decompose(y):
     paths = [CadlagStepPath(y.times[m] - s, y.sizes[m], horizon=z)
              for s, z, m in raw]
     order = sorted(range(len(raw)), key=lambda k: (-lengths[k], intervals[k][0]))
-    lengths = [lengths[k] for k in order]
-    srt = sorted(range(len(lengths)), key=lambda k: lengths[k])
-    ties = tuple((min(a, b), max(a, b)) for a, b in zip(srt, srt[1:])
-                 if abs(lengths[a] - lengths[b]) < 10 * TOL_EXC and lengths[a] > 0)
-    return (tuple(intervals[k] for k in order), np.asarray(lengths),
-            [paths[k] for k in order], ties)
+    return (tuple(intervals[k] for k in order),
+            np.asarray([lengths[k] for k in order]), [paths[k] for k in order])
 
 
 def _bits(a):
@@ -235,11 +224,10 @@ def _pareto_load_path():
     _dyadic_zero_hits_path(),
 ], ids=["unit0", "unit1", "pareto", "dyadic", "criterion7", "dyadic_hits"])
 def test_decompose_matches_reference(y):
-    intervals, lengths, paths, ties = _reference_decompose(y)
+    intervals, lengths, paths = _reference_decompose(y)
     dec = decompose_with_masses(y)
     assert [_bits(iv) for iv in dec.intervals] == [_bits(iv) for iv in intervals]
     assert _bits(dec.lengths) == _bits(lengths)
-    assert dec.near_ties == ties
     assert len(dec.local_paths) == len(paths) == dec.count
     for g, ref in zip(dec.local_paths, paths):
         assert _bits(g.times) == _bits(ref.times)
@@ -278,7 +266,7 @@ def test_openings_are_the_replay_roots(y):
 
 def test_dyadic_decomposition_has_exact_ties():
     dec = decompose_with_masses(_dyadic_load_path())
-    assert len(dec.near_ties) > 100
+    assert np.count_nonzero(dec.lengths[1:] == dec.lengths[:-1]) > 100
     # tied lengths are ordered by their left endpoints
     for (l1, r1), (l2, r2) in zip(dec.intervals, dec.intervals[1:]):
         assert r1 - l1 > r2 - l2 or (r1 - l1 == r2 - l2 and l1 < l2)
@@ -386,7 +374,6 @@ def _assert_same_decomposition(dec, ref):
     assert dec.intervals.shape == ref.intervals.shape == (dec.count, 2)
     assert np.array_equal(dec.intervals, ref.intervals)
     assert _bits(dec.lengths) == _bits(ref.lengths)
-    assert dec.near_ties == ref.near_ties
 
 
 def _scan_grid(times, values, end, tol=TOL_EXC):

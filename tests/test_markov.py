@@ -142,11 +142,10 @@ def test_blue_types_distinct_and_repeat_jumps_counted():
         blue_types = [int(tr.types[i]) for i in range(1, tr.n_arrivals + 1)
                       if tr.color[i] == "b"]
         assert len(blue_types) == len(set(blue_types))
-        # A accumulates exactly the blue-side repeat jumps
+        # each blue-side repeat jump opens one red block
         reds_on_blue = [i for i in range(1, tr.n_arrivals + 1)
                         if tr.blue_side[i] and tr.color[i] == "r"]
-        total = math.fsum(float(w.w[tr.types[i] - 1]) for i in reds_on_blue)
-        assert tr.A(tr.A.times[-1]) == pytest.approx(total, abs=1e-12)
+        assert [tr.tau[i] for i in reds_on_blue] == [a for a, _ in tr.red_blocks]
 
 
 def test_clock_pair_inverse():
@@ -198,24 +197,15 @@ def _reference_color_blue_red(trace):
     if cursor < end:
         blue_intervals.append((cursor, end))
     lam = _clock(blue_intervals)
-    a_times, a_sizes, y_times, y_sizes = [], [], [], []
+    y_times, y_sizes = [], []
     for i in range(1, n + 1):
-        if not blue_side[i]:
-            continue
-        bt = lam(float(trace.tau[i]))
-        wt = float(trace.weights.w[trace.types[i] - 1])
         if color[i] == "b":
-            y_times.append(bt)
-            y_sizes.append(wt)
-        else:
-            a_times.append(bt)
-            a_sizes.append(wt)
+            y_times.append(lam(float(trace.tau[i])))
+            y_sizes.append(float(trace.weights.w[trace.types[i] - 1]))
     Y_emb = CadlagStepPath(np.asarray(y_times), np.asarray(y_sizes), lam(end))
-    A = _cum_steps(np.asarray(a_times, dtype=float),
-                   np.asarray(a_sizes, dtype=float))
     return replace(trace, color=color, blue_side=blue_side,
                    red_blocks=tuple(red_blocks),
-                   blue_intervals=tuple(blue_intervals), A=A, Y_emb=Y_emb)
+                   blue_intervals=tuple(blue_intervals), Y_emb=Y_emb)
 
 
 def _reference_verify_embedding(trace):
@@ -314,8 +304,6 @@ def _assert_same_colouring(got, ref):
     assert np.array_equal(got.Y_emb.times, ref.Y_emb.times)
     assert np.array_equal(got.Y_emb.sizes, ref.Y_emb.sizes)
     assert got.Y_emb.horizon == ref.Y_emb.horizon
-    assert np.array_equal(got.A.times, ref.A.times)
-    assert np.array_equal(got.A.values, ref.A.values)
 
 
 def test_colouring_and_identities_equal_per_arrival_reference():
@@ -327,13 +315,13 @@ def test_colouring_and_identities_equal_per_arrival_reference():
         _assert_same_colouring(got, ref)
         assert (verify_embedding(got).to_json()
                 == _reference_verify_embedding(ref).to_json()), (w.w, r)
-    # a repeat type in blue context: one red block, one A jump
+    # a repeat type in blue context: one red block
     tr = simulate_markov(WeightSeq([1.0]),
                          forced_arrivals=[(0.5, 1), (0.7, 1)])
     assert np.array_equal(tr.events(), _reference_events(tr))
     got, ref = color_blue_red(tr), _reference_color_blue_red(tr)
     _assert_same_colouring(got, ref)
-    assert got.A.values.tolist() == [0.0, 1.0]
+    assert got.red_blocks == ((0.7, 0.7 + 1.0),)
     assert (verify_embedding(got).to_json()
             == _reference_verify_embedding(ref).to_json())
 
@@ -875,7 +863,6 @@ def _ref_color_blue_red(trace):
     return replace(trace, color=color, blue_side=blue_side,
                    red_blocks=tuple(red_blocks),
                    blue_intervals=tuple(blue_intervals),
-                   A=_ref_cum_steps(bt[~is_blue], sizes[~is_blue]),
                    Y_emb=CadlagStepPath(bt[is_blue], sizes[is_blue], lam(end)))
 
 
@@ -991,7 +978,7 @@ def test_markov_path_equals_the_wrapper_reference_bit_for_bit():
 
 
 @pytest.mark.parametrize("forced, horizon, red", [
-    # repeated types: red roots, blocks and A jumps, a block past the end
+    # repeated types: red roots and blocks, a block past the end
     ([(0.5, 1), (0.7, 1), (0.9, 2), (1.5, 2), (1.6, 1), (4.0, 1)], math.inf,
      True),
     ([(0.25, 2), (0.5, 2), (0.75, 2), (1.0, 1), (1.25, 1)], 2.0, True),

@@ -265,9 +265,8 @@ def test_step_function_basics():
     assert h(1.0) == 2.0
     assert h(10.0) == 1.0
     assert h(-1.0) == 0.0
-    assert h.min_on(0.5, 1.5) == 0.0
-    assert h.max_on(0.5, 2.5) == 2.0
-    assert h.min_on(1.5, 0.5) == 0.0 and h.max_on(2.5, 0.5) == 2.0
+    assert h.min_on(0.5, 1.5) == 0.0 and h.min_on(1.5, 0.5) == 0.0
+    assert h.min_on(1.5, 2.5) == 1.0 and h.min_on(2.5, 1.5) == 1.0
     for times in ([0.0, float("nan")], [float("nan"), 1.0],
                   [0.0, float("inf")], [float("-inf"), 0.0]):
         with pytest.raises(ValueError, match="finite and strictly increasing"):

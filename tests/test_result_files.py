@@ -15,7 +15,6 @@ from wmgraph import (
     AssembledGraph,
     CodedSpace,
     LimitParams,
-    RegimeReport,
     WeightSeq,
     connected_components,
     decompose_with_masses,
@@ -57,17 +56,6 @@ def _matrix(path):
     write_matrix_csv(space, pinched_matrix(space), path)
 
 
-def _regime(path):
-    RegimeReport(
-        ns=np.array([8, 64]), a=np.array([2.0, 4.0]),
-        b_over_a=np.array([0.5, 0.1]), beta0_proxy=np.array([0.125, 0.0]),
-        kappa_proxy=np.array([1.0, 0.75]), c1=np.array([-0.5, -1.25]),
-        c2=np.array([1.5, 3.0]), c3=np.zeros((2, 1)),
-        y_grid=np.array([1.0, 0.5]),
-        c4_integrals=np.array([[0.25, 0.375], [math.inf, 0.0]]),
-        verdicts={}).write_csv(path)
-
-
 WRITERS = {
     "trace.csv": lambda path: _lifo().write_csv(path),
     "markov_trace.csv": lambda path: simulate_markov(
@@ -84,7 +72,6 @@ WRITERS = {
         LimitParams(alpha=0.5, beta=0.0, kappa=1.0, c=(0.5, 0.25)),
         dt=0.25, T=1.0, forced_E=[0.25, 0.5]).write_csv(path),
     "matrix.csv": _matrix,
-    "regime.csv": _regime,
 }
 
 EXPECTED = {
@@ -136,11 +123,6 @@ EXPECTED = {
         "0.875,0.75,0.5,2,3,boundary_tie\r\n"
         "0.875,1.0625,0.75,3,3,self_loop\r\n"
         "4.0625,0.03125,4.0,4,4,self_loop\r\n"
-    ),
-    "regime.csv": (
-        "n,a_n,b_n,C1,C2,beta0_proxy,kappa_proxy,C4_integral_y=1,C4_integral_y=0.5\r\n"
-        "8,2.0,1.0,-0.5,1.5,0.125,1.0,0.25,0.375\r\n"
-        "64,4.0,0.4,-1.25,3.0,0.0,0.75,inf,0.0\r\n"
     ),
     "trace.csv": (
         "time,event,client,Y,H\r\n"

@@ -96,9 +96,6 @@ def test_json_roundtrips():
     assert (p2.alpha, p2.beta, p2.kappa) == (-1.0, 2.0, 3.0)
     assert p2.c.tolist() == [0.5, 0.25]
     assert json.loads(p.to_json())["schema"] == 1
-    tr = gen_er_triple(100, 0.01)
-    tr2 = ScalingTriple.from_json(tr.to_json())
-    assert tr2.n == 100 and tr2.a == tr.a and tr2.b == tr.b
 
 
 _HUGE = "1" + "0" * 400    # a JSON integer beyond the float range
@@ -114,12 +111,6 @@ _HUGE = "1" + "0" * 400    # a JSON integer beyond the float range
     (LimitParams.from_json, '{"schema": 1, "alpha": 0, "beta": 1, "kappa": "1"}'),
     (LimitParams.from_json,
      '{"schema": 1, "alpha": 0, "beta": 1, "kappa": 1, "c": [[1]]}'),
-    (ScalingTriple.from_json,
-     '{"schema": 1, "n": 2.5, "a": 1, "b": 1, "weights": [1, 1]}'),
-    (ScalingTriple.from_json,
-     '{"schema": 1, "n": 2, "a": [1], "b": 1, "weights": [1, 1]}'),
-    (ScalingTriple.from_json,
-     '{"schema": 1, "n": 2, "a": 1, "b": 1, "weights": {"w": [1, 1]}}'),
     # integers too large for a float
     pytest.param(WeightSeq.from_json,
                  f'{{"schema": 1, "w": [{_HUGE}, 1]}}',
@@ -130,12 +121,6 @@ _HUGE = "1" + "0" * 400    # a JSON integer beyond the float range
     pytest.param(LimitParams.from_json,
                  f'{{"schema": 1, "alpha": 0, "beta": 1, "kappa": 1, "c": [{_HUGE}]}}',
                  id="LimitParams-huge-c"),
-    pytest.param(ScalingTriple.from_json,
-                 f'{{"schema": 1, "n": 2, "a": {_HUGE}, "b": 1, "weights": [1, 1]}}',
-                 id="ScalingTriple-huge-a"),
-    pytest.param(ScalingTriple.from_json,
-                 f'{{"schema": 1, "n": 2, "a": 1, "b": 1, "weights": [{_HUGE}, 1]}}',
-                 id="ScalingTriple-huge-weights"),
 ])
 def test_loaders_reject_wrong_value_types(loader, text):
     with pytest.raises(ValueError, match="must be a"):
