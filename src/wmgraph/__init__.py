@@ -52,7 +52,6 @@ from .scaling import (
     extinction_profile,
     largest_root,
     psi_eval,
-    psi_n_eval,
     psi_report,
 )
 from .stat_harness import EdgeCompareReport, chi_square_gof, edge_marginal_compare, ks_two_sample

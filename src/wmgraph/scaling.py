@@ -1,5 +1,6 @@
 """Laplace-exponent family psi: evaluation, largest root, extinction profile,
-discrete exponents psi_n, and scaling-regime diagnostics.
+and scaling-regime diagnostics (the discrete exponent psi_n is psi of a
+family member's matched limit).
 
 psi(lambda) = alpha*lambda + (beta/2)*lambda^2
               + sum_j kappa*c_j*(e^{-lambda c_j} - 1 + lambda c_j).
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import LimitParams, ScalingTriple
+from .weights import LimitParams
 
 TOL_INV = 1e-10
 MAX_BISECT = 200
@@ -93,12 +94,16 @@ def psi_report(p: LimitParams) -> PsiReport:
     Convergence is judged by the local growth exponent of psi at the
     cutoff: the tail converges iff psi grows superlinearly there, and the
     tail value is then estimated under the quadratic-envelope model
-    psi(lambda) ~= psi(L)*(lambda/L)^2.  The report and psi(L) are
-    memoized in ``p._cache``."""
+    psi(lambda) ~= psi(L)*(lambda/L)^2; a psi(L) or psi(10L) that
+    overflows is a ValueError.  The report and psi(L) are memoized in
+    ``p._cache``."""
     if "psi_report" not in p._cache:
         rho = largest_root(p)
         L = max(1e6, 1e3 * rho)
-        v1, v2 = psi_eval(p, L), psi_eval(p, 10 * L)
+        with np.errstate(over="ignore", invalid="ignore"):
+            v1, v2 = psi_eval(p, L), psi_eval(p, 10 * L)
+        if not (math.isfinite(v1) and math.isfinite(v2)):
+            raise ValueError(f"psi overflows at the cutoff lambda = {L:g}")
         # psi(L) > 0 past the root unless psi == 0, whose tail diverges
         growth = math.log(v2 / v1) / math.log(10.0) if v1 > 0 else 1.0
         grey = growth > 1.0 + 1e-6
@@ -177,20 +182,6 @@ def extinction_profile(p: LimitParams, t: float) -> float:
     raise RuntimeError("extinction profile did not converge")
 
 
-def psi_n_eval(tr: ScalingTriple, lam) -> float | np.ndarray:
-    """Discrete exponent: drift (b/a)(1 - sigma_2/sigma_1)*lambda plus
-    (a*b/sigma_1) * sum_j (w_j/a)(e^{-lambda w_j/a} - 1 + lambda w_j/a)."""
-    lam = np.asarray(lam, dtype=float)
-    w = tr.weights
-    s1, s2 = w.sigma(1.0), w.sigma(2.0)
-    u = w.w / tr.a
-    x = np.multiply.outer(lam, u)
-    drift = (tr.b / tr.a) * (1.0 - s2 / s1) * lam
-    curve = (tr.a * tr.b / s1) * (u * (np.expm1(-x) + x)).sum(axis=-1)
-    out = drift + curve
-    return float(out) if out.ndim == 0 else out
-
-
 def aldous_limic_params(p: LimitParams):
     """Entrance-boundary reparametrization (beta/kappa, alpha/kappa, c)."""
     return p.beta / p.kappa, p.alpha / p.kappa, p.c
@@ -198,76 +189,76 @@ def aldous_limic_params(p: LimitParams):
 
 @dataclass(frozen=True)
 class RegimeReport:
-    ns: np.ndarray
-    a: np.ndarray
-    b_over_a: np.ndarray
+    c1: np.ndarray             # alpha of each member's matched limit
     beta0_proxy: np.ndarray    # b/a^2
-    kappa_proxy: np.ndarray    # a*b/sigma_1
-    c1: np.ndarray             # (b/a)(1 - sigma_2/sigma_1)
-    c2: np.ndarray             # (b/a^2)(sigma_3/sigma_1)
-    c3: np.ndarray             # (len(ns), J) matrix of w_j/a
-    y_grid: np.ndarray
-    c4_integrals: np.ndarray   # (len(ns), len(y_grid)) of int_y^{a_n} 1/psi_n
+    c4_integrals: np.ndarray   # (members, len(C4_Y)) of int_y^{a_n} 1/psi_n
     verdicts: dict
 
 
 # report window for the per-j weight limits; the full quantified family
 # cannot be tabulated
 C3_WINDOW = 20
+C4_Y = (1.0, 4.0, 16.0)        # lower ends y of the C4 integrals
 
 
-def check_regime(family: list, p: LimitParams,
-                 y_grid=(1.0, 4.0, 16.0)) -> RegimeReport:
-    """Numeric trajectories of the regime quantities for a scaling family,
+def _c2(p: LimitParams) -> float:
+    """beta + kappa*sigma_3(c): C2 of a matched limit, or its target."""
+    return p.beta + p.kappa * float(np.sum(p.c ** 3))
+
+
+def _integral_above_root(p: LimitParams, rho: float, y: float,
+                         top: float) -> float:
+    """int_y^top d(lambda)/psi in s = log(lambda - rho), smooth at the root
+    rho, on equal extinction-profile panels no wider than LADDER_STEP.
+    rho is known only to TOL_INV: a y not above it reads as the root,
+    where 1/psi is not integrable, so the integral is inf."""
+    if not y > rho:
+        return math.inf
+    lo, hi = math.log(y - rho), math.log(top - rho)
+    edges = np.linspace(lo, hi, 1 + max(1, math.ceil((hi - lo) / LADDER_STEP)))
+    return math.fsum(_ladder_integral(p, rho, a, b)[0]
+                     for a, b in zip(edges[:-1].tolist(), edges[1:].tolist()))
+
+
+def check_regime(family: list, p: LimitParams) -> RegimeReport:
+    """Regime quantities of a scaling family, read off each member's
+    matched limit (``ScalingTriple.matched_limit``, whose psi is psi_n),
     with convergence verdicts against the declared limit ``p``.
 
     Verdicts are diagnostics only: C1 -> alpha, C2 -> beta + kappa*sigma_3(c),
     C3_j -> c_j, and the height-scale condition is reported as satisfied
     when beta0 > 0, otherwise through the finite-n integrals
-    int_y^{a_n} d(lambda)/psi_n (their decay in y must be extrapolated;
-    no finite-n certificate exists).  An integral across a root of psi_n
-    diverges: it reads inf, and the decay verdict fails."""
-    # imported here, the one use of scipy.integrate: importing it costs
-    # about 0.4 s
-    from scipy.integrate import quad
-
+    int_y^{a_n} d(lambda)/psi_n, y in C4_Y (their decay in y must be
+    extrapolated; no finite-n certificate exists).  psi_n(a_n) =
+    (b/sigma_1) sum_j w_j e^{-w_j} > 0, so psi_n(y) <= 0 puts a root in
+    [y, a_n]: the integral diverges, it reads inf, and the decay verdict
+    fails."""
     if not family:
         raise ValueError("family must be nonempty")
-    ns = np.asarray([tr.n for tr in family])
-    a = np.asarray([tr.a for tr in family])
-    b = np.asarray([tr.b for tr in family])
-    s1, s2, s3 = (np.asarray([tr.weights.sigma(q) for tr in family])
-                  for q in (1.0, 2.0, 3.0))
-    c1 = (b / a) * (1.0 - s2 / s1)
-    c2 = (b / a ** 2) * (s3 / s1)
-    J = min(C3_WINDOW, min(tr.weights.j_max for tr in family))
-    c3 = np.stack([tr.weights.w[:J] / tr.a for tr in family])
-    y_grid = np.asarray(y_grid, dtype=float)
-    c4 = np.zeros((len(family), y_grid.size))
+    c1, c2, beta0 = (np.zeros(len(family)) for _ in range(3))
+    c4 = np.zeros((len(family), len(C4_Y)))
     for i, tr in enumerate(family):
-        # psi_n is convex with psi_n(0) = 0: it has a root in [y, a_n],
-        # where 1/psi_n is not integrable, iff psi_n(y) <= 0 <= psi_n(a_n)
-        psi_y = psi_n_eval(tr, np.append(y_grid, tr.a))
-        for k in np.flatnonzero(y_grid < tr.a):
-            c4[i, k] = (math.inf if psi_y[k] <= 0 <= psi_y[-1] else
-                        quad(lambda u: 1.0 / psi_n_eval(tr, u), y_grid[k],
-                             tr.a, limit=200)[0])
-    beta0 = b / a ** 2
-    kap = a * b / s1
-    target_c2 = p.beta + p.kappa * float(np.sum(p.c ** 3))
+        lim = tr.matched_limit()
+        c1[i], c2[i], rho = lim.alpha, _c2(lim), largest_root(lim)
+        beta0[i] = tr.b / (tr.a * tr.a)
+        for k, y in enumerate(C4_Y):
+            if y < tr.a:
+                c4[i, k] = (math.inf if psi_eval(lim, y) <= 0 else
+                            _integral_above_root(lim, rho, y, tr.a))
+    J = min(C3_WINDOW, min(tr.weights.j_max for tr in family))
     cJ = np.pad(p.c[:J], (0, J - len(p.c[:J])))
     verdicts = {
         "c1_to_alpha": _trendy(c1, p.alpha),
-        "c2_to_beta_plus_kappa_sigma3": _trendy(c2, target_c2),
-        "c3_to_c": bool(np.all(np.abs(c3[-1] - cJ)
+        "c2_to_beta_plus_kappa_sigma3": _trendy(c2, _c2(p)),
+        # lim: the last member's matched limit
+        "c3_to_c": bool(np.all(np.abs(lim.c[:J] - cJ)
                                <= np.maximum(0.05 * np.abs(cJ), 0.05))),
         "height_scale_via_beta0": bool(beta0[-1] > 1e-9),
         "c4_integrals_decreasing_in_y": bool(
             np.all(np.isfinite(c4[-1])) and np.all(np.diff(c4[-1]) <= 1e-12)),
     }
-    return RegimeReport(ns=ns, a=a, b_over_a=b / a, beta0_proxy=beta0,
-                        kappa_proxy=kap, c1=c1, c2=c2, c3=c3, y_grid=y_grid,
-                        c4_integrals=c4, verdicts=verdicts)
+    return RegimeReport(c1=c1, beta0_proxy=beta0, c4_integrals=c4,
+                        verdicts=verdicts)
 
 
 def _trendy(traj: np.ndarray, target: float) -> bool:

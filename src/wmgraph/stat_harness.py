@@ -25,8 +25,8 @@ def chi_square_gof(counts, probs):
     Cells with expected count below 5 are pooled into a single cell; if
     the pool still falls short it is merged with the smallest retained
     cell.  Returns (statistic, p_value)."""
-    # scipy.special is imported where it is used, as are scipy.stats and
-    # scipy.integrate: any of them costs ``import wmgraph`` about 0.3 s
+    # scipy.special is imported where it is used, as is scipy.stats:
+    # either costs ``import wmgraph`` about 0.3 s
     from scipy import special
 
     counts = np.asarray(counts, dtype=float)

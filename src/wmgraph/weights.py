@@ -159,6 +159,15 @@ class ScalingTriple:
         if not (self.b > 0 and math.isfinite(self.b)):
             raise ValueError("b_n must be finite and positive")
 
+    def matched_limit(self) -> LimitParams:
+        """The limit at this member's own parameters: alpha_n =
+        (b/a)(1 - sigma_2/sigma_1), beta = 0, kappa_n = a*b/sigma_1 and
+        c = w/a.  Its psi is the discrete exponent psi_n."""
+        s1, s2 = self.weights.sigma(1.0), self.weights.sigma(2.0)
+        return LimitParams(alpha=(self.b / self.a) * (1.0 - s2 / s1),
+                           beta=0.0, kappa=self.a * self.b / s1,
+                           c=self.weights.w / self.a)
+
 
 def sigma_r(w: WeightSeq, r: float) -> float:
     """Power sum sum_j w_j^r over the positive entries."""

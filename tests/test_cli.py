@@ -165,6 +165,11 @@ def test_weights_file_forms(tmp_path, text):
 
 
 _HUGE = "1" + "0" * 400    # a JSON integer beyond the float range
+_PSI_OVERFLOWS = {
+    "jump-rate": '{"schema":1,"alpha":0,"beta":1,"kappa":1e300,"c":[1e9]}',
+    "drift": '{"schema":1,"alpha":0,"beta":1e300,"kappa":1e300}',
+    "quadratic": '{"schema":1,"alpha":0,"beta":1e300,"kappa":1}',
+}
 
 
 @pytest.mark.parametrize("command,flag,text", [
@@ -222,6 +227,10 @@ _HUGE = "1" + "0" * 400    # a JSON integer beyond the float range
     pytest.param("continuum",
                  "--limit", '{"schema":1,"alpha":0,"beta":1e300,"kappa":1e300}',
                  id="continuum-overflowing-drift"),
+    # psi overflows at the cutoff: an overflow, not a divergent tail (the
+    # quadratic psi's tail converges)
+    *(pytest.param("scaling", "--limit", text, id=f"scaling-overflowing-{name}")
+      for name, text in _PSI_OVERFLOWS.items()),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, command, flag, text):
     path = tmp_path / "input.json"
@@ -232,7 +241,9 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, flag, text):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "diverges" not in err
+    if command == "scaling" and text in _PSI_OVERFLOWS.values():
+        assert "psi overflows at the cutoff" in err, err
     assert [p.name for p in tmp_path.iterdir()] == ["input.json"]
 
 

@@ -19,11 +19,11 @@ PUBLIC = [
     "graph_distances", "gw_forest_stats", "gw_generation_sizes",
     "height_of_path", "ks_two_sample", "largest_root", "lifo_coder",
     "limit_masses", "markov_coder", "modulus_of_continuity", "mu_w_pmf",
-    "paths", "pinched_matrix", "powerlaw_alpha0", "psi_eval", "psi_n_eval",
-    "psi_report", "sample_direct", "sample_offspring_counts",
-    "sample_pinches", "scaling", "sigma_r", "simulate_lifo",
-    "simulate_limit_Y", "simulate_markov", "stat_harness", "tree_distance",
-    "verify_embedding", "weights", "write_matrix_csv",
+    "paths", "pinched_matrix", "powerlaw_alpha0", "psi_eval", "psi_report",
+    "sample_direct", "sample_offspring_counts", "sample_pinches", "scaling",
+    "sigma_r", "simulate_lifo", "simulate_limit_Y", "simulate_markov",
+    "stat_harness", "tree_distance", "verify_embedding", "weights",
+    "write_matrix_csv",
 ]
 SUBMODULES = ["coded_metric", "continuum", "direct_graph", "excursions",
               "lifo_coder", "markov_coder", "paths", "scaling",
@@ -32,6 +32,6 @@ SUBMODULES = ["coded_metric", "continuum", "direct_graph", "excursions",
 
 def test_public_surface_is_pinned():
     assert sorted(wmgraph.__all__) == PUBLIC
-    assert len(PUBLIC) == 69
+    assert len(PUBLIC) == 68
     assert [n for n in PUBLIC
             if isinstance(getattr(wmgraph, n), types.ModuleType)] == SUBMODULES

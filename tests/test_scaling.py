@@ -19,11 +19,11 @@ from wmgraph import (
     gen_powerlaw_triple,
     largest_root,
     psi_eval,
-    psi_n_eval,
     psi_report,
     powerlaw_alpha0,
 )
-from wmgraph.scaling import MAX_BISECT, PSI_BLOCK, TOL_INV
+from wmgraph.scaling import (C4_Y, MAX_BISECT, PSI_BLOCK, TOL_INV,
+                             _integral_above_root)
 
 BM = LimitParams(alpha=0.0, beta=1.0, kappa=1.0)          # psi = lam^2/2
 SUP = LimitParams(alpha=-1.0, beta=1.0, kappa=1.0)        # root at 2
@@ -414,11 +414,30 @@ def test_zero_psi_has_no_grey_tail(c):
         extinction_profile(p, 1.0)
 
 
+@pytest.mark.parametrize("text", [
+    '{"schema":1,"alpha":0,"beta":1,"kappa":1e300,"c":[1e9]}',
+    '{"schema":1,"alpha":0,"beta":1e300,"kappa":1}',
+])
+def test_psi_overflowing_at_the_cutoff_is_refused(text):
+    # kappa*c_j overflows; or beta*L^2/2 does, though this quadratic psi's
+    # tail converges: either way an overflow, not a divergent tail
+    p = LimitParams.from_json(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            psi_report(p)
+    assert "psi overflows at the cutoff lambda = 1e+06" in str(exc.value)
+    assert "diverges" not in str(exc.value)
+
+
 def test_psi_n_hand_value():
     tr = ScalingTriple(n=1, a=1.0, b=1.0, weights=WeightSeq([1.0]))
     # drift vanishes (sigma_2 = sigma_1); curve = e^{-lam} - 1 + lam
-    assert psi_n_eval(tr, 1.0) == pytest.approx(math.exp(-1.0))
-    vals = psi_n_eval(tr, np.array([0.0, 1.0]))
+    lim = tr.matched_limit()
+    assert (lim.alpha, lim.beta, lim.kappa, lim.c.tolist()) == (
+        0.0, 0.0, 1.0, [1.0])
+    assert psi_eval(lim, 1.0) == pytest.approx(math.exp(-1.0))
+    vals = psi_eval(lim, np.array([0.0, 1.0]))
     assert vals == pytest.approx([0.0, math.exp(-1.0)])
 
 
@@ -428,7 +447,7 @@ def test_psi_n_converges_to_er_limit():
     for n in (10 ** 3, 10 ** 5):
         tr = gen_er_triple(n, 1.0 / n)
         target = psi_eval(tr.declared_limit, lam)
-        gaps.append(np.max(np.abs(psi_n_eval(tr, lam) - target)))
+        gaps.append(np.max(np.abs(psi_eval(tr.matched_limit(), lam) - target)))
     assert gaps[1] < gaps[0]
     # convergence rate is of order a_n^{-1} = n^{-1/3}
     assert gaps[1] < 5e-2
@@ -457,7 +476,7 @@ def test_check_regime_rejects_empty():
 
 def test_check_regime_powerlaw_family():
     # every psi_n here dips below 0 and turns positive before a_n: the
-    # integrals run across a root, and quad used to divide by zero
+    # integrals run across a root, where 1/psi_n is not integrable
     family = [gen_powerlaw_triple(n, 2.5) for n in (10 ** 4, 10 ** 5)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -465,3 +484,138 @@ def test_check_regime_powerlaw_family():
     assert np.all(np.isinf(rep.c4_integrals))
     assert not rep.verdicts["c4_integrals_decreasing_in_y"]
     assert np.all(rep.c1 < 0)    # C1 diverges from the declared alpha > 0
+
+
+def _critical_powerlaw_family(rho):
+    """Critical power laws: raw weights (j/n)^(-1/rho) times
+    (rho - 2)/(rho - 1), a = w_1 and b = sigma_1/a, against alpha_0, beta
+    = 0, kappa = 1 and c_j = j^(-1/rho)."""
+    family = []
+    for n in (10 ** 3, 10 ** 4, 10 ** 5):
+        w = WeightSeq((np.arange(1, n + 1) / n) ** (-1.0 / rho)
+                      * ((rho - 2.0) / (rho - 1.0)))
+        a = float(w.w[0])
+        limit = LimitParams(alpha=powerlaw_alpha0(rho, 1.0, 1.0), beta=0.0,
+                            kappa=1.0, c=np.arange(1.0, n + 1) ** (-1.0 / rho))
+        family.append(ScalingTriple(n=n, a=a, b=w.sigma(1.0) / a, weights=w,
+                                    declared_limit=limit))
+    return family
+
+
+@pytest.mark.parametrize("rho, c1", [(2.5, (4.227, 4.353, 4.404)),
+                                     (2.2, (10.10, 10.31, 10.39))])
+def test_check_regime_critical_powerlaw_family(rho, c1):
+    # the first power-law family whose C4 integrals are finite: no psi_n
+    # has a root past 0, and C1 rises toward alpha_0
+    family = _critical_powerlaw_family(rho)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_regime(family, family[-1].declared_limit)
+    assert all(rep.verdicts.values()), rep.verdicts
+    # finite and decreasing in y; a y >= a_n (at n = 1e3, 1e4) reads 0
+    assert np.all(np.isfinite(rep.c4_integrals))
+    assert np.all(np.diff(rep.c4_integrals[-1]) < 0)
+    assert np.all(rep.c4_integrals[-1] > 0)
+    assert rep.c1 == pytest.approx(c1, abs=5e-3)
+    assert rep.c1[-1] < family[-1].declared_limit.alpha
+
+
+def _reference_psi_n(tr, lam):
+    """The retired psi_n_eval: drift (b/a)(1 - sigma_2/sigma_1)*lambda plus
+    (a*b/sigma_1) * sum_j (w_j/a)(e^{-lambda w_j/a} - 1 + lambda w_j/a)."""
+    lam = np.asarray(lam, dtype=float)
+    w = tr.weights
+    s1, s2 = w.sigma(1.0), w.sigma(2.0)
+    u = w.w / tr.a
+    x = np.multiply.outer(lam, u)
+    drift = (tr.b / tr.a) * (1.0 - s2 / s1) * lam
+    return drift + (tr.a * tr.b / s1) * (u * (np.expm1(-x) + x)).sum(axis=-1)
+
+
+def _reference_check_regime(family, p):
+    """The retired check_regime on its own formulas: C1 to C3 from the
+    power sums, C4 by adaptive quad on psi_n."""
+    a = np.asarray([tr.a for tr in family])
+    b = np.asarray([tr.b for tr in family])
+    s1, s2, s3 = (np.asarray([tr.weights.sigma(q) for tr in family])
+                  for q in (1.0, 2.0, 3.0))
+    c1 = (b / a) * (1.0 - s2 / s1)
+    c2 = (b / a ** 2) * (s3 / s1)
+    J = min(20, min(tr.weights.j_max for tr in family))
+    c3 = family[-1].weights.w[:J] / family[-1].a
+    c4 = np.zeros((len(family), len(C4_Y)))
+    for i, tr in enumerate(family):
+        psi_y = _reference_psi_n(tr, np.append(C4_Y, tr.a))
+        for k in np.flatnonzero(np.asarray(C4_Y) < tr.a):
+            c4[i, k] = (math.inf if psi_y[k] <= 0 <= psi_y[-1] else
+                        quad(lambda u: 1.0 / _reference_psi_n(tr, u),
+                             C4_Y[k], tr.a, limit=200)[0])
+    beta0 = b / a ** 2
+    cJ = np.pad(p.c[:J], (0, J - len(p.c[:J])))
+    verdicts = {
+        "c1_to_alpha": wmgraph.scaling._trendy(c1, p.alpha),
+        "c2_to_beta_plus_kappa_sigma3": wmgraph.scaling._trendy(
+            c2, p.beta + p.kappa * float(np.sum(p.c ** 3))),
+        "c3_to_c": bool(np.all(np.abs(c3 - cJ)
+                               <= np.maximum(0.05 * np.abs(cJ), 0.05))),
+        "height_scale_via_beta0": bool(beta0[-1] > 1e-9),
+        "c4_integrals_decreasing_in_y": bool(
+            np.all(np.isfinite(c4[-1])) and np.all(np.diff(c4[-1]) <= 1e-12)),
+    }
+    return c1, beta0, c4, verdicts
+
+
+_NS = (10 ** 3, 10 ** 4, 10 ** 5)
+REGIME_FAMILIES = {
+    "er": lambda: [gen_er_triple(n, 1.0 / n) for n in _NS],
+    "er-above": lambda: [gen_er_triple(n, (1 + 2 * n ** (-1 / 3)) / n)
+                         for n in _NS],
+    "er-below": lambda: [gen_er_triple(n, (1 - 2 * n ** (-1 / 3)) / n)
+                         for n in _NS],
+    "powerlaw": lambda: [gen_powerlaw_triple(n, 2.5)
+                         for n in (10 ** 4, 10 ** 5)],
+    "critical-powerlaw-2.5": lambda: _critical_powerlaw_family(2.5),
+    "critical-powerlaw-2.2": lambda: _critical_powerlaw_family(2.2),
+}
+
+
+@pytest.mark.parametrize("make", REGIME_FAMILIES.values(),
+                         ids=REGIME_FAMILIES.keys())
+def test_check_regime_matches_retired_formulas(make):
+    # psi of the matched limit against the retired psi_n formula, and the
+    # panel C4 against adaptive quad: measured 4.0e-15 and 1.6e-14 relative
+    family = make()
+    p = family[-1].declared_limit
+    rep = check_regime(family, p)
+    c1, beta0, c4, verdicts = _reference_check_regime(family, p)
+    assert rep.verdicts == verdicts
+    assert np.array_equal(rep.c1, c1)
+    assert np.array_equal(rep.beta0_proxy, beta0)
+    assert np.array_equal(np.isinf(rep.c4_integrals), np.isinf(c4))
+    finite = np.isfinite(c4)
+    assert np.allclose(rep.c4_integrals[finite], c4[finite], rtol=1e-13,
+                       atol=0.0)
+    for tr in family:
+        lim = tr.matched_limit()
+        lam = np.array([*C4_Y, tr.a])
+        assert np.allclose(psi_eval(lim, lam), _reference_psi_n(tr, lam),
+                           rtol=1e-14, atol=0.0)
+        # psi_n(a_n) = (b/sigma_1) sum_j w_j e^{-w_j} > 0
+        w = tr.weights.w
+        assert psi_eval(lim, tr.a) > 0
+        assert psi_eval(lim, tr.a) == pytest.approx(
+            tr.b / tr.weights.sigma(1.0) * math.fsum(w * np.exp(-w)),
+            rel=1e-12)
+
+
+def test_c4_panels_read_a_y_not_above_the_root_as_inf():
+    # psi = lambda^2/2 - lambda: root 2, and int_y^top du/psi =
+    # log((top - 2)/top) - log((y - 2)/y).  rho is known to TOL_INV only,
+    # so a y at or below it reads as the root, even where psi(y) > 0
+    rho = largest_root(SUP)
+    assert abs(rho - 2.0) < TOL_INV
+    assert _integral_above_root(SUP, rho, 3.0, 16.0) == pytest.approx(
+        math.log(14.0 / 16.0) - math.log(1.0 / 3.0), rel=1e-13)
+    for y in (rho, math.nextafter(rho, 0.0), rho - 0.5 * TOL_INV):
+        assert _integral_above_root(SUP, rho, y, 16.0) == math.inf
+    assert math.isfinite(_integral_above_root(SUP, rho, rho + TOL_INV, 16.0))

@@ -280,8 +280,8 @@ def test_hist_compare_pools_two_by_two_tables_with_yates():
 
 
 def test_package_import_leaves_scipy_stats_and_integrate_unloaded():
-    # both cost about half a second to import, and only ks_two_sample and
-    # check_regime use them
+    # both cost about half a second to import; only ks_two_sample uses
+    # scipy.stats, and the package uses no scipy.integrate
     paths = [str(Path(wmgraph.__file__).parents[1]),
              os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
