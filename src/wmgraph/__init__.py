@@ -47,7 +47,6 @@ from .paths import CadlagStepPath, StepFunction, height_of_path, modulus_of_cont
 from .scaling import (
     PsiReport,
     RegimeReport,
-    aldous_limic_params,
     check_regime,
     extinction_profile,
     largest_root,

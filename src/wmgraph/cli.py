@@ -196,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="check pathwise clock identities")
     common(sp, weights=True)
-    sp.add_argument("--identities", action="store_true",
-                    help="accepted for compatibility; always implied")
     sp.add_argument("--replicas", type=_positive_int, default=100)
     sp.add_argument("--horizon", type=_positive_float, default=DEFAULT_HORIZON)
     sp.set_defaults(func=_cmd_verify)
@@ -220,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compare", help="direct vs queue-assembled graphs")
     common(sp, weights=True)
-    sp.add_argument("--edge-law", action="store_true",
-                    help="accepted for compatibility; always implied")
     sp.add_argument("--replicas", type=_positive_int, default=20000)
     sp.set_defaults(func=_cmd_compare)
     return p

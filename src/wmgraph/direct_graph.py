@@ -39,7 +39,6 @@ class AssembledGraph:
     n: int
     weights: np.ndarray   # one per vertex
     edges: np.ndarray     # (m, 2) int64, rows u < v ascending; from pairs
-    provenance: str       # "direct" or "lifo"
     n_self_loops_dropped: int = 0
     n_duplicates_dropped: int = 0
 
@@ -80,10 +79,6 @@ class ComponentView(NamedTuple):
     edges: np.ndarray
 
     @property
-    def root(self) -> int:
-        return self.vertices[0]
-
-    @property
     def count(self) -> int:
         return len(self.vertices)
 
@@ -101,7 +96,7 @@ def sample_direct(w: WeightSeq, rng_seed=0) -> AssembledGraph:
     rows advance at once (``_direct_edges``).
     """
     return AssembledGraph(n=w.j_max, weights=w.w,
-                          edges=_direct_edges(w, rng_seed), provenance="direct")
+                          edges=_direct_edges(w, rng_seed))
 
 
 def _direct_edges(w: WeightSeq, rng_seed=0, replicas: int = 1) -> np.ndarray:

@@ -278,7 +278,7 @@ def assemble_graph(trace: LifoTrace, pinches: PinchSetup | None = None) -> Assem
     w, R = trace.weights.w, trace.replicas
     return AssembledGraph(
         n=n, weights=w if R == 1 else w[None].repeat(R, axis=0).ravel(),
-        edges=np.stack(np.divmod(edges, n + 1), axis=1), provenance="lifo",
+        edges=np.stack(np.divmod(edges, n + 1), axis=1),
         n_self_loops_dropped=len(u) - int(keep.sum()),
         n_duplicates_dropped=keys.size - edges.size)
 

@@ -12,7 +12,6 @@ common realization, pathwise.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -332,9 +331,6 @@ class IdentityReport:
     @property
     def passed(self) -> bool:
         return all(r["pass"] for r in self.results.values())
-
-    def to_json(self) -> str:
-        return json.dumps(self.results, indent=2)
 
 
 TOL_IDENTITY = 1e-9

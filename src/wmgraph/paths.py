@@ -86,25 +86,6 @@ class CadlagStepPath:
             prev_t = t
         return np.array(out, dtype=float)
 
-    def running_inf(self, t):
-        """Running infimum J_t = inf_{s <= t} of the path (value 0 at time
-        0): Y - R, with R drifting down from its level at the last jump by
-        t (0 at time 0) until it stops at 0."""
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.times, t, side="right")
-        last_t = np.concatenate(([0.0], self.times))[idx]
-        last_r = np.concatenate(([0.0], self.reflected))[idx]
-        out = self.value(t) - np.maximum(last_r - (t - last_t), 0.0)
-        return float(out) if out.ndim == 0 else out
-
-    def min_on(self, a: float, b: float) -> float:
-        """Minimum of the path over the closed interval [a, b]."""
-        if b < a:
-            a, b = b, a
-        lo, hi = np.searchsorted(self.times, (a, b), side="right")
-        pre = -self.times[lo:hi] + self._cum[lo:hi]
-        return min(self.value(b), float(pre.min(initial=math.inf)))
-
 
 @dataclass(frozen=True, eq=False)
 class StepFunction:

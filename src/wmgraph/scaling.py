@@ -182,11 +182,6 @@ def extinction_profile(p: LimitParams, t: float) -> float:
     raise RuntimeError("extinction profile did not converge")
 
 
-def aldous_limic_params(p: LimitParams):
-    """Entrance-boundary reparametrization (beta/kappa, alpha/kappa, c)."""
-    return p.beta / p.kappa, p.alpha / p.kappa, p.c
-
-
 @dataclass(frozen=True)
 class RegimeReport:
     c1: np.ndarray             # alpha of each member's matched limit
@@ -239,12 +234,15 @@ def check_regime(family: list, p: LimitParams) -> RegimeReport:
     c4 = np.zeros((len(family), len(C4_Y)))
     for i, tr in enumerate(family):
         lim = tr.matched_limit()
-        c1[i], c2[i], rho = lim.alpha, _c2(lim), largest_root(lim)
+        c1[i], c2[i], rho = lim.alpha, _c2(lim), None
         beta0[i] = tr.b / (tr.a * tr.a)
         for k, y in enumerate(C4_Y):
             if y < tr.a:
-                c4[i, k] = (math.inf if psi_eval(lim, y) <= 0 else
-                            _integral_above_root(lim, rho, y, tr.a))
+                if psi_eval(lim, y) <= 0:
+                    c4[i, k] = math.inf
+                else:   # the root is below y: bisect it at its first use
+                    rho = largest_root(lim) if rho is None else rho
+                    c4[i, k] = _integral_above_root(lim, rho, y, tr.a)
     J = min(C3_WINDOW, min(tr.weights.j_max for tr in family))
     cJ = np.pad(p.c[:J], (0, J - len(p.c[:J])))
     verdicts = {

@@ -73,7 +73,7 @@ def test_simulate_deterministic(tmp_path, weights_file):
 
 def test_verify_passes_and_writes_report(tmp_path, weights_file, capsys):
     out = tmp_path / "v"
-    rc = main(["verify", "--identities", "--weights", weights_file,
+    rc = main(["verify", "--weights", weights_file,
                "--replicas", "5", "--horizon", "40.0", "--seed", "1",
                "--out", str(out)])
     assert rc == 0
@@ -125,7 +125,7 @@ def test_continuum_outputs(tmp_path, limit_file):
 
 def test_compare_small(tmp_path, weights_file, capsys):
     out = tmp_path / "cmp"
-    rc = main(["compare", "--edge-law", "--weights", weights_file,
+    rc = main(["compare", "--weights", weights_file,
                "--replicas", "1500", "--out", str(out)])
     captured = capsys.readouterr().out
     assert "marginals_pass=" in captured
@@ -343,6 +343,9 @@ _BAD_ARGUMENTS = [
     (["verify", "--replicas", "two"], "argument --replicas: must be a positive integer"),
     (["compare", "--replicas", "0"], "argument --replicas: must be a positive integer"),
     (["simulate", "--topk", "-1"], "argument --topk: must be a positive integer"),
+    # retired no-op flags
+    (["verify", "--identities"], "unrecognized arguments: --identities"),
+    (["compare", "--edge-law"], "unrecognized arguments: --edge-law"),
 ]
 
 

@@ -229,7 +229,7 @@ def test_component_metric_read_off_the_coding(w, seeds):
                            pinches=tuple(zip(pinches.s[inside],
                                              pinches.t[inside])))
         comp = next(c for c in connected_components(
-            assemble_graph(trace, pinches)) if c.root == vertices[0])
+            assemble_graph(trace, pinches)) if c.vertices[0] == vertices[0])
         assert comp.vertices == tuple(vertices.tolist()), seed
         assert np.array_equal(pinched_matrix(space),
                               graph_distances(comp)), seed

@@ -83,25 +83,24 @@ def test_unit_weight_edge_count_is_binomial():
     for seed in range(3):
         g = sample_direct(WeightSeq(np.ones(n)),
                           rng_seed=np.random.SeedSequence([53, seed]))
-        assert g.provenance == "direct"
         assert abs(len(g.edges) - pairs * p) < 4 * math.sqrt(pairs * p * (1 - p))
 
 
 def test_components_ordering_and_mass():
     g = AssembledGraph(n=6, weights=np.asarray([3., 2., 2., 1., 1., 1.]),
-                       edges=frozenset({(4, 5), (2, 3)}), provenance="test",
+                       edges=frozenset({(4, 5), (2, 3)}),
                        n_self_loops_dropped=0, n_duplicates_dropped=0)
     comps = connected_components(g)
     # masses: {2,3} -> 4, {1} -> 3, {4,5} -> 2, {6} -> 1
     assert [c.mass for c in comps] == [4.0, 3.0, 2.0, 1.0]
-    assert comps[0].root == 2 and comps[1].root == 1
+    assert comps[0].vertices[0] == 2 and comps[1].vertices[0] == 1
 
 
 def test_component_mass_is_exact_sum():
     # dyadic weights: fsum of members must be exact
     w = np.asarray([0.5, 0.25, 0.125, 0.0625])
     g = AssembledGraph(n=4, weights=w, edges=frozenset({(1, 2), (3, 4)}),
-                       provenance="test", n_self_loops_dropped=0,
+                       n_self_loops_dropped=0,
                        n_duplicates_dropped=0)
     comps = connected_components(g)
     assert comps[0].mass == 0.75
@@ -136,7 +135,7 @@ def _oracle_graphs():
                 if rng.random() < 0.4:
                     edges.add((u, v))
         yield AssembledGraph(n=n, weights=np.ones(n), edges=frozenset(edges),
-                             provenance="test", n_self_loops_dropped=0,
+                             n_self_loops_dropped=0,
                              n_duplicates_dropped=0)
 
 
@@ -161,8 +160,7 @@ def test_assembled_graph_rejects_invalid_edges():
     # a repeated pair, given as a list, would count one edge twice
     for edges in ([(2, 1)], [(1, 1)], [(0, 1)], [(1, 4)], [(1, 2), (1, 2)]):
         with pytest.raises(ValueError, match="invalid edge"):
-            AssembledGraph(n=3, weights=np.ones(3), edges=edges,
-                           provenance="test")
+            AssembledGraph(n=3, weights=np.ones(3), edges=edges)
 
 
 def _reference_validate(n, edges):
@@ -209,8 +207,7 @@ def test_assembled_graph_validation_matches_reference():
     for n, edges in _random_edge_lists():
         want = _verdict(lambda: [list(e) for e in _reference_validate(n, edges)])
         got = _verdict(lambda: AssembledGraph(
-            n=n, weights=np.ones(n), edges=edges,
-            provenance="test").edges.tolist())
+            n=n, weights=np.ones(n), edges=edges).edges.tolist())
         assert got == want, (n, edges)
         verdicts.add(isinstance(want, str))
     assert verdicts == {False, True}
@@ -218,26 +215,20 @@ def test_assembled_graph_validation_matches_reference():
 
 def test_assembled_graph_rejects_malformed_input():
     with pytest.raises(ValueError, match="one weight per vertex"):
-        AssembledGraph(n=3, weights=np.ones(2), edges=[(1, 2)],
-                       provenance="test")
+        AssembledGraph(n=3, weights=np.ones(2), edges=[(1, 2)])
     with pytest.raises(ValueError, match="one weight per vertex"):
-        AssembledGraph(n=3, weights=np.ones(4), edges=[(1, 2)],
-                       provenance="test")
+        AssembledGraph(n=3, weights=np.ones(4), edges=[(1, 2)])
     for edges in ([(1.5, 2)], [(1, math.nan)], [(1, math.inf)], [("1", "2")],
                   [(2.0, 3.0)], np.ones((1, 2))):
         with pytest.raises(ValueError, match="must be integers"):
-            AssembledGraph(n=3, weights=np.ones(3), edges=edges,
-                           provenance="test")
+            AssembledGraph(n=3, weights=np.ones(3), edges=edges)
     # [(1, 2, 3, 4)] must not be read as the two edges (1, 2) and (3, 4)
     for edges in ([(1, 2, 3, 4)], [(1,)], [()], [1, 2], np.ones((2, 2, 2))):
         with pytest.raises(ValueError, match="pairs"):
-            AssembledGraph(n=4, weights=np.ones(4), edges=edges,
-                           provenance="test")
+            AssembledGraph(n=4, weights=np.ones(4), edges=edges)
     with pytest.raises(ValueError):
-        AssembledGraph(n=4, weights=np.ones(4), edges=[(1, 2), (3,)],
-                       provenance="test")
-    g = AssembledGraph(n=3, weights=np.ones(3), edges=np.array([[2, 3]]),
-                       provenance="test")
+        AssembledGraph(n=4, weights=np.ones(4), edges=[(1, 2), (3,)])
+    g = AssembledGraph(n=3, weights=np.ones(3), edges=np.array([[2, 3]]))
     assert g.edges.tolist() == [[2, 3]] and not g.edges.flags.writeable
 
 
@@ -245,15 +236,14 @@ def test_assembled_graph_keeps_one_edge_order():
     pairs = [(1, 2), (1, 4), (2, 3), (3, 4)]
     for edges in ([pairs[i] for i in (2, 0, 3, 1)], set(pairs),
                   (e for e in reversed(pairs))):
-        g = AssembledGraph(n=4, weights=np.ones(4), edges=edges,
-                           provenance="test")
+        g = AssembledGraph(n=4, weights=np.ones(4), edges=edges)
         assert g.edges.dtype == np.int64
         assert g.edges.tolist() == [list(e) for e in pairs]
 
 
 def test_component_view_fields():
     c = ComponentView(vertices=(2, 5, 7), mass=3.0, edges=((2, 5), (5, 7)))
-    assert c.root == c.vertices[0] == 2 and c.count == len(c.vertices) == 3
+    assert c.vertices[0] == 2 and c.count == len(c.vertices) == 3
     assert c == ComponentView((2, 5, 7), 3.0, ((2, 5), (5, 7)))
     assert c != c._replace(mass=4.0)
 
@@ -292,7 +282,7 @@ def _reference_components(g):
         mass=math.fsum(float(g.weights[v - 1]) for v in verts),
         edges=tuple(local_edges.get(root, ())))
         for root, verts in members.items()]
-    return sorted(views, key=lambda c: (-c.mass, c.root))
+    return sorted(views, key=lambda c: (-c.mass, c.vertices[0]))
 
 
 def _reference_graph_distances(c):
@@ -322,7 +312,7 @@ def _reference_graph_distances(c):
 
 
 def _component_fields(views):
-    return [(c.vertices, c.root, np.float64(c.mass).view(np.int64), c.count,
+    return [(c.vertices, np.float64(c.mass).view(np.int64), c.count,
              np.asarray(c.edges).tolist()) for c in views]
 
 
@@ -344,8 +334,7 @@ def _graphs_small():
     """n = 1, and n = 2 with and without its one edge."""
     yield sample_direct(WeightSeq([5.0]), rng_seed=0)
     for edges in (frozenset(), frozenset({(1, 2)})):
-        yield AssembledGraph(n=2, weights=np.asarray([2.0, 1.0]), edges=edges,
-                             provenance="test")
+        yield AssembledGraph(n=2, weights=np.asarray([2.0, 1.0]), edges=edges)
 
 
 def test_components_match_union_find_reference():
@@ -358,8 +347,8 @@ def test_components_match_union_find_reference():
             assert c.edges.dtype == np.int64 and c.edges.shape[1:] == (2,)
             assert c.edges.tolist() == sorted(c.edges.tolist())
             assert all(u < v for u, v in c.edges.tolist())
-            assert c.root == min(c.vertices) and c.count == len(c.vertices)
-            assert type(c.root) is int and type(c.mass) is float
+            assert c.vertices[0] == min(c.vertices) and c.count == len(c.vertices)
+            assert type(c.vertices[0]) is int and type(c.mass) is float
             assert all(type(v) is int for v in c.vertices)
 
 
@@ -469,7 +458,7 @@ def test_no_id_table_outlives_its_results():
     assert table() is None and n not in paths._ID_TABLES
     # a new result makes a new table, and holds it alone
     comps = connected_components(g)
-    assert comps[0].vertices[0] is paths._ID_TABLES[n][comps[0].root]
+    assert comps[0].vertices[0] is paths._ID_TABLES[n][comps[0].vertices[0]]
     del comps
     gc.collect()
     assert n not in paths._ID_TABLES

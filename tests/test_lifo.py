@@ -453,7 +453,7 @@ def _reference_assemble_graph(trace, pinches=None):
             else:
                 edges.add(e)
     return AssembledGraph(n=n, weights=trace.weights.w, edges=frozenset(edges),
-                          provenance="lifo", n_self_loops_dropped=loops,
+                          n_self_loops_dropped=loops,
                           n_duplicates_dropped=dups)
 
 

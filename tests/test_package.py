@@ -9,7 +9,7 @@ PUBLIC = [
     "EdgeCompareReport", "ExcursionDecomposition", "GridPath",
     "GwForestStats", "IdentityReport", "LifoTrace", "LimitParams",
     "MarkovTrace", "PinchSetup", "PsiReport", "RegimeReport",
-    "ScalingTriple", "StepFunction", "WeightSeq", "aldous_limic_params",
+    "ScalingTriple", "StepFunction", "WeightSeq",
     "assemble_graph", "assign_pinches", "check_regime", "chi_square_gof",
     "coded_metric", "color_blue_red", "connected_components", "continuum",
     "decompose_with_masses", "default_truncation", "direct_graph",
@@ -32,6 +32,6 @@ SUBMODULES = ["coded_metric", "continuum", "direct_graph", "excursions",
 
 def test_public_surface_is_pinned():
     assert sorted(wmgraph.__all__) == PUBLIC
-    assert len(PUBLIC) == 68
+    assert len(PUBLIC) == 67
     assert [n for n in PUBLIC
             if isinstance(getattr(wmgraph, n), types.ModuleType)] == SUBMODULES

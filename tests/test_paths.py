@@ -33,9 +33,6 @@ def test_cadlag_values():
     assert y.value(0.2) == pytest.approx(0.8)
     assert y.value_left(0.2) == pytest.approx(-0.2)
     assert y.value(0.5) == pytest.approx(1.0)
-    assert y.running_inf(0.3) == pytest.approx(-0.2)
-    assert y.running_inf(5.0) == pytest.approx(1.5 - 5.0)
-    assert y.min_on(0.25, 0.45) == pytest.approx(0.6)  # left limit at 0.4
 
 
 def _reference_reflected(y):
@@ -52,18 +49,6 @@ def _reference_reflected(y):
     return np.array(levels)
 
 
-def _reference_running_inf(y, t):
-    """The old ``running_inf``, a scan of pre-jump minima, kept as the
-    reference."""
-    scalar = np.isscalar(t)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    pre = -y.times + y._cum[:-1]          # value just before each jump
-    lows = np.minimum.accumulate(np.concatenate(([0.0], pre)))
-    idx = np.searchsorted(y.times, t, side="right")
-    out = np.minimum(lows[idx], y.value(t))
-    return float(out[0]) if scalar else out
-
-
 @pytest.mark.parametrize("y", [
     _critical_load_path(3000, 0),
     _pareto_load_path(),
@@ -77,17 +62,6 @@ def test_reflected_equals_profile_loop_reference(y):
     assert r.dtype == np.float64 and r.shape == y.times.shape
     assert _bits(r) == _bits(_reference_reflected(y))
     assert y.reflected is r         # computed once and kept
-
-
-def test_running_inf_equals_pre_jump_scan_reference():
-    # dyadic sizes at dyadic times: both forms are exact, so they agree
-    # bit for bit, before the first jump and past the last one included
-    y = _dyadic_load_path()
-    t = np.concatenate((np.arange(-8, 6100) / 8.0, y.times))
-    assert _bits(y.running_inf(t)) == _bits(_reference_running_inf(y, t))
-    for s in (-1.0, 0.0, 0.3, 100.0, 800.0):
-        assert _bits([y.running_inf(s)]) == _bits([_reference_running_inf(y, s)])
-        assert isinstance(y.running_inf(s), float)
 
 
 def test_cadlag_validation():
@@ -240,11 +214,11 @@ def test_graph_checks_equal_the_reference_checks():
     for n, weights, edges in cases:
         want = _reference_graph_check(n, weights, edges)
         if want is None:
-            g = AssembledGraph(n=n, weights=weights, edges=edges, provenance="t")
+            g = AssembledGraph(n=n, weights=weights, edges=edges)
             assert g.edges.tolist() == sorted(map(list, g.edges.tolist()))
         else:
             with pytest.raises(ValueError) as err:
-                AssembledGraph(n=n, weights=weights, edges=edges, provenance="t")
+                AssembledGraph(n=n, weights=weights, edges=edges)
             assert str(err.value) == want, (n, edges)
 
 
@@ -402,13 +376,14 @@ def test_height_of_path_hand_example():
 
 def _brute_height(y: CadlagStepPath, t: float) -> int:
     # count jump times s <= t whose pre-jump level is strictly below the
-    # infimum of the path over (s, t]
+    # infimum of the path over (s, t]: the path drifts down between jumps,
+    # so that is the least of Y(t) and the left limits at jumps in (s, t]
     count = 0
-    for s, x in zip(y.times, y.sizes):
+    for s in y.times:
         if s > t:
             break
-        pre = y.value_left(s)
-        if y.min_on(s, t) > pre:
+        low = min([y.value(t)] + [y.value_left(u) for u in y.times if s < u <= t])
+        if low > y.value_left(s):
             count += 1
     return count
 
@@ -583,8 +558,9 @@ def test_all_pairs_and_sparse_table_agree(n):
 
 
 def test_writer_keeps_percent_signs_verbatim(tmp_path):
-    # the writer fills a "%s" row template with one %; cells and header
-    # entries that hold % must come out as the csv module writes them
+    # the array encoder copies string cells byte for byte and the header
+    # goes through str: cells and header entries that hold % must come out
+    # as the csv module writes them
     tokens = ["%s", "%%", "50%", "%(x)s", "%d", "%", "s%"]
     header = ["%s", "50%", "%%", "rank", 0.5]
     n = 23

@@ -44,8 +44,7 @@ def _lifo():
 
 def _graph():
     return AssembledGraph(n=5, weights=np.array([1.0, 0.5, 0.25, 0.125, 0.1]),
-                          edges=frozenset({(1, 3), (3, 4), (1, 2)}),
-                          provenance="direct")
+                          edges=frozenset({(1, 3), (3, 4), (1, 2)}))
 
 
 def _matrix(path):

@@ -12,7 +12,6 @@ from wmgraph import (
     LimitParams,
     ScalingTriple,
     WeightSeq,
-    aldous_limic_params,
     check_regime,
     extinction_profile,
     gen_er_triple,
@@ -453,14 +452,6 @@ def test_psi_n_converges_to_er_limit():
     assert gaps[1] < 5e-2
 
 
-def test_aldous_limic_params():
-    beta0, alpha0, c = aldous_limic_params(
-        LimitParams(alpha=-3.0, beta=1.0, kappa=2.0, c=(0.5,)))
-    assert beta0 == 0.5
-    assert alpha0 == -1.5
-    assert c.tolist() == [0.5]
-
-
 def test_check_regime_er_family():
     family = [gen_er_triple(n, 1.0 / n) for n in (10 ** 3, 10 ** 4, 10 ** 5)]
     rep = check_regime(family, family[-1].declared_limit)
@@ -579,14 +570,38 @@ REGIME_FAMILIES = {
 }
 
 
+def _eager_c4(family):
+    """C4 as check_regime took it when it bisected every member's root
+    first, read or not; and the number of members whose panels read it."""
+    c4, readers = np.zeros((len(family), len(C4_Y))), 0
+    for i, tr in enumerate(family):
+        lim = tr.matched_limit()
+        rho = largest_root(lim)
+        for k, y in enumerate(C4_Y):
+            if y < tr.a:
+                c4[i, k] = (math.inf if psi_eval(lim, y) <= 0 else
+                            _integral_above_root(lim, rho, y, tr.a))
+        readers += any(y < tr.a and psi_eval(lim, y) > 0 for y in C4_Y)
+    return c4, readers
+
+
 @pytest.mark.parametrize("make", REGIME_FAMILIES.values(),
                          ids=REGIME_FAMILIES.keys())
-def test_check_regime_matches_retired_formulas(make):
+def test_check_regime_matches_retired_formulas(make, monkeypatch):
     # psi of the matched limit against the retired psi_n formula, and the
     # panel C4 against adaptive quad: measured 4.0e-15 and 1.6e-14 relative
     family = make()
     p = family[-1].declared_limit
+    eager, readers = _eager_c4(family)
+    roots = []
+    monkeypatch.setattr(wmgraph.scaling, "largest_root",
+                        lambda lim: roots.append(lim) or largest_root(lim))
     rep = check_regime(family, p)
+    # a root is bisected once for each member whose panels read it (none
+    # on the power-law family), and C4 keeps the eager bisection's bits
+    assert len(roots) == readers
+    assert np.array_equal(rep.c4_integrals.view(np.int64),
+                          eager.view(np.int64))
     c1, beta0, c4, verdicts = _reference_check_regime(family, p)
     assert rep.verdicts == verdicts
     assert np.array_equal(rep.c1, c1)
