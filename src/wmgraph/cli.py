@@ -28,7 +28,7 @@ from .coded_metric import (CodedSpace, check_eps, pinched_matrix,
                            write_matrix_csv)
 from .continuum import limit_masses, simulate_limit_Y
 from .direct_graph import connected_components, sample_direct, write_component_csv
-from .excursions import decompose_with_masses
+from .excursions import _write_masses_csv, decompose_with_masses
 from .lifo_coder import assemble_graph, sample_pinches, simulate_lifo
 from .markov_coder import simulate_markov, verify_embedding
 from .scaling import extinction_profile, psi_report
@@ -157,9 +157,8 @@ def _cmd_continuum(args) -> int:
                          rng_seed=np.random.SeedSequence([args.seed, 0]))
     out = _outdir(args)
     g.write_csv(out / "limit_path.csv")
-    masses = limit_masses(g, top_k=args.topk)
-    rows = ["rank,mass"] + [f"{k + 1},{m:.17g}" for k, m in enumerate(masses)]
-    (out / "limit_masses.csv").write_text("\n".join(rows) + "\n")
+    _write_masses_csv(out / "limit_masses.csv",
+                      limit_masses(g, top_k=args.topk))
     return 0
 
 
@@ -175,14 +174,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="wmgraph")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, weights=False, limit=False):
+    def common(sp, weights=False, limit=False, seed=True):
         if weights:
             sp.add_argument("--weights", required=True,
                             help="JSON weight sequence {schema, w}")
         if limit:
             sp.add_argument("--limit", required=True,
                             help="JSON limit params {schema, alpha, beta, kappa, c}")
-        sp.add_argument("--seed", type=int, default=0)
+        if seed:    # scaling is deterministic
+            sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=".")
 
     sp = sub.add_parser("simulate", help="run one construction")
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("scaling", help="drift-function diagnostics")
-    common(sp, limit=True)
+    common(sp, limit=True, seed=False)
     sp.set_defaults(func=_cmd_scaling)
 
     sp = sub.add_parser("metric", help="pinched distance matrix")

@@ -251,7 +251,7 @@ def write_component_csv(views: Sequence, path):
     read off its vertex and mass columns without building a view."""
     vertices, masses, _ = views.columns
     _write_csv(path, ["rank", "mass", "count", "root"],
-               [range(1, len(views) + 1), np.asarray(masses),
+               [np.arange(1, len(views) + 1), np.asarray(masses),
                 np.fromiter(map(len, vertices), np.int64, len(vertices)),
                 np.fromiter(map(itemgetter(0), vertices), np.int64,
                             len(vertices))])

@@ -34,8 +34,12 @@ class ExcursionDecomposition:
         return len(self.intervals)
 
     def write_masses_csv(self, path, top_k: int = 50):
-        masses = self.lengths[:top_k]
-        _write_csv(path, ["rank", "mass"], [range(1, masses.size + 1), masses])
+        _write_masses_csv(path, self.lengths[:top_k])
+
+
+def _write_masses_csv(path, masses):
+    """Rows (rank, mass) from 1: ``masses.csv`` and ``limit_masses.csv``."""
+    _write_csv(path, ["rank", "mass"], [np.arange(1, masses.size + 1), masses])
 
 
 def _canonical(starts, ends, lengths, local) -> ExcursionDecomposition:

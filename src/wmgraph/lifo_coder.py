@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .direct_graph import AssembledGraph
-from .markov_coder import _choice_cdf
-from .paths import (CadlagStepPath, StepFunction, _drain, _group_fsums,
-                    _id_tuple, _increasing, _Rows, _runs, _sorted_unique,
-                    _write_csv, _write_trace_csv, height_of_path)
+from .paths import (CadlagStepPath, StepFunction, _choice_cdf, _drain,
+                    _group_fsums, _id_tuple, _increasing, _Rows, _runs,
+                    _sorted_unique, _write_csv, _write_trace_csv,
+                    height_of_path)
 from .weights import WeightSeq
 
 

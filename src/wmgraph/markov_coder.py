@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .paths import (CadlagStepPath, StepFunction, _check_memory, _collapsed,
-                    _drain, _openings, _sorted_unique, _write_trace_csv,
-                    height_of_path)
+from .paths import (CadlagStepPath, StepFunction, _check_memory, _choice_cdf,
+                    _collapsed, _drain, _openings, _sorted_unique,
+                    _write_trace_csv, height_of_path)
 from .weights import WeightSeq
 
 
@@ -165,15 +165,6 @@ def mu_w_pmf(w: WeightSeq, k) -> float | np.ndarray:
     out = np.array([math.fsum(np.exp(t)) / s1 for t in terms],
                    dtype=float).reshape(k.shape)
     return float(out) if k.ndim == 0 else out
-
-
-def _choice_cdf(p: np.ndarray) -> np.ndarray:
-    """The CDF Generator.choice(p=p) draws through: the indices
-    cdf.searchsorted(rng.random(size), side="right") are its draw, stream
-    included, without its per-call argument checks."""
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return cdf
 
 
 def sample_offspring_counts(w: WeightSeq, n: int, rng_seed=0) -> np.ndarray:

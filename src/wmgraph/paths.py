@@ -14,6 +14,7 @@ import math
 import os
 import weakref
 from collections.abc import Sequence
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import groupby
@@ -297,6 +298,15 @@ def _check_memory(need: float, what: str):
                          f"the {ram / 2 ** 30:.3g} GiB of physical memory")
 
 
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF Generator.choice(p=p) draws through: the indices
+    cdf.searchsorted(rng.random(size), side="right") are its draw, stream
+    included, without its per-call argument checks."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def _sorted_unique(a) -> np.ndarray:
     """``np.unique(a)`` of a 1-D array without NaNs, by one sort: numpy
     2.4's ``np.unique`` imports ``numpy.ma`` on its first call, about
@@ -377,10 +387,12 @@ def _runs(base, starts, ends) -> _Rows:
 
 def _write_csv(path, header, columns):
     """The one writer of result files: a header row, then row i of item i of
-    each equal-length column, CRLF line ends.  A cell is ``str`` of its value
-    (for a float, its round-tripping ``repr``); string cells are fixed tokens
-    that need no quoting.  ``_text_block`` encodes a block of about
-    ``_BLOCK_CELLS`` cells at a time, so memory is bounded by one block."""
+    each equal-length column, CRLF line ends.  A column is an array of
+    floats, of integers within int64 or of ASCII tokens (``_cell_kind``).  A
+    cell is ``str`` of its value (for a float, its round-tripping ``repr``);
+    tokens are fixed and need no quoting.  ``_text_block`` encodes a block
+    of about ``_BLOCK_CELLS`` cells at a time, so memory is bounded by one
+    block."""
     step = max(1, _BLOCK_CELLS // len(columns))
     _write_blocks(path, header, ([c[a:a + step] for c in columns]
                                  for a in range(0, len(columns[0]), step)))
@@ -397,8 +409,8 @@ def _text_block(parts, row_end=b"\r\n", spell=repr):
     """The bytes of the rows of equal-length columns ``parts``, cells
     separated by commas, each row ended by ``row_end``.  A cell is the text
     of ``str``: float arrays by ``_float_cells`` (``spell`` for the cells it
-    leaves), integer arrays and ranges by ``_int_cells``, byte-string arrays
-    as they are, anything else by ``str`` itself; no cell holds a NUL.
+    leaves), integer arrays by ``_int_cells``, token arrays as their ASCII
+    bytes; no cell holds a NUL.
 
     Each run of adjacent float or integer columns is encoded at once, into
     a byte matrix of a NUL-padded row per cell.  Row i of the block is laid
@@ -439,24 +451,18 @@ def _interleaved(cols):
 
 def _cell_kind(p):
     """A column slice ``p`` as ("f", float array), ("i", integer array
-    within int64) or ("s", array of the byte strings of its cells)."""
-    if isinstance(p, np.ndarray):
-        if p.dtype.kind == "f":
-            return "f", p
-        if p.dtype.kind in "iu" and np.can_cast(p.dtype, np.int64):
-            return "i", p
-        if p.dtype.kind == "S":
-            return "s", p
-        if p.dtype.kind == "U":
-            try:
-                return "s", p.astype("S")
-            except UnicodeEncodeError:
-                pass
-        p = p.tolist()
-    elif isinstance(p, range) and -2 ** 63 <= min(p.start, p.stop) \
-            and max(p.start, p.stop) < 2 ** 63:
-        return "i", np.arange(p.start, p.stop, p.step, dtype=np.int64)
-    return "s", np.array([str(v).encode() for v in p] or [b""])[:len(p)]
+    within int64) or ("s", byte-string array of its ASCII tokens); any
+    other column raises TypeError."""
+    kind = p.dtype.kind if isinstance(p, np.ndarray) else None
+    if kind == "f":
+        return "f", p
+    if kind in ("i", "u") and np.can_cast(p.dtype, np.int64):
+        return "i", p
+    if kind in ("S", "U"):
+        with suppress(UnicodeEncodeError):
+            return "s", p.astype("S", copy=False)
+    raise TypeError("a result column is an array of floats, of integers "
+                    f"within int64 or of ASCII tokens, not {p!r:.60}")
 
 
 _U64 = np.uint64

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -77,7 +77,7 @@ class EdgeCompareReport:
     edge_probs: np.ndarray       # per-pair target probabilities
     freq_direct: np.ndarray
     freq_lifo: np.ndarray
-    band: np.ndarray             # 4-sigma binomial half-widths
+    band_4sigma: np.ndarray      # 4-sigma binomial half-widths
     marginals_pass: bool         # every frequency within its band
     marginals_holm_p: float      # smallest Holm-adjusted exact binomial p
     marginals_familywise_pass: bool
@@ -92,18 +92,10 @@ class EdgeCompareReport:
                 and self.joint_pass is not False)
 
     def _fields(self) -> dict:
-        return {
-            "replicas": self.replicas, "seed": self.seed,
-            "edge_probs": self.edge_probs, "freq_direct": self.freq_direct,
-            "freq_lifo": self.freq_lifo, "band_4sigma": self.band,
-            "marginals_pass": self.marginals_pass,
-            "marginals_holm_p": self.marginals_holm_p,
-            "marginals_familywise_pass": self.marginals_familywise_pass,
-            "count_hist_p": self.count_hist_p,
-            "count_hist_pass": self.count_hist_pass,
-            "joint_p": self.joint_p, "joint_pass": self.joint_pass,
-            "passed": self.passed,
-        }
+        """The JSON keys and values: every field but ``w`` in declaration
+        order, then ``passed``."""
+        return {**{f.name: getattr(self, f.name) for f in fields(self)
+                   if f.name != "w"}, "passed": self.passed}
 
     def write_json(self, path):
         """The report as ``json.dump(..., indent=2)`` writes it, byte for
@@ -130,7 +122,8 @@ class EdgeCompareReport:
         yield f"{'pair':>8} {'target':>10} {'direct':>10} {'lifo':>10} {'band':>10}"
         n = self.w.size
         pairs = ((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
-        cols = (self.edge_probs, self.freq_direct, self.freq_lifo, self.band)
+        cols = (self.edge_probs, self.freq_direct, self.freq_lifo,
+                self.band_4sigma)
         for a in range(0, self.edge_probs.size, _BLOCK_CELLS):
             # pairs last: zip stops on the block before drawing a pair
             for p, fd, fl, b, (i, j) in zip(
@@ -281,7 +274,7 @@ def edge_marginal_compare(w: WeightSeq, replicas: int = 20000,
     return EdgeCompareReport(
         w=w.w, replicas=replicas, seed=seed, edge_probs=np.atleast_1d(probs),
         freq_direct=np.atleast_1d(fd), freq_lifo=np.atleast_1d(fl),
-        band=np.atleast_1d(band), marginals_pass=marg,
+        band_4sigma=np.atleast_1d(band), marginals_pass=marg,
         marginals_holm_p=holm_p,
         marginals_familywise_pass=bool(holm_p > FAMILY_LEVEL),
         count_hist_p=p_hist, count_hist_pass=bool(p_hist > FAMILY_LEVEL),

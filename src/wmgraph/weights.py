@@ -51,19 +51,21 @@ def _numbers(xs, key: str) -> list:
 
 @dataclass(frozen=True)
 class WeightSeq:
-    """Nonincreasing positive weight vector with cached power sums."""
+    """Nonincreasing positive weight vector with cached power sums; ``w``
+    is the object's own read-only copy, so the cached sums stay valid."""
 
     w: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __init__(self, w):
-        w = np.asarray(w, dtype=float)
+        w = np.array(w, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-d vector")
         if not (0 < np.minimum.reduce(w) and np.maximum.reduce(w) < math.inf):
             raise ValueError("weights must be positive and finite")
         if (w[1:] > w[:-1]).any():
             w = np.sort(w)[::-1]
+        w.flags.writeable = False
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "_cache", {})
         # loads stay below sigma_1 and pinch areas square them

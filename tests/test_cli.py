@@ -123,6 +123,49 @@ def test_continuum_outputs(tmp_path, limit_file):
     assert 1 <= len(masses) - 1 <= 5
 
 
+def _is_number(cell, parse):
+    try:
+        parse(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def test_every_csv_result_file_has_one_format(tmp_path):
+    """Every CSV the subcommands write on the CI inputs: CRLF rows, each
+    integer cell the text of its int and each other number the ``repr`` of
+    its float."""
+    w = tmp_path / "w.json"
+    w.write_text('{"schema": 1, "w": [2, 1, 1]}')
+    limit = tmp_path / "limit.json"
+    limit.write_text('{"schema": 1, "alpha": 0, "beta": 1, "kappa": 1}')
+    jumps = tmp_path / "jumps.json"
+    jumps.write_text('{"schema": 1, "alpha": 0.5, "beta": 0, "kappa": 1, '
+                     '"c": [0.8, 0.4, 0.2]}')
+    runs = {
+        "lifo": ["simulate", "--mode", "lifo", "--weights", w],
+        "markov": ["simulate", "--mode", "markov", "--horizon", "40",
+                   "--weights", w],
+        "direct": ["simulate", "--mode", "direct", "--weights", w],
+        "metric": ["metric", "--weights", w],
+        "continuum": ["continuum", "--limit", limit],
+        "jumps": ["continuum", "--horizon", "1", "--dt", "0.3",
+                  "--limit", jumps],
+    }
+    for name, argv in runs.items():
+        assert main([*map(str, argv), "--out", str(tmp_path / name)]) == 0
+    files = sorted(tmp_path.glob("*/*.csv"))
+    assert len(files) == 13
+    for path in files:
+        rows = path.read_bytes().split(b"\r\n")
+        assert rows.pop() == b"" and b"\n" not in b"".join(rows), path
+        for cell in b",".join(rows[1:]).decode().split(","):
+            if _is_number(cell, int):
+                assert cell == str(int(cell)), (path, cell)
+            elif _is_number(cell, float):
+                assert cell == repr(float(cell)), (path, cell)
+
+
 def test_compare_small(tmp_path, weights_file, capsys):
     out = tmp_path / "cmp"
     rc = main(["compare", "--weights", weights_file,
@@ -346,6 +389,8 @@ _BAD_ARGUMENTS = [
     # retired no-op flags
     (["verify", "--identities"], "unrecognized arguments: --identities"),
     (["compare", "--edge-law"], "unrecognized arguments: --edge-law"),
+    # scaling is deterministic: it takes no seed
+    (["scaling", "--seed", "3"], "unrecognized arguments: --seed 3"),
 ]
 
 
@@ -354,7 +399,7 @@ _BAD_ARGUMENTS = [
 def test_bad_argument_exits_2(tmp_path, capsys, weights_file, limit_file,
                               argv, message):
     out = tmp_path / "out"
-    inputs = (["--limit", limit_file] if argv[0] == "continuum"
+    inputs = (["--limit", limit_file] if argv[0] in ("continuum", "scaling")
               else ["--weights", weights_file])
     assert main(argv + inputs + ["--out", str(out)]) == 2
     err = capsys.readouterr().err

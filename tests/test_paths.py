@@ -564,23 +564,38 @@ def test_writer_keeps_percent_signs_verbatim(tmp_path):
     tokens = ["%s", "%%", "50%", "%(x)s", "%d", "%", "s%"]
     header = ["%s", "50%", "%%", "rank", 0.5]
     n = 23
-    columns = [np.array([tokens[k % 7] for k in range(n)]), range(1, n + 1),
-               [tokens[-k % 7] for k in range(n)], np.arange(n) / 8.0,
+    columns = [np.array([tokens[k % 7] for k in range(n)]),
+               np.arange(1, n + 1),
+               np.array([tokens[-k % 7] for k in range(n)]), np.arange(n) / 8.0,
                np.arange(n, dtype=np.int64) - 11]
     _write_csv(tmp_path / "new.csv", header, columns)
     with open(tmp_path / "old.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(header)
-        wr.writerows(zip(*(list(c) for c in columns)))
+        wr.writerows(zip(*(c.tolist() for c in columns)))
     assert (tmp_path / "new.csv").read_bytes() \
         == (tmp_path / "old.csv").read_bytes()
     assert (tmp_path / "new.csv").read_bytes().startswith(
         b"%s,50%,%%,rank,0.5\r\n%s,1,%s,0.0,-11\r\n%%,2,s%,0.125,-10\r\n")
 
 
-def test_writer_takes_a_lone_range_column(tmp_path):
-    _write_csv(tmp_path / "r.csv", ["rank"], [range(1, 4)])
+def test_writer_takes_a_lone_rank_column(tmp_path):
+    _write_csv(tmp_path / "r.csv", ["rank"], [np.arange(1, 4)])
     assert (tmp_path / "r.csv").read_bytes() == b"rank\r\n1\r\n2\r\n3\r\n"
+
+
+@pytest.mark.parametrize("column", [
+    range(1, 4), [1.0, 2.0, 3.0], np.array(["a", "b", "\u00e9"]),
+    np.array([2 ** 63, 1, 2], dtype=np.uint64), np.array([1, None, 2]),
+    np.array([True, False, True]), np.array([1j, 2j, 3j])],
+    ids=["range", "list", "non-ASCII", "past-int64", "object", "bool",
+         "complex"])
+def test_writer_refuses_other_columns(tmp_path, column):
+    # a column is an array of floats, of integers within int64 or of ASCII
+    # tokens; anything else raises before a row is written
+    with pytest.raises(TypeError, match="a result column is an array"):
+        _write_csv(tmp_path / "x.csv", ["x", "y"], [np.arange(3.0), column])
+    assert (tmp_path / "x.csv").read_bytes() == b"x,y\r\n"
 
 
 # 1 + 2**-53 rounds to 1 (ties to even), so a left-to-right sum of

@@ -163,6 +163,14 @@ def _cycle(values, n):
     return [values[i % len(values)] for i in range(n)]
 
 
+def _array_columns(floats, ints, tokens):
+    """Each kind of column the writer takes: float, int64 and uint32
+    arrays, tokens as str and as bytes arrays."""
+    return [np.array(floats), np.array(ints, dtype=np.int64), np.array(tokens),
+            np.array(tokens, dtype="S"), np.array(floats[::-1]),
+            np.arange(len(floats), dtype=np.uint32)]
+
+
 # row counts around the first and second block boundaries of 6 columns
 STEP = _BLOCK_CELLS // 6
 
@@ -170,13 +178,10 @@ STEP = _BLOCK_CELLS // 6
 @pytest.mark.parametrize("n", [0, 1, 2, STEP - 1, STEP, STEP + 1, 2 * STEP + 3])
 def test_writer_matches_csv_module(tmp_path, n):
     floats, ints, tokens = _cycle(FLOATS, n), _cycle(INTS, n), _cycle(TOKENS, n)
-    big = [2 ** 70 + k for k in range(n)]    # past int64: a Python list only
     header = ["t", 0.25, 1e-05, "C4_integral_y=1", "mass", "flag"]  # matrix.csv
-    # each kind of cell as a numpy array and as a Python sequence
-    columns = [np.array(floats), np.array(ints, dtype=np.int64),
-               np.array(tokens), big, floats, tokens]
+    columns = _array_columns(floats, ints, tokens)
     _write_csv(tmp_path / "new.csv", header, columns)
-    rows = zip(floats, ints, tokens, big, floats, tokens)
+    rows = zip(floats, ints, tokens, tokens, floats[::-1], range(n))
     assert (tmp_path / "new.csv").read_bytes() == _csv_module_bytes(
         tmp_path / "old.csv", header, rows)
 
@@ -229,16 +234,15 @@ SPLIT_WRITERS = {
                               "4blocks_partial", "5blocks_partial"])
 def test_two_process_writer_equals_serial(monkeypatch, tmp_path, n):
     floats, ints, tokens = _cycle(FLOATS, n), _cycle(INTS, n), _cycle(TOKENS, n)
-    columns = [np.array(floats), np.array(ints, dtype=np.int64),
-               np.array(tokens), [2 ** 70 + k for k in range(n)], floats,
-               range(n)]
+    columns = _array_columns(floats, ints, tokens)
     header = ["t", 0.25, 1e-05, "C4_integral_y=1", "mass", "flag"]
     _write_csv(tmp_path / "one.csv", header, columns)
     monkeypatch.setattr("wmgraph.paths._BLOCK_CELLS", 6 * 4)   # 4 rows
     _write_csv(tmp_path / "blocks.csv", header, columns)
     assert (tmp_path / "blocks.csv").read_bytes() \
         == (tmp_path / "one.csv").read_bytes() == _csv_module_bytes(
-            tmp_path / "old.csv", header, zip(*(list(c) for c in columns)))
+            tmp_path / "old.csv", header,
+            zip(floats, ints, tokens, tokens, floats[::-1], range(n)))
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 5])
@@ -303,9 +307,8 @@ def test_random_mixed_files_equal_the_reference_across_blocks(
                rng.integers(0, 10 ** 6, n, dtype=np.int32),
                rng.choice(np.array([b"arrival", b"departure", b""]), n),
                rng.choice(["self_loop", "boundary_tie", "", "b"], n),
-               _random_floats(rng, n), range(5, 5 + 3 * n, 3),
-               _random_floats(rng, n).tolist(), ints.tolist(),
-               [2 ** 70 - k for k in range(n)]]
+               _random_floats(rng, n), np.arange(5, 5 + 3 * n, 3),
+               _random_floats(rng, n)]
     order = rng.permutation(len(columns))
     columns = [columns[j] for j in order]
     header = [f"c{j}" for j in order]

@@ -100,8 +100,8 @@ def test_edge_marginal_compare_small(tmp_path):
     assert rep.passed
     assert rep.marginals_pass
     assert rep.joint_pass is not None            # 3 clients: joint test runs
-    assert np.all(np.abs(rep.freq_direct - rep.edge_probs) <= rep.band)
-    assert np.all(np.abs(rep.freq_lifo - rep.edge_probs) <= rep.band)
+    for freq in (rep.freq_direct, rep.freq_lifo):
+        assert np.all(np.abs(freq - rep.edge_probs) <= rep.band_4sigma)
     d = _report_json(rep, tmp_path)
     assert d["passed"] is True
     assert len(d["edge_probs"]) == 3
@@ -173,7 +173,7 @@ def _reference_summary_lines(rep):
     n = rep.w.size
     pairs = ((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
     for (i, j), p, fd, fl, b in zip(pairs, rep.edge_probs, rep.freq_direct,
-                                    rep.freq_lifo, rep.band):
+                                    rep.freq_lifo, rep.band_4sigma):
         yield (f"{f'{i}-{j}':>8} {p:>10.6f} {fd:>10.6f} {fl:>10.6f} "
                f"{b:>10.6f}")
     yield (f"marginals_pass={rep.marginals_pass} "
@@ -192,7 +192,7 @@ def _report(n, rng):
             col[rng.integers(0, pairs, size=3)] = [np.nan, np.inf, -np.inf]
     return EdgeCompareReport(
         w=np.ones(n), replicas=7, seed=3, edge_probs=cols[0],
-        freq_direct=cols[1], freq_lifo=cols[2], band=cols[3],
+        freq_direct=cols[1], freq_lifo=cols[2], band_4sigma=cols[3],
         marginals_pass=False, marginals_holm_p=float(rng.random()),
         marginals_familywise_pass=True, count_hist_p=np.nan,
         count_hist_pass=False, joint_p=None if n > 5 else np.inf,

@@ -39,6 +39,19 @@ def test_weights_sorted_and_positive():
         WeightSeq([1e200, 1.0])
 
 
+def test_weights_are_a_read_only_copy():
+    # the memoized sums and the nonincreasing order cannot be changed
+    # through the caller's array or through ``w``
+    w = np.ones(5)
+    ws = WeightSeq(w)
+    assert ws.sigma(1.0) == 5.0
+    w[0] = 7.0
+    assert ws.w.tolist() == [1.0] * 5 and ws.sigma(1.0) == 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        ws.w[1] = 5.0
+    assert not WeightSeq([1.0, 3.0, 2.0]).w.flags.writeable
+
+
 def test_sigma_hand_values():
     w = WeightSeq([3.0, 2.0, 2.0, 1.0, 1.0, 1.0])
     assert w.sigma(1.0) == 10.0
