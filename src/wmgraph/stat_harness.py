@@ -71,7 +71,6 @@ def ks_two_sample(a, b):
 
 @dataclass(frozen=True)
 class EdgeCompareReport:
-    w: np.ndarray
     replicas: int
     seed: int
     edge_probs: np.ndarray       # per-pair target probabilities
@@ -92,10 +91,10 @@ class EdgeCompareReport:
                 and self.joint_pass is not False)
 
     def _fields(self) -> dict:
-        """The JSON keys and values: every field but ``w`` in declaration
-        order, then ``passed``."""
-        return {**{f.name: getattr(self, f.name) for f in fields(self)
-                   if f.name != "w"}, "passed": self.passed}
+        """The JSON keys and values: every field in declaration order, then
+        ``passed``."""
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "passed": self.passed}
 
     def write_json(self, path):
         """The report as ``json.dump(..., indent=2)`` writes it, byte for
@@ -114,26 +113,6 @@ class EdgeCompareReport:
                     fh.write((b"," if a else b"[") + b"\n    " + cells[:-6])
                 fh.write(b"\n  ]" if value.size else b"[]")
             fh.write(b"\n}")
-
-    def summary_lines(self):
-        """The text summary one line at a time: a row per pair, then the
-        verdicts.  The columns are read as Python floats a block at a
-        time."""
-        yield f"{'pair':>8} {'target':>10} {'direct':>10} {'lifo':>10} {'band':>10}"
-        n = self.w.size
-        pairs = ((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
-        cols = (self.edge_probs, self.freq_direct, self.freq_lifo,
-                self.band_4sigma)
-        for a in range(0, self.edge_probs.size, _BLOCK_CELLS):
-            # pairs last: zip stops on the block before drawing a pair
-            for p, fd, fl, b, (i, j) in zip(
-                    *(c[a:a + _BLOCK_CELLS].tolist() for c in cols), pairs):
-                yield (f"{f'{i}-{j}':>8} {p:>10.6f} {fd:>10.6f} {fl:>10.6f} "
-                       f"{b:>10.6f}")
-        yield (f"marginals_pass={self.marginals_pass} "
-               f"marginals_holm_p={self.marginals_holm_p:.5g} "
-               f"count_hist_p={self.count_hist_p:.5f} "
-               f"joint_p={self.joint_p}")
 
 
 def _hist_compare(x: np.ndarray, y: np.ndarray) -> float:
@@ -272,9 +251,8 @@ def edge_marginal_compare(w: WeightSeq, replicas: int = 20000,
         joint_p = _hist_compare(codes_d, codes_l)
         joint_pass = bool(joint_p > FAMILY_LEVEL)
     return EdgeCompareReport(
-        w=w.w, replicas=replicas, seed=seed, edge_probs=np.atleast_1d(probs),
-        freq_direct=np.atleast_1d(fd), freq_lifo=np.atleast_1d(fl),
-        band_4sigma=np.atleast_1d(band), marginals_pass=marg,
+        replicas=replicas, seed=seed, edge_probs=probs, freq_direct=fd,
+        freq_lifo=fl, band_4sigma=band, marginals_pass=marg,
         marginals_holm_p=holm_p,
         marginals_familywise_pass=bool(holm_p > FAMILY_LEVEL),
         count_hist_p=p_hist, count_hist_pass=bool(p_hist > FAMILY_LEVEL),

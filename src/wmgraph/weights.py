@@ -19,11 +19,12 @@ import numpy as np
 
 def _schema_fields(d, *keys) -> dict:
     """``d`` if it is a schema-1 JSON object holding ``keys``, else
-    ValueError (a missing schema reads as 1)."""
+    ValueError (a missing schema reads as 1; ``true`` is not 1)."""
     if not isinstance(d, dict):
         raise ValueError("expected a JSON object")
-    if d.get("schema", 1) != 1:
-        raise ValueError(f"unsupported schema {d['schema']!r}")
+    schema = d.get("schema", 1)
+    if isinstance(schema, bool) or schema != 1:
+        raise ValueError(f"unsupported schema {json.dumps(schema)}")
     missing = [k for k in keys if k not in d]
     if missing:
         raise ValueError(f"missing key(s): {', '.join(missing)}")
@@ -149,7 +150,6 @@ class LimitParams:
 class ScalingTriple:
     """One member (a_n, b_n, w_n) of a scaling family."""
 
-    n: int
     a: float
     b: float
     weights: WeightSeq
@@ -197,7 +197,7 @@ def gen_er_triple(n: int, p: float) -> ScalingTriple:
     value = -n * math.log1p(-p)
     weights = WeightSeq(np.full(n, value))
     a = float(n) ** (1.0 / 3)
-    return ScalingTriple(n=n, a=a, b=a * a, weights=weights,
+    return ScalingTriple(a=a, b=a * a, weights=weights,
                          declared_limit=er_limit_params(n, p))
 
 
@@ -258,4 +258,4 @@ def gen_powerlaw_triple(n: int, rho: float, q: float = 1.0,
     # limit of w_j/a_n: the n-dependence cancels, leaving q*j^(-1/rho)
     limit_c = q * np.arange(1, n + 1, dtype=float) ** (-1.0 / rho)
     limit = LimitParams(alpha=float(alpha), beta=0.0, kappa=kappa, c=limit_c)
-    return ScalingTriple(n=n, a=a, b=b, weights=w, declared_limit=limit)
+    return ScalingTriple(a=a, b=b, weights=w, declared_limit=limit)

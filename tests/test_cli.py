@@ -170,11 +170,14 @@ def test_compare_small(tmp_path, weights_file, capsys):
     out = tmp_path / "cmp"
     rc = main(["compare", "--weights", weights_file,
                "--replicas", "1500", "--out", str(out)])
-    captured = capsys.readouterr().out
-    assert "marginals_pass=" in captured
     d = json.loads((out / "compare.json").read_text())
     assert rc == (0 if d["passed"] else 1)
     assert d["passed"] is True
+    # stdout is the one verdict line; the per-pair numbers are in the file
+    assert capsys.readouterr().out == (
+        f"marginals_pass={d['marginals_pass']} "
+        f"marginals_holm_p={d['marginals_holm_p']:.5g} "
+        f"count_hist_p={d['count_hist_p']:.5f} joint_p={d['joint_p']}\n")
 
 
 def test_usage_errors(tmp_path, weights_file):
@@ -219,6 +222,7 @@ _PSI_OVERFLOWS = {
     ("simulate", "--weights", "[Infinity, 1]"),
     ("simulate", "--weights", '{"schema": 1}'),
     ("simulate", "--weights", '{"schema": 2, "w": [1]}'),
+    ("simulate", "--weights", '{"schema": true, "w": [2, 1]}'),
     ("simulate", "--weights", '{"schema": 1, "w": [{"a": 1}]}'),
     # the weight sum and its square must be finite
     ("simulate", "--weights", '{"schema": 1, "w": [1e308, 1e308]}'),

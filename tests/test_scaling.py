@@ -430,7 +430,7 @@ def test_psi_overflowing_at_the_cutoff_is_refused(text):
 
 
 def test_psi_n_hand_value():
-    tr = ScalingTriple(n=1, a=1.0, b=1.0, weights=WeightSeq([1.0]))
+    tr = ScalingTriple(a=1.0, b=1.0, weights=WeightSeq([1.0]))
     # drift vanishes (sigma_2 = sigma_1); curve = e^{-lam} - 1 + lam
     lim = tr.matched_limit()
     assert (lim.alpha, lim.beta, lim.kappa, lim.c.tolist()) == (
@@ -488,7 +488,7 @@ def _critical_powerlaw_family(rho):
         a = float(w.w[0])
         limit = LimitParams(alpha=powerlaw_alpha0(rho, 1.0, 1.0), beta=0.0,
                             kappa=1.0, c=np.arange(1.0, n + 1) ** (-1.0 / rho))
-        family.append(ScalingTriple(n=n, a=a, b=w.sigma(1.0) / a, weights=w,
+        family.append(ScalingTriple(a=a, b=w.sigma(1.0) / a, weights=w,
                                     declared_limit=limit))
     return family
 

@@ -140,6 +140,18 @@ def test_loaders_reject_wrong_value_types(loader, text):
         loader(text)
 
 
+def test_loaders_refuse_a_boolean_schema():
+    # json reads true as True, and True == 1 in Python
+    with pytest.raises(ValueError, match="unsupported schema true"):
+        WeightSeq.from_json('{"schema": true, "w": [2, 1]}')
+    with pytest.raises(ValueError, match="unsupported schema true"):
+        LimitParams.from_json(
+            '{"schema": true, "alpha": 0, "beta": 1, "kappa": 1}')
+    # 1.0 is the JSON number 1
+    w = WeightSeq.from_json('{"schema": 1.0, "w": [2, 1]}')
+    assert w.w.tolist() == [2.0, 1.0]
+
+
 def test_limit_params_validation():
     with pytest.raises(ValueError):
         LimitParams(0.0, -1.0, 1.0)
@@ -157,9 +169,9 @@ def test_scaling_family_validation():
     w = WeightSeq([2.0, 1.0])
     for a, b in ((0.0, 1.0), (math.inf, 1.0), (math.nan, 1.0)):
         with pytest.raises(ValueError, match="a_n must be"):
-            ScalingTriple(n=2, a=a, b=b, weights=w)
+            ScalingTriple(a=a, b=b, weights=w)
         with pytest.raises(ValueError, match="b_n must be"):
-            ScalingTriple(n=2, a=b, b=a, weights=w)
+            ScalingTriple(a=b, b=a, weights=w)
     for r in (0.0, -1.0):
         with pytest.raises(ValueError, match="r must be positive"):
             sigma_r(w, r)
