@@ -166,9 +166,10 @@ def _cmd_compare(args) -> int:
     w = _load_weights(args.weights)
     rep = edge_marginal_compare(w, replicas=args.replicas, seed=args.seed)
     rep.write_json(_outdir(args) / "compare.json")
+    joint_p = "None" if rep.joint_p is None else f"{rep.joint_p:.5g}"
     print(f"marginals_pass={rep.marginals_pass} "
           f"marginals_holm_p={rep.marginals_holm_p:.5g} "
-          f"count_hist_p={rep.count_hist_p:.5f} joint_p={rep.joint_p}")
+          f"count_hist_p={rep.count_hist_p:.5f} joint_p={joint_p}")
     return 0 if rep.passed else 1
 
 

@@ -3,6 +3,7 @@ comparison of the edge-coin sampler against the queue-assembled graph."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -19,16 +20,37 @@ from .weights import WeightSeq
 FAMILY_LEVEL = 1e-3
 
 
+def _chi2_sf(dof: int, x: float) -> float:
+    """P(X > x) for X chi-square with an integer ``dof`` >= 1: Q(dof/2,
+    x/2) as the finite series of Abramowitz and Stegun 26.4.4-26.4.5,
+
+        even dof: e^(-x/2) sum_{j < dof/2} (x/2)^j / j!,
+        odd dof:  erfc(sqrt(x/2))
+                  + e^(-x/2) sum_{j < (dof-1)/2} (x/2)^(j+1/2) / Gamma(j+3/2),
+
+    each term exponentiated from its log and the positive terms summed by
+    ``math.fsum``, so nothing cancels.  x = 0 gives 1; NaN (or a negative
+    x) gives NaN, as scipy's ``chdtrc`` does, never a silent pass."""
+    if not x > 0:
+        return 1.0 if x == 0 else math.nan
+    if x == math.inf:
+        return 0.0
+    h = 0.5 * x
+    lh = math.log(h)
+    s = 0.5 * (dof % 2)
+    terms = [math.exp((j + s) * lh - h - math.lgamma(j + s + 1.0))
+             for j in range(dof // 2)]
+    if s:
+        terms.append(math.erfc(math.sqrt(h)))
+    return min(1.0, math.fsum(terms))
+
+
 def chi_square_gof(counts, probs):
     """Pearson goodness of fit with tail-cell merging.
 
     Cells with expected count below 5 are pooled into a single cell; if
     the pool still falls short it is merged with the smallest retained
     cell.  Returns (statistic, p_value)."""
-    # scipy.special is imported where it is used, as is scipy.stats:
-    # either costs ``import wmgraph`` about 0.3 s
-    from scipy import special
-
     counts = np.asarray(counts, dtype=float)
     probs = np.asarray(probs, dtype=float)
     if counts.shape != probs.shape:
@@ -52,7 +74,7 @@ def chi_square_gof(counts, probs):
     keep_c, keep_e = np.asarray(keep_c), np.asarray(keep_e)
     stat = float(((keep_c - keep_e) ** 2 / keep_e).sum())
     dof = len(keep_c) - 1
-    return stat, float(special.chdtrc(dof, stat))
+    return stat, _chi2_sf(dof, stat)
 
 
 def ks_two_sample(a, b):
@@ -117,8 +139,6 @@ class EdgeCompareReport:
 
 def _hist_compare(x: np.ndarray, y: np.ndarray) -> float:
     """Two-sample contingency chi-square over pooled small cells."""
-    from scipy import special
-
     both = np.concatenate((x, y))
     cell = _sorted_unique(both).searchsorted(both)
     # pool cells until every expected count is at least 5, on exact ints
@@ -134,25 +154,85 @@ def _hist_compare(x: np.ndarray, y: np.ndarray) -> float:
     if len(tot) < 2:
         return 1.0      # no degree of freedom
     table, tot = np.array(rows, dtype=float), np.array(tot, dtype=float)
-    # chi2_contingency(table).pvalue, computed as it computes it
+    # the statistic of chi2_contingency(table), computed as it computes it
     expected = np.outer(table.sum(axis=1), tot) / table.sum()
     if tot.size == 2:   # Yates' correction
         diff = expected - table
         table = table + np.minimum(0.5, np.abs(diff)) * np.sign(diff)
     stat = ((table - expected) ** 2 / expected).sum()
-    return float(special.chdtrc(tot.size - 1, stat))
+    return _chi2_sf(tot.size - 1, float(stat))
 
 
-def _binomial_p_min(hits: np.ndarray, replicas: int,
-                    probs: np.ndarray) -> float:
-    """Smallest exact two-sided binomial p-value of the hit counts, a
-    p-value being twice the smaller tail, capped at 1 (1 for no
-    counts)."""
-    from scipy import special
+def _fold_hits(extremes: np.ndarray, hits: np.ndarray,
+               probs: np.ndarray) -> None:
+    """Fold one side's per-pair hit counts into ``extremes``, of shape
+    (2, replicas + 1) and NaN where no pair has that count: row 0 keeps,
+    per hit count h, the largest target probability of a pair hit h
+    times, row 1 the smallest."""
+    np.fmax.at(extremes[0], hits, probs)
+    np.fmin.at(extremes[1], hits, probs)
 
-    lower = special.bdtr(hits, replicas, probs).min(initial=1.0)
-    upper = special.bdtrc(hits - 1, replicas, probs).min(initial=1.0)
-    return min(1.0, 2.0 * float(min(lower, upper)))
+
+@functools.lru_cache(maxsize=4)
+def _log_binomials(replicas: int):
+    """The tables ``_binomial_p_min`` reads at R = ``replicas``: its
+    window, 10 standard deviations of the widest binomial (sqrt(R)/2)
+    plus 20 terms, at most R; log C(R, k) for k = -window..R + window from
+    one ``math.lgamma`` table, -inf off 0..R; and the offsets of a lower
+    (row 0) and an upper (row 1) tail's terms from the hit count, far end
+    first.  Read-only, and cached: every replica of a certificate has
+    the same R, and building them costs as much as the tails at
+    certify's shape."""
+    window = min(replicas, 20 + math.ceil(5.0 * math.sqrt(replicas)))
+    lg = np.array(list(map(math.lgamma, range(1, replicas + 2))))
+    lc = np.full(replicas + 1 + 2 * window, -np.inf)
+    lc[window:window + replicas + 1] = lg[-1] - lg - lg[::-1]
+    off = np.arange(window, -1, -1)
+    offsets = np.stack((-off, off))
+    lc.flags.writeable = offsets.flags.writeable = False
+    return window, lc, offsets
+
+
+def _binomial_p_min(extremes: np.ndarray) -> float:
+    """Smallest exact two-sided binomial p-value of the pairs folded into
+    ``extremes`` (``_fold_hits``), a p-value being twice the smaller of
+    P(X <= h) and P(X >= h) for X ~ Bin(R, p), capped at 1 (1 for no
+    pairs).
+
+    Only the minimum is needed, so most tails are never evaluated:
+
+    - Bin(R, p) grows stochastically in p, so among the pairs hit h
+      times the largest p has the smallest P(X <= h) and the smallest p
+      the smallest P(X >= h): at most R + 1 tails a side, row 0 and
+      row 1 of ``extremes``, whatever the number of pairs;
+    - a binomial's median is the floor or the ceiling of its mean R p
+      (Kaas and Buhrman, Statist. Neerl. 34, 1980), so a tail that
+      contains the mean is at least 1/2 and its capped p-value is 1.
+      Only P(X <= h) with h < R p and P(X >= h) with h > R p are
+      evaluated.
+
+    Each of these sums its pmf terms from the far end over the window of
+    ``_log_binomials``, beyond which the terms fall below 2^-53 of the
+    sum.  The lgamma table's rounding leaves the result within about
+    1e-10 relative of scipy's ``bdtr``/``bdtrc`` at R = 20,000 (1e-14 at
+    R = 20).  A pair with p = 1 and h < R gives 0, as ``bdtr`` does."""
+    replicas = extremes.shape[1] - 1
+    # positive on the far side of the mean: R p - h in row 0, h - R p in
+    # row 1 (NaN, no pair with h hits, compares false)
+    far = np.arange(replicas + 1.0) - replicas * extremes
+    far[0] *= -1.0
+    side, hits = np.nonzero(far > 0)
+    if not hits.size:
+        return 1.0
+    p = extremes[side, hits]
+    window, lc, offsets = _log_binomials(replicas)
+    k = hits[:, None] + offsets[side]
+    # log 0 = -inf for p = 0 or 1: a term it reaches is exactly 0.  A row
+    # of p = 0 has k >= 1 and one of p = 1 has k < R, so no 0 * -inf
+    with np.errstate(divide="ignore"):
+        lp, lq = np.log(p)[:, None], np.log1p(-p)[:, None]
+    tails = np.exp(lc[k + window] + k * lp + (replicas - k) * lq).sum(axis=1)
+    return min(1.0, 2.0 * float(tails.min()))
 
 
 def _within(freq: np.ndarray, probs: np.ndarray, band: np.ndarray) -> bool:
@@ -221,18 +301,21 @@ def edge_marginal_compare(w: WeightSeq, replicas: int = 20000,
     iu, iv = np.triu_indices(n, k=1)
     probs = edge_probability(w.w[iu] * w.w[iv] / w.sigma(1.0))
     del iu, iv    # 16 bytes a pair, held through the samplers otherwise
-    # each side's hit counts are judged, turned into frequencies and
-    # dropped before the other side is drawn: one count array at a time
+    # each side's hit counts are folded into the per-count extremes of
+    # the binomial tests, turned into frequencies and dropped before the
+    # other side is drawn: one count array at a time
+    extremes = np.full((2, replicas + 1), np.nan)
     hits, counts_d, codes_d = _edge_tally(n, replicas, _direct_edges(
         w, np.random.SeedSequence([seed, 0]), replicas=replicas))
-    p_min = _binomial_p_min(hits, replicas, probs)
+    _fold_hits(extremes, hits, probs)
     fd = hits / replicas
     del hits
     hits, counts_l, codes_l = _edge_tally(
         n, replicas, _queue_graph(w, replicas, seed).edges)
-    p_min = min(p_min, _binomial_p_min(hits, replicas, probs))
+    _fold_hits(extremes, hits, probs)
     fl = hits / replicas
     del hits
+    p_min = _binomial_p_min(extremes)
 
     band = 1.0 - probs      # 4 sqrt(p (1 - p) / replicas), in place
     band *= probs

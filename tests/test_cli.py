@@ -177,7 +177,13 @@ def test_compare_small(tmp_path, weights_file, capsys):
     assert capsys.readouterr().out == (
         f"marginals_pass={d['marginals_pass']} "
         f"marginals_holm_p={d['marginals_holm_p']:.5g} "
-        f"count_hist_p={d['count_hist_p']:.5f} joint_p={d['joint_p']}\n")
+        f"count_hist_p={d['count_hist_p']:.5f} joint_p={d['joint_p']:.5g}\n")
+    # above 5 vertices there is no joint test
+    six = tmp_path / "six.json"
+    six.write_text(WeightSeq([3.0, 2.0, 2.0, 1.0, 1.0, 1.0]).to_json())
+    main(["compare", "--weights", str(six), "--replicas", "200",
+          "--out", str(tmp_path / "six")])
+    assert capsys.readouterr().out.endswith(" joint_p=None\n")
 
 
 def test_usage_errors(tmp_path, weights_file):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from wmgraph import (
     WeightSeq,
@@ -24,6 +25,7 @@ from wmgraph.markov_coder import (GwForestStats, IdentityReport, MarkovTrace,
                                   _cum_steps, completed_clients)
 from wmgraph.paths import (CadlagStepPath, StepFunction, _drain, _openings,
                            _sorted_unique, height_of_path)
+from wmgraph.stat_harness import FAMILY_LEVEL
 
 from test_excursions import _bits
 from test_paths import _departure_bound, _reference_replay
@@ -102,6 +104,34 @@ def test_generation_sizes_absorb_at_zero():
     hit = np.nonzero(zs == 0)[0]
     assert hit.size > 0
     assert np.all(zs[hit[0]:] == 0)
+
+
+def test_extinction_frequencies_match_the_exact_finite_generation_law():
+    # criterion 5's shape (n = 1e4 unit weights, z0 = 21, generations 10,
+    # 21 and 43) against the exact law rather than its n -> infinity limit
+    # exp(-2/t): Z_g = 0 with probability q_g^z0, q_g being g iterates of
+    # the offspring pgf from 0.  Holm over the three exact binomial tests
+    # at the family level, on seeds criterion 5 does not use
+    w = WeightSeq(np.ones(10 ** 4))
+    z0, gens, reps = 21, (10, 21, 43), 2000
+    pgf = mu_w_pmf(w, np.arange(60))[::-1]     # Poisson(1): 1/60! ~ 1e-82
+    q, exact = 0.0, []
+    for g in range(1, max(gens) + 1):
+        q = float(np.polyval(pgf, q))
+        if g in gens:
+            exact.append(q ** z0)
+    assert np.allclose(exact, [0.02685, 0.15898, 0.39378], rtol=0, atol=5e-6)
+    extinct = np.zeros(len(gens), dtype=np.int64)
+    for r in range(reps):
+        z = gw_generation_sizes(w, z0=z0, generations=max(gens),
+                                rng_seed=np.random.SeedSequence([21, 5, r]))
+        extinct += z[list(gens)] == 0
+    p = [min(1.0, 2.0 * min(stats.binom.cdf(k, reps, e),
+                            stats.binom.sf(k - 1, reps, e)))
+         for k, e in zip(extinct, exact)]
+    # Holm's first step is Bonferroni's: nothing is rejected exactly when
+    # the smallest p times the number of tests exceeds the level
+    assert len(p) * min(p) > FAMILY_LEVEL, (extinct, exact)
 
 
 def test_forced_arrivals_replay():

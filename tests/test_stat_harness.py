@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import wmgraph
 from wmgraph import (
@@ -17,7 +18,21 @@ from wmgraph import (
     ks_two_sample,
 )
 from wmgraph.direct_graph import edge_probability
-from wmgraph.stat_harness import _edge_tally, _hist_compare
+from wmgraph.stat_harness import (FAMILY_LEVEL, _binomial_p_min, _chi2_sf,
+                                  _edge_tally, _fold_hits, _hist_compare)
+
+# the suite's two levels: the family level of the edge certificate, and
+# the per-seed level of criterion 4's chi-square tests
+VERDICT_LEVELS = (FAMILY_LEVEL, 1e-3)
+
+
+def _assert_close_same_verdicts(p, want, rel):
+    """p within ``rel`` of the scipy reference ``want`` (a subnormal tail
+    within the least normal float), with equal verdicts at every level."""
+    assert math.isclose(p, want, rel_tol=rel,
+                        abs_tol=sys.float_info.min), (p, want)
+    assert [p > a for a in VERDICT_LEVELS] == \
+        [want > a for a in VERDICT_LEVELS]
 
 
 def test_chi_square_matches_scipy_without_merging():
@@ -54,7 +69,7 @@ def test_chi_square_pool_falls_back_to_smallest_cell():
     assert stat == pytest.approx(ref.statistic)
 
 
-def test_chi_square_p_equals_chi2_sf_bit_for_bit():
+def test_chi_square_p_matches_chi2_sf_within_1e_12():
     # every expected count is at least 5, so no cells merge and the
     # statistic has k - 1 degrees of freedom
     rng = np.random.default_rng(11)
@@ -66,7 +81,18 @@ def test_chi_square_p_equals_chi2_sf_bit_for_bit():
         drift = rng.dirichlet(np.ones(k)) * rng.choice([0.0, 0.1, 1.0])
         counts = rng.multinomial(total, (probs + drift) / (1.0 + drift.sum()))
         stat, p = chi_square_gof(counts, probs)
-        assert p == float(stats.chi2.sf(stat, k - 1))
+        _assert_close_same_verdicts(p, float(stats.chi2.sf(stat, k - 1)),
+                                    1e-12)
+    # the series itself, over dof k = 1-59, 100, 300 and 1000 and
+    # statistics uniform on [0, 3k + 30]
+    for k in [*range(1, 60), 100, 300, 1000]:
+        for x in rng.uniform(0.0, 3 * k + 30, 60):
+            assert math.isclose(_chi2_sf(k, x), special.chdtrc(k, x),
+                                rel_tol=1e-12, abs_tol=sys.float_info.min)
+    assert _chi2_sf(7, 0.0) == 1.0 and _chi2_sf(7, math.inf) == 0.0
+    # a NaN statistic is a NaN p-value, never a pass
+    assert math.isnan(_chi2_sf(7, math.nan))
+    assert math.isnan(chi_square_gof([np.nan, 50.0], [0.5, 0.5])[1])
 
 
 def test_chi_square_validation():
@@ -242,7 +268,8 @@ def test_hist_compare_equals_chi2_contingency(seed):
         y = rng.choice(support, size=ny, p=np.roll(p, int(rng.integers(0, 2))))
         if support == 1 << 10:      # sparse codes, as in the joint test
             x, y = x * 37 + 5, y * 37 + 5
-        assert _hist_compare(x, y) == _reference_hist_compare(x, y)
+        _assert_close_same_verdicts(_hist_compare(x, y),
+                                    _reference_hist_compare(x, y), 1e-12)
         dofs.add(np.union1d(x, y).size)
     # single-cell tables (p = 1) and two-cell tables (Yates) occur
     assert 1 in dofs and 2 in dofs
@@ -252,11 +279,47 @@ def test_hist_compare_pools_two_by_two_tables_with_yates():
     x = np.array([0] * 30 + [1] * 2)
     y = np.array([0] * 20 + [1] * 12)
     want = stats.chi2_contingency([[30, 2], [20, 12]], correction=True).pvalue
-    assert _hist_compare(x, y) == want
+    _assert_close_same_verdicts(_hist_compare(x, y), want, 1e-12)
     # small samples pool down to two cells; a single value is one cell
-    assert _hist_compare(np.array([3, 3, 4]), np.array([5])) == \
-        _reference_hist_compare(np.array([3, 3, 4]), np.array([5]))
+    _assert_close_same_verdicts(
+        _hist_compare(np.array([3, 3, 4]), np.array([5])),
+        _reference_hist_compare(np.array([3, 3, 4]), np.array([5])), 1e-12)
     assert _hist_compare(np.array([7, 7]), np.array([7])) == 1.0
+
+
+def _reference_binomial_p_min(hits, replicas, probs):
+    """The smallest exact two-sided binomial p-value of the hit counts by
+    scipy's tails, over every pair: twice the smaller tail, capped at 1."""
+    lower = special.bdtr(hits, replicas, probs).min(initial=1.0)
+    upper = special.bdtrc(hits - 1, replicas, probs).min(initial=1.0)
+    return min(1.0, 2.0 * float(min(lower, upper)))
+
+
+@pytest.mark.parametrize("replicas,rel,draws", [
+    (1, 1e-14, 200), (20, 1e-14, 300), (100, 2e-13, 300),
+    (20_000, 1e-10, 40)])
+def test_binomial_p_min_matches_scipy(replicas, rel, draws):
+    rng = np.random.default_rng(replicas)
+    for _ in range(draws):
+        n = int(rng.choice([1, 2, 6, 40]))       # n = 1: no pairs
+        pairs = n * (n - 1) // 2
+        probs = rng.random(pairs) ** rng.choice([1, 3, 10])
+        probs[rng.random(pairs) < 0.05] = 1.0
+        probs[rng.random(pairs) < 0.05] = 1e-12
+        if rng.random() < 0.3:                   # a group of equal p
+            probs[:pairs // 2] = probs[pairs // 2:pairs // 2 + 1]
+        hits = rng.binomial(replicas, np.minimum(
+            1.0, probs * rng.choice([1.0, 1.05, 1.2])))
+        if rng.random() < 0.1:                   # a sure edge missed once
+            hits[probs == 1.0] = replicas - 1
+        extremes = np.full((2, replicas + 1), np.nan)
+        for half in np.array_split(np.arange(pairs), 2):   # two sides
+            _fold_hits(extremes, hits[half], probs[half])
+        got = _binomial_p_min(extremes)
+        want = _reference_binomial_p_min(hits, replicas, probs)
+        _assert_close_same_verdicts(got, want, rel)
+        # scipy's capped 1 and its 0 are ours exactly
+        assert (got == 1.0 or want < 1.0) and (got == 0.0 or want > 0.0)
 
 
 def test_package_import_leaves_scipy_stats_and_integrate_unloaded():
@@ -279,22 +342,29 @@ def test_package_import_leaves_scipy_stats_and_integrate_unloaded():
     "import wmgraph.cli; code = wmgraph.cli.main(['simulate', '--mode', "
     "'lifo', '--weights', sys.argv[1], '--out', sys.argv[2]]); "
     "assert code == 0, code",
+    "import wmgraph.cli; code = wmgraph.cli.main(['compare', '--weights', "
+    "sys.argv[1], '--replicas', '200', '--out', sys.argv[2]]); "
+    "assert code == 0, code",
+    "from wmgraph import check_regime, gen_er_triple; "
+    "family = [gen_er_triple(n, 1.0 / n) for n in (10**3, 10**4, 10**5)]; "
+    "check_regime(family, family[-1].declared_limit)",
 ])
 def test_package_and_cli_load_no_scipy_submodule(tmp_path, statement):
-    # any of these costs an import of wmgraph about 0.3 s, so each is
-    # imported where it is used
+    # any scipy submodule costs an import of wmgraph 0.2-0.5 s: only
+    # ks_two_sample imports one (scipy.stats), where it is used
     weights = tmp_path / "w.json"
     weights.write_text('{"schema": 1, "w": [2, 1, 1]}')
     paths = [str(Path(wmgraph.__file__).parents[1]),
              os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     script = (f"import sys\n{statement}\n"
-              "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-              "[['scipy', s] for s in ('sparse', 'special', 'stats', "
-              "'integrate')]))")
+              "print(sorted(m for m in sys.modules "
+              "if m.split('.')[0] == 'scipy'))")
     out = subprocess.run(
         [sys.executable, "-c", script, str(weights), str(tmp_path / "out")],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
-    if "main" in statement:
+    assert out.stdout.splitlines()[-1] == "[]"     # after compare's verdict
+    if "simulate" in statement:
         assert (tmp_path / "out" / "components.csv").is_file()
+    if "compare" in statement:
+        assert (tmp_path / "out" / "compare.json").is_file()
